@@ -1,7 +1,7 @@
 """Engineering the quantum Rabi model from a single resonant ion-laser beam.
 
 Dense numerical toolkit with four layers: elementary operator algebra on
-truncated spaces (with mutually checking displacement constructions),
+truncated spaces (one cached-basis displacement plus two oracles),
 Hamiltonian and transformation builders, an eigendecomposition propagator,
 and verification experiments that turn the scheme's operator identities and
 approximations into pass/fail reports. The ``ionqrm`` CLI exposes all of it
@@ -15,6 +15,7 @@ from .algebra import (
     creation,
     commutator,
     dagger,
+    displacement,
     displacement_generator,
     displacement_laguerre,
     interior_block,
@@ -44,6 +45,7 @@ from .models import (
     h_qrm_detuned,
     h_rabi_rotated,
     h_resonant,
+    qrm_conjugate,
     qrm_transform,
     rotation_diagnostic,
     small_rotation,

@@ -12,16 +12,27 @@ Conventions used throughout the package:
   structure of the assembled array.
 * Operators are plain complex ``numpy.ndarray`` matrices.
 
-Two independent constructions of the displacement operator are provided:
-the generator exponential (exactly unitary on the truncated space) and the
-closed-form Fock matrix elements in terms of associated Laguerre
-polynomials (exact infinite-dimensional elements, not unitary at the
-truncation edge). They serve as mutual oracles.
+The displacement operator has one production construction and two oracles:
+
+* :func:`displacement`, used by every builder, diagonalizes the truncated
+  quadrature X = (a + a^dagger)/sqrt(2) once per ``n_max`` (its eigenvectors
+  are the Gauss-Hermite node/weight basis of Golub & Welsch, Math. Comp. 23,
+  221 (1969)) and writes D(i*r) = exp(i*sqrt(2)*r*X) in that cached basis.
+  A general alpha is a diagonal Fock phase away from D(i*|alpha|). The
+  result is exactly unitary on the truncated space.
+* :func:`displacement_generator` exponentiates the generator directly (also
+  exactly unitary on the truncated space, one complex ``eigh`` per call).
+* :func:`displacement_laguerre` evaluates the closed-form Fock matrix
+  elements in terms of associated Laguerre polynomials (exact
+  infinite-dimensional elements, not unitary at the truncation edge).
+
+The checks compare all three.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
@@ -176,10 +187,49 @@ def unitary_expm(generator: np.ndarray) -> np.ndarray:
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def displacement_generator(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
-    """Displacement operator exp(alpha*a^dagger - conj(alpha)*a).
+@lru_cache(maxsize=8)
+def displacement_basis(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (x_k, V) of the truncated quadrature (a + a^dagger)/sqrt(2).
 
-    Exactly unitary on the truncated space by construction.
+    X is real symmetric tridiagonal with off-diagonal sqrt(k/2), so one real
+    ``eigh`` per cutoff gives real nodes x_k (the Gauss-Hermite nodes) and a
+    real orthogonal V. Cached per ``n_max``; both arrays are read-only.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max >= 1 violated (got {n_max})")
+    off = np.sqrt(np.arange(1, n_max, dtype=float) / 2.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    x.setflags(write=False)
+    v.setflags(write=False)
+    return x, v
+
+
+def displacement(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
+    """Displacement operator exp(alpha*a^dagger - conj(alpha)*a) in the cached X basis.
+
+    D(i*r) = V diag(exp(i*sqrt(2)*r*x_k)) V^T with (x_k, V) from
+    :func:`displacement_basis`. A general alpha uses the Fock phase
+    P = diag(u^k), u = -i*alpha/|alpha|, which maps a -> conj(u)*a, so
+    D(alpha) = P D(i*|alpha|) P^dagger. Exactly unitary on the truncated
+    space; no diagonalization after the first call per ``n_max``.
+    """
+    alpha = complex(alpha)
+    x, v = displacement_basis(trunc.n_max)
+    r = alpha.imag if alpha.real == 0.0 else abs(alpha)
+    theta = np.sqrt(2.0) * r * x
+    # V is real: two real products instead of one complex one
+    out = (v * np.cos(theta)) @ v.T + 1j * ((v * np.sin(theta)) @ v.T)
+    if alpha.real != 0.0:
+        phase = np.exp(1j * (np.angle(alpha) - np.pi / 2.0) * np.arange(trunc.n_max))
+        out *= np.outer(phase, phase.conj())
+    return out
+
+
+def displacement_generator(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
+    """Displacement operator exp(alpha*a^dagger - conj(alpha)*a), the generator oracle.
+
+    Exactly unitary on the truncated space by construction; one complex
+    ``eigh`` per call, so production code uses :func:`displacement`.
     """
     a = annihilation(trunc)
     return unitary_expm(alpha * a.conj().T - np.conj(alpha) * a)
@@ -192,7 +242,7 @@ def displacement_laguerre(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     for m >= n, and the adjoint-symmetric expression below the diagonal.
     These are the exact infinite-dimensional matrix elements, truncated, so
     the result is NOT unitary at the truncation edge; it serves as an
-    independent cross-check of :func:`displacement_generator`.
+    independent cross-check of :func:`displacement`.
     """
     n_max = trunc.n_max
     aa = abs(alpha) ** 2

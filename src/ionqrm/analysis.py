@@ -8,8 +8,6 @@ the report, so reports are deterministic given (params, trunc, seed).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -20,6 +18,7 @@ from .algebra import (
     annihilation,
     commutator,
     dagger,
+    displacement,
     displacement_generator,
     displacement_laguerre,
     interior_block,
@@ -39,7 +38,7 @@ from .models import (
     h_qrm,
     h_resonant,
     classify_regime,
-    qrm_transform,
+    qrm_conjugate,
     rotation_diagnostic,
     small_rotation,
     y_rotation,
@@ -56,7 +55,6 @@ class Tolerances:
     identity: float = 1e-10
     oracle: float = 1e-9
     spectral: float = 1e-8
-    hermiticity: float = 1e-12
     convergence: float = 1e-9
     min_scaling_order: float = 1.8
     jc_freq_rtol: float = 0.05
@@ -106,7 +104,15 @@ def _frobenius(a: np.ndarray) -> float:
 
 
 def _fit_order(xs: list[float], ys: list[float]) -> float:
-    """Least-squares slope of log(y) against log(x)."""
+    """Least-squares slope of log(y) against log(x).
+
+    Raises ValueError when a y is zero or non-finite: the order is then
+    undefined (for example, a remainder that vanishes identically).
+    """
+    if not all(math.isfinite(y) and y > 0 for y in ys):
+        raise ValueError(
+            f"scaling order undefined: every norm must be positive and finite, got {list(ys)}"
+        )
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
@@ -142,12 +148,13 @@ def operator_algebra_check(
     alphas: tuple[complex, ...] = (0.5, 0.5j, 0.3 + 0.4j, -0.25 - 0.35j),
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationReport:
-    """Ladder commutator on the interior plus the dual displacement oracle.
+    """Ladder commutator on the interior plus both displacement oracles.
 
     Checks that the interior of [a, a^dag] is the identity (to rounding),
-    that the generator-exponential displacement is unitary within the
-    identity tolerance, and that it agrees elementwise with the Laguerre
-    closed form on the interior block within the oracle tolerance.
+    that the production displacement (:func:`~ionqrm.algebra.displacement`)
+    is unitary and matches the generator exponential on the full matrix
+    within the identity tolerance, and that it agrees elementwise with the
+    Laguerre closed form on the interior block within the oracle tolerance.
     """
     a = annihilation(trunc)
     comm = interior_block(commutator(a, dagger(a)), trunc)
@@ -155,16 +162,25 @@ def operator_algebra_check(
 
     unit_dev = 0.0
     oracle_dev = 0.0
+    gen_dev = 0.0
     eye = np.eye(trunc.n_max)
     for alpha in alphas:
-        gen = displacement_generator(alpha, trunc)
+        disp = displacement(alpha, trunc)
         lag = displacement_laguerre(alpha, trunc)
-        unit_dev = max(unit_dev, float(np.max(np.abs(gen @ dagger(gen) - eye))))
+        unit_dev = max(unit_dev, float(np.max(np.abs(disp @ dagger(disp) - eye))))
         oracle_dev = max(
             oracle_dev,
-            float(np.max(np.abs(interior_block(gen, trunc) - interior_block(lag, trunc)))),
+            float(np.max(np.abs(interior_block(disp, trunc) - interior_block(lag, trunc)))),
         )
-    passed = comm_dev <= 1e-13 and unit_dev <= tol.identity and oracle_dev <= tol.oracle
+        gen_dev = max(
+            gen_dev, float(np.max(np.abs(disp - displacement_generator(alpha, trunc))))
+        )
+    passed = (
+        comm_dev <= 1e-13
+        and unit_dev <= tol.identity
+        and gen_dev <= tol.identity
+        and oracle_dev <= tol.oracle
+    )
     return VerificationReport(
         name="operator-algebra",
         passed=passed,
@@ -173,6 +189,7 @@ def operator_algebra_check(
             "commutator_interior_dev": comm_dev,
             "displacement_unitarity_dev": unit_dev,
             "displacement_oracle_dev": oracle_dev,
+            "displacement_generator_dev": gen_dev,
         },
         trunc=trunc,
         notes="commutator compared at 1e-13 (rounding of sqrt products); "
@@ -195,15 +212,11 @@ def qrm_transform_check(
         raise ValueError("qrm_transform_check requires phi_l = 0")
     if p.delta != 0.0:
         raise ValueError("qrm_transform_check requires delta = 0")
-    t_mat = qrm_transform(p.eta, trunc)
-    transformed = t_mat @ h_resonant(p, trunc) @ dagger(t_mat)
-    delta = interior_block(transformed, trunc) - interior_block(
-        h_qrm(p, trunc, include_constant=True), trunc
-    )
-    shift = interior_block(transformed, trunc) - interior_block(
-        h_qrm(p, trunc, include_constant=False), trunc
-    )
-    diag_dev = float(np.max(np.abs(np.diag(shift) - p.nu * p.eta**2 / 4.0)))
+    transformed = qrm_conjugate(h_resonant(p, trunc), p.eta, trunc)
+    constant = p.nu * p.eta**2 / 4.0
+    shift = interior_block(transformed, trunc) - interior_block(h_qrm(p, trunc), trunc)
+    delta = shift - constant * np.eye(shift.shape[0])
+    diag_dev = float(np.max(np.abs(np.diag(shift) - constant)))
     norm = _frobenius(delta)
     threshold = tol.spectral * trunc.interior_dim
     return VerificationReport(
@@ -723,49 +736,26 @@ def propagator_conservation_check(
     )
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("IONQRM_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"IONQRM_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise ValueError("IONQRM_THREADS must be >= 0")
-    if value == 0:
-        return min(8, os.cpu_count() or 1)
-    return value
-
-
 def run_all_checks(
     trunc: TruncationSpec = DEFAULT_TRUNC,
     seed: int = DEFAULT_SEED,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[VerificationReport]:
-    """Run the full verification suite and return every report.
-
-    Independent experiments run on a small thread pool capped by the
-    IONQRM_THREADS environment variable (0 or unset = auto).
-    """
+    """Run the full verification suite in order and return every report."""
     p_ref = IonParams(Omega=0.7, eta=0.3)
     p_res = IonParams(Omega=0.5, eta=0.02)
-    jobs = [
-        lambda: operator_algebra_check(trunc, tol=tol),
-        lambda: qrm_transform_property(50, trunc, seed=seed, tol=tol),
-        lambda: guard_necessity_check(p_ref, n_max=trunc.n_max, tol=tol),
-        lambda: lamb_dicke_remainder_scan(IonParams(Omega=0.7, eta=0.0), tol=tol),
-        lambda: jc_rabi_experiment(p_res, 0, tol=tol),
-        lambda: ajc_dynamics_check(p_res),
-        lambda: dispersive_error_scan(IonParams(Omega=1.0, eta=0.08), trunc=trunc, tol=tol),
-        lambda: chi_identity_check(100, seed=seed),
-        lambda: regime_check(100, seed=seed),
-        lambda: propagator_conservation_check(p_res, seed=seed),
-        lambda: rotation_diagnostic_check(),
-        lambda: speed_comparison(p_ref, tol=tol),
-        lambda: truncation_convergence("qrm", p_ref),
+    return [
+        operator_algebra_check(trunc, tol=tol),
+        qrm_transform_property(50, trunc, seed=seed, tol=tol),
+        guard_necessity_check(p_ref, n_max=trunc.n_max, tol=tol),
+        lamb_dicke_remainder_scan(IonParams(Omega=0.7, eta=0.0), tol=tol),
+        jc_rabi_experiment(p_res, 0, tol=tol),
+        ajc_dynamics_check(p_res),
+        dispersive_error_scan(IonParams(Omega=1.0, eta=0.08), trunc=trunc, tol=tol),
+        chi_identity_check(100, seed=seed),
+        regime_check(100, seed=seed),
+        propagator_conservation_check(p_res, seed=seed),
+        rotation_diagnostic_check(),
+        speed_comparison(p_ref, tol=tol),
+        truncation_convergence("qrm", p_ref),
     ]
-    workers = _max_workers()
-    if workers <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]

@@ -59,7 +59,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # strict JSON: a NaN or infinity is an error, never a bare token
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _build_matrix(config: RunConfig, name: str, include_constant: bool) -> np.ndarray:

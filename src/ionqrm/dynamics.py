@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TruncationSpec, displacement_generator
+from .algebra import TruncationSpec, displacement
 
 _HERMITIAN_TOL = 1e-10
 _NORM_TOL = 1e-10
@@ -48,14 +48,14 @@ def fock_state(spin: str, n: int, trunc: TruncationSpec) -> np.ndarray:
 def coherent_state(spin: str, alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     """Product state |spin> (x) |alpha>, the coherent state from a displacement column.
 
-    The amplitudes are column 0 of the generator-exponential displacement,
-    so the state is normalized exactly on the truncated space.
+    The amplitudes are column 0 of the cached-basis displacement, so the
+    state is normalized exactly on the truncated space.
     """
     if spin not in ("e", "g"):
         raise ValueError(f"spin must be 'e' or 'g', got {spin!r}")
     psi = np.zeros(2 * trunc.n_max, dtype=complex)
     offset = 0 if spin == "e" else trunc.n_max
-    psi[offset:offset + trunc.n_max] = displacement_generator(alpha, trunc)[:, 0]
+    psi[offset:offset + trunc.n_max] = displacement(alpha, trunc)[:, 0]
     return psi
 
 

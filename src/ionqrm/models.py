@@ -23,8 +23,7 @@ from .algebra import (
     pauli,
     sigma_y,
     spin_tensor_osc,
-    displacement_generator,
-    unitary_expm,
+    displacement,
 )
 
 _PHASE_ATOL = 1e-12
@@ -144,7 +143,7 @@ def h_resonant(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     if p.delta != 0.0:
         raise ValueError("h_resonant requires delta = 0 (resonant condition)")
     n = number_op(trunc)
-    disp = displacement_generator(1j * p.eta, trunc)
+    disp = displacement(1j * p.eta, trunc)
     return (
         p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), n)
         + p.Omega * np.exp(1j * p.phi_l) * spin_tensor_osc(pauli(Spin.PLUS), disp)
@@ -237,14 +236,43 @@ def qrm_transform(eta: float, trunc: TruncationSpec) -> np.ndarray:
 
     T = (1/sqrt(2)) * [[D^dag(i*eta/2), D(i*eta/2)], [-D^dag(i*eta/2), D(i*eta/2)]]
 
-    Built from the generator-exponential displacement, so T is exactly
-    unitary on the truncated space.
+    Built from the cached-basis :func:`~ionqrm.algebra.displacement`, so T is
+    exactly unitary on the truncated space. :func:`qrm_conjugate` computes
+    T H T^dag without forming T.
     """
-    half = displacement_generator(1j * eta / 2.0, trunc)
+    half = displacement(1j * eta / 2.0, trunc)
     half_dag = half.conj().T
     top = np.hstack([half_dag, half])
     bottom = np.hstack([-half_dag, half])
     return np.vstack([top, bottom]) / np.sqrt(2.0)
+
+
+def qrm_conjugate(h: np.ndarray, eta: float, trunc: TruncationSpec) -> np.ndarray:
+    """T H T^dag for T = :func:`qrm_transform` (eta, trunc), computed blockwise.
+
+    With B = D(i*eta/2), A = B^dag and s = (+1, -1), block (i, j) of the
+    result is
+
+        (1/2) * (s_i s_j A H00 A^dag + s_i A H01 B^dag + s_j B H10 A^dag + B H11 B^dag)
+
+    which takes eight n_max-sized products instead of two 2*n_max-sized ones.
+    """
+    n = trunc.n_max
+    if h.shape != (2 * n, 2 * n):
+        raise ValueError(f"H must be {2 * n}x{2 * n}, got {h.shape}")
+    b = displacement(1j * eta / 2.0, trunc)
+    a = b.conj().T
+    p00 = a @ h[:n, :n] @ b
+    p01 = a @ h[:n, n:] @ a
+    p10 = b @ h[n:, :n] @ b
+    p11 = b @ h[n:, n:] @ a
+    out = np.empty((2 * n, 2 * n), dtype=complex)
+    out[:n, :n] = p00 + p01 + p10 + p11
+    out[:n, n:] = -p00 + p01 - p10 + p11
+    out[n:, :n] = -p00 - p01 + p10 + p11
+    out[n:, n:] = p00 - p01 - p10 + p11
+    out *= 0.5
+    return out
 
 
 def h_qrm(p: IonParams, trunc: TruncationSpec, include_constant: bool = False) -> np.ndarray:
@@ -298,17 +326,25 @@ def small_rotation(kind: str, eps: float, trunc: TruncationSpec) -> np.ndarray:
 
     kind "counter": exp(eps * (a^dag sigma_+ - a sigma_-)), pairing with
     eps_counter; kind "co": exp(eps * (a sigma_+ - a^dag sigma_-)), pairing
-    with eps_co. Both generators are anti-Hermitian, so the result is
-    unitary to machine precision.
+    with eps_co.
+
+    Each generator only couples the pairs |e,k+1> <-> |g,k> ("counter") or
+    |e,k> <-> |g,k+1> ("co"), k = 0..n_max-2, acting there as
+    sqrt(k+1) * (|e><g| - |g><e|). The exponential is therefore a rotation by
+    eps*sqrt(k+1) on each pair and the identity on the two unpaired states,
+    written in closed form and exactly unitary on the truncated space.
     """
     if kind not in _ROTATION_KINDS:
         raise ValueError(f"kind must be one of {_ROTATION_KINDS}, got {kind!r}")
-    a = annihilation(trunc)
-    if kind == "counter":
-        gen = spin_tensor_osc(pauli(Spin.PLUS), a.conj().T) - spin_tensor_osc(pauli(Spin.MINUS), a)
-    else:
-        gen = spin_tensor_osc(pauli(Spin.PLUS), a) - spin_tensor_osc(pauli(Spin.MINUS), a.conj().T)
-    return unitary_expm(eps * gen)
+    n = trunc.n_max
+    k = np.arange(n - 1)
+    angle = eps * np.sqrt(k + 1.0)
+    e_idx, g_idx = (k + 1, n + k) if kind == "counter" else (k, n + k + 1)
+    u = np.eye(2 * n, dtype=complex)
+    u[e_idx, e_idx] = u[g_idx, g_idx] = np.cos(angle)
+    u[e_idx, g_idx] = np.sin(angle)
+    u[g_idx, e_idx] = -np.sin(angle)
+    return u
 
 
 def h_dispersive(p: IonParams, trunc: TruncationSpec) -> np.ndarray:

@@ -196,7 +196,7 @@ def test_criterion_09_propagator_conservation():
     )
 
 
-def test_criterion_10_cli(tmp_path, capsys, monkeypatch):
+def test_criterion_10_cli(tmp_path, capsys):
     # config round-trip over 100 random valid configs
     from test_config import _random_config_text
 
@@ -221,7 +221,6 @@ def test_criterion_10_cli(tmp_path, capsys, monkeypatch):
     bytes_ok = rc_a == rc_b == EXIT_OK and out_a.read_bytes() == out_b.read_bytes()
 
     # all-checks exits 0 with every report green
-    monkeypatch.setenv("IONQRM_THREADS", "0")
     summary_path = tmp_path / "summary.json"
     rc = main(
         ["all-checks", "--set", "Omega=0.7", "--set", "eta=0.3", "--out", str(summary_path)]

@@ -9,6 +9,7 @@ from ionqrm import (
     commutator,
     creation,
     dagger,
+    displacement,
     displacement_generator,
     displacement_laguerre,
     interior_block,
@@ -20,6 +21,7 @@ from ionqrm import (
     spin_tensor_osc,
     unitary_expm,
 )
+from ionqrm.algebra import displacement_basis
 
 
 def test_truncation_spec_invariants():
@@ -139,6 +141,36 @@ def test_displacement_column_zero_is_coherent_state():
 
     expected = alpha**n * np.exp(-abs(alpha) ** 2 / 2 - 0.5 * gammaln(n + 1))
     np.testing.assert_allclose(col, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 8, 64, 256])
+def test_cached_basis_displacement_matches_generator(n_max):
+    trunc = TruncationSpec(n_max)
+    for alpha in (0, 0.5, -0.7, 0.3j, 0.3 + 0.4j, -0.25 - 0.35j, 1.2 - 0.3j):
+        dev = np.max(np.abs(displacement(alpha, trunc) - displacement_generator(alpha, trunc)))
+        assert dev <= 1e-13, (alpha, dev)
+
+
+def test_displacement_basis_diagonalizes_the_quadrature():
+    trunc = TruncationSpec(16)
+    a = annihilation(trunc)
+    x, v = displacement_basis(trunc.n_max)
+    quad = (a + dagger(a)) / np.sqrt(2.0)
+    assert np.max(np.abs(v @ np.diag(x) @ v.T - quad)) < 1e-13
+    assert np.max(np.abs(v.T @ v - np.eye(trunc.n_max))) < 1e-13
+
+
+def test_displacement_basis_is_cached_and_read_only():
+    x, v = displacement_basis(8)
+    assert displacement_basis(8)[1] is v
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        v[0, 0] = 0.0
+    # callers get a fresh writable matrix, never the cached arrays
+    d = displacement(0.3j, TruncationSpec(8))
+    d[0, 0] = 0.0
+    assert displacement(0.3j, TruncationSpec(8))[0, 0] != 0.0
 
 
 def test_spin_tensor_identity_and_blocks():

@@ -51,6 +51,7 @@ def test_operator_algebra_check_passes():
     assert rep.passed
     assert rep.metrics["displacement_oracle_dev"] < 1e-9
     assert rep.metrics["displacement_unitarity_dev"] < 1e-10
+    assert rep.metrics["displacement_generator_dev"] < 1e-10
 
 
 def test_qrm_transform_check_eta_zero_exact():
@@ -233,15 +234,48 @@ def test_propagator_conservation_check():
     assert rep.metrics["composition_dev"] < 1e-10
 
 
-def test_run_all_checks_green_and_deterministic(monkeypatch):
-    monkeypatch.setenv("IONQRM_THREADS", "1")
-    serial = run_all_checks()
-    assert all(r.passed for r in serial)
-    monkeypatch.setenv("IONQRM_THREADS", "4")
-    threaded = run_all_checks()
-    assert [r.name for r in threaded] == [r.name for r in serial]
-    for a, b in zip(serial, threaded):
+def test_run_all_checks_green_and_deterministic():
+    first = run_all_checks()
+    assert all(r.passed for r in first)
+    second = run_all_checks()
+    assert [r.name for r in second] == [r.name for r in first]
+    for a, b in zip(first, second):
         assert a.metrics == b.metrics
+
+
+def test_run_all_checks_hot_path_does_not_rediagonalize(monkeypatch):
+    # a warm suite reuses the cached displacement basis: the only eigh calls
+    # left are propagate's and the generator oracle's, none at dim 2*n_max
+    run_all_checks()
+    dims = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        dims.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert all(r.passed for r in run_all_checks())
+    assert len(dims) <= 16, dims
+    assert 2 * T64.n_max not in dims
+
+
+def test_operator_algebra_check_fails_on_a_broken_displacement_basis(monkeypatch):
+    import ionqrm.algebra as algebra
+
+    good = algebra.displacement_basis
+
+    def stretched_basis(n_max):
+        x, v = good(n_max)
+        return 1.01 * x, v
+
+    monkeypatch.setattr(algebra, "displacement_basis", stretched_basis)
+    rep = operator_algebra_check()
+    assert not rep.passed
+    # still exactly unitary, so only the two oracle comparisons can catch it
+    assert rep.metrics["displacement_unitarity_dev"] <= 1e-10
+    assert rep.metrics["displacement_generator_dev"] > 1e-10
+    assert rep.metrics["displacement_oracle_dev"] > 1e-9
 
 
 def test_report_serialization_round_trip_types():

@@ -151,8 +151,7 @@ def test_runtime_error_yields_record(capsys):
     assert record["error"] == "ResonancePoleError"
 
 
-def test_all_checks_exits_zero_and_lists_reports(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("IONQRM_THREADS", "0")
+def test_all_checks_exits_zero_and_lists_reports(tmp_path, capsys):
     out_file = tmp_path / "summary.json"
     args = ["all-checks", "--set", "Omega=0.7", "--set", "eta=0.3", "--out", str(out_file)]
     code, _, _ = run_cli(args, capsys)
@@ -166,8 +165,7 @@ def test_all_checks_exits_zero_and_lists_reports(tmp_path, capsys, monkeypatch):
 
 
 def test_all_checks_nonzero_when_a_check_fails(tmp_path, capsys, monkeypatch):
-    # an unusable thread cap makes run_all_checks raise -> error path; a
-    # failing report instead must flip the exit code, so fake one
+    # a failing report must flip the exit code, so fake one
     import ionqrm.cli as cli
     from ionqrm.analysis import VerificationReport
 
@@ -178,6 +176,30 @@ def test_all_checks_nonzero_when_a_check_fails(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["all-checks", "--set", "Omega=0.7", "--set", "eta=0.3"], capsys)
     assert code == EXIT_CHECKS_FAILED
     assert json.loads(out)["passed"] is False
+
+
+def test_scan_with_vanishing_remainder_is_an_error_not_nan():
+    # Omega = 0 makes the Lamb-Dicke remainder vanish, so its order is undefined
+    proc = subprocess.run(
+        [sys.executable, "-m", "ionqrm", "scan", "--set", "Omega=0", "--set", "eta=0.1",
+         "--set", "scan.kind=lamb-dicke", "--format", "json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ValueError"
+    assert "order undefined" in record["message"]
+
+
+def test_json_output_rejects_non_finite_values():
+    from ionqrm.cli import _json_text
+
+    with pytest.raises(ValueError):
+        _json_text({"order": float("nan")})
 
 
 def test_module_entry_point_smoke():

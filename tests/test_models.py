@@ -12,6 +12,7 @@ from ionqrm import (
     ResonancePoleError,
     Spin,
     TruncationSpec,
+    annihilation,
     classify_regime,
     dagger,
     derived_couplings,
@@ -29,10 +30,12 @@ from ionqrm import (
     number_op,
     osc_identity,
     pauli,
+    qrm_conjugate,
     qrm_transform,
     rotation_diagnostic,
     small_rotation,
     spin_tensor_osc,
+    unitary_expm,
     y_rotation,
 )
 
@@ -239,6 +242,24 @@ def test_qrm_transform_columns_orthonormal():
         assert abs(inner - (1.0 if i == j else 0.0)) < 1e-10
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.6])
+def test_blockwise_conjugation_matches_dense_transform(eta):
+    t_mat = qrm_transform(eta, T64)
+    h = h_resonant(IonParams(Omega=0.7, eta=eta, nu=1.3), T64)
+    dense = t_mat @ h @ dagger(t_mat)
+    assert np.max(np.abs(qrm_conjugate(h, eta, T64) - dense)) < 1e-12
+    rng = np.random.default_rng(11)
+    m = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
+    m = m + dagger(m)
+    dense = t_mat @ m @ dagger(t_mat)
+    assert np.max(np.abs(qrm_conjugate(m, eta, T64) - dense)) < 1e-12
+
+
+def test_blockwise_conjugation_rejects_wrong_dimension():
+    with pytest.raises(ValueError):
+        qrm_conjugate(np.eye(64, dtype=complex), 0.3, T64)
+
+
 def test_h_qrm_eta_zero():
     p = IonParams(Omega=0.7, eta=0.0)
     trunc = TruncationSpec(6)
@@ -327,6 +348,19 @@ def test_small_rotation_identity_and_unitarity():
     assert is_unitary(small_rotation("counter", 0.05, T64), 1e-10)
     with pytest.raises(ValueError):
         small_rotation("sideways", 0.1, trunc)
+
+
+@pytest.mark.parametrize("kind", ["counter", "co"])
+@pytest.mark.parametrize("eps", [0.05, -0.13, 0.9])
+@pytest.mark.parametrize("n_max", [1, 2, 32])
+def test_closed_form_small_rotation_matches_generator_exponential(kind, eps, n_max):
+    trunc = TruncationSpec(n_max)
+    a = annihilation(trunc)
+    up, down = (dagger(a), a) if kind == "counter" else (a, dagger(a))
+    gen = spin_tensor_osc(pauli(Spin.PLUS), up) - spin_tensor_osc(pauli(Spin.MINUS), down)
+    u = small_rotation(kind, eps, trunc)
+    assert np.max(np.abs(u - unitary_expm(eps * gen))) <= 1e-13
+    assert np.max(np.abs(u @ dagger(u) - np.eye(2 * n_max))) <= 1e-13
 
 
 def test_small_rotation_first_order_expansion_scaling():
