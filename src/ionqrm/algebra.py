@@ -27,6 +27,11 @@ The displacement operator has one production construction and two oracles:
   infinite-dimensional elements, not unitary at the truncation edge).
 
 The checks compare all three.
+
+``import ionqrm`` needs numpy only: the Laguerre oracle imports
+``scipy.special`` on first use, and so does ``models.y_rotation`` with
+``scipy.linalg``. Of the CLI commands only ``all-checks`` and ``verify``
+with the ``jc-rabi`` or ``rotation`` check load scipy.
 """
 from __future__ import annotations
 
@@ -35,7 +40,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 
 class Spin(Enum):
@@ -244,6 +248,9 @@ def displacement_laguerre(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     the result is NOT unitary at the truncation edge; it serves as an
     independent cross-check of :func:`displacement`.
     """
+    # local import: only this oracle needs scipy, so `import ionqrm` stays numpy-only
+    from scipy.special import eval_genlaguerre, gammaln
+
     n_max = trunc.n_max
     aa = abs(alpha) ** 2
     out = np.zeros((n_max, n_max), dtype=complex)
@@ -269,7 +276,9 @@ def spin_tensor_osc(s: np.ndarray, m: np.ndarray) -> np.ndarray:
     m = _require_square(m, "oscillator operator")
     if s.shape != (2, 2):
         raise ValueError(f"spin operator must be 2x2, got {s.shape}")
-    return np.kron(s, m)
+    n = m.shape[0]
+    # same single product per entry as np.kron, without its generic axis shuffling
+    return (s[:, None, :, None] * m[None, :, None, :]).reshape(2 * n, 2 * n)
 
 
 def interior_block(a: np.ndarray, trunc: TruncationSpec) -> np.ndarray:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import (
     Spin,
@@ -181,6 +180,9 @@ def y_rotation(convention: str = "standard") -> np.ndarray:
     exponentiates the non-Hermitian i*sigma_- - sigma_+ literally, which is
     not unitary; it is kept for the rotation diagnostics.
     """
+    # local import: only this 2x2 rotation needs scipy, so `import ionqrm` stays numpy-only
+    from scipy.linalg import expm
+
     return expm(1j * (np.pi / 4.0) * sigma_y(convention))
 
 

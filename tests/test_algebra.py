@@ -197,6 +197,21 @@ def test_spin_tensor_mixed_product_property():
 def test_spin_tensor_rejects_non_spin_factor():
     with pytest.raises(ValueError):
         spin_tensor_osc(np.eye(3, dtype=complex), np.eye(2, dtype=complex))
+    with pytest.raises(ValueError):
+        spin_tensor_osc(pauli(Spin.X), np.ones((2, 3), dtype=complex))
+
+
+@pytest.mark.parametrize("n", [1, 2, 32, 64, 256])
+def test_spin_tensor_is_bit_identical_to_kron(n):
+    # each entry is the single product s[i, j] * m[k, l], exactly as in np.kron
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for _ in range(3):
+        s = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        assert np.array_equal(spin_tensor_osc(s, m), np.kron(s, m))
+    for spin in Spin:
+        got, want = spin_tensor_osc(pauli(spin), m), np.kron(pauli(spin), m)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_jc_style_product_identity():

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ionqrm.cli import EXIT_CHECKS_FAILED, EXIT_ERROR, EXIT_OK, main
@@ -178,13 +179,14 @@ def test_all_checks_nonzero_when_a_check_fails(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
-def test_scan_with_vanishing_remainder_is_an_error_not_nan():
+def test_scan_with_vanishing_remainder_is_an_error_not_nan(src_env):
     # Omega = 0 makes the Lamb-Dicke remainder vanish, so its order is undefined
     proc = subprocess.run(
         [sys.executable, "-m", "ionqrm", "scan", "--set", "Omega=0", "--set", "eta=0.1",
          "--set", "scan.kind=lamb-dicke", "--format", "json"],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert proc.returncode == EXIT_ERROR
     assert proc.stdout == ""
@@ -202,14 +204,92 @@ def test_json_output_rejects_non_finite_values():
         _json_text({"order": float("nan")})
 
 
-def test_module_entry_point_smoke():
+def test_module_entry_point_smoke(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "ionqrm", "regime", "--set", "Omega=1.0", "--set", "eta=2.5"],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert proc.returncode == EXIT_OK
     assert proc.stdout.splitlines()[0] == "deep-strong"
+
+
+# Runs CLI commands in one fresh interpreter and prints, as JSON, the scipy
+# modules loaded after the import and after each command (by its label).
+_COLD_CHILD = """
+import contextlib, io, json, sys
+import ionqrm
+from ionqrm.cli import main
+
+def scipy_modules():
+    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+seen = {"import ionqrm": scipy_modules()}
+for label, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 0, (label, code)
+    seen[label] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def _run_cold(commands, src_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_CHILD, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env=src_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_and_cheap_commands_never_load_scipy(src_env):
+    base = ["--set", "Omega=0.7", "--set", "eta=0.3"]
+    small = ["--set", "trunc.n_max=16", "--set", "trunc.guard=4"]
+    evolve = ["--set", "evolve.state=coherent", "--set", "evolve.alpha=0.5+0.2j",
+              "--set", "evolve.t_max=5", "--set", "evolve.samples=11"]
+    commands = [
+        ("regime", ["regime", *base]),
+        ("build resonant", ["build", *base, *small, "--set", "build.hamiltonian=resonant"]),
+        ("evolve resonant", ["evolve", *base, *small, *evolve,
+                             "--set", "evolve.hamiltonian=resonant"]),
+    ]
+    for kind in ("dispersive", "truncation", "lamb-dicke"):
+        commands.append((f"scan {kind}", ["scan", *base, "--set", f"scan.kind={kind}"]))
+    for check in ("qrm-transform", "guard", "speed"):
+        commands.append((f"verify {check}", ["verify", *base, *small,
+                                             "--set", f"verify.check={check}"]))
+    seen = _run_cold(commands, src_env)
+    assert list(seen) == ["import ionqrm"] + [label for label, _ in commands]
+    assert {label: mods for label, mods in seen.items() if mods} == {}
+
+
+def test_scipy_users_resolve_their_lazy_imports(src_env):
+    jc = ["--set", "Omega=0.5", "--set", "eta=0.05", "--set", "verify.check=jc-rabi"]
+    rotation = ["--set", "Omega=0.7", "--set", "eta=0.3", "--set", "verify.check=rotation"]
+    seen = _run_cold([("verify jc-rabi", ["verify", *jc]),
+                      ("verify rotation", ["verify", *rotation])], src_env)
+    # both commands exited 0 in the child, so their function-local imports resolved
+    assert seen["import ionqrm"] == []
+    assert "scipy.linalg" in seen["verify jc-rabi"]
+
+    oracle = (
+        "import sys\n"
+        "from ionqrm import TruncationSpec, displacement_laguerre\n"
+        "assert 'scipy' not in sys.modules\n"
+        "d = displacement_laguerre(0.3 + 0.1j, TruncationSpec(8))\n"
+        "print(repr(float(d[0, 0].real)), 'scipy.special' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", oracle], capture_output=True, text=True,
+                          env=src_env)
+    assert proc.returncode == 0, proc.stderr
+    vacuum, loaded = proc.stdout.split()
+    # <0|D(alpha)|0> = exp(-|alpha|^2 / 2)
+    assert float(vacuum) == pytest.approx(np.exp(-0.05), rel=1e-14)
+    assert loaded == "True"
 
 
 def test_output_is_written_atomically_no_temp_left_behind(tmp_path, capsys):
