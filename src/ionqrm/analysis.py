@@ -38,6 +38,7 @@ from .models import (
     h_qrm,
     h_resonant,
     classify_regime,
+    is_sideband_resonant,
     qrm_conjugate,
     rotation_diagnostic,
     small_rotation,
@@ -459,7 +460,7 @@ def jc_rabi_experiment(
     jc_freq_rtol of that value and the JC run to match its closed-form
     cos^2 oracle pointwise at 1e-8.
     """
-    if abs(p.nu - 2.0 * p.Omega) > 1e-9 * (p.nu + 2.0 * p.Omega):
+    if not is_sideband_resonant(p):
         raise ValueError("jc_rabi_experiment requires the resonance nu = 2*Omega")
     if p.phi_l != 0.0:
         raise ValueError("jc_rabi_experiment uses the phi_l = 0 branch")

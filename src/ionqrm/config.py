@@ -14,23 +14,32 @@ selects that section. Values use the shortest round-trip decimal form for
 floats, ``true``/``false`` for booleans, ``re+imj`` for complex numbers and
 comma-separated items for lists.
 
+Each key is one row of :data:`KEYS` (its :class:`RunConfig` section, field
+and parser), in the order :func:`emit_config` writes. Defaults come only
+from the dataclasses (``IonParams``, ``DEFAULT_TRUNC``, ``Tolerances``,
+``RegimeThresholds``, the ``*Spec`` classes), except that ``format`` follows
+the command and ``scan.k_lowest`` is 8 for ``scan.kind = truncation``.
+
 :func:`parse_config` and :func:`emit_config` are inverses on valid
 configurations.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
+from itertools import groupby
+from typing import Callable, NamedTuple
 
-from .algebra import TruncationSpec
-from .analysis import Tolerances
-from .models import HAMILTONIAN_BUILDERS, IonParams, RegimeThresholds
+from .algebra import DEFAULT_TRUNC, TruncationSpec
+from .analysis import DEFAULT_SEED, Tolerances
+from .models import (HAMILTONIAN_BUILDERS, IonParams, RegimeThresholds,
+                     is_sideband_resonant, phase_is_zero_or_pi)
 
 COMMANDS = ("build", "verify", "evolve", "scan", "regime", "all-checks")
 BUILDER_NAMES = tuple(sorted(HAMILTONIAN_BUILDERS))
 VERIFY_CHECKS = ("qrm-transform", "guard", "dispersive", "jc-rabi", "speed", "rotation")
 SCAN_KINDS = ("dispersive", "truncation", "lamb-dicke")
-DEFAULT_SEED = 2024
 
 
 class ConfigError(ValueError):
@@ -127,18 +136,11 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    items = [part.strip() for part in text.split(",")]
-    if not items or any(not part for part in items):
+def _parse_list(text: str, item: Callable[[str], object]) -> tuple:
+    parts = [part.strip() for part in text.split(",")]
+    if any(not part for part in parts):
         raise ValueError(f"malformed list: {text!r}")
-    return tuple(_parse_float(part) for part in items)
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    items = [part.strip() for part in text.split(",")]
-    if not items or any(not part for part in items):
-        raise ValueError(f"malformed list: {text!r}")
-    return tuple(_parse_int(part) for part in items)
+    return tuple(item(part) for part in parts)
 
 
 def _format_complex(z: complex) -> str:
@@ -146,48 +148,81 @@ def _format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}j"
 
 
-# key -> (parser, scope); scope None means global
-_SCHEMA: dict[str, tuple] = {
-    "command": (str, None),
-    "nu": (_parse_float, None),
-    "Omega": (_parse_float, None),
-    "eta": (_parse_float, None),
-    "phi_l": (_parse_float, None),
-    "delta": (_parse_float, None),
-    "trunc.n_max": (_parse_int, None),
-    "trunc.guard": (_parse_int, None),
-    "seed": (_parse_int, None),
-    "out": (str, None),
-    "format": (str, None),
-    "tol.identity": (_parse_float, None),
-    "tol.oracle": (_parse_float, None),
-    "tol.spectral": (_parse_float, None),
-    "tol.min_order": (_parse_float, None),
-    "build.hamiltonian": (str, "build"),
-    "build.include_constant": (_parse_bool, "build"),
-    "evolve.hamiltonian": (str, "evolve"),
-    "evolve.include_constant": (_parse_bool, "evolve"),
-    "evolve.state": (str, "evolve"),
-    "evolve.spin": (str, "evolve"),
-    "evolve.fock": (_parse_int, "evolve"),
-    "evolve.alpha": (_parse_complex, "evolve"),
-    "evolve.t_max": (_parse_float, "evolve"),
-    "evolve.samples": (_parse_int, "evolve"),
-    "evolve.times": (_parse_floats, "evolve"),
-    "scan.kind": (str, "scan"),
-    "scan.etas": (_parse_floats, "scan"),
-    "scan.n_list": (_parse_ints, "scan"),
-    "scan.k_lowest": (_parse_int, "scan"),
-    "scan.builder": (str, "scan"),
-    "verify.check": (str, "verify"),
-    "verify.fock": (_parse_int, "verify"),
-    "regime.ordering_factor": (_parse_float, "regime"),
-    "regime.ultrastrong_onset": (_parse_float, "regime"),
-    "regime.dispersive_factor": (_parse_float, "regime"),
-    "regime.resonant_max_g_ratio": (_parse_float, "regime"),
+class _Key(NamedTuple):
+    attr: str | None  # RunConfig attribute holding the section; None: a RunConfig field
+    field: str
+    parse: Callable[[str], object]
+    choices: tuple[str, ...] = ()
+    only_if: tuple[str, str] | None = None  # (section field, value) the key applies to
+
+    def applies_to(self, section) -> bool:
+        return self.only_if is None or getattr(section, self.only_if[0]) == self.only_if[1]
+
+
+_FLOATS = partial(_parse_list, item=_parse_float)
+_INTS = partial(_parse_list, item=_parse_int)
+_QRM_ONLY = ("hamiltonian", "qrm")
+
+#: Every configuration key, in the order emit_config writes them.
+KEYS: dict[str, _Key] = {
+    "command": _Key(None, "command", str, COMMANDS),
+    "nu": _Key("params", "nu", _parse_float),
+    "Omega": _Key("params", "Omega", _parse_float),
+    "eta": _Key("params", "eta", _parse_float),
+    "phi_l": _Key("params", "phi_l", _parse_float),
+    "delta": _Key("params", "delta", _parse_float),
+    "trunc.n_max": _Key("trunc", "n_max", _parse_int),
+    "trunc.guard": _Key("trunc", "guard", _parse_int),
+    "seed": _Key(None, "seed", _parse_int),
+    "format": _Key(None, "format", str, ("csv", "json")),
+    "tol.identity": _Key("tol", "identity", _parse_float),
+    "tol.oracle": _Key("tol", "oracle", _parse_float),
+    "tol.spectral": _Key("tol", "spectral", _parse_float),
+    "tol.min_order": _Key("tol", "min_scaling_order", _parse_float),
+    "out": _Key(None, "out", str),
+    "build.hamiltonian": _Key("build", "hamiltonian", str, BUILDER_NAMES),
+    "build.include_constant": _Key("build", "include_constant", _parse_bool, only_if=_QRM_ONLY),
+    "evolve.hamiltonian": _Key("evolve", "hamiltonian", str, BUILDER_NAMES),
+    "evolve.include_constant": _Key("evolve", "include_constant", _parse_bool, only_if=_QRM_ONLY),
+    "evolve.state": _Key("evolve", "state", str, ("fock", "coherent")),
+    "evolve.spin": _Key("evolve", "spin", str, ("e", "g")),
+    "evolve.fock": _Key("evolve", "fock", _parse_int),
+    "evolve.alpha": _Key("evolve", "alpha", _parse_complex),
+    "evolve.t_max": _Key("evolve", "t_max", _parse_float),
+    "evolve.samples": _Key("evolve", "samples", _parse_int),
+    "evolve.times": _Key("evolve", "times", _FLOATS),
+    "scan.kind": _Key("scan", "kind", str, SCAN_KINDS),
+    "scan.etas": _Key("scan", "etas", _FLOATS),
+    "scan.n_list": _Key("scan", "n_list", _INTS),
+    "scan.k_lowest": _Key("scan", "k_lowest", _parse_int),
+    "scan.builder": _Key("scan", "builder", str, BUILDER_NAMES),
+    "verify.check": _Key("verify", "check", str, VERIFY_CHECKS),
+    "verify.fock": _Key("verify", "fock", _parse_int),
+    "regime.ordering_factor": _Key("regime", "ordering_factor", _parse_float),
+    "regime.ultrastrong_onset": _Key("regime", "ultrastrong_onset", _parse_float),
+    "regime.dispersive_factor": _Key("regime", "dispersive_factor", _parse_float),
+    "regime.resonant_max_g_ratio": _Key("regime", "resonant_max_g_ratio", _parse_float),
+}
+
+# RunConfig attribute -> constructor of that section from the keys set in it
+_SECTIONS: dict[str, Callable[..., object]] = {
+    "params": IonParams,
+    "trunc": partial(replace, DEFAULT_TRUNC),
+    "tol": Tolerances,
+    "build": BuildSpec,
+    "evolve": EvolveSpec,
+    "scan": ScanSpec,
+    "verify": VerifySpec,
+    "regime": RegimeThresholds,
 }
 
 _REQUIRED = ("command", "Omega", "eta")
+
+
+def _scope(key: str) -> str | None:
+    """The command a key is restricted to, or None for a global key."""
+    prefix = key.split(".")[0]
+    return prefix if prefix in COMMANDS else None
 
 
 def _scan_document(text: str) -> dict[str, tuple[str, int]]:
@@ -210,12 +245,12 @@ def _scan_document(text: str) -> dict[str, tuple[str, int]]:
     return raw
 
 
-def _choice(key: str, value: str, choices: tuple[str, ...], line: int | None) -> str:
-    if value not in choices:
-        raise ConfigError(
-            f"{key} must be one of {', '.join(choices)}; got {value!r}", line
-        )
-    return value
+def _check_value(key: str, value, line: int | None) -> None:
+    choices = KEYS[key].choices
+    if choices and value not in choices:
+        raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {value!r}", line)
+    if KEYS[key].attr == "tol" and value <= 0:
+        raise ConfigError(f"constraint violation: {key} > 0", line)
 
 
 def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunConfig:
@@ -232,11 +267,10 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
     values: dict[str, object] = {}
     lines: dict[str, int | None] = {}
     for key, (value_text, lineno) in raw.items():
-        if key not in _SCHEMA:
+        if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
-        parser, _scope = _SCHEMA[key]
         try:
-            values[key] = parser(value_text)
+            values[key] = KEYS[key].parse(value_text)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}", lineno)
         lines[key] = lineno
@@ -245,110 +279,44 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
         if key not in values:
             raise ConfigError(f"missing required key {key!r}")
 
-    command = _choice("command", str(values["command"]), COMMANDS, lines.get("command"))
+    command = values["command"]
+    _check_value("command", command, lines["command"])
     for key in values:
-        scope = _SCHEMA[key][1]
+        scope = _scope(key)
         if scope is not None and scope != command:
             raise ConfigError(
-                f"key {key!r} applies to command {scope!r}, not {command!r}",
-                lines.get(key),
+                f"key {key!r} applies to command {scope!r}, not {command!r}", lines[key]
             )
+    values.setdefault("format", "csv" if command in ("evolve", "scan") else "json")
+    if values.get("scan.kind") == "truncation":
+        values.setdefault("scan.k_lowest", 8)
 
-    def get(key: str, default):
-        return values.get(key, default)
+    # table order: each section's keys are checked, then the section is built, so an
+    # input with several errors always reports the same first one
+    fields: dict[str, object] = {}
+    for attr, group in groupby(KEYS.items(), key=lambda item: item[1].attr):
+        group = [(key, spec) for key, spec in group if key in values]
+        section_fields = {}
+        for key, spec in group:
+            _check_value(key, values[key], lines.get(key))
+            section_fields[spec.field] = values[key]
+        if attr is None:
+            fields.update(section_fields)
+            continue
+        try:
+            section = fields[attr] = _SECTIONS[attr](**section_fields)
+        except ValueError as exc:
+            raise ConfigError(f"constraint violation: {exc}")
+        for key, spec in group:
+            if not spec.applies_to(section):
+                raise ConfigError(
+                    f"{key} applies only to {attr}.{spec.only_if[0]} = {spec.only_if[1]}",
+                    lines[key],
+                )
 
-    try:
-        params = IonParams(
-            Omega=get("Omega", None),
-            eta=get("eta", None),
-            nu=get("nu", 1.0),
-            phi_l=get("phi_l", 0.0),
-            delta=get("delta", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"constraint violation: {exc}")
-    try:
-        trunc = TruncationSpec(n_max=get("trunc.n_max", 64), guard=get("trunc.guard", 16))
-    except ValueError as exc:
-        raise ConfigError(f"constraint violation: {exc}")
-
-    fmt = _choice("format", str(get("format", _default_format(command))),
-                  ("csv", "json"), lines.get("format"))
-
-    for key in ("tol.identity", "tol.oracle", "tol.spectral", "tol.min_order"):
-        if key in values and values[key] <= 0:
-            raise ConfigError(f"constraint violation: {key} > 0", lines.get(key))
-    tol = Tolerances(
-        identity=get("tol.identity", 1e-10),
-        oracle=get("tol.oracle", 1e-9),
-        spectral=get("tol.spectral", 1e-8),
-        min_scaling_order=get("tol.min_order", 1.8),
-    )
-
-    build = BuildSpec(
-        hamiltonian=_choice("build.hamiltonian", str(get("build.hamiltonian", "qrm")),
-                            BUILDER_NAMES, lines.get("build.hamiltonian")),
-        include_constant=get("build.include_constant", True),
-    )
-    evolve = EvolveSpec(
-        hamiltonian=_choice("evolve.hamiltonian", str(get("evolve.hamiltonian", "jc")),
-                            BUILDER_NAMES, lines.get("evolve.hamiltonian")),
-        include_constant=get("evolve.include_constant", False),
-        state=_choice("evolve.state", str(get("evolve.state", "fock")),
-                      ("fock", "coherent"), lines.get("evolve.state")),
-        spin=_choice("evolve.spin", str(get("evolve.spin", "e")),
-                     ("e", "g"), lines.get("evolve.spin")),
-        fock=get("evolve.fock", 0),
-        alpha=get("evolve.alpha", 0j),
-        t_max=get("evolve.t_max", 10.0),
-        samples=get("evolve.samples", 201),
-        times=get("evolve.times", None),
-    )
-    scan_kind = _choice("scan.kind", str(get("scan.kind", "dispersive")),
-                        SCAN_KINDS, lines.get("scan.kind"))
-    scan = ScanSpec(
-        kind=scan_kind,
-        etas=get("scan.etas", (0.08, 0.04, 0.02)),
-        n_list=get("scan.n_list", (16, 32, 64)),
-        k_lowest=get("scan.k_lowest", 8 if scan_kind == "truncation" else 10),
-        builder=_choice("scan.builder", str(get("scan.builder", "qrm")),
-                        BUILDER_NAMES, lines.get("scan.builder")),
-    )
-    verify = VerifySpec(
-        check=_choice("verify.check", str(get("verify.check", "qrm-transform")),
-                      VERIFY_CHECKS, lines.get("verify.check")),
-        fock=get("verify.fock", 0),
-    )
-    try:
-        regime = RegimeThresholds(
-            ordering_factor=get("regime.ordering_factor", 10.0),
-            ultrastrong_onset=get("regime.ultrastrong_onset", 0.1),
-            dispersive_factor=get("regime.dispersive_factor", 0.1),
-            resonant_max_g_ratio=get("regime.resonant_max_g_ratio", 0.1),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"constraint violation: {exc}")
-
-    config = RunConfig(
-        command=command,
-        params=params,
-        trunc=trunc,
-        seed=get("seed", DEFAULT_SEED),
-        out=get("out", None),
-        format=fmt,
-        tol=tol,
-        build=build,
-        evolve=evolve,
-        scan=scan,
-        verify=verify,
-        regime=regime,
-    )
+    config = RunConfig(**fields)
     _validate(config)
     return config
-
-
-def _default_format(command: str) -> str:
-    return "csv" if command in ("evolve", "scan") else "json"
 
 
 def _validate(config: RunConfig) -> None:
@@ -407,10 +375,8 @@ def _builder_preconditions(name: str, c: RunConfig) -> None:
     p = c.params
     if name == "resonant" and p.delta != 0.0:
         raise ConfigError("constraint violation: resonant requires delta = 0")
-    if name == "rabi-rotated":
-        phase = math.remainder(p.phi_l, 2.0 * math.pi)
-        if not (abs(phase) <= 1e-12 or abs(abs(phase) - math.pi) <= 1e-12):
-            raise ConfigError("constraint violation: rabi-rotated requires phi_l in {0, pi}")
+    if name == "rabi-rotated" and not phase_is_zero_or_pi(p.phi_l):
+        raise ConfigError("constraint violation: rabi-rotated requires phi_l in {0, pi}")
 
 
 def _verify_preconditions(c: RunConfig) -> None:
@@ -421,7 +387,7 @@ def _verify_preconditions(c: RunConfig) -> None:
     if check == "guard" and p.eta < 0.3:
         raise ConfigError("constraint violation: guard demonstration requires eta >= 0.3")
     if check == "jc-rabi":
-        if abs(p.nu - 2.0 * p.Omega) > 1e-9 * (p.nu + 2.0 * p.Omega):
+        if not is_sideband_resonant(p):
             raise ConfigError("constraint violation: jc-rabi requires nu = 2*Omega")
         if p.eta <= 0 or p.Omega <= 0:
             raise ConfigError("constraint violation: jc-rabi requires eta > 0 and Omega > 0")
@@ -447,63 +413,17 @@ def emit_config(config: RunConfig) -> str:
     """Serialize a :class:`RunConfig` to the canonical document form.
 
     Only globally applicable keys plus the active command's section are
-    written; ``parse_config(emit_config(c)) == c`` for every valid config.
+    written, and no unset optional key (``out``, ``evolve.times``) or key
+    that does not apply (``*.include_constant`` off ``qrm``);
+    ``parse_config(emit_config(c)) == c`` for every valid config.
     """
-    c = config
-    pairs: list[tuple[str, object]] = [
-        ("command", c.command),
-        ("nu", c.params.nu),
-        ("Omega", c.params.Omega),
-        ("eta", c.params.eta),
-        ("phi_l", c.params.phi_l),
-        ("delta", c.params.delta),
-        ("trunc.n_max", c.trunc.n_max),
-        ("trunc.guard", c.trunc.guard),
-        ("seed", c.seed),
-        ("format", c.format),
-        ("tol.identity", c.tol.identity),
-        ("tol.oracle", c.tol.oracle),
-        ("tol.spectral", c.tol.spectral),
-        ("tol.min_order", c.tol.min_scaling_order),
-    ]
-    if c.out is not None:
-        pairs.append(("out", c.out))
-    if c.command == "build":
-        pairs += [
-            ("build.hamiltonian", c.build.hamiltonian),
-            ("build.include_constant", c.build.include_constant),
-        ]
-    elif c.command == "evolve":
-        pairs += [
-            ("evolve.hamiltonian", c.evolve.hamiltonian),
-            ("evolve.include_constant", c.evolve.include_constant),
-            ("evolve.state", c.evolve.state),
-            ("evolve.spin", c.evolve.spin),
-            ("evolve.fock", c.evolve.fock),
-            ("evolve.alpha", c.evolve.alpha),
-            ("evolve.t_max", c.evolve.t_max),
-            ("evolve.samples", c.evolve.samples),
-        ]
-        if c.evolve.times is not None:
-            pairs.append(("evolve.times", c.evolve.times))
-    elif c.command == "scan":
-        pairs += [
-            ("scan.kind", c.scan.kind),
-            ("scan.etas", c.scan.etas),
-            ("scan.n_list", c.scan.n_list),
-            ("scan.k_lowest", c.scan.k_lowest),
-            ("scan.builder", c.scan.builder),
-        ]
-    elif c.command == "verify":
-        pairs += [
-            ("verify.check", c.verify.check),
-            ("verify.fock", c.verify.fock),
-        ]
-    elif c.command == "regime":
-        pairs += [
-            ("regime.ordering_factor", c.regime.ordering_factor),
-            ("regime.ultrastrong_onset", c.regime.ultrastrong_onset),
-            ("regime.dispersive_factor", c.regime.dispersive_factor),
-            ("regime.resonant_max_g_ratio", c.regime.resonant_max_g_ratio),
-        ]
-    return "\n".join(f"{key} = {_emit_value(value)}" for key, value in pairs) + "\n"
+    out = []
+    for key, spec in KEYS.items():
+        if _scope(key) not in (None, config.command):
+            continue
+        section = config if spec.attr is None else getattr(config, spec.attr)
+        value = getattr(section, spec.field)
+        if value is None or not spec.applies_to(section):
+            continue
+        out.append(f"{key} = {_emit_value(value)}")
+    return "\n".join(out) + "\n"

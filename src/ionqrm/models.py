@@ -132,6 +132,17 @@ def derived_couplings(p: IonParams) -> DerivedCouplings:
     return DerivedCouplings(g_qrm=g, eps_counter=eps_counter, eps_co=eps_co, chi=chi)
 
 
+def is_sideband_resonant(p: IonParams) -> bool:
+    """True at the sideband resonance nu = 2*Omega, to 1e-9 relative."""
+    return abs(p.nu - 2.0 * p.Omega) <= 1e-9 * (p.nu + 2.0 * p.Omega)
+
+
+def phase_is_zero_or_pi(phi_l: float) -> bool:
+    """True when the laser phase is 0 or pi modulo 2*pi, to _PHASE_ATOL."""
+    phase = math.remainder(phi_l, 2.0 * math.pi)
+    return abs(phase) <= _PHASE_ATOL or abs(abs(phase) - math.pi) <= _PHASE_ATOL
+
+
 def h_resonant(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     """Resonant ion-laser Hamiltonian in the laser-rotating frame.
 
@@ -196,8 +207,7 @@ def h_rabi_rotated(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     determined conjugation relation between this form and
     :func:`h_lamb_dicke` under each sigma_y convention.
     """
-    phase = math.remainder(p.phi_l, 2.0 * math.pi)
-    if not (abs(phase) <= _PHASE_ATOL or abs(abs(phase) - math.pi) <= _PHASE_ATOL):
+    if not phase_is_zero_or_pi(p.phi_l):
         raise ValueError(f"unsupported phase phi_l={p.phi_l!r}; expected 0 or pi")
     n = number_op(trunc)
     a = annihilation(trunc)
@@ -383,7 +393,7 @@ def classify_regime(p: IonParams, thresholds: RegimeThresholds | None = None) ->
         return Regime.DECOUPLING
     if g / p.nu >= t.ultrastrong_onset:
         return Regime.ULTRASTRONG
-    if abs(p.nu - 2.0 * p.Omega) <= 1e-9 * (p.nu + 2.0 * p.Omega):
+    if is_sideband_resonant(p):
         if g / p.nu < t.resonant_max_g_ratio:
             phase = math.remainder(p.phi_l, 2.0 * math.pi)
             if abs(abs(phase) - math.pi) <= 1e-9:
@@ -401,8 +411,8 @@ def rotation_diagnostic(p: IonParams, trunc: TruncationSpec) -> dict[str, float]
     For each sigma_y convention and each phase phi_l in {0, pi}, reports the
     max-entry distance of R H R^dag from the two candidate Rabi forms:
 
-    * "minus": nu*n - Omega*sigma_z - i*eta*Omega*(a^dag+a)(sigma_+ - sigma_-)
-      (the form :func:`h_rabi_rotated` assembles)
+    * "minus": nu*n - Omega*sigma_z - i*eta*Omega*(a^dag+a)(sigma_+ - sigma_-),
+      which is :func:`h_rabi_rotated`
     * "plus": the same with both spin-dependent signs reversed
 
     plus a unitarity defect for each rotation. The numbers arbitrate which
@@ -414,14 +424,9 @@ def rotation_diagnostic(p: IonParams, trunc: TruncationSpec) -> dict[str, float]
     x = a + a.conj().T
     eye = osc_identity(trunc)
     flip = pauli(Spin.PLUS) - pauli(Spin.MINUS)
-    base = p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), n)
-    minus_form = (
-        base
-        - p.Omega * spin_tensor_osc(pauli(Spin.Z), eye)
-        - 1j * p.eta * p.Omega * spin_tensor_osc(flip, x)
-    )
+    minus_form = h_rabi_rotated(IonParams(Omega=p.Omega, eta=p.eta, nu=p.nu), trunc)
     plus_form = (
-        base
+        p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), n)
         + p.Omega * spin_tensor_osc(pauli(Spin.Z), eye)
         + 1j * p.eta * p.Omega * spin_tensor_osc(flip, x)
     )

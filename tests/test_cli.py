@@ -138,6 +138,29 @@ def test_config_error_yields_machine_parsable_record(capsys):
     assert "eta >= 0" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "command, hamiltonian", [("build", "jc"), ("evolve", "resonant")]
+)
+def test_include_constant_off_qrm_is_one_config_error(command, hamiltonian, capsys):
+    args = [
+        command,
+        "--set", "Omega=0.5",
+        "--set", "eta=0.1",
+        "--set", f"{command}.hamiltonian={hamiltonian}",
+        "--set", f"{command}.include_constant=true",
+    ]
+    code, out, err = run_cli(args, capsys)
+    assert code == EXIT_ERROR
+    assert out == ""
+    records = err.splitlines()
+    assert len(records) == 1
+    record = json.loads(records[0])
+    assert record["error"] == "ConfigError"
+    assert record["message"] == (
+        f"{command}.include_constant applies only to {command}.hamiltonian = qrm"
+    )
+
+
 def test_runtime_error_yields_record(capsys):
     # dispersive check at the sideband pole fails after config validation
     args = [

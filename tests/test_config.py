@@ -1,8 +1,11 @@
 """Tests for the configuration grammar and round-tripping."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ionqrm import ConfigError, emit_config, parse_config
+from ionqrm.config import KEYS
 
 
 def test_minimal_document_gets_defaults():
@@ -114,8 +117,11 @@ def _random_config_text(rng) -> str:
         "trunc.guard = 4",
     ]
     if command == "build":
-        lines.append(f"build.hamiltonian = {rng.choice(['qrm', 'jc', 'ajc', 'zero'])}")
-        lines.append(f"build.include_constant = {str(rng.choice(['true', 'false']))}")
+        hamiltonian = str(rng.choice(['qrm', 'jc', 'ajc', 'zero']))
+        include_constant = str(rng.choice(['true', 'false']))
+        lines.append(f"build.hamiltonian = {hamiltonian}")
+        if hamiltonian == "qrm":  # the key is rejected for every other builder
+            lines.append(f"build.include_constant = {include_constant}")
     elif command == "evolve":
         lines.append(f"evolve.hamiltonian = {rng.choice(['jc', 'ajc', 'qrm', 'zero'])}")
         lines.append(f"evolve.spin = {rng.choice(['e', 'g'])}")
@@ -153,3 +159,87 @@ def test_emit_is_deterministic():
     cfg = parse_config("command = verify\nOmega = 0.7\neta = 0.3\n")
     assert emit_config(cfg) == emit_config(cfg)
     assert "verify.check = qrm-transform" in emit_config(cfg)
+
+
+@pytest.mark.parametrize("section, hamiltonian", [("build", "jc"), ("evolve", None)])
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_include_constant_rejected_off_qrm(section, hamiltonian, value):
+    text = f"command = {section}\nOmega = 0.5\neta = 0.1\n"
+    if hamiltonian is not None:
+        text += f"{section}.hamiltonian = {hamiltonian}\n"
+    line = len(text.splitlines()) + 1
+    with pytest.raises(ConfigError) as err:
+        parse_config(text + f"{section}.include_constant = {value}\n")
+    assert err.value.line == line
+    assert str(err.value) == (
+        f"line {line}: {section}.include_constant applies only to {section}.hamiltonian = qrm"
+    )
+    emitted = emit_config(parse_config(text))
+    assert "include_constant" not in emitted
+    assert parse_config(emitted) == parse_config(text)
+
+
+# a valid value differing from the default for every key, with the keys it needs
+_NON_DEFAULT = {
+    "command": {"command": "build"},
+    "nu": {"nu": "2.0"},
+    "Omega": {"Omega": "1.5"},
+    "eta": {"eta": "0.05"},
+    "phi_l": {"phi_l": "3.141592653589793"},
+    "delta": {"delta": "0.25"},
+    "trunc.n_max": {"trunc.n_max": "32"},
+    "trunc.guard": {"trunc.guard": "4"},
+    "seed": {"seed": "7"},
+    "format": {"command": "scan", "format": "json"},
+    "tol.identity": {"tol.identity": "1e-11"},
+    "tol.oracle": {"tol.oracle": "1e-08"},
+    "tol.spectral": {"tol.spectral": "1e-07"},
+    "tol.min_order": {"tol.min_order": "2.5"},
+    "out": {"out": "result.json"},
+    "build.hamiltonian": {"command": "build", "build.hamiltonian": "jc"},
+    "build.include_constant": {"command": "build", "build.include_constant": "false"},
+    "evolve.hamiltonian": {"command": "evolve", "evolve.hamiltonian": "resonant"},
+    "evolve.include_constant": {"command": "evolve", "evolve.hamiltonian": "qrm",
+                                "evolve.include_constant": "true"},
+    "evolve.state": {"command": "evolve", "evolve.state": "coherent"},
+    "evolve.spin": {"command": "evolve", "evolve.spin": "g"},
+    "evolve.fock": {"command": "evolve", "evolve.fock": "3"},
+    "evolve.alpha": {"command": "evolve", "evolve.state": "coherent",
+                     "evolve.alpha": "0.5-0.25j"},
+    "evolve.t_max": {"command": "evolve", "evolve.t_max": "4.5"},
+    "evolve.samples": {"command": "evolve", "evolve.samples": "11"},
+    "evolve.times": {"command": "evolve", "evolve.times": "0.0,0.5,2.0"},
+    "scan.kind": {"command": "scan", "scan.kind": "lamb-dicke"},
+    "scan.etas": {"command": "scan", "scan.etas": "0.1,0.05"},
+    "scan.n_list": {"command": "scan", "scan.kind": "truncation", "scan.n_list": "8,16"},
+    "scan.k_lowest": {"command": "scan", "scan.k_lowest": "4"},
+    "scan.builder": {"command": "scan", "scan.kind": "truncation", "scan.builder": "jc"},
+    "verify.check": {"command": "verify", "verify.check": "speed"},
+    "verify.fock": {"command": "verify", "verify.check": "jc-rabi", "Omega": "0.5",
+                    "eta": "0.02", "verify.fock": "2"},
+    "regime.ordering_factor": {"regime.ordering_factor": "5.0"},
+    "regime.ultrastrong_onset": {"regime.ultrastrong_onset": "0.2"},
+    "regime.dispersive_factor": {"regime.dispersive_factor": "0.05"},
+    "regime.resonant_max_g_ratio": {"regime.resonant_max_g_ratio": "0.2"},
+}
+
+
+def _document(pairs: dict) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in pairs.items())
+
+
+@pytest.mark.parametrize("key", list(KEYS))
+def test_every_key_round_trips_at_a_non_default_value(key):
+    pairs = {"command": "regime", "Omega": "0.7", "eta": "0.3", **_NON_DEFAULT[key]}
+    cfg = parse_config(_document(pairs))
+    emitted = emit_config(cfg)
+    assert f"{key} = {pairs[key]}" in emitted.splitlines()
+    assert parse_config(emitted) == cfg
+    if key not in ("command", "Omega", "eta"):
+        del pairs[key]
+        assert parse_config(_document(pairs)) != cfg, f"{key} set to its default"
+
+
+def test_every_key_is_documented_in_readme():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert [key for key in KEYS if f"`{key}`" not in readme] == []
