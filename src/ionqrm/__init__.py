@@ -53,6 +53,7 @@ from .models import (
 )
 from .dynamics import (
     EvolutionResult,
+    block_eigh,
     coherent_state,
     expectation,
     fidelity,

@@ -19,7 +19,9 @@ The displacement operator has one production construction and two oracles:
   are the Gauss-Hermite node/weight basis of Golub & Welsch, Math. Comp. 23,
   221 (1969)) and writes D(i*r) = exp(i*sqrt(2)*r*X) in that cached basis.
   A general alpha is a diagonal Fock phase away from D(i*|alpha|). The
-  result is exactly unitary on the truncated space.
+  result is exactly unitary on the truncated space, and D(i*r) keeps the
+  exact Fock parity of the operator: its real part is exactly zero where
+  m - n is odd and its imaginary part exactly zero where m - n is even.
 * :func:`displacement_generator` exponentiates the generator directly (also
   exactly unitary on the truncated space, one complex ``eigh`` per call).
 * :func:`displacement_laguerre` evaluates the closed-form Fock matrix
@@ -216,13 +218,27 @@ def displacement(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     P = diag(u^k), u = -i*alpha/|alpha|, which maps a -> conj(u)*a, so
     D(alpha) = P D(i*|alpha|) P^dagger. Exactly unitary on the truncated
     space; no diagonalization after the first call per ``n_max``.
+
+    D(i*r) has the exact Fock parity of the infinite-dimensional operator:
+    <m|D(i*r)|n> is real where m - n is even and imaginary where it is odd,
+    with the other part exactly zero, not rounding noise. So i^(m-n) D_mn is
+    exactly real, which lets :func:`~ionqrm.dynamics.block_eigh` treat the
+    resonant Hamiltonian as a real symmetric matrix.
     """
     alpha = complex(alpha)
     x, v = displacement_basis(trunc.n_max)
     r = alpha.imag if alpha.real == 0.0 else abs(alpha)
     theta = np.sqrt(2.0) * r * x
     # V is real: two real products instead of one complex one
-    out = (v * np.cos(theta)) @ v.T + 1j * ((v * np.sin(theta)) @ v.T)
+    cos_part = (v * np.cos(theta)) @ v.T
+    sin_part = (v * np.sin(theta)) @ v.T
+    # X links n only to n +- 1, so cos(sqrt2 r X) vanishes where m - n is odd and
+    # sin(sqrt2 r X) where it is even: write those zeros exactly, not as rounding
+    cos_part[::2, 1::2] = 0.0
+    cos_part[1::2, ::2] = 0.0
+    sin_part[::2, ::2] = 0.0
+    sin_part[1::2, 1::2] = 0.0
+    out = cos_part + 1j * sin_part
     if alpha.real != 0.0:
         phase = np.exp(1j * (np.angle(alpha) - np.pi / 2.0) * np.arange(trunc.n_max))
         out *= np.outer(phase, phase.conj())

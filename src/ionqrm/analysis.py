@@ -44,7 +44,7 @@ from .models import (
     small_rotation,
     y_rotation,
 )
-from .dynamics import fock_state, propagate
+from .dynamics import block_eigh, fock_state, propagate
 
 DEFAULT_SEED = 2024
 
@@ -387,8 +387,8 @@ def dispersive_error_scan(
         u_co = small_rotation("co", cpl.eps_co, trunc)
         h = h_qrm(p, trunc, include_constant=True)
         conj = u_co @ u_counter @ h @ dagger(u_counter) @ dagger(u_co)
-        w_full = np.sort(np.linalg.eigvalsh(conj))[:k_lowest]
-        w_disp = np.sort(np.linalg.eigvalsh(h_dispersive(p, trunc)))[:k_lowest]
+        w_full = block_eigh(conj, vectors=False).eigenvalues[:k_lowest]
+        w_disp = block_eigh(h_dispersive(p, trunc), vectors=False).eigenvalues[:k_lowest]
         distances.append(float(np.max(np.abs(w_full - w_disp))))
     order = _fit_order(list(etas), distances)
     metrics = {f"distance_eta_{e}": d for e, d in zip(etas, distances)}
@@ -561,7 +561,8 @@ def truncation_convergence(
     prev = None
     shifts: list[float] = []
     for n_max in n_list:
-        w = np.sort(np.linalg.eigvalsh(build(p, TruncationSpec(n_max=n_max))))[:k_lowest]
+        h = build(p, TruncationSpec(n_max=n_max))
+        w = block_eigh(h, vectors=False).eigenvalues[:k_lowest]
         if prev is not None:
             shifts.append(float(np.max(np.abs(w - prev))))
         prev = w
@@ -707,7 +708,7 @@ def propagator_conservation_check(
         psi0 = fock_state(spin, 0, trunc)
         run = propagate(h, psi0, times, store_states=True)
         worst_norm = max(worst_norm, float(np.max(run.norm_residual)))
-        energies = np.einsum("td,dk,tk->t", run.states.conj(), h, run.states).real
+        energies = np.einsum("td,td->t", run.states.conj(), run.states @ h.T).real
         h_scale = float(np.linalg.norm(h))
         worst_energy = max(worst_energy, float(np.max(np.abs(energies - energies[0]))) / h_scale)
     # composition across a random split point

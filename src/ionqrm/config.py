@@ -10,9 +10,11 @@ Keys are case-sensitive and may appear at most once; unknown keys are hard
 errors, not warnings, because a silent typo in a physics parameter is the
 costliest failure mode. Command-scoped keys (``build.*``, ``evolve.*``,
 ``scan.*``, ``verify.*``, ``regime.*``) may only be set when ``command``
-selects that section. Values use the shortest round-trip decimal form for
-floats, ``true``/``false`` for booleans, ``re+imj`` for complex numbers and
-comma-separated items for lists.
+selects that section, and a key with an ``only_if`` condition only where it
+holds (``evolve.alpha`` needs ``evolve.state = coherent``). Values use the
+shortest round-trip decimal form for floats, ``true``/``false`` for
+booleans, ``re+imj`` for complex numbers and comma-separated items for
+lists.
 
 Each key is one row of :data:`KEYS` (its :class:`RunConfig` section, field
 and parser), in the order :func:`emit_config` writes. Defaults come only
@@ -162,6 +164,7 @@ class _Key(NamedTuple):
 _FLOATS = partial(_parse_list, item=_parse_float)
 _INTS = partial(_parse_list, item=_parse_int)
 _QRM_ONLY = ("hamiltonian", "qrm")
+_TRUNCATION_ONLY = ("kind", "truncation")
 
 #: Every configuration key, in the order emit_config writes them.
 KEYS: dict[str, _Key] = {
@@ -186,18 +189,18 @@ KEYS: dict[str, _Key] = {
     "evolve.include_constant": _Key("evolve", "include_constant", _parse_bool, only_if=_QRM_ONLY),
     "evolve.state": _Key("evolve", "state", str, ("fock", "coherent")),
     "evolve.spin": _Key("evolve", "spin", str, ("e", "g")),
-    "evolve.fock": _Key("evolve", "fock", _parse_int),
-    "evolve.alpha": _Key("evolve", "alpha", _parse_complex),
+    "evolve.fock": _Key("evolve", "fock", _parse_int, only_if=("state", "fock")),
+    "evolve.alpha": _Key("evolve", "alpha", _parse_complex, only_if=("state", "coherent")),
     "evolve.t_max": _Key("evolve", "t_max", _parse_float),
     "evolve.samples": _Key("evolve", "samples", _parse_int),
     "evolve.times": _Key("evolve", "times", _FLOATS),
     "scan.kind": _Key("scan", "kind", str, SCAN_KINDS),
     "scan.etas": _Key("scan", "etas", _FLOATS),
-    "scan.n_list": _Key("scan", "n_list", _INTS),
+    "scan.n_list": _Key("scan", "n_list", _INTS, only_if=_TRUNCATION_ONLY),
     "scan.k_lowest": _Key("scan", "k_lowest", _parse_int),
-    "scan.builder": _Key("scan", "builder", str, BUILDER_NAMES),
+    "scan.builder": _Key("scan", "builder", str, BUILDER_NAMES, only_if=_TRUNCATION_ONLY),
     "verify.check": _Key("verify", "check", str, VERIFY_CHECKS),
-    "verify.fock": _Key("verify", "fock", _parse_int),
+    "verify.fock": _Key("verify", "fock", _parse_int, only_if=("check", "jc-rabi")),
     "regime.ordering_factor": _Key("regime", "ordering_factor", _parse_float),
     "regime.ultrastrong_onset": _Key("regime", "ultrastrong_onset", _parse_float),
     "regime.dispersive_factor": _Key("regime", "dispersive_factor", _parse_float),
@@ -414,8 +417,10 @@ def emit_config(config: RunConfig) -> str:
 
     Only globally applicable keys plus the active command's section are
     written, and no unset optional key (``out``, ``evolve.times``) or key
-    that does not apply (``*.include_constant`` off ``qrm``);
-    ``parse_config(emit_config(c)) == c`` for every valid config.
+    whose ``only_if`` condition fails (``*.include_constant`` off ``qrm``,
+    ``evolve.alpha`` for a Fock start, ``scan.n_list`` outside
+    ``scan.kind = truncation``, ...); ``parse_config(emit_config(c)) == c``
+    for every valid config.
     """
     out = []
     for key, spec in KEYS.items():

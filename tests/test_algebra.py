@@ -151,6 +151,18 @@ def test_cached_basis_displacement_matches_generator(n_max):
         assert dev <= 1e-13, (alpha, dev)
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 7, 64, 256])
+def test_displacement_of_imaginary_alpha_has_exact_fock_parity(n_max):
+    # <m|D(i r)|n> is real for even m - n and imaginary for odd m - n, exactly
+    trunc = TruncationSpec(n_max)
+    odd = np.add.outer(np.arange(n_max), np.arange(n_max)) % 2 == 1
+    for r in (0.02, 0.3, -0.45, 1.7):
+        d = displacement(1j * r, trunc)
+        assert not np.any(d.real[odd]), r
+        assert not np.any(d.imag[~odd]), r
+        assert np.all(np.isfinite(d))
+
+
 def test_displacement_basis_diagonalizes_the_quadrature():
     trunc = TruncationSpec(16)
     a = annihilation(trunc)

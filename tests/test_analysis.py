@@ -200,6 +200,24 @@ def test_truncation_convergence_deep_strong_needs_larger_cutoff():
     assert rep.metrics["final_shift"] < 1e-9  # converged by 256
 
 
+def test_spectral_checks_diagonalize_blocks_not_the_full_matrix(monkeypatch):
+    # the conjugated dispersive-scan matrix keeps the two exact parity blocks of
+    # the QRM and h_dispersive is diagonal, so no spectrum is taken at dim 2*n_max
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    assert dispersive_error_scan(IonParams(Omega=1.0, eta=0.08), trunc=T64).passed
+    assert shapes == [(2, 64, 64)] * 3
+    shapes.clear()
+    assert truncation_convergence("qrm", IonParams(Omega=0.7, eta=0.3)).passed
+    assert shapes == [(2, 16, 16), (2, 32, 32), (2, 64, 64)]
+
+
 def test_truncation_convergence_input_validation():
     with pytest.raises(ValueError, match="builder"):
         truncation_convergence("nothere", IonParams(Omega=1.0, eta=0.1))

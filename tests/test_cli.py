@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from ionqrm import (HAMILTONIAN_BUILDERS, IonParams, TruncationSpec, coherent_state,
+                    fock_state)
 from ionqrm.cli import EXIT_CHECKS_FAILED, EXIT_ERROR, EXIT_OK, main
 
 
@@ -159,6 +161,76 @@ def test_include_constant_off_qrm_is_one_config_error(command, hamiltonian, caps
     assert record["message"] == (
         f"{command}.include_constant applies only to {command}.hamiltonian = qrm"
     )
+
+
+@pytest.mark.parametrize(
+    "command, sets, message",
+    [
+        ("evolve", ["evolve.alpha=0.5+0.1j"], "evolve.alpha applies only to evolve.state = coherent"),
+        ("evolve", ["evolve.state=coherent", "evolve.fock=2"],
+         "evolve.fock applies only to evolve.state = fock"),
+        ("scan", ["scan.n_list=8,16"], "scan.n_list applies only to scan.kind = truncation"),
+        ("scan", ["scan.kind=lamb-dicke", "scan.builder=jc"],
+         "scan.builder applies only to scan.kind = truncation"),
+        ("verify", ["verify.check=speed", "verify.fock=1"],
+         "verify.fock applies only to verify.check = jc-rabi"),
+    ],
+    ids=["evolve.alpha", "evolve.fock", "scan.n_list", "scan.builder", "verify.fock"],
+)
+def test_key_the_run_would_not_read_is_one_config_error(command, sets, message, capsys):
+    args = [command, "--set", "Omega=0.7", "--set", "eta=0.3"]
+    for item in sets:
+        args += ["--set", item]
+    code, out, err = run_cli(args, capsys)
+    assert code == EXIT_ERROR
+    assert out == ""
+    records = err.splitlines()
+    assert len(records) == 1
+    record = json.loads(records[0])
+    assert record["error"] == "ConfigError"
+    assert record["message"] == message
+
+
+@pytest.mark.parametrize("state", ["fock", "coherent"])
+@pytest.mark.parametrize("builder", list(HAMILTONIAN_BUILDERS))
+def test_evolve_csv_matches_dense_oracle(builder, state, tmp_path, capsys, dense_states):
+    trunc = TruncationSpec(32)
+    params = IonParams(Omega=0.35, eta=0.11, delta=0.2 if builder == "qrm-detuned" else 0.0)
+    out_file = tmp_path / "run.csv"
+    args = [
+        "evolve",
+        "--set", "Omega=0.35",
+        "--set", "eta=0.11",
+        "--set", f"delta={params.delta}",
+        "--set", "trunc.n_max=32",
+        "--set", f"evolve.hamiltonian={builder}",
+        "--set", f"evolve.state={state}",
+        "--set", "evolve.spin=g",
+        "--set", "evolve.t_max=20.0",
+        "--set", "evolve.samples=41",
+        "--out", str(out_file),
+    ]
+    args += ["--set", "evolve.alpha=0.7-0.4j" if state == "coherent" else "evolve.fock=3"]
+    code, _, err = run_cli(args, capsys)
+    assert code == EXIT_OK, err
+    lines = out_file.read_text().splitlines()
+    assert lines[0] == "time,P_e,mean_n,fidelity,norm_residual"
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(row[3] == "" for row in rows)
+    table = np.array([[float(row[i]) for i in (0, 1, 2, 4)] for row in rows])
+
+    h = HAMILTONIAN_BUILDERS[builder](params, trunc)
+    psi0 = (coherent_state("g", 0.7 - 0.4j, trunc) if state == "coherent"
+            else fock_state("g", 3, trunc))
+    times = np.linspace(0.0, 20.0, 41)
+    probs = np.abs(dense_states(h, psi0, times)) ** 2
+    expected = np.column_stack([
+        times,
+        probs[:, :32].sum(axis=1),
+        probs @ np.tile(np.arange(32), 2),
+        np.abs(np.sqrt(probs.sum(axis=1)) - 1.0),
+    ])
+    np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
 
 
 def test_runtime_error_yields_record(capsys):

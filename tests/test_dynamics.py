@@ -2,15 +2,22 @@
 import numpy as np
 import pytest
 
+from ionqrm import dynamics
+
 from ionqrm import (
+    HAMILTONIAN_BUILDERS,
     IonParams,
     Spin,
     TruncationSpec,
+    block_eigh,
     coherent_state,
     expectation,
     fidelity,
     fock_state,
+    h_dispersive,
     h_jc,
+    h_qrm,
+    h_resonant,
     number_op,
     osc_identity,
     pauli,
@@ -150,3 +157,193 @@ def test_fidelity_examples():
         fidelity(psi, 0.5 * phi)
     with pytest.raises(ValueError, match="dimension"):
         fidelity(psi, fock_state("e", 0, TruncationSpec(5)))
+
+
+def _builder_params(name: str, phi_l: float = 0.0) -> IonParams:
+    delta = 0.2 if name == "qrm-detuned" else 0.0
+    return IonParams(Omega=0.35, eta=0.11, phi_l=phi_l, delta=delta)
+
+
+def _start(state: str, trunc: TruncationSpec) -> np.ndarray:
+    if state == "fock":
+        return fock_state("g", trunc.n_max // 2, trunc)
+    return coherent_state("e", 0.6 - 0.3j, trunc)
+
+
+def _assert_matches_dense(h, psi0, times, dense_states):
+    run = propagate(h, psi0, times, store_states=True)
+    np.testing.assert_allclose(run.states, dense_states(h, psi0, times), rtol=0, atol=1e-12)
+
+
+# every builder, plus two at a laser phase whose Hamiltonian has no real gauge
+_BUILDER_CASES = [(name, 0.0) for name in HAMILTONIAN_BUILDERS] + [
+    ("resonant", 0.4),
+    ("lamb-dicke", 0.4),
+]
+
+
+@pytest.mark.parametrize("state", ["fock", "coherent"])
+@pytest.mark.parametrize("n_max", [1, 2, 16, 64])
+@pytest.mark.parametrize("name, phi_l", _BUILDER_CASES)
+def test_propagate_matches_dense_oracle_for_every_builder(name, phi_l, n_max, state,
+                                                          dense_states):
+    trunc = TruncationSpec(n_max)
+    h = HAMILTONIAN_BUILDERS[name](_builder_params(name, phi_l), trunc)
+    _assert_matches_dense(h, _start(state, trunc), np.linspace(0.0, 5.0, 9), dense_states)
+
+
+_HIDDEN_SIZES = (1, 2, 3, 3, 5, 1, 7, 2)  # 24 indices
+_I_POW = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _hidden_blocks(seed: int, kind: str):
+    """Hermitian H made of random blocks, its indices shuffled; also each index's block.
+
+    kind "real-gauge": P^dag G P for a real symmetric G and P = diag(i^n), so the
+    gauge test must find G again; "complex": random complex Hermitian blocks;
+    "complex-diagonal": the real-gauge matrix with a rounding-size imaginary
+    part on one diagonal entry.
+    """
+    rng = np.random.default_rng(seed)
+    dim = sum(_HIDDEN_SIZES)
+    h = np.zeros((dim, dim), dtype=complex)
+    block = np.repeat(np.arange(len(_HIDDEN_SIZES)), _HIDDEN_SIZES)
+    start = 0
+    for size in _HIDDEN_SIZES:
+        m = rng.normal(size=(size, size))
+        if kind == "complex":
+            m = m + 1j * rng.normal(size=(size, size))
+        h[start:start + size, start:start + size] = m + m.conj().T
+        start += size
+    perm = rng.permutation(dim)
+    h = h[np.ix_(perm, perm)]
+    block = block[perm]
+    if kind != "complex":
+        p = _I_POW[np.arange(dim) % (dim // 2) % 4]
+        h = p.conj()[:, None] * h * p[None, :]
+    if kind == "complex-diagonal":
+        h[5, 5] += 1e-16j
+    return h, block
+
+
+def _random_state(seed: int, dim: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("vanishing", [False, True])
+@pytest.mark.parametrize("kind", ["real-gauge", "complex", "complex-diagonal"])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_propagate_matches_dense_oracle_on_hidden_blocks(seed, kind, vanishing,
+                                                         dense_states):
+    h, block = _hidden_blocks(seed, kind)
+    psi0 = _random_state(seed + 100, h.shape[0])
+    if vanishing:  # psi0 identically zero on three whole blocks
+        psi0[np.isin(block, [0, 3, 6])] = 0.0
+        psi0 /= np.linalg.norm(psi0)
+    _assert_matches_dense(h, psi0, np.linspace(0.0, 3.0, 7), dense_states)
+
+    eig = block_eigh(h, psi0)
+    assert (eig.gauge is not None) == (kind == "real-gauge")
+    found = sorted(idx.shape[1] for idx, _, _ in eig.groups for _ in idx)
+    kept = [s for b, s in enumerate(_HIDDEN_SIZES) if not (vanishing and b in (0, 3, 6))]
+    assert found == sorted(kept)
+    for idx, _, _ in eig.groups:
+        for members in idx:
+            assert np.unique(block[members]).size == 1
+    for idx, _, v in eig.groups:
+        assert np.isrealobj(v) == (kind == "real-gauge" or idx.shape[1] == 1)
+
+
+def test_blocks_follow_entries_in_either_triangle(dense_states):
+    # a coupling present below the diagonal only (Hermitian within tolerance) still
+    # joins two blocks, as it does for a dense eigh, which reads the lower triangle
+    h, block = _hidden_blocks(3, "real-gauge")
+    for other in (1, 2):  # two blocks not holding index 0, each linked to it
+        h[np.flatnonzero(block == (block[0] + other) % len(_HIDDEN_SIZES))[-1], 0] = 5e-11
+    _assert_matches_dense(h, _random_state(7, h.shape[0]), np.linspace(0.0, 3.0, 7),
+                          dense_states)
+
+
+def test_block_eigh_values_match_dense_eigvalsh():
+    for kind in ("real-gauge", "complex"):
+        h, _ = _hidden_blocks(5, kind)
+        np.testing.assert_allclose(
+            block_eigh(h, vectors=False).eigenvalues, np.linalg.eigvalsh(h), rtol=0, atol=1e-12
+        )
+    trunc = TruncationSpec(16)
+    for name in HAMILTONIAN_BUILDERS:
+        h = HAMILTONIAN_BUILDERS[name](_builder_params(name), trunc)
+        np.testing.assert_allclose(
+            block_eigh(h, vectors=False).eigenvalues, np.linalg.eigvalsh(h), rtol=0, atol=1e-12
+        )
+
+
+def test_block_eigh_rejects_odd_or_non_square_matrices():
+    with pytest.raises(ValueError, match="even dimension"):
+        block_eigh(np.eye(3))
+    with pytest.raises(ValueError, match="even dimension"):
+        block_eigh(np.zeros((4, 2)))
+
+
+def test_oracle_catches_a_flipped_gauge(monkeypatch, dense_states):
+    # the eigenvectors of P H P^dag mapped back with P instead of P^dag
+    monkeypatch.setattr(dynamics, "_I_POWERS", dynamics._I_POWERS.conj())
+    h, _ = _hidden_blocks(3, "real-gauge")
+    with pytest.raises(AssertionError):
+        _assert_matches_dense(h, _random_state(7, h.shape[0]), np.linspace(0.0, 3.0, 7),
+                              dense_states)
+
+
+def test_oracle_catches_a_dropped_block(monkeypatch, dense_states):
+    blocks_by_size = dynamics._blocks_by_size
+
+    def drop_one(labels):
+        groups = blocks_by_size(labels)
+        return groups[:-1] + [groups[-1][1:]] if len(groups[-1]) > 1 else groups[:-1]
+
+    monkeypatch.setattr(dynamics, "_blocks_by_size", drop_one)
+    h, _ = _hidden_blocks(3, "real-gauge")
+    with pytest.raises((AssertionError, ArithmeticError)):
+        _assert_matches_dense(h, _random_state(7, h.shape[0]), np.linspace(0.0, 3.0, 7),
+                              dense_states)
+
+
+def _eigh_calls(monkeypatch, h, psi0):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append((np.shape(a), np.asarray(a).dtype.kind))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    propagate(h, psi0, np.linspace(0.0, 2.0, 5))
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return calls
+
+
+def test_eigh_calls_follow_the_structure_of_each_model(monkeypatch):
+    n = 16
+    trunc = TruncationSpec(n)
+    p = IonParams(Omega=0.35, eta=0.11)
+    psi0 = coherent_state("e", 0.6 - 0.3j, trunc)
+    assert _eigh_calls(monkeypatch, h_dispersive(p, trunc), psi0) == []
+    # n - 1 excitation pairs in one call; |g,0> and |e,n-1> are 1x1 blocks
+    assert _eigh_calls(monkeypatch, h_jc(p, trunc), psi0) == [((n - 1, 2, 2), "f")]
+    # the two parity blocks of the QRM, real in the Fock-parity gauge
+    assert _eigh_calls(monkeypatch, h_qrm(p, trunc), psi0) == [((2, n, n), "f")]
+    assert _eigh_calls(monkeypatch, h_resonant(p, trunc), psi0) == [((1, 2 * n, 2 * n), "f")]
+    # off the phases 0 and pi no real gauge exists
+    h = h_resonant(IonParams(Omega=0.35, eta=0.11, phi_l=0.4), trunc)
+    assert _eigh_calls(monkeypatch, h, psi0) == [((1, 2 * n, 2 * n), "c")]
+
+
+def test_blocks_the_state_does_not_touch_are_not_diagonalized(monkeypatch):
+    trunc = TruncationSpec(16)
+    h = h_jc(IonParams(Omega=0.35, eta=0.11), trunc)
+    # |e,3> lies in the single excitation block {|e,3>, |g,4>}
+    assert _eigh_calls(monkeypatch, h, fock_state("e", 3, trunc)) == [((1, 2, 2), "f")]
+    # |g,0> is a 1x1 block: nothing to diagonalize
+    assert _eigh_calls(monkeypatch, h, fock_state("g", 0, trunc)) == []
