@@ -53,7 +53,6 @@ from .models import (
 )
 from .dynamics import (
     EvolutionResult,
-    block_eigh,
     coherent_state,
     expectation,
     fidelity,

@@ -3,13 +3,13 @@ import numpy as np
 import pytest
 
 from ionqrm import dynamics
+from ionqrm.dynamics import block_eigh
 
 from ionqrm import (
     HAMILTONIAN_BUILDERS,
     IonParams,
     Spin,
     TruncationSpec,
-    block_eigh,
     coherent_state,
     expectation,
     fidelity,
@@ -244,11 +244,10 @@ def test_propagate_matches_dense_oracle_on_hidden_blocks(seed, kind, vanishing,
         psi0 /= np.linalg.norm(psi0)
     _assert_matches_dense(h, psi0, np.linspace(0.0, 3.0, 7), dense_states)
 
-    eig = block_eigh(h, psi0)
+    eig = block_eigh(h)
     assert (eig.gauge is not None) == (kind == "real-gauge")
     found = sorted(idx.shape[1] for idx, _, _ in eig.groups for _ in idx)
-    kept = [s for b, s in enumerate(_HIDDEN_SIZES) if not (vanishing and b in (0, 3, 6))]
-    assert found == sorted(kept)
+    assert found == sorted(_HIDDEN_SIZES)
     for idx, _, _ in eig.groups:
         for members in idx:
             assert np.unique(block[members]).size == 1
@@ -340,10 +339,18 @@ def test_eigh_calls_follow_the_structure_of_each_model(monkeypatch):
     assert _eigh_calls(monkeypatch, h, psi0) == [((1, 2 * n, 2 * n), "c")]
 
 
-def test_blocks_the_state_does_not_touch_are_not_diagonalized(monkeypatch):
+def test_propagate_evolves_only_the_blocks_the_state_touches(monkeypatch):
+    shapes = []
+    times_matrix = dynamics._times_matrix
+
+    def recording(a, b):
+        shapes.append(np.shape(a))
+        return times_matrix(a, b)
+
+    monkeypatch.setattr(dynamics, "_times_matrix", recording)
     trunc = TruncationSpec(16)
     h = h_jc(IonParams(Omega=0.35, eta=0.11), trunc)
-    # |e,3> lies in the single excitation block {|e,3>, |g,4>}
-    assert _eigh_calls(monkeypatch, h, fock_state("e", 3, trunc)) == [((1, 2, 2), "f")]
-    # |g,0> is a 1x1 block: nothing to diagonalize
-    assert _eigh_calls(monkeypatch, h, fock_state("g", 0, trunc)) == []
+    # |e,3> lies in the single excitation block {|e,3>, |g,4>}; the 1x1 blocks
+    # |g,0> and |e,15> and the other 14 pairs are left out
+    propagate(h, fock_state("e", 3, trunc), np.linspace(0.0, 2.0, 5))
+    assert shapes == [(1, 1, 2), (1, 5, 2)]
