@@ -331,10 +331,9 @@ def lamb_dicke_remainder_scan(
     rel_norms = []
     for eta in etas:
         p = IonParams(Omega=p_base.Omega, eta=eta, nu=p_base.nu, phi_l=p_base.phi_l)
-        diff = interior_block(h_resonant(p, trunc) - h_lamb_dicke(p, trunc), trunc)
-        ref = interior_block(h_resonant(p, trunc), trunc)
-        norms.append(_frobenius(diff))
-        rel_norms.append(_frobenius(diff) / _frobenius(ref))
+        h_exact = h_resonant(p, trunc)
+        norms.append(_frobenius(interior_block(h_exact - h_lamb_dicke(p, trunc), trunc)))
+        rel_norms.append(norms[-1] / _frobenius(interior_block(h_exact, trunc)))
     order = _fit_order(list(etas), norms)
     metrics = {f"norm_eta_{e}": n for e, n in zip(etas, norms)}
     metrics["order"] = order
@@ -704,18 +703,18 @@ def propagator_conservation_check(
     times = np.linspace(0.0, 4.0 * math.pi / rate, 512)
     worst_norm = 0.0
     worst_energy = 0.0
+    runs = []
     for h, spin in ((h_jc(p, trunc), "e"), (h_ajc(p, trunc), "g")):
         psi0 = fock_state(spin, 0, trunc)
         run = propagate(h, psi0, times, store_states=True)
+        runs.append((h, psi0, run.states))
         worst_norm = max(worst_norm, float(np.max(run.norm_residual)))
         energies = np.einsum("td,td->t", run.states.conj(), run.states @ h.T).real
         h_scale = float(np.linalg.norm(h))
         worst_energy = max(worst_energy, float(np.max(np.abs(energies - energies[0]))) / h_scale)
-    # composition across a random split point
-    h = h_jc(p, trunc)
-    psi0 = fock_state("e", 0, trunc)
+    # composition across a random split point, against the JC run above
+    h, psi0, direct = runs[0]
     split = int(rng.integers(1, times.size - 1))
-    direct = propagate(h, psi0, times, store_states=True).states
     first = propagate(h, psi0, times[: split + 1], store_states=True).states
     resumed = propagate(
         h, first[-1], times[split:] - times[split], store_states=True
@@ -757,7 +756,7 @@ def run_all_checks(
         chi_identity_check(100, seed=seed),
         regime_check(100, seed=seed),
         propagator_conservation_check(p_res, seed=seed),
-        rotation_diagnostic_check(),
+        rotation_diagnostic_check(tol=tol),
         speed_comparison(p_ref, tol=tol),
         truncation_convergence("qrm", p_ref),
     ]

@@ -63,18 +63,16 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _build_matrix(config: RunConfig, name: str, include_constant: bool) -> np.ndarray:
-    if name == "qrm":
-        return h_qrm(config.params, config.trunc, include_constant=include_constant)
-    return HAMILTONIAN_BUILDERS[name](config.params, config.trunc)
-
-
 def _cmd_build(config: RunConfig) -> int:
-    h = _build_matrix(config, config.build.hamiltonian, config.build.include_constant)
+    name = config.build.hamiltonian
+    if name == "qrm":
+        h = h_qrm(config.params, config.trunc, include_constant=config.build.include_constant)
+    else:
+        h = HAMILTONIAN_BUILDERS[name](config.params, config.trunc)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "hamiltonian",
-        "name": config.build.hamiltonian,
+        "name": name,
         "dim": int(h.shape[0]),
         "params": asdict(config.params),
         "trunc": asdict(config.trunc),
@@ -112,7 +110,7 @@ def _initial_state(config: RunConfig) -> np.ndarray:
 
 def _cmd_evolve(config: RunConfig) -> int:
     e = config.evolve
-    h = _build_matrix(config, e.hamiltonian, e.include_constant)
+    h = HAMILTONIAN_BUILDERS[e.hamiltonian](config.params, config.trunc)
     if e.times is not None:
         times = np.asarray(e.times, dtype=float)
     else:
@@ -167,7 +165,7 @@ def _cmd_regime(config: RunConfig) -> int:
         f"g_ratio = {_fmt(g / p.nu)}",
         f"omega_ratio = {_fmt(p.Omega / p.nu)}",
     ]
-    sys.stdout.write("\n".join(out) + "\n")
+    _write_text(config.out, "\n".join(out) + "\n")
     return EXIT_OK
 
 

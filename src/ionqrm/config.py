@@ -10,14 +10,15 @@ Keys are case-sensitive and may appear at most once; unknown keys are hard
 errors, not warnings, because a silent typo in a physics parameter is the
 costliest failure mode. Command-scoped keys (``build.*``, ``evolve.*``,
 ``scan.*``, ``verify.*``, ``regime.*``) may only be set when ``command``
-selects that section, and a key with an ``only_if`` condition only where it
-holds (``evolve.alpha`` needs ``evolve.state = coherent``). Values use the
-shortest round-trip decimal form for floats, ``true``/``false`` for
-booleans, ``re+imj`` for complex numbers and comma-separated items for
-lists.
+selects that section, and a key with an ``only_if`` rule only where a field
+of its section takes one of the rule's values (``evolve.alpha`` needs
+``evolve.state = coherent``, ``format`` a command other than ``regime``).
+Values use the shortest round-trip decimal form for floats,
+``true``/``false`` for booleans, ``re+imj`` for complex numbers and
+comma-separated items for lists.
 
-Each key is one row of :data:`KEYS` (its :class:`RunConfig` section, field
-and parser), in the order :func:`emit_config` writes. Defaults come only
+Each key is one row of :data:`KEYS` (its :class:`RunConfig` section, field,
+parser and rule), in the order :func:`emit_config` writes. Defaults come only
 from the dataclasses (``IonParams``, ``DEFAULT_TRUNC``, ``Tolerances``,
 ``RegimeThresholds``, the ``*Spec`` classes), except that ``format`` follows
 the command and ``scan.k_lowest`` is 8 for ``scan.kind = truncation``.
@@ -31,6 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import groupby
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .algebra import DEFAULT_TRUNC, TruncationSpec
@@ -62,7 +64,6 @@ class BuildSpec:
 @dataclass(frozen=True)
 class EvolveSpec:
     hamiltonian: str = "jc"
-    include_constant: bool = False
     state: str = "fock"
     spin: str = "e"
     fock: int = 0
@@ -155,16 +156,15 @@ class _Key(NamedTuple):
     field: str
     parse: Callable[[str], object]
     choices: tuple[str, ...] = ()
-    only_if: tuple[str, str] | None = None  # (section field, value) the key applies to
+    only_if: tuple[str, tuple[str, ...]] | None = None  # (section field, values it applies to)
 
     def applies_to(self, section) -> bool:
-        return self.only_if is None or getattr(section, self.only_if[0]) == self.only_if[1]
+        return self.only_if is None or getattr(section, self.only_if[0]) in self.only_if[1]
 
 
 _FLOATS = partial(_parse_list, item=_parse_float)
 _INTS = partial(_parse_list, item=_parse_int)
-_QRM_ONLY = ("hamiltonian", "qrm")
-_TRUNCATION_ONLY = ("kind", "truncation")
+_TRUNCATION_ONLY = ("kind", ("truncation",))
 
 #: Every configuration key, in the order emit_config writes them.
 KEYS: dict[str, _Key] = {
@@ -177,30 +177,32 @@ KEYS: dict[str, _Key] = {
     "trunc.n_max": _Key("trunc", "n_max", _parse_int),
     "trunc.guard": _Key("trunc", "guard", _parse_int),
     "seed": _Key(None, "seed", _parse_int),
-    "format": _Key(None, "format", str, ("csv", "json")),
+    "format": _Key(None, "format", str, ("csv", "json"),
+                   only_if=("command", ("build", "verify", "evolve", "scan", "all-checks"))),
     "tol.identity": _Key("tol", "identity", _parse_float),
     "tol.oracle": _Key("tol", "oracle", _parse_float),
     "tol.spectral": _Key("tol", "spectral", _parse_float),
     "tol.min_order": _Key("tol", "min_scaling_order", _parse_float),
     "out": _Key(None, "out", str),
     "build.hamiltonian": _Key("build", "hamiltonian", str, BUILDER_NAMES),
-    "build.include_constant": _Key("build", "include_constant", _parse_bool, only_if=_QRM_ONLY),
+    "build.include_constant": _Key("build", "include_constant", _parse_bool,
+                                   only_if=("hamiltonian", ("qrm",))),
     "evolve.hamiltonian": _Key("evolve", "hamiltonian", str, BUILDER_NAMES),
-    "evolve.include_constant": _Key("evolve", "include_constant", _parse_bool, only_if=_QRM_ONLY),
     "evolve.state": _Key("evolve", "state", str, ("fock", "coherent")),
     "evolve.spin": _Key("evolve", "spin", str, ("e", "g")),
-    "evolve.fock": _Key("evolve", "fock", _parse_int, only_if=("state", "fock")),
-    "evolve.alpha": _Key("evolve", "alpha", _parse_complex, only_if=("state", "coherent")),
+    "evolve.fock": _Key("evolve", "fock", _parse_int, only_if=("state", ("fock",))),
+    "evolve.alpha": _Key("evolve", "alpha", _parse_complex, only_if=("state", ("coherent",))),
     "evolve.t_max": _Key("evolve", "t_max", _parse_float),
     "evolve.samples": _Key("evolve", "samples", _parse_int),
     "evolve.times": _Key("evolve", "times", _FLOATS),
     "scan.kind": _Key("scan", "kind", str, SCAN_KINDS),
-    "scan.etas": _Key("scan", "etas", _FLOATS),
+    "scan.etas": _Key("scan", "etas", _FLOATS, only_if=("kind", ("dispersive", "lamb-dicke"))),
     "scan.n_list": _Key("scan", "n_list", _INTS, only_if=_TRUNCATION_ONLY),
-    "scan.k_lowest": _Key("scan", "k_lowest", _parse_int),
+    "scan.k_lowest": _Key("scan", "k_lowest", _parse_int,
+                          only_if=("kind", ("dispersive", "truncation"))),
     "scan.builder": _Key("scan", "builder", str, BUILDER_NAMES, only_if=_TRUNCATION_ONLY),
     "verify.check": _Key("verify", "check", str, VERIFY_CHECKS),
-    "verify.fock": _Key("verify", "fock", _parse_int, only_if=("check", "jc-rabi")),
+    "verify.fock": _Key("verify", "fock", _parse_int, only_if=("check", ("jc-rabi",))),
     "regime.ordering_factor": _Key("regime", "ordering_factor", _parse_float),
     "regime.ultrastrong_onset": _Key("regime", "ultrastrong_onset", _parse_float),
     "regime.dispersive_factor": _Key("regime", "dispersive_factor", _parse_float),
@@ -290,7 +292,8 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
             raise ConfigError(
                 f"key {key!r} applies to command {scope!r}, not {command!r}", lines[key]
             )
-    values.setdefault("format", "csv" if command in ("evolve", "scan") else "json")
+    if command in ("evolve", "scan"):
+        values.setdefault("format", "csv")
     if values.get("scan.kind") == "truncation":
         values.setdefault("scan.k_lowest", 8)
 
@@ -305,16 +308,18 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
             section_fields[spec.field] = values[key]
         if attr is None:
             fields.update(section_fields)
-            continue
-        try:
-            section = fields[attr] = _SECTIONS[attr](**section_fields)
-        except ValueError as exc:
-            raise ConfigError(f"constraint violation: {exc}")
+            section = SimpleNamespace(**fields)
+        else:
+            try:
+                section = fields[attr] = _SECTIONS[attr](**section_fields)
+            except ValueError as exc:
+                raise ConfigError(f"constraint violation: {exc}")
+        prefix = "" if attr is None else f"{attr}."
         for key, spec in group:
             if not spec.applies_to(section):
+                field, allowed = spec.only_if
                 raise ConfigError(
-                    f"{key} applies only to {attr}.{spec.only_if[0]} = {spec.only_if[1]}",
-                    lines[key],
+                    f"{key} applies only to {prefix}{field} = {' or '.join(allowed)}", lines[key]
                 )
 
     config = RunConfig(**fields)
@@ -332,17 +337,13 @@ def _validate(config: RunConfig) -> None:
             raise ConfigError("constraint violation: evolve.fock >= 0")
         if c.evolve.fock >= c.trunc.n_max:
             raise ConfigError("constraint violation: evolve.fock < trunc.n_max")
-        if c.evolve.times is not None:
-            if len(c.evolve.times) < 1:
-                raise ConfigError("constraint violation: evolve.times non-empty")
-            diffs = [b - a for a, b in zip(c.evolve.times, c.evolve.times[1:])]
-            if any(d <= 0 for d in diffs):
-                raise ConfigError("constraint violation: evolve.times strictly increasing")
-        else:
-            if c.evolve.t_max <= 0:
-                raise ConfigError("constraint violation: evolve.t_max > 0")
-            if c.evolve.samples < 2:
-                raise ConfigError("constraint violation: evolve.samples >= 2")
+        times = c.evolve.times or ()
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ConfigError("constraint violation: evolve.times strictly increasing")
+        if c.evolve.t_max <= 0:
+            raise ConfigError("constraint violation: evolve.t_max > 0")
+        if c.evolve.samples < 2:
+            raise ConfigError("constraint violation: evolve.samples >= 2")
         _builder_preconditions(c.evolve.hamiltonian, c)
     elif c.command == "build":
         if c.format != "json":
@@ -417,10 +418,10 @@ def emit_config(config: RunConfig) -> str:
 
     Only globally applicable keys plus the active command's section are
     written, and no unset optional key (``out``, ``evolve.times``) or key
-    whose ``only_if`` condition fails (``*.include_constant`` off ``qrm``,
-    ``evolve.alpha`` for a Fock start, ``scan.n_list`` outside
-    ``scan.kind = truncation``, ...); ``parse_config(emit_config(c)) == c``
-    for every valid config.
+    whose ``only_if`` rule fails (``format`` for ``regime``,
+    ``build.include_constant`` off ``qrm``, ``evolve.alpha`` for a Fock
+    start, ``scan.etas`` for ``scan.kind = truncation``, ...);
+    ``parse_config(emit_config(c)) == c`` for every valid config.
     """
     out = []
     for key, spec in KEYS.items():

@@ -26,6 +26,16 @@ def test_regime_prints_label_and_ratios(capsys):
     assert lines[2] == "omega_ratio = 0.5"
 
 
+def test_regime_out_writes_the_file_and_nothing_to_stdout(tmp_path, capsys):
+    args = ["regime", "--set", "Omega=0.5", "--set", "eta=0.02"]
+    _, expected, _ = run_cli(args, capsys)
+    out_file = tmp_path / "regime.txt"
+    code, out, _ = run_cli(args + ["--out", str(out_file)], capsys)
+    assert code == EXIT_OK
+    assert out == ""
+    assert out_file.read_text() == expected
+
+
 def test_evolve_zero_hamiltonian_constant_rows(tmp_path, capsys):
     out_file = tmp_path / "run.csv"
     args = [
@@ -141,9 +151,15 @@ def test_config_error_yields_machine_parsable_record(capsys):
 
 
 @pytest.mark.parametrize(
-    "command, hamiltonian", [("build", "jc"), ("evolve", "resonant")]
+    "command, hamiltonian, message",
+    [
+        ("build", "jc", "build.include_constant applies only to build.hamiltonian = qrm"),
+        # a constant shift changes no population, so evolve has no such key
+        ("evolve", "resonant", "unknown key 'evolve.include_constant'"),
+    ],
+    ids=["build-jc", "evolve-resonant"],
 )
-def test_include_constant_off_qrm_is_one_config_error(command, hamiltonian, capsys):
+def test_include_constant_off_qrm_is_one_config_error(command, hamiltonian, message, capsys):
     args = [
         command,
         "--set", "Omega=0.5",
@@ -158,29 +174,37 @@ def test_include_constant_off_qrm_is_one_config_error(command, hamiltonian, caps
     assert len(records) == 1
     record = json.loads(records[0])
     assert record["error"] == "ConfigError"
-    assert record["message"] == (
-        f"{command}.include_constant applies only to {command}.hamiltonian = qrm"
-    )
+    assert record["message"] == message
+
+
+_FORMAT_RULE = "format applies only to command = build or verify or evolve or scan or all-checks"
 
 
 @pytest.mark.parametrize(
-    "command, sets, message",
+    "command, extra, message",
     [
-        ("evolve", ["evolve.alpha=0.5+0.1j"], "evolve.alpha applies only to evolve.state = coherent"),
-        ("evolve", ["evolve.state=coherent", "evolve.fock=2"],
+        ("evolve", ["--set", "evolve.alpha=0.5+0.1j"],
+         "evolve.alpha applies only to evolve.state = coherent"),
+        ("evolve", ["--set", "evolve.state=coherent", "--set", "evolve.fock=2"],
          "evolve.fock applies only to evolve.state = fock"),
-        ("scan", ["scan.n_list=8,16"], "scan.n_list applies only to scan.kind = truncation"),
-        ("scan", ["scan.kind=lamb-dicke", "scan.builder=jc"],
+        ("scan", ["--set", "scan.n_list=8,16"],
+         "scan.n_list applies only to scan.kind = truncation"),
+        ("scan", ["--set", "scan.kind=lamb-dicke", "--set", "scan.builder=jc"],
          "scan.builder applies only to scan.kind = truncation"),
-        ("verify", ["verify.check=speed", "verify.fock=1"],
+        ("verify", ["--set", "verify.check=speed", "--set", "verify.fock=1"],
          "verify.fock applies only to verify.check = jc-rabi"),
+        ("regime", ["--set", "format=json"], _FORMAT_RULE),
+        ("regime", ["--format", "csv"], _FORMAT_RULE),
+        ("scan", ["--set", "scan.kind=truncation", "--set", "scan.etas=0.1,0.05"],
+         "scan.etas applies only to scan.kind = dispersive or lamb-dicke"),
+        ("scan", ["--set", "scan.kind=lamb-dicke", "--set", "scan.k_lowest=4"],
+         "scan.k_lowest applies only to scan.kind = dispersive or truncation"),
     ],
-    ids=["evolve.alpha", "evolve.fock", "scan.n_list", "scan.builder", "verify.fock"],
+    ids=["evolve.alpha", "evolve.fock", "scan.n_list", "scan.builder", "verify.fock",
+         "format", "--format", "scan.etas", "scan.k_lowest"],
 )
-def test_key_the_run_would_not_read_is_one_config_error(command, sets, message, capsys):
-    args = [command, "--set", "Omega=0.7", "--set", "eta=0.3"]
-    for item in sets:
-        args += ["--set", item]
+def test_key_the_run_would_not_read_is_one_config_error(command, extra, message, capsys):
+    args = [command, "--set", "Omega=0.7", "--set", "eta=0.3", *extra]
     code, out, err = run_cli(args, capsys)
     assert code == EXIT_ERROR
     assert out == ""
@@ -272,6 +296,15 @@ def test_all_checks_nonzero_when_a_check_fails(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["all-checks", "--set", "Omega=0.7", "--set", "eta=0.3"], capsys)
     assert code == EXIT_CHECKS_FAILED
     assert json.loads(out)["passed"] is False
+
+
+def test_all_checks_applies_tol_identity_to_the_rotation_diagnostic(capsys):
+    args = ["all-checks", "--set", "Omega=0.7", "--set", "eta=0.3", "--set", "tol.identity=1e-30"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == EXIT_CHECKS_FAILED
+    reports = {r["name"]: r for r in json.loads(out)["reports"]}
+    assert reports["rotation-diagnostic"]["tolerance"] == 1e-30
+    assert reports["rotation-diagnostic"]["passed"] is False
 
 
 def test_scan_with_vanishing_remainder_is_an_error_not_nan(src_env):

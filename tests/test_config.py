@@ -84,6 +84,23 @@ def test_evolve_times_must_increase():
         parse_config(text)
 
 
+def test_empty_evolve_times_is_a_malformed_list():
+    text = "command = evolve\nOmega = 0.5\neta = 0.1\nevolve.times =\n"
+    with pytest.raises(ConfigError, match="line 4: evolve.times: malformed list"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("evolve.t_max", "-3", "evolve.t_max > 0"), ("evolve.samples", "1", "evolve.samples >= 2")],
+    ids=["t_max", "samples"],
+)
+def test_evolve_grid_is_checked_with_explicit_times(key, value, message):
+    text = f"command = evolve\nOmega = 0.5\neta = 0.1\nevolve.times = 0,1,2\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
 def test_verify_jc_rabi_preconditions_checked_before_compute():
     text = "command = verify\nOmega = 0.6\neta = 0.02\nverify.check = jc-rabi\n"
     with pytest.raises(ConfigError, match="nu = 2"):
@@ -161,9 +178,17 @@ def test_emit_is_deterministic():
     assert "verify.check = qrm-transform" in emit_config(cfg)
 
 
-@pytest.mark.parametrize("section, hamiltonian", [("build", "jc"), ("evolve", None)])
+@pytest.mark.parametrize(
+    "section, hamiltonian, message",
+    [
+        ("build", "jc", "build.include_constant applies only to build.hamiltonian = qrm"),
+        # a constant shift changes no population, so evolve has no such key
+        ("evolve", None, "unknown key 'evolve.include_constant'"),
+    ],
+    ids=["build-jc", "evolve-None"],
+)
 @pytest.mark.parametrize("value", ["true", "false"])
-def test_include_constant_rejected_off_qrm(section, hamiltonian, value):
+def test_include_constant_rejected_off_qrm(section, hamiltonian, message, value):
     text = f"command = {section}\nOmega = 0.5\neta = 0.1\n"
     if hamiltonian is not None:
         text += f"{section}.hamiltonian = {hamiltonian}\n"
@@ -171,9 +196,7 @@ def test_include_constant_rejected_off_qrm(section, hamiltonian, value):
     with pytest.raises(ConfigError) as err:
         parse_config(text + f"{section}.include_constant = {value}\n")
     assert err.value.line == line
-    assert str(err.value) == (
-        f"line {line}: {section}.include_constant applies only to {section}.hamiltonian = qrm"
-    )
+    assert str(err.value) == f"line {line}: {message}"
     emitted = emit_config(parse_config(text))
     assert "include_constant" not in emitted
     assert parse_config(emitted) == parse_config(text)
@@ -199,8 +222,6 @@ _NON_DEFAULT = {
     "build.hamiltonian": {"command": "build", "build.hamiltonian": "jc"},
     "build.include_constant": {"command": "build", "build.include_constant": "false"},
     "evolve.hamiltonian": {"command": "evolve", "evolve.hamiltonian": "resonant"},
-    "evolve.include_constant": {"command": "evolve", "evolve.hamiltonian": "qrm",
-                                "evolve.include_constant": "true"},
     "evolve.state": {"command": "evolve", "evolve.state": "coherent"},
     "evolve.spin": {"command": "evolve", "evolve.spin": "g"},
     "evolve.fock": {"command": "evolve", "evolve.fock": "3"},
@@ -243,3 +264,8 @@ def test_every_key_round_trips_at_a_non_default_value(key):
 def test_every_key_is_documented_in_readme():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     assert [key for key in KEYS if f"`{key}`" not in readme] == []
+    # every key with an only_if rule is a row of the "applies only to" table
+    table = readme.split("| key | applies only to |")[1].split("\n\n")[0]
+    rows = [line.split("|")[1] for line in table.splitlines()[2:]]
+    restricted = [key for key, spec in KEYS.items() if spec.only_if is not None]
+    assert [key for key in restricted if not any(f"`{key}`" in row for row in rows)] == []
