@@ -30,18 +30,21 @@ The displacement operator has one production construction and two oracles:
 
 The checks compare all three.
 
-``import ionqrm`` needs numpy only: the Laguerre oracle imports
-``scipy.special`` on first use, and so does ``models.y_rotation`` with
-``scipy.linalg``. Of the CLI commands only ``all-checks`` and ``verify``
-with the ``jc-rabi`` or ``rotation`` check load scipy.
+``import ionqrm`` loads nothing heavy: the package resolves each public name
+on first use, and the ``regime`` command never loads numpy. The Laguerre
+oracle imports ``scipy.special`` on first use, and so does
+``models.y_rotation`` with ``scipy.linalg``. Of the CLI commands only
+``all-checks`` and ``verify`` with the ``jc-rabi`` or ``rotation`` check
+load scipy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
+
+from .params import DEFAULT_TRUNC, TruncationSpec  # noqa: F401 - re-exported from here
 
 
 class Spin(Enum):
@@ -53,35 +56,6 @@ class Spin(Enum):
     X = "x"
     Y = "y"
     IDENTITY = "1"
-
-
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Oscillator Fock cutoff plus an interior guard band.
-
-    ``guard`` is the number of top Fock levels excluded from interior
-    comparisons, so truncation artifacts at the edge do not pollute
-    operator-identity checks.
-    """
-
-    n_max: int
-    guard: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError(f"n_max >= 1 violated (got {self.n_max})")
-        if not 0 <= self.guard < self.n_max:
-            raise ValueError(
-                f"0 <= guard < n_max violated (got guard={self.guard}, n_max={self.n_max})"
-            )
-
-    @property
-    def interior_dim(self) -> int:
-        return self.n_max - self.guard
-
-
-#: Default truncation for verification tasks.
-DEFAULT_TRUNC = TruncationSpec(n_max=64, guard=16)
 
 
 def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:

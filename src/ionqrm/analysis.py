@@ -13,8 +13,6 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .algebra import (
-    DEFAULT_TRUNC,
-    TruncationSpec,
     annihilation,
     commutator,
     dagger,
@@ -27,42 +25,30 @@ from .algebra import (
 )
 from .models import (
     HAMILTONIAN_BUILDERS,
-    IonParams,
-    Regime,
-    RegimeThresholds,
-    derived_couplings,
     h_dispersive,
     h_jc,
     h_ajc,
     h_lamb_dicke,
     h_qrm,
     h_resonant,
-    classify_regime,
-    is_sideband_resonant,
     qrm_conjugate,
     rotation_diagnostic,
     small_rotation,
     y_rotation,
 )
 from .dynamics import block_eigh, fock_state, propagate
-
-DEFAULT_SEED = 2024
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Pass/fail thresholds shared by the verification experiments."""
-
-    identity: float = 1e-10
-    oracle: float = 1e-9
-    spectral: float = 1e-8
-    convergence: float = 1e-9
-    min_scaling_order: float = 1.8
-    jc_freq_rtol: float = 0.05
-    max_small_rotation: float = 0.2
-    fast_min_g_ratio: float = 0.01
-    fast_min_omega_ratio: float = 0.1
-
+from .params import (
+    DEFAULT_SEED,
+    DEFAULT_TRUNC,
+    IonParams,
+    Regime,
+    RegimeThresholds,
+    Tolerances,
+    TruncationSpec,
+    classify_regime,
+    derived_couplings,
+    is_sideband_resonant,
+)
 
 DEFAULT_TOLERANCES = Tolerances()
 

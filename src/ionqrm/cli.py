@@ -11,6 +11,10 @@ are written atomically (temp file then rename); without ``--out`` results
 go to stdout. Exit status: 0 on success, 1 on any error (with a
 machine-parsable JSON record on stderr), 2 when ``all-checks`` finds a
 failing report.
+
+Each handler imports the layers it needs (numpy, ``analysis``, ``dynamics``,
+``models``) when it runs, so ``regime`` and configuration errors cost only
+the standard library.
 """
 from __future__ import annotations
 
@@ -21,12 +25,8 @@ import sys
 import tempfile
 from dataclasses import asdict
 
-import numpy as np
-
-from . import analysis
 from .config import COMMANDS, ConfigError, RunConfig, parse_config
-from .dynamics import coherent_state, fock_state, propagate
-from .models import HAMILTONIAN_BUILDERS, classify_regime, h_qrm
+from .params import classify_regime
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -64,6 +64,8 @@ def _json_text(payload: dict) -> str:
 
 
 def _cmd_build(config: RunConfig) -> int:
+    from .models import HAMILTONIAN_BUILDERS, h_qrm
+
     name = config.build.hamiltonian
     if name == "qrm":
         h = h_qrm(config.params, config.trunc, include_constant=config.build.include_constant)
@@ -83,6 +85,8 @@ def _cmd_build(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
+    from . import analysis
+
     p, trunc, tol = config.params, config.trunc, config.tol
     check = config.verify.check
     if check == "qrm-transform":
@@ -101,21 +105,23 @@ def _cmd_verify(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _initial_state(config: RunConfig) -> np.ndarray:
-    e = config.evolve
-    if e.state == "fock":
-        return fock_state(e.spin, e.fock, config.trunc)
-    return coherent_state(e.spin, e.alpha, config.trunc)
-
-
 def _cmd_evolve(config: RunConfig) -> int:
+    import numpy as np
+
+    from .dynamics import coherent_state, fock_state, propagate
+    from .models import HAMILTONIAN_BUILDERS
+
     e = config.evolve
     h = HAMILTONIAN_BUILDERS[e.hamiltonian](config.params, config.trunc)
+    if e.state == "fock":
+        psi0 = fock_state(e.spin, e.fock, config.trunc)
+    else:
+        psi0 = coherent_state(e.spin, e.alpha, config.trunc)
     if e.times is not None:
         times = np.asarray(e.times, dtype=float)
     else:
         times = np.linspace(0.0, e.t_max, e.samples)
-    result = propagate(h, _initial_state(config), times)
+    result = propagate(h, psi0, times)
     lines = ["time,P_e,mean_n,fidelity,norm_residual"]
     for i, t in enumerate(result.times):
         fid = "" if result.fidelity is None else _fmt(result.fidelity[i])
@@ -128,6 +134,8 @@ def _cmd_evolve(config: RunConfig) -> int:
 
 
 def _cmd_scan(config: RunConfig) -> int:
+    from . import analysis
+
     p, s = config.params, config.scan
     if s.kind == "dispersive":
         report = analysis.dispersive_error_scan(
@@ -170,6 +178,8 @@ def _cmd_regime(config: RunConfig) -> int:
 
 
 def _cmd_all_checks(config: RunConfig) -> int:
+    from . import analysis
+
     reports = analysis.run_all_checks(trunc=config.trunc, seed=config.seed, tol=config.tol)
     passed = all(r.passed for r in reports)
     payload = {

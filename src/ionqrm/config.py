@@ -13,6 +13,9 @@ costliest failure mode. Command-scoped keys (``build.*``, ``evolve.*``,
 selects that section, and a key with an ``only_if`` rule only where a field
 of its section takes one of the rule's values (``evolve.alpha`` needs
 ``evolve.state = coherent``, ``format`` a command other than ``regime``).
+A nonzero ``delta`` or ``phi_l`` is an error for a Hamiltonian builder that
+does not read it (:data:`BUILDER_READS`), in ``build``, ``evolve`` and
+``scan.kind = truncation``.
 Values use the shortest round-trip decimal form for floats,
 ``true``/``false`` for booleans, ``re+imj`` for complex numbers and
 comma-separated items for lists.
@@ -35,13 +38,25 @@ from itertools import groupby
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .algebra import DEFAULT_TRUNC, TruncationSpec
-from .analysis import DEFAULT_SEED, Tolerances
-from .models import (HAMILTONIAN_BUILDERS, IonParams, RegimeThresholds,
-                     is_sideband_resonant, phase_is_zero_or_pi)
+from .params import (DEFAULT_SEED, DEFAULT_TRUNC, IonParams, RegimeThresholds, Tolerances,
+                     TruncationSpec, is_sideband_resonant, phase_is_zero_or_pi)
 
 COMMANDS = ("build", "verify", "evolve", "scan", "regime", "all-checks")
-BUILDER_NAMES = tuple(sorted(HAMILTONIAN_BUILDERS))
+#: Which of ``delta`` and ``phi_l`` each Hamiltonian builder reads (its keys are
+#: those of ``models.HAMILTONIAN_BUILDERS``); a nonzero value of the other is a
+#: ConfigError, because the builder would drop it without a word.
+BUILDER_READS: dict[str, tuple[str, ...]] = {
+    "resonant": ("phi_l",),
+    "lamb-dicke": ("phi_l",),
+    "rabi-rotated": ("phi_l",),
+    "jc": (),
+    "ajc": (),
+    "qrm": (),
+    "qrm-detuned": ("delta",),
+    "dispersive": (),
+    "zero": (),
+}
+BUILDER_NAMES = tuple(sorted(BUILDER_READS))
 VERIFY_CHECKS = ("qrm-transform", "guard", "dispersive", "jc-rabi", "speed", "rotation")
 SCAN_KINDS = ("dispersive", "truncation", "lamb-dicke")
 
@@ -373,12 +388,15 @@ def _validate(config: RunConfig) -> None:
                 raise ConfigError("constraint violation: scan.n_list strictly increasing")
         if c.scan.k_lowest < 1:
             raise ConfigError("constraint violation: scan.k_lowest >= 1")
+        if c.scan.kind == "truncation":
+            _builder_preconditions(c.scan.builder, c)
 
 
 def _builder_preconditions(name: str, c: RunConfig) -> None:
     p = c.params
-    if name == "resonant" and p.delta != 0.0:
-        raise ConfigError("constraint violation: resonant requires delta = 0")
+    for param in ("delta", "phi_l"):
+        if getattr(p, param) != 0.0 and param not in BUILDER_READS[name]:
+            raise ConfigError(f"constraint violation: {name} requires {param} = 0")
     if name == "rabi-rotated" and not phase_is_zero_or_pi(p.phi_l):
         raise ConfigError("constraint violation: rabi-rotated requires phi_l in {0, pi}")
 

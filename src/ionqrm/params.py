@@ -1,0 +1,206 @@
+"""Scalar parameters, derived couplings and the regime classifier.
+
+Everything here is plain Python on floats and imports only the standard
+library, so configuration parsing and the ``regime`` command never load
+numpy. :mod:`ionqrm.models`, :mod:`ionqrm.algebra` and
+:mod:`ionqrm.analysis` import these names back, and each is defined only
+here.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from enum import Enum
+
+_PHASE_ATOL = 1e-12
+
+#: Seed of every randomized check unless the configuration sets ``seed``.
+DEFAULT_SEED = 2024
+
+
+class ResonancePoleError(ValueError):
+    """Raised when a formula hits the 2*Omega = nu (or 2*Omega = -nu) pole."""
+
+
+@dataclass(frozen=True)
+class IonParams:
+    """Physical parameters of the resonant ion-laser interaction.
+
+    Omega is the laser Rabi coupling, eta the Lamb-Dicke parameter, nu the
+    trap frequency, phi_l the laser phase and delta the atom-laser detuning
+    (zero under the resonant condition; only the detuned Rabi builder
+    accepts a nonzero value).
+    """
+
+    Omega: float
+    eta: float
+    nu: float = 1.0
+    phi_l: float = 0.0
+    delta: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("Omega", "eta", "nu", "phi_l", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.nu <= 0:
+            raise ValueError(f"nu > 0 violated (got {self.nu})")
+        if self.eta < 0:
+            raise ValueError(f"eta >= 0 violated (got {self.eta})")
+        if self.Omega < 0:
+            raise ValueError(f"Omega >= 0 violated (got {self.Omega})")
+
+
+@dataclass(frozen=True)
+class DerivedCouplings:
+    """Coupling constants derived from :class:`IonParams`.
+
+    g_qrm is the Rabi-model coupling eta*nu/2; eps_counter and eps_co are
+    the small-rotation angles multiplying the counter-rotating and
+    co-rotating pair generators; chi is the dispersive interaction constant.
+    """
+
+    g_qrm: float
+    eps_counter: float
+    eps_co: float
+    chi: float
+
+
+class Regime(Enum):
+    JC_RESONANT = "JC-resonant"
+    AJC_RESONANT = "AJC-resonant"
+    DISPERSIVE = "dispersive"
+    DECOUPLING = "decoupling"
+    ULTRASTRONG = "ultrastrong"
+    DEEP_STRONG = "deep-strong"
+    UNCLASSIFIED = "unclassified"
+
+
+@dataclass(frozen=True)
+class RegimeThresholds:
+    """Configurable ratio thresholds for :func:`classify_regime`.
+
+    ordering_factor is the ratio read for a "much greater than" ordering,
+    ultrastrong_onset the g/nu value where the ultrastrong regime starts,
+    dispersive_factor the margin below every transition scale required of
+    the coupling, and resonant_max_g_ratio the largest g/nu still labelled
+    as a sideband resonance.
+    """
+
+    ordering_factor: float = 10.0
+    ultrastrong_onset: float = 0.1
+    dispersive_factor: float = 0.1
+    resonant_max_g_ratio: float = 0.1
+
+    def __post_init__(self) -> None:
+        for name in ("ordering_factor", "ultrastrong_onset", "dispersive_factor",
+                     "resonant_max_g_ratio"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be positive and finite")
+
+
+@dataclass(frozen=True)
+class TruncationSpec:
+    """Oscillator Fock cutoff plus an interior guard band.
+
+    ``guard`` is the number of top Fock levels excluded from interior
+    comparisons, so truncation artifacts at the edge do not pollute
+    operator-identity checks.
+    """
+
+    n_max: int
+    guard: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n_max < 1:
+            raise ValueError(f"n_max >= 1 violated (got {self.n_max})")
+        if not 0 <= self.guard < self.n_max:
+            raise ValueError(
+                f"0 <= guard < n_max violated (got guard={self.guard}, n_max={self.n_max})"
+            )
+
+    @property
+    def interior_dim(self) -> int:
+        return self.n_max - self.guard
+
+
+#: Default truncation for verification tasks.
+DEFAULT_TRUNC = TruncationSpec(n_max=64, guard=16)
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Pass/fail thresholds shared by the verification experiments."""
+
+    identity: float = 1e-10
+    oracle: float = 1e-9
+    spectral: float = 1e-8
+    convergence: float = 1e-9
+    min_scaling_order: float = 1.8
+    jc_freq_rtol: float = 0.05
+    max_small_rotation: float = 0.2
+    fast_min_g_ratio: float = 0.01
+    fast_min_omega_ratio: float = 0.1
+
+
+def derived_couplings(p: IonParams) -> DerivedCouplings:
+    """Evaluate g = eta*nu/2, the small-rotation angles and the chi shift.
+
+    eps_counter = eta*nu / (2*(nu + 2*Omega))
+    eps_co      = eta*nu / (2*(2*Omega - nu))
+    chi         = 2*eta^2*nu^2*Omega / (4*Omega^2 - nu^2)
+
+    Raises :class:`ResonancePoleError` at the sideband pole 2*Omega = nu
+    (the 2*Omega = -nu pole is unreachable for valid parameters).
+    """
+    scale = max(p.nu, 2.0 * p.Omega)
+    if abs(2.0 * p.Omega - p.nu) <= 1e-12 * scale:
+        raise ResonancePoleError(
+            f"2*Omega = nu pole (nu={p.nu}, Omega={p.Omega}); "
+            "small-rotation angles are undefined at the sideband resonance"
+        )
+    g = p.eta * p.nu / 2.0
+    eps_counter = p.eta * p.nu / (2.0 * (p.nu + 2.0 * p.Omega))
+    eps_co = p.eta * p.nu / (2.0 * (2.0 * p.Omega - p.nu))
+    chi = 2.0 * p.eta**2 * p.nu**2 * p.Omega / (4.0 * p.Omega**2 - p.nu**2)
+    return DerivedCouplings(g_qrm=g, eps_counter=eps_counter, eps_co=eps_co, chi=chi)
+
+
+def is_sideband_resonant(p: IonParams) -> bool:
+    """True at the sideband resonance nu = 2*Omega, to 1e-9 relative."""
+    return abs(p.nu - 2.0 * p.Omega) <= 1e-9 * (p.nu + 2.0 * p.Omega)
+
+
+def phase_is_zero_or_pi(phi_l: float) -> bool:
+    """True when the laser phase is 0 or pi modulo 2*pi, to _PHASE_ATOL."""
+    phase = math.remainder(phi_l, 2.0 * math.pi)
+    return abs(phase) <= _PHASE_ATOL or abs(abs(phase) - math.pi) <= _PHASE_ATOL
+
+
+def classify_regime(p: IonParams, thresholds: RegimeThresholds | None = None) -> Regime:
+    """Classify the coupling regime of the engineered Rabi model.
+
+    Uses g = eta*nu/2 and ratio thresholds only, so the label is invariant
+    under a common rescaling of nu and Omega. Precedence: deep-strong,
+    decoupling (nu >> g >> 2*Omega, which can sit exactly on the
+    ultrastrong onset), ultrastrong, sideband resonance (nu = 2*Omega; the
+    laser phase selects the JC or AJC branch), dispersive, unclassified.
+    """
+    t = thresholds or RegimeThresholds()
+    g = p.eta * p.nu / 2.0
+    if g / p.nu >= 1.0:
+        return Regime.DEEP_STRONG
+    if g > 0 and p.nu >= t.ordering_factor * g and g >= t.ordering_factor * 2.0 * p.Omega:
+        return Regime.DECOUPLING
+    if g / p.nu >= t.ultrastrong_onset:
+        return Regime.ULTRASTRONG
+    if is_sideband_resonant(p):
+        if g / p.nu < t.resonant_max_g_ratio:
+            phase = math.remainder(p.phi_l, 2.0 * math.pi)
+            if abs(abs(phase) - math.pi) <= 1e-9:
+                return Regime.AJC_RESONANT
+            return Regime.JC_RESONANT
+    scales = min(p.nu, 2.0 * p.Omega, abs(2.0 * p.Omega - p.nu), 2.0 * p.Omega + p.nu)
+    if g < t.dispersive_factor * scales:
+        return Regime.DISPERSIVE
+    return Regime.UNCLASSIFIED

@@ -179,6 +179,29 @@ def test_include_constant_off_qrm_is_one_config_error(command, hamiltonian, mess
 
 _FORMAT_RULE = "format applies only to command = build or verify or evolve or scan or all-checks"
 
+# (command, builder, parameter): a nonzero value the builder would drop without a word
+_DROPPED = [
+    ("build", "lamb-dicke", "delta"), ("build", "rabi-rotated", "delta"),
+    ("build", "jc", "delta"), ("build", "ajc", "delta"), ("build", "qrm", "delta"),
+    ("build", "dispersive", "delta"), ("build", "zero", "delta"),
+    ("evolve", "jc", "phi_l"), ("evolve", "ajc", "phi_l"), ("evolve", "qrm", "phi_l"),
+    ("evolve", "qrm-detuned", "phi_l"), ("evolve", "dispersive", "phi_l"),
+    ("evolve", "zero", "phi_l"),
+    ("scan", "resonant", "delta"), ("scan", "jc", "phi_l"),
+]
+
+
+def _builder_args(command, builder):
+    if command == "scan":
+        return ["--set", "scan.kind=truncation", "--set", f"scan.builder={builder}"]
+    return ["--set", f"{command}.hamiltonian={builder}"]
+
+
+def _dropped_case(command, builder, param):
+    value = "0.4" if param == "delta" else "0.7"
+    return (command, [*_builder_args(command, builder), "--set", f"{param}={value}"],
+            f"constraint violation: {builder} requires {param} = 0")
+
 
 @pytest.mark.parametrize(
     "command, extra, message",
@@ -199,9 +222,13 @@ _FORMAT_RULE = "format applies only to command = build or verify or evolve or sc
          "scan.etas applies only to scan.kind = dispersive or lamb-dicke"),
         ("scan", ["--set", "scan.kind=lamb-dicke", "--set", "scan.k_lowest=4"],
          "scan.k_lowest applies only to scan.kind = dispersive or truncation"),
+        ("scan", [*_builder_args("scan", "rabi-rotated"), "--set", "phi_l=0.7"],
+         "constraint violation: rabi-rotated requires phi_l in {0, pi}"),
+        *(_dropped_case(*case) for case in _DROPPED),
     ],
     ids=["evolve.alpha", "evolve.fock", "scan.n_list", "scan.builder", "verify.fock",
-         "format", "--format", "scan.etas", "scan.k_lowest"],
+         "format", "--format", "scan.etas", "scan.k_lowest", "scan-rabi-rotated-phi_l",
+         *("-".join(case) for case in _DROPPED)],
 )
 def test_key_the_run_would_not_read_is_one_config_error(command, extra, message, capsys):
     args = [command, "--set", "Omega=0.7", "--set", "eta=0.3", *extra]
@@ -286,13 +313,13 @@ def test_all_checks_exits_zero_and_lists_reports(tmp_path, capsys):
 
 def test_all_checks_nonzero_when_a_check_fails(tmp_path, capsys, monkeypatch):
     # a failing report must flip the exit code, so fake one
-    import ionqrm.cli as cli
+    import ionqrm.analysis as analysis
     from ionqrm.analysis import VerificationReport
 
     def fake_checks(trunc, seed, tol):
         return [VerificationReport(name="stub", passed=False, tolerance=0.0)]
 
-    monkeypatch.setattr(cli.analysis, "run_all_checks", fake_checks)
+    monkeypatch.setattr(analysis, "run_all_checks", fake_checks)
     code, out, _ = run_cli(["all-checks", "--set", "Omega=0.7", "--set", "eta=0.3"], capsys)
     assert code == EXIT_CHECKS_FAILED
     assert json.loads(out)["passed"] is False
@@ -343,22 +370,26 @@ def test_module_entry_point_smoke(src_env):
     assert proc.stdout.splitlines()[0] == "deep-strong"
 
 
-# Runs CLI commands in one fresh interpreter and prints, as JSON, the scipy
-# modules loaded after the import and after each command (by its label).
+# Runs CLI commands in one fresh interpreter and prints, as JSON, the exit code
+# and the scipy and numpy modules loaded after the import and after each
+# command (by its label).
 _COLD_CHILD = """
 import contextlib, io, json, sys
 import ionqrm
+
+def loaded(code=None):
+    seen = {"exit": code}
+    for family in ("scipy", "numpy"):
+        seen[family] = sorted(k for k in sys.modules
+                              if k == family or k.startswith(family + "."))
+    return seen
+
+seen = {"import ionqrm": loaded()}
 from ionqrm.cli import main
-
-def scipy_modules():
-    return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
-
-seen = {"import ionqrm": scipy_modules()}
 for label, argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    assert code == 0, (label, code)
-    seen[label] = scipy_modules()
+    seen[label] = loaded(code)
 print(json.dumps(seen))
 """
 
@@ -392,7 +423,43 @@ def test_import_and_cheap_commands_never_load_scipy(src_env):
                                              "--set", f"verify.check={check}"]))
     seen = _run_cold(commands, src_env)
     assert list(seen) == ["import ionqrm"] + [label for label, _ in commands]
-    assert {label: mods for label, mods in seen.items() if mods} == {}
+    assert {label: run["exit"] for label, run in seen.items()} == {
+        "import ionqrm": None, **{label: EXIT_OK for label, _ in commands}}
+    assert {label: run["scipy"] for label, run in seen.items() if run["scipy"]} == {}
+
+
+def test_import_and_regime_never_load_numpy(src_env, tmp_path):
+    base = ["regime", "--set", "Omega=0.5", "--set", "eta=0.02"]
+    commands = [
+        ("regime", base),
+        ("regime --out", [*base, "--out", str(tmp_path / "regime.txt")]),
+        ("regime error record", ["regime", "--set", "Omega=-1", "--set", "eta=0.02"]),
+    ]
+    seen = _run_cold(commands, src_env)
+    assert {label: run["exit"] for label, run in seen.items()} == {
+        "import ionqrm": None, "regime": EXIT_OK, "regime --out": EXIT_OK,
+        "regime error record": EXIT_ERROR}
+    assert (tmp_path / "regime.txt").read_text().startswith("JC-resonant\n")
+    assert {label: run["numpy"] for label, run in seen.items() if run["numpy"]} == {}
+
+
+def test_module_entry_point_regime_never_loads_numpy(src_env):
+    # what `python -m ionqrm regime ...` runs, with sys.modules visible afterwards
+    child = (
+        "import contextlib, io, runpy, sys\n"
+        "sys.argv = ['ionqrm', 'regime', '--set', 'Omega=1.0', '--set', 'eta=2.5']\n"
+        "out = io.StringIO()\n"
+        "try:\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        runpy.run_module('ionqrm', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, out.getvalue().splitlines()[0], 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=src_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(EXIT_OK), "deep-strong", "False"]
 
 
 def test_scipy_users_resolve_their_lazy_imports(src_env):
@@ -401,8 +468,9 @@ def test_scipy_users_resolve_their_lazy_imports(src_env):
     seen = _run_cold([("verify jc-rabi", ["verify", *jc]),
                       ("verify rotation", ["verify", *rotation])], src_env)
     # both commands exited 0 in the child, so their function-local imports resolved
-    assert seen["import ionqrm"] == []
-    assert "scipy.linalg" in seen["verify jc-rabi"]
+    assert [run["exit"] for run in seen.values()] == [None, EXIT_OK, EXIT_OK]
+    assert seen["import ionqrm"]["scipy"] == []
+    assert "scipy.linalg" in seen["verify jc-rabi"]["scipy"]
 
     oracle = (
         "import sys\n"

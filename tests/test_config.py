@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ionqrm import ConfigError, emit_config, parse_config
-from ionqrm.config import KEYS
+from ionqrm import (HAMILTONIAN_BUILDERS, ConfigError, IonParams, TruncationSpec, emit_config,
+                    parse_config)
+from ionqrm.config import BUILDER_READS, KEYS
 
 
 def test_minimal_document_gets_defaults():
@@ -269,3 +270,36 @@ def test_every_key_is_documented_in_readme():
     rows = [line.split("|")[1] for line in table.splitlines()[2:]]
     restricted = [key for key, spec in KEYS.items() if spec.only_if is not None]
     assert [key for key in restricted if not any(f"`{key}`" in row for row in rows)] == []
+
+
+# a nonzero value of each parameter BUILDER_READS governs
+_NONZERO = {"delta": 0.4, "phi_l": 0.7}
+
+
+def test_builder_reads_names_every_builder_and_only_delta_or_phi_l():
+    assert sorted(BUILDER_READS) == sorted(HAMILTONIAN_BUILDERS)
+    assert {p for reads in BUILDER_READS.values() for p in reads} <= set(_NONZERO)
+
+
+def _build_or_reject(name: str, **params):
+    """The builder's matrix, or None when the builder itself rejects the parameters."""
+    try:
+        return HAMILTONIAN_BUILDERS[name](IonParams(Omega=0.35, eta=0.11, **params),
+                                          TruncationSpec(8))
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("param", list(_NONZERO))
+@pytest.mark.parametrize("name", sorted(HAMILTONIAN_BUILDERS))
+def test_builder_reads_matches_what_each_builder_reads(name, param):
+    base = _build_or_reject(name)
+    assert base is not None
+    h = _build_or_reject(name, **{param: _NONZERO[param]})
+    if param in BUILDER_READS[name]:
+        # the value changes the matrix, or the builder's own precondition rejects it
+        assert h is None or not np.array_equal(h, base)
+    else:
+        # the builder drops the value (or rejects it itself), so the configuration must
+        # reject it
+        assert h is None or np.array_equal(h, base)

@@ -1,0 +1,85 @@
+"""Tests of the lazily resolved ``ionqrm`` package namespace."""
+import importlib
+import inspect
+import subprocess
+import sys
+
+import pytest
+
+import ionqrm
+
+# every public name of the package, as it was when __init__ imported each module
+PUBLIC_NAMES = [
+    "ConfigError", "DEFAULT_TOLERANCES", "DEFAULT_TRUNC", "DerivedCouplings",
+    "EvolutionResult", "HAMILTONIAN_BUILDERS", "IonParams", "Regime", "RegimeThresholds",
+    "ResonancePoleError", "RunConfig", "Spin", "Tolerances", "TruncationSpec",
+    "VerificationReport", "ajc_dynamics_check", "annihilation", "chi_identity_check",
+    "classify_regime", "coherent_state", "commutator", "creation", "dagger",
+    "derived_couplings", "dispersive_error_scan", "displacement", "displacement_generator",
+    "displacement_laguerre", "dominant_frequency", "emit_config", "expectation", "fidelity",
+    "fock_state", "guard_necessity_check", "h_ajc", "h_dispersive", "h_jc", "h_lamb_dicke",
+    "h_qrm", "h_qrm_detuned", "h_rabi_rotated", "h_resonant", "interior_block",
+    "is_hermitian", "is_unitary", "jc_rabi_experiment", "lamb_dicke_remainder_scan",
+    "number_op", "operator_algebra_check", "osc_identity", "parse_config", "pauli",
+    "propagate", "propagator_conservation_check", "qrm_conjugate", "qrm_transform",
+    "qrm_transform_check", "qrm_transform_property", "regime_check", "rotation_diagnostic",
+    "rotation_diagnostic_check", "run_all_checks", "sigma_y", "small_rotation",
+    "speed_comparison", "spin_tensor_osc", "truncation_convergence", "unitary_expm",
+    "y_rotation",
+]
+
+
+def test_public_names_are_unchanged():
+    assert len(PUBLIC_NAMES) == 69
+    assert sorted(ionqrm.__all__) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(ionqrm))
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_each_name_is_the_object_of_its_home_module(name):
+    home = importlib.import_module(f"ionqrm.{ionqrm._HOME[name]}")
+    value = getattr(ionqrm, name)
+    assert value is getattr(home, name)
+    if inspect.isfunction(value) or inspect.isclass(value):
+        assert value.__module__ == home.__name__  # defined there, not imported
+
+
+def test_scalar_definitions_live_only_in_params():
+    import ionqrm.algebra
+    import ionqrm.analysis
+    import ionqrm.models
+    import ionqrm.params
+
+    assert ionqrm.IonParams is ionqrm.params.IonParams is ionqrm.models.IonParams
+    assert ionqrm.classify_regime is ionqrm.params.classify_regime \
+        is ionqrm.models.classify_regime
+    assert ionqrm.TruncationSpec is ionqrm.params.TruncationSpec \
+        is ionqrm.algebra.TruncationSpec
+    assert ionqrm.DEFAULT_TRUNC is ionqrm.params.DEFAULT_TRUNC is ionqrm.algebra.DEFAULT_TRUNC
+    assert ionqrm.Tolerances is ionqrm.params.Tolerances is ionqrm.analysis.Tolerances
+    assert ionqrm.params.DEFAULT_SEED == ionqrm.analysis.DEFAULT_SEED == 2024
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from ionqrm import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
+    assert namespace["h_jc"] is ionqrm.models.h_jc
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'h_missing'"):
+        ionqrm.h_missing  # noqa: B018 - the lookup is the test
+    assert not hasattr(ionqrm, "IonParam")
+
+
+def test_submodule_is_an_attribute_after_a_bare_import(src_env):
+    child = (
+        "import sys, ionqrm\n"
+        "assert 'ionqrm.models' not in sys.modules\n"
+        "print(ionqrm.models.IonParams is ionqrm.IonParams is ionqrm.params.IonParams)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=src_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
