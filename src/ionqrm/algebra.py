@@ -30,12 +30,16 @@ The displacement operator has one production construction and two oracles:
 
 The checks compare all three.
 
+The Fock-parity gauge P = diag(i^n) is defined once, by :func:`fock_gauge`:
+it writes P H P^dagger as a real array when that is exact, for the
+real-arithmetic eigensolver in ``dynamics`` and the transform identity in
+``models``.
+
 ``import ionqrm`` loads nothing heavy: the package resolves each public name
-on first use, and the ``regime`` command never loads numpy. The Laguerre
-oracle imports ``scipy.special`` on first use, and so does
-``models.y_rotation`` with ``scipy.linalg``. Of the CLI commands only
-``all-checks`` and ``verify`` with the ``jc-rabi`` or ``rotation`` check
-load scipy.
+on first use, and the ``regime`` command never loads numpy. Only the
+Laguerre oracle loads scipy: it imports ``scipy.special`` on first use, so
+of the CLI commands only ``all-checks`` loads scipy, and none loads
+``scipy.linalg``.
 """
 from __future__ import annotations
 
@@ -196,8 +200,10 @@ def displacement(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     D(i*r) has the exact Fock parity of the infinite-dimensional operator:
     <m|D(i*r)|n> is real where m - n is even and imaginary where it is odd,
     with the other part exactly zero, not rounding noise. So i^(m-n) D_mn is
-    exactly real, which lets :func:`~ionqrm.dynamics.block_eigh` treat the
-    resonant Hamiltonian as a real symmetric matrix.
+    exactly real (:func:`fock_gauge`), which lets
+    :func:`~ionqrm.dynamics.block_eigh` treat the resonant Hamiltonian as a
+    real symmetric matrix and :func:`~ionqrm.models.qrm_conjugate` run the
+    transform identity in real arithmetic.
     """
     alpha = complex(alpha)
     x, v = displacement_basis(trunc.n_max)
@@ -241,19 +247,14 @@ def displacement_laguerre(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     # local import: only this oracle needs scipy, so `import ionqrm` stays numpy-only
     from scipy.special import eval_genlaguerre, gammaln
 
-    n_max = trunc.n_max
+    m = np.arange(trunc.n_max)[:, None]
+    n = np.arange(trunc.n_max)[None, :]
+    lo, hi = np.minimum(m, n), np.maximum(m, n)
     aa = abs(alpha) ** 2
-    out = np.zeros((n_max, n_max), dtype=complex)
-    m_idx = np.arange(n_max)
-    for n in range(n_max):
-        # upper-left to diagonal: rows m >= n
-        rows = m_idx[n:]
-        pref = np.exp(0.5 * (gammaln(n + 1) - gammaln(rows + 1)) - aa / 2.0)
-        out[rows, n] = pref * alpha ** (rows - n) * eval_genlaguerre(n, rows - n, aa)
-        rows = m_idx[:n]
-        pref = np.exp(0.5 * (gammaln(rows + 1) - gammaln(n + 1)) - aa / 2.0)
-        out[rows, n] = pref * (-np.conj(alpha)) ** (n - rows) * eval_genlaguerre(rows, n - rows, aa)
-    return out
+    # on and below the diagonal (m >= n) the base is alpha, above it -conj(alpha)
+    base = np.where(m >= n, complex(alpha), -np.conj(alpha))
+    pref = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)) - aa / 2.0)
+    return pref * base ** (hi - lo) * eval_genlaguerre(lo, hi - lo, aa)
 
 
 def spin_tensor_osc(s: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -288,3 +289,51 @@ def interior_block(a: np.ndarray, trunc: TruncationSpec) -> np.ndarray:
         f"matrix dimension {a.shape[0]} matches neither n_max={trunc.n_max} "
         f"nor 2*n_max={2 * trunc.n_max}"
     )
+
+
+def _gauge_is_real(h: np.ndarray, n_osc: int) -> bool:
+    """Whether h is exactly real for even m - n and imaginary for odd m - n (see fock_gauge)."""
+    dim = h.shape[0]
+    # axis 4 of the float view splits each entry into (Re, Im)
+    nz = (h.view(np.float64) != 0).reshape((dim // n_osc, n_osc) * 2 + (2,))
+    parts = ((0, 0, 1), (1, 1, 1), (0, 1, 0), (1, 0, 0))  # (row parity, column parity, Re/Im)
+    return not any(nz[:, a::2, :, b::2, c].any() for a, b, c in parts)
+
+
+def fock_gauge(
+    h: np.ndarray, n_osc: int, blocks: list[np.ndarray] | None = None
+) -> np.ndarray | list[np.ndarray] | None:
+    """P h P^dagger for the Fock-parity gauge P = diag(i^n), or None when it is not exactly real.
+
+    Index k of h has Fock index k mod n_osc: pass n_osc = dim(h) for an
+    oscillator operator, and dim(h)/2 for a composite one, where P acts on
+    both spin blocks. Entry (k, l) of P h P^dagger is i^(m-n) h_kl for the
+    Fock indices m, n of k and l. It is exactly real when h_kl is real for
+    even m - n and imaginary for odd m - n; the test reads exact zeros, not a
+    tolerance. D(i*r) passes it (see :func:`displacement`), and so does every
+    builder at phi_l = 0.
+
+    Returns the real matrix P h P^dagger. With ``blocks``, a list of (k, s)
+    arrays of indices (ascending within each row), it returns instead the
+    stacked (k, s, s) real blocks at those indices, one array per entry, and
+    forms nothing else.
+    """
+    h = np.ascontiguousarray(h, dtype=complex)
+    dim = h.shape[0]
+    if h.shape != (dim, dim) or n_osc < 1 or dim % n_osc:
+        raise ValueError(f"h must be square with a multiple of {n_osc} rows, got {h.shape}")
+    if not _gauge_is_real(h, n_osc):
+        return None
+    # i^(m-n) h_kl = t_k t_l (re h_kl + s_k im h_kl), t_k = (-1)^(m//2), s_k = (-1)^m
+    n = np.arange(dim) % n_osc
+    t = np.where(n % 4 < 2, 1.0, -1.0)
+    ts = np.where(n % 2, -t, t)
+    out = []
+    for idx in [np.arange(dim)[None]] if blocks is None else blocks:
+        # one block spanning h is h itself: no copy
+        sub = h[None] if idx.shape[1] == dim else h[idx[:, :, None], idx[:, None, :]]
+        real = sub.imag * ts[idx][:, :, None]
+        real += sub.real * t[idx][:, :, None]
+        real *= t[idx][:, None, :]
+        out.append(real)
+    return out[0][0] if blocks is None else out

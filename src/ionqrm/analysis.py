@@ -19,6 +19,7 @@ from .algebra import (
     displacement,
     displacement_generator,
     displacement_laguerre,
+    fock_gauge,
     interior_block,
     osc_identity,
     spin_tensor_osc,
@@ -194,6 +195,12 @@ def qrm_transform_check(
     Builds Delta = interior(T H T^dag) - interior(H_rabi + constant) and
     passes iff its Frobenius norm is below spectral_tol * interior_dim.
     Requires phi_l = 0 and delta = 0.
+
+    Both sides are taken in the Fock-parity gauge P = diag(i^n)
+    (:func:`~ionqrm.algebra.fock_gauge`), where they are exactly real, so the
+    comparison runs in real arithmetic. P is diagonal and unitary: Delta's
+    Frobenius norm, largest entry and diagonal are those of the ungauged
+    difference, up to rounding.
     """
     if p.phi_l != 0.0:
         raise ValueError("qrm_transform_check requires phi_l = 0")
@@ -201,7 +208,8 @@ def qrm_transform_check(
         raise ValueError("qrm_transform_check requires delta = 0")
     transformed = qrm_conjugate(h_resonant(p, trunc), p.eta, trunc)
     constant = p.nu * p.eta**2 / 4.0
-    shift = interior_block(transformed, trunc) - interior_block(h_qrm(p, trunc), trunc)
+    rabi = fock_gauge(interior_block(h_qrm(p, trunc), trunc), trunc.interior_dim)
+    shift = transformed - rabi
     delta = shift - constant * np.eye(shift.shape[0])
     diag_dev = float(np.max(np.abs(np.diag(shift) - constant)))
     norm = _frobenius(delta)

@@ -11,8 +11,10 @@ errors, not warnings, because a silent typo in a physics parameter is the
 costliest failure mode. Command-scoped keys (``build.*``, ``evolve.*``,
 ``scan.*``, ``verify.*``, ``regime.*``) may only be set when ``command``
 selects that section, and a key with an ``only_if`` rule only where a field
-of its section takes one of the rule's values (``evolve.alpha`` needs
-``evolve.state = coherent``, ``format`` a command other than ``regime``).
+of its section takes one of the rule's values, or is unset where the rule
+says so (``evolve.alpha`` needs ``evolve.state = coherent``, ``format`` a
+command other than ``regime``, ``evolve.t_max`` and ``evolve.samples`` an
+unset ``evolve.times``).
 A nonzero ``delta`` or ``phi_l`` is an error for a Hamiltonian builder that
 does not read it (:data:`BUILDER_READS`), in ``build``, ``evolve`` and
 ``scan.kind = truncation``.
@@ -86,6 +88,14 @@ class EvolveSpec:
     t_max: float = 10.0
     samples: int = 201
     times: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        # checked here, with the section, so a bad value is reported as such
+        # before the rule that t_max and samples apply only without times
+        if self.t_max <= 0:
+            raise ValueError("evolve.t_max > 0")
+        if self.samples < 2:
+            raise ValueError("evolve.samples >= 2")
 
 
 @dataclass(frozen=True)
@@ -171,7 +181,8 @@ class _Key(NamedTuple):
     field: str
     parse: Callable[[str], object]
     choices: tuple[str, ...] = ()
-    only_if: tuple[str, tuple[str, ...]] | None = None  # (section field, values it applies to)
+    # (section field, the values it applies to); a value None stands for "field unset"
+    only_if: tuple[str, tuple[str | None, ...]] | None = None
 
     def applies_to(self, section) -> bool:
         return self.only_if is None or getattr(section, self.only_if[0]) in self.only_if[1]
@@ -180,6 +191,7 @@ class _Key(NamedTuple):
 _FLOATS = partial(_parse_list, item=_parse_float)
 _INTS = partial(_parse_list, item=_parse_int)
 _TRUNCATION_ONLY = ("kind", ("truncation",))
+_WITHOUT_TIMES = ("times", (None,))  # an explicit grid replaces t_max and samples
 
 #: Every configuration key, in the order emit_config writes them.
 KEYS: dict[str, _Key] = {
@@ -207,8 +219,8 @@ KEYS: dict[str, _Key] = {
     "evolve.spin": _Key("evolve", "spin", str, ("e", "g")),
     "evolve.fock": _Key("evolve", "fock", _parse_int, only_if=("state", ("fock",))),
     "evolve.alpha": _Key("evolve", "alpha", _parse_complex, only_if=("state", ("coherent",))),
-    "evolve.t_max": _Key("evolve", "t_max", _parse_float),
-    "evolve.samples": _Key("evolve", "samples", _parse_int),
+    "evolve.t_max": _Key("evolve", "t_max", _parse_float, only_if=_WITHOUT_TIMES),
+    "evolve.samples": _Key("evolve", "samples", _parse_int, only_if=_WITHOUT_TIMES),
     "evolve.times": _Key("evolve", "times", _FLOATS),
     "scan.kind": _Key("scan", "kind", str, SCAN_KINDS),
     "scan.etas": _Key("scan", "etas", _FLOATS, only_if=("kind", ("dispersive", "lamb-dicke"))),
@@ -333,8 +345,9 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
         for key, spec in group:
             if not spec.applies_to(section):
                 field, allowed = spec.only_if
+                values = " or ".join("unset" if v is None else v for v in allowed)
                 raise ConfigError(
-                    f"{key} applies only to {prefix}{field} = {' or '.join(allowed)}", lines[key]
+                    f"{key} applies only to {prefix}{field} = {values}", lines[key]
                 )
 
     config = RunConfig(**fields)
@@ -355,10 +368,6 @@ def _validate(config: RunConfig) -> None:
         times = c.evolve.times or ()
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError("constraint violation: evolve.times strictly increasing")
-        if c.evolve.t_max <= 0:
-            raise ConfigError("constraint violation: evolve.t_max > 0")
-        if c.evolve.samples < 2:
-            raise ConfigError("constraint violation: evolve.samples >= 2")
         _builder_preconditions(c.evolve.hamiltonian, c)
     elif c.command == "build":
         if c.format != "json":
@@ -438,7 +447,8 @@ def emit_config(config: RunConfig) -> str:
     written, and no unset optional key (``out``, ``evolve.times``) or key
     whose ``only_if`` rule fails (``format`` for ``regime``,
     ``build.include_constant`` off ``qrm``, ``evolve.alpha`` for a Fock
-    start, ``scan.etas`` for ``scan.kind = truncation``, ...);
+    start, ``scan.etas`` for ``scan.kind = truncation``, ``evolve.t_max``
+    with ``evolve.times`` set, ...);
     ``parse_config(emit_config(c)) == c`` for every valid config.
     """
     out = []

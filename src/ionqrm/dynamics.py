@@ -15,9 +15,10 @@ so the result is the dense decomposition up to rounding.
   diagonal dispersive model. Same-size blocks share one stacked
   ``np.linalg.eigh`` call; 1x1 blocks need none.
 * Gauge. With the Fock phase P = diag(i^n) on both spin blocks, when every
-  entry of P H P^dagger is exactly real the blocks are diagonalized as real
-  symmetric matrices, and the eigenvectors map back with P^dagger. The
-  builders at phi_l = 0 all pass this test.
+  entry of P H P^dagger is exactly real (:func:`~ionqrm.algebra.fock_gauge`)
+  the blocks are diagonalized as real symmetric matrices, and the
+  eigenvectors map back with P^dagger. The builders at phi_l = 0 all pass
+  this test.
 
 The residual bound of a dense decomposition stays: ||H V - V W||_F summed
 over the blocks must be below 1e-9 ||H||_F. Entries of H between blocks are
@@ -34,7 +35,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .algebra import TruncationSpec, displacement
+from .algebra import TruncationSpec, displacement, fock_gauge
 
 _HERMITIAN_TOL = 1e-10
 _NORM_TOL = 1e-10
@@ -126,19 +127,6 @@ class BlockEigensystem:
         return np.sort(np.concatenate([w.ravel() for _, w, _ in self.groups]))
 
 
-def _gauge_is_real(re_nz: np.ndarray, im_nz: np.ndarray) -> bool:
-    """Whether P H P^dagger, P = diag(i^n) on both spin blocks, is exactly real.
-
-    Its entries are i^(m-n) h_mn (Fock indices m, n): real exactly when h_mn
-    is real for even m - n and imaginary for odd m - n. Reads the exact
-    nonzero patterns of Re H and Im H.
-    """
-    shape = (2, re_nz.shape[0] // 2) * 2
-    re4, im4 = re_nz.reshape(shape), im_nz.reshape(shape)
-    parts = ((im4, 0, 0), (im4, 1, 1), (re4, 0, 1), (re4, 1, 0))
-    return not any(part[:, a::2, :, b::2].any() for part, a, b in parts)
-
-
 def _block_labels(nz: np.ndarray) -> np.ndarray:
     """Connected-component label of each index of a nonzero pattern.
 
@@ -202,33 +190,28 @@ def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
         raise ValueError(f"H must be square with even dimension, got shape {h.shape}")
     # one pass over (re, im) pairs: columns 2j and 2j+1 hold Re and Im of column j;
     # read as one uint16, a pair of flags is nonzero exactly where h is
-    part_nz = h.view(np.float64) != 0
-    gauge = None
-    if _gauge_is_real(part_nz[:, ::2], part_nz[:, 1::2]):
-        n = np.arange(dim) % (dim // 2)
-        gauge = _I_POWERS[n % 4]
-        # i^(m-n) h_mn = t_m t_n (re h_mn + s_m im h_mn), t_n = (-1)^(n//2), s_n = (-1)^n
-        t = np.where(n % 4 < 2, 1.0, -1.0)
-        ts = np.where(n % 2, -t, t)
+    nonzero = (h.view(np.float64) != 0).view(np.uint16) != 0
+    blocks = _blocks_by_size(_block_labels(nonzero))
+    # a 1x1 block is real in any gauge; only the larger ones are mapped
+    gauged = fock_gauge(h, dim // 2, [idx for idx in blocks if idx.shape[1] > 1])
+    gauge = None if gauged is None else _I_POWERS[np.arange(dim) % (dim // 2) % 4]
+    gauged = iter(gauged or ())
     groups = []
     residual_sq = 0.0
-    for idx in _blocks_by_size(_block_labels(part_nz.view(np.uint16) != 0)):
+    for idx in blocks:
         k, s = idx.shape
-        # one block spanning H is H itself: no copy
-        sub = h[None] if s == dim else h[idx[:, :, None], idx[:, None, :]]
+        if gauge is not None and s > 1:
+            sub = next(gauged)
+        else:
+            # one block spanning H is H itself: no copy
+            sub = h[None] if s == dim else h[idx[:, :, None], idx[:, None, :]]
         if s == 1:
             w = sub[:, :, 0].real
             v = np.ones((k, 1, 1)) if vectors else None
+        elif vectors:
+            w, v = np.linalg.eigh(sub)
         else:
-            if gauge is not None:
-                real = sub.imag * ts[idx][:, :, None]
-                real += sub.real * t[idx][:, :, None]
-                real *= t[idx][:, None, :]
-                sub = real
-            if vectors:
-                w, v = np.linalg.eigh(sub)
-            else:
-                w, v = np.linalg.eigvalsh(sub), None
+            w, v = np.linalg.eigvalsh(sub), None
         if vectors:
             residual_sq += float(np.linalg.norm(sub @ v - v * w[:, None, :])) ** 2
         groups.append((idx, w, v))

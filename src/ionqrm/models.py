@@ -7,6 +7,7 @@ frequency and time is measured in its inverse.
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -14,12 +15,13 @@ import numpy as np
 from .algebra import (
     Spin,
     annihilation,
+    displacement,
+    fock_gauge,
     number_op,
     osc_identity,
     pauli,
     sigma_y,
     spin_tensor_osc,
-    displacement,
 )
 from .params import (  # noqa: F401 - the scalar definitions are re-exported from here
     DerivedCouplings,
@@ -40,17 +42,21 @@ def h_resonant(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
 
     H = nu*n + Omega*[e^(i*phi_l) sigma_+ D(i*eta) + e^(-i*phi_l) sigma_- D^dag(i*eta)]
 
-    Exact in the Lamb-Dicke parameter; requires delta = 0.
+    Exact in the Lamb-Dicke parameter; requires delta = 0. Each spin block
+    is written once into one array (block (0, 1) is Omega e^(i*phi_l) D, the
+    diagonal nu*n), so no 2n x 2n term is formed and summed.
     """
     if p.delta != 0.0:
         raise ValueError("h_resonant requires delta = 0 (resonant condition)")
-    n = number_op(trunc)
+    n = trunc.n_max
     disp = displacement(1j * p.eta, trunc)
-    return (
-        p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), n)
-        + p.Omega * np.exp(1j * p.phi_l) * spin_tensor_osc(pauli(Spin.PLUS), disp)
-        + p.Omega * np.exp(-1j * p.phi_l) * spin_tensor_osc(pauli(Spin.MINUS), disp.conj().T)
-    )
+    h = np.zeros((2 * n, 2 * n), dtype=complex)
+    h[:n, n:] = p.Omega * np.exp(1j * p.phi_l) * disp
+    h[n:, :n] = p.Omega * np.exp(-1j * p.phi_l) * disp.conj().T
+    np.fill_diagonal(h, p.nu * np.tile(np.arange(n, dtype=float), 2))
+    # a product leaves -0.0 where an entry vanishes, and build prints every entry
+    h += 0.0
+    return h
 
 
 def h_lamb_dicke(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
@@ -82,11 +88,16 @@ def y_rotation(convention: str = "standard") -> np.ndarray:
     while leaving sigma_+ - sigma_- invariant. The "alt" convention
     exponentiates the non-Hermitian i*sigma_- - sigma_+ literally, which is
     not unitary; it is kept for the rotation diagnostics.
-    """
-    # local import: only this 2x2 rotation needs scipy, so `import ionqrm` stays numpy-only
-    from scipy.linalg import expm
 
-    return expm(1j * (np.pi / 4.0) * sigma_y(convention))
+    Closed form, no matrix exponential: under both conventions the exponent
+    x = i*(pi/4)*sigma_y has a zero diagonal, so x @ x = c*1 with
+    c = x_01 x_10, and exp(x) = cosh(sqrt(c))*1 + (sinh(sqrt(c))/sqrt(c))*x.
+    The standard result equals ``scipy.linalg.expm`` bit for bit; "alt"
+    agrees with it to within 3e-16.
+    """
+    x = 1j * (np.pi / 4.0) * sigma_y(convention)
+    root = cmath.sqrt(x[0, 1] * x[1, 0])
+    return cmath.cosh(root) * np.eye(2) + (cmath.sinh(root) / root) * x
 
 
 def h_rabi_rotated(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
@@ -142,7 +153,8 @@ def qrm_transform(eta: float, trunc: TruncationSpec) -> np.ndarray:
 
     Built from the cached-basis :func:`~ionqrm.algebra.displacement`, so T is
     exactly unitary on the truncated space. :func:`qrm_conjugate` computes
-    T H T^dag without forming T.
+    the interior of T H T^dag in the Fock-parity gauge without forming T;
+    this dense form is its test oracle.
     """
     half = displacement(1j * eta / 2.0, trunc)
     half_dag = half.conj().T
@@ -152,29 +164,40 @@ def qrm_transform(eta: float, trunc: TruncationSpec) -> np.ndarray:
 
 
 def qrm_conjugate(h: np.ndarray, eta: float, trunc: TruncationSpec) -> np.ndarray:
-    """T H T^dag for T = :func:`qrm_transform` (eta, trunc), computed blockwise.
+    """Interior of P T H T^dag P^dag, T = :func:`qrm_transform` (eta, trunc), in real arithmetic.
 
-    With B = D(i*eta/2), A = B^dag and s = (+1, -1), block (i, j) of the
-    result is
+    P = diag(i^n) on both spin blocks is the Fock-parity gauge of
+    :func:`~ionqrm.algebra.fock_gauge`. H must be exactly real in it (every
+    builder at phi_l = 0 is), else ValueError; D(i*eta/2) always is. With
+    G = P H P^dag, b = P D(i*eta/2) P^dag (real, so P D^dag P^dag = b^T) and
+    s = (+1, -1), block (i, j) of the result is
 
-        (1/2) * (s_i s_j A H00 A^dag + s_i A H01 B^dag + s_j B H10 A^dag + B H11 B^dag)
+        (1/2) * (s_i s_j b^T G00 b + s_i b^T G01 b^T + s_j b G10 b + b G11 b^T)
 
-    which takes eight n_max-sized products instead of two 2*n_max-sized ones.
+    restricted to the interior rows and columns (Fock index below
+    n_max - guard) of each spin block, the layout of
+    :func:`~ionqrm.algebra.interior_block`: eight real products, none larger
+    than n_max. Returns a real 2k x 2k array, k = ``trunc.interior_dim``.
+    The dense :func:`qrm_transform` is its test oracle.
     """
-    n = trunc.n_max
+    n, k = trunc.n_max, trunc.interior_dim
     if h.shape != (2 * n, 2 * n):
         raise ValueError(f"H must be {2 * n}x{2 * n}, got {h.shape}")
-    b = displacement(1j * eta / 2.0, trunc)
-    a = b.conj().T
-    p00 = a @ h[:n, :n] @ b
-    p01 = a @ h[:n, n:] @ a
-    p10 = b @ h[n:, :n] @ b
-    p11 = b @ h[n:, n:] @ a
-    out = np.empty((2 * n, 2 * n), dtype=complex)
-    out[:n, :n] = p00 + p01 + p10 + p11
-    out[:n, n:] = -p00 + p01 - p10 + p11
-    out[n:, :n] = -p00 - p01 + p10 + p11
-    out[n:, n:] = p00 - p01 - p10 + p11
+    g = fock_gauge(h, n)
+    if g is None:
+        raise ValueError("H is not exactly real in the Fock-parity gauge diag(i^n)")
+    b = fock_gauge(displacement(1j * eta / 2.0, trunc), n)
+    bt = b.T
+    # only interior rows of a left factor and interior columns of a right one are kept
+    p00 = bt[:k] @ g[:n, :n] @ b[:, :k]
+    p01 = bt[:k] @ g[:n, n:] @ bt[:, :k]
+    p10 = b[:k] @ g[n:, :n] @ b[:, :k]
+    p11 = b[:k] @ g[n:, n:] @ bt[:, :k]
+    out = np.empty((2 * k, 2 * k))
+    out[:k, :k] = p00 + p01 + p10 + p11
+    out[:k, k:] = -p00 + p01 - p10 + p11
+    out[k:, :k] = -p00 - p01 + p10 + p11
+    out[k:, k:] = p00 - p01 - p10 + p11
     out *= 0.5
     return out
 
@@ -187,17 +210,20 @@ def h_qrm(p: IonParams, trunc: TruncationSpec, include_constant: bool = False) -
 
     The constant offset matches the exact image of :func:`h_resonant` under
     :func:`qrm_transform`; it is unobservable in populations, so dynamics
-    callers usually leave it off.
+    callers usually leave it off. Like :func:`h_resonant`, each spin block
+    is written once into one array.
     """
-    n = number_op(trunc)
+    n = trunc.n_max
     a = annihilation(trunc)
-    h = (
-        p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), n)
-        + p.Omega * spin_tensor_osc(pauli(Spin.Z), osc_identity(trunc))
-        + (1j * p.eta * p.nu / 2.0) * spin_tensor_osc(pauli(Spin.X), a - a.conj().T)
-    )
+    h = np.zeros((2 * n, 2 * n), dtype=complex)
+    h[:n, n:] = h[n:, :n] = (1j * p.eta * p.nu / 2.0) * (a - a.conj().T)
+    level = p.nu * np.arange(n, dtype=float)
+    diag = np.concatenate([level + p.Omega, level - p.Omega])
     if include_constant:
-        h = h + (p.nu * p.eta**2 / 4.0) * np.eye(2 * trunc.n_max, dtype=complex)
+        diag += p.nu * p.eta**2 / 4.0
+    np.fill_diagonal(h, diag)
+    # a product leaves -0.0 where an entry vanishes, and build prints every entry
+    h += 0.0
     return h
 
 

@@ -21,7 +21,7 @@ from ionqrm import (
     spin_tensor_osc,
     unitary_expm,
 )
-from ionqrm.algebra import displacement_basis
+from ionqrm.algebra import displacement_basis, fock_gauge
 
 
 def test_truncation_spec_invariants():
@@ -274,3 +274,86 @@ def test_hermiticity_implies_real_eigenvalues():
     h = m + dagger(m)
     assert is_hermitian(h)
     assert np.max(np.abs(np.linalg.eigvals(h).imag)) < 1e-12
+
+
+def _laguerre_by_columns(alpha, trunc):
+    """The Laguerre closed form one column at a time, as it was first written."""
+    from scipy.special import eval_genlaguerre, gammaln
+
+    n_max = trunc.n_max
+    aa = abs(alpha) ** 2
+    out = np.zeros((n_max, n_max), dtype=complex)
+    m_idx = np.arange(n_max)
+    for n in range(n_max):
+        rows = m_idx[n:]
+        pref = np.exp(0.5 * (gammaln(n + 1) - gammaln(rows + 1)) - aa / 2.0)
+        out[rows, n] = pref * alpha ** (rows - n) * eval_genlaguerre(n, rows - n, aa)
+        rows = m_idx[:n]
+        pref = np.exp(0.5 * (gammaln(rows + 1) - gammaln(n + 1)) - aa / 2.0)
+        out[rows, n] = pref * (-np.conj(alpha)) ** (n - rows) * eval_genlaguerre(
+            rows, n - rows, aa)
+    return out
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7, 64])
+def test_broadcast_laguerre_equals_the_column_loop(n_max):
+    trunc = TruncationSpec(n_max)
+    # the operator-algebra check's amplitudes: every entry equal
+    for alpha in (0.5, 0.5j, 0.3 + 0.4j, -0.25 - 0.35j):
+        np.testing.assert_array_equal(displacement_laguerre(alpha, trunc),
+                                      _laguerre_by_columns(alpha, trunc))
+    for alpha in (0.0, 1.7 - 0.2j, -2.5j):
+        np.testing.assert_allclose(displacement_laguerre(alpha, trunc),
+                                   _laguerre_by_columns(alpha, trunc), rtol=0, atol=1e-15)
+
+
+def _gauged_by_phases(h, n_osc):
+    """P h P^dagger with P = diag(i^(k mod n_osc)) in complex arithmetic."""
+    phases = np.array([1, 1j, -1, -1j])[np.arange(h.shape[0]) % n_osc % 4]
+    return phases[:, None] * h * phases.conj()[None, :]
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7, 64])
+def test_fock_gauge_makes_the_displacement_real(n_max):
+    trunc = TruncationSpec(n_max)
+    for r in (0.3, -1.1):
+        d = displacement(1j * r, trunc)
+        real = fock_gauge(d, n_max)
+        assert real.dtype == np.float64
+        np.testing.assert_array_equal(real, _gauged_by_phases(d, n_max).real)
+        # the composite embedding, gauged on both spin blocks
+        h = spin_tensor_osc(pauli(Spin.PLUS), d) + spin_tensor_osc(pauli(Spin.MINUS), dagger(d))
+        np.testing.assert_array_equal(fock_gauge(h, n_max), _gauged_by_phases(h, n_max).real)
+    # a general alpha carries a phase the gauge cannot absorb
+    if n_max > 1:
+        assert fock_gauge(displacement(0.3 + 0.4j, trunc), n_max) is None
+
+
+def test_fock_gauge_reads_exact_zeros_only():
+    trunc = TruncationSpec(8)
+    d = displacement(0.5j, trunc)
+    for m, n, part in ((0, 0, 1j), (0, 1, 1.0), (3, 5, 1j), (2, 5, 1.0)):
+        bad = d.copy()
+        bad[m, n] += 1e-300 * part
+        assert fock_gauge(bad, 8) is None, (m, n)
+    # an odd Fock cutoff puts both parities at the start of each spin block
+    h = np.zeros((14, 14), dtype=complex)
+    h[0, 7] = h[7, 0] = 1.0  # Fock index 0 in both spin blocks
+    h[6, 7] = h[7, 6] = 1.0  # Fock indices 6 and 0: even, though 6 - 7 is odd
+    h[5, 7] = 1j  # Fock indices 5 and 0
+    h[7, 5] = -1j
+    np.testing.assert_array_equal(fock_gauge(h, 7), _gauged_by_phases(h, 7).real)
+    h[1, 7] = 1.0  # Fock indices 1 and 0: odd, so it must be imaginary
+    assert fock_gauge(h, 7) is None
+
+
+def test_fock_gauge_blocks_are_those_of_the_whole_matrix():
+    trunc = TruncationSpec(6)
+    d = displacement(0.8j, trunc)
+    h = spin_tensor_osc(pauli(Spin.PLUS), d) + spin_tensor_osc(pauli(Spin.MINUS), dagger(d))
+    whole = fock_gauge(h, 6)
+    blocks = [np.array([[0, 3, 7], [1, 8, 11]]), np.arange(12)[None]]
+    for idx, got in zip(blocks, fock_gauge(h, 6, blocks)):
+        np.testing.assert_array_equal(got, whole[idx[:, :, None], idx[:, None, :]])
+    with pytest.raises(ValueError, match="multiple of 5"):
+        fock_gauge(h, 5)

@@ -296,6 +296,42 @@ def test_operator_algebra_check_fails_on_a_broken_displacement_basis(monkeypatch
     assert rep.metrics["displacement_oracle_dev"] > 1e-9
 
 
+def _flip_one_block(conjugate):
+    def flipped(h, eta, trunc):
+        out = conjugate(h, eta, trunc)
+        k = trunc.interior_dim
+        out[:k, k:] *= -1.0
+        return out
+
+    return flipped
+
+
+def _gauge_on_top_spin_half(h, n_osc, blocks=None):
+    """P h P^dag with P = diag(i^n) on the |e> block only and 1 on |g>, real part kept."""
+    import ionqrm.algebra as algebra
+
+    if h.shape[0] != 2 * n_osc:
+        return algebra.fock_gauge(h, n_osc, blocks)
+    phases = np.concatenate([np.array([1, 1j, -1, -1j])[np.arange(n_osc) % 4], np.ones(n_osc)])
+    return (phases[:, None] * h * phases.conj()[None, :]).real
+
+
+@pytest.mark.parametrize("broken", ["sign-flip", "half-gauge"])
+def test_transform_check_fails_on_a_broken_conjugation(broken, monkeypatch):
+    import ionqrm.analysis as analysis
+    import ionqrm.models as models
+
+    if broken == "sign-flip":
+        monkeypatch.setattr(analysis, "qrm_conjugate", _flip_one_block(models.qrm_conjugate))
+    else:
+        monkeypatch.setattr(models, "fock_gauge", _gauge_on_top_spin_half)
+    rep = qrm_transform_check(IonParams(Omega=0.7, eta=0.3), T64)
+    assert not rep.passed
+    assert rep.metrics["frobenius_norm"] > 1e3 * rep.metrics["threshold"]
+    draws = qrm_transform_property(5, T64, seed=99)
+    assert not draws.passed and draws.metrics["failed"] > 0
+
+
 def test_report_serialization_round_trip_types():
     import json
 

@@ -224,10 +224,15 @@ def _dropped_case(command, builder, param):
          "scan.k_lowest applies only to scan.kind = dispersive or truncation"),
         ("scan", [*_builder_args("scan", "rabi-rotated"), "--set", "phi_l=0.7"],
          "constraint violation: rabi-rotated requires phi_l in {0, pi}"),
+        ("evolve", ["--set", "evolve.times=0,1,2", "--set", "evolve.t_max=4.5"],
+         "evolve.t_max applies only to evolve.times = unset"),
+        ("evolve", ["--set", "evolve.samples=7", "--set", "evolve.times=0,1,2"],
+         "evolve.samples applies only to evolve.times = unset"),
         *(_dropped_case(*case) for case in _DROPPED),
     ],
     ids=["evolve.alpha", "evolve.fock", "scan.n_list", "scan.builder", "verify.fock",
          "format", "--format", "scan.etas", "scan.k_lowest", "scan-rabi-rotated-phi_l",
+         "evolve.t_max-with-times", "evolve.samples-with-times",
          *("-".join(case) for case in _DROPPED)],
 )
 def test_key_the_run_would_not_read_is_one_config_error(command, extra, message, capsys):
@@ -428,6 +433,15 @@ def test_import_and_cheap_commands_never_load_scipy(src_env):
     assert {label: run["scipy"] for label, run in seen.items() if run["scipy"]} == {}
 
 
+def test_all_checks_runs_on_numpy_blas_only(src_env):
+    # scipy.linalg brings its own BLAS thread pool, which competes with numpy's
+    seen = _run_cold([("all-checks", ["all-checks", "--set", "Omega=0.7", "--set", "eta=0.3"])],
+                     src_env)
+    assert seen["all-checks"]["exit"] == EXIT_OK
+    assert "scipy.special" in seen["all-checks"]["scipy"]  # the Laguerre oracle
+    assert not [m for m in seen["all-checks"]["scipy"] if m.startswith("scipy.linalg")]
+
+
 def test_import_and_regime_never_load_numpy(src_env, tmp_path):
     base = ["regime", "--set", "Omega=0.5", "--set", "eta=0.02"]
     commands = [
@@ -467,10 +481,11 @@ def test_scipy_users_resolve_their_lazy_imports(src_env):
     rotation = ["--set", "Omega=0.7", "--set", "eta=0.3", "--set", "verify.check=rotation"]
     seen = _run_cold([("verify jc-rabi", ["verify", *jc]),
                       ("verify rotation", ["verify", *rotation])], src_env)
-    # both commands exited 0 in the child, so their function-local imports resolved
+    # both commands exited 0 in the child; the 2x2 rotation they use is in closed form
     assert [run["exit"] for run in seen.values()] == [None, EXIT_OK, EXIT_OK]
     assert seen["import ionqrm"]["scipy"] == []
-    assert "scipy.linalg" in seen["verify jc-rabi"]["scipy"]
+    assert seen["verify jc-rabi"]["scipy"] == []
+    assert seen["verify rotation"]["scipy"] == []
 
     oracle = (
         "import sys\n"

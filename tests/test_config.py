@@ -102,6 +102,21 @@ def test_evolve_grid_is_checked_with_explicit_times(key, value, message):
         parse_config(text)
 
 
+@pytest.mark.parametrize("key, value", [("evolve.t_max", "4.5"), ("evolve.samples", "7")])
+def test_grid_key_beside_explicit_times_is_rejected(key, value):
+    text = "command = evolve\nOmega = 0.5\neta = 0.1\nevolve.times = 0,1,2\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text + f"{key} = {value}\n")
+    assert str(err.value) == f"line 5: {key} applies only to evolve.times = unset"
+    # the key applies again once times is gone, and neither is written beside times
+    assert parse_config(text.replace("evolve.times = 0,1,2", f"{key} = {value}")) != (
+        parse_config(text))
+    cfg = parse_config(text)
+    emitted = emit_config(cfg)
+    assert "evolve.t_max" not in emitted and "evolve.samples" not in emitted
+    assert parse_config(emitted) == cfg
+
+
 def test_verify_jc_rabi_preconditions_checked_before_compute():
     text = "command = verify\nOmega = 0.6\neta = 0.02\nverify.check = jc-rabi\n"
     with pytest.raises(ConfigError, match="nu = 2"):

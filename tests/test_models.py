@@ -16,6 +16,7 @@ from ionqrm import (
     classify_regime,
     dagger,
     derived_couplings,
+    displacement,
     h_ajc,
     h_dispersive,
     h_jc,
@@ -150,6 +151,17 @@ def test_y_rotation_standard():
     assert is_unitary(y_rotation("standard"), 1e-12)
 
 
+def test_y_rotation_closed_form_matches_expm():
+    from scipy.linalg import expm
+
+    from ionqrm.algebra import sigma_y
+
+    standard = expm(1j * (np.pi / 4.0) * sigma_y("standard"))
+    assert y_rotation("standard").tobytes() == standard.tobytes()
+    alt = expm(1j * (np.pi / 4.0) * sigma_y("alt"))
+    assert np.max(np.abs(y_rotation("alt") - alt)) < 1e-15
+
+
 def test_y_rotation_alt_fixture():
     # exponential of the literal i*sigma_- - sigma_+ variant; not unitary
     r = y_rotation("alt")
@@ -242,17 +254,48 @@ def test_qrm_transform_columns_orthonormal():
         assert abs(inner - (1.0 if i == j else 0.0)) < 1e-10
 
 
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _gauged_interior(m, trunc):
+    """Interior of P m P^dag with P = diag(i^n) on both spin blocks, complex arithmetic."""
+    phases = np.tile(_I_POWERS[np.arange(trunc.n_max) % 4], 2)
+    return interior_block(phases[:, None] * m * phases.conj()[None, :], trunc)
+
+
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.6])
-def test_blockwise_conjugation_matches_dense_transform(eta):
+def test_gauged_conjugation_matches_dense_transform(eta):
     t_mat = qrm_transform(eta, T64)
     h = h_resonant(IonParams(Omega=0.7, eta=eta, nu=1.3), T64)
-    dense = t_mat @ h @ dagger(t_mat)
-    assert np.max(np.abs(qrm_conjugate(h, eta, T64) - dense)) < 1e-12
+    dense = _gauged_interior(t_mat @ h @ dagger(t_mat), T64)
+    # the gauged dense product is real up to rounding, and so is the blockwise one exactly
+    assert np.max(np.abs(dense.imag)) < 1e-12
+    got = qrm_conjugate(h, eta, T64)
+    assert np.isrealobj(got) and got.shape == (2 * T64.interior_dim,) * 2
+    assert np.max(np.abs(got - dense)) < 1e-12
+    # any H that is real in the gauge: P^dag G P for a real symmetric G
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(128, 128))
+    phases = np.tile(_I_POWERS[np.arange(64) % 4], 2)
+    m = phases.conj()[:, None] * (g + g.T) * phases[None, :]
+    dense = _gauged_interior(t_mat @ m @ dagger(t_mat), T64)
+    assert np.max(np.abs(qrm_conjugate(m, eta, T64) - dense)) < 1e-12
+
+
+def test_conjugation_rejects_h_not_real_in_the_gauge():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
-    m = m + dagger(m)
-    dense = t_mat @ m @ dagger(t_mat)
-    assert np.max(np.abs(qrm_conjugate(m, eta, T64) - dense)) < 1e-12
+    with pytest.raises(ValueError, match="not exactly real in the Fock-parity gauge"):
+        qrm_conjugate(m + dagger(m), 0.3, T64)
+    # off the phases 0 and pi the resonant model has no real gauge
+    h = h_resonant(IonParams(Omega=0.7, eta=0.3, phi_l=0.4), T64)
+    with pytest.raises(ValueError, match="not exactly real"):
+        qrm_conjugate(h, 0.3, T64)
+    # one entry of rounding size on the wrong part is enough
+    h = h_resonant(IonParams(Omega=0.7, eta=0.3), T64)
+    h[0, 1] += 1e-300
+    with pytest.raises(ValueError, match="not exactly real"):
+        qrm_conjugate(h, 0.3, T64)
 
 
 def test_blockwise_conjugation_rejects_wrong_dimension():
@@ -444,3 +487,56 @@ def test_rotation_diagnostic_identifies_standard_convention():
     assert metrics["alt_phipi_to_minus"] > 0.01
     assert metrics["standard_unitarity_defect"] < 1e-14
     assert metrics["alt_unitarity_defect"] > 0.1
+
+
+def _h_resonant_by_terms(p, trunc):
+    """h_resonant as the sum of three dense spin_tensor_osc terms it once was."""
+    disp = displacement(1j * p.eta, trunc)
+    return (
+        p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), number_op(trunc))
+        + p.Omega * np.exp(1j * p.phi_l) * spin_tensor_osc(pauli(Spin.PLUS), disp)
+        + p.Omega * np.exp(-1j * p.phi_l) * spin_tensor_osc(pauli(Spin.MINUS), disp.conj().T)
+    )
+
+
+def _h_qrm_by_terms(p, trunc, include_constant):
+    """h_qrm as the sum of dense spin_tensor_osc terms it once was."""
+    a = annihilation(trunc)
+    h = (
+        p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), number_op(trunc))
+        + p.Omega * spin_tensor_osc(pauli(Spin.Z), osc_identity(trunc))
+        + (1j * p.eta * p.nu / 2.0) * spin_tensor_osc(pauli(Spin.X), a - a.conj().T)
+    )
+    if include_constant:
+        h = h + (p.nu * p.eta**2 / 4.0) * np.eye(2 * trunc.n_max, dtype=complex)
+    return h
+
+
+def _block_written_draws(n_draws):
+    rng = np.random.default_rng(2024)
+    fixed = [  # the edges: one Fock level, no coupling, no drive, both special phases
+        (IonParams(Omega=0.7, eta=0.3), 1),
+        (IonParams(Omega=0.7, eta=0.0), 8),
+        (IonParams(Omega=0.0, eta=0.3), 8),
+        (IonParams(Omega=0.7, eta=0.3, phi_l=math.pi), 8),
+        (IonParams(Omega=0.0, eta=0.0, nu=2.5, phi_l=-2.0), 1),
+    ]
+    for p, n_max in fixed:
+        yield p, TruncationSpec(n_max)
+    for _ in range(n_draws):
+        p = IonParams(
+            nu=float(rng.uniform(0.2, 3.0)),
+            Omega=0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 3.0)),
+            eta=0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 1.0)),
+            phi_l=float(rng.choice([0.0, math.pi, rng.uniform(-7.0, 7.0)])),
+        )
+        yield p, TruncationSpec(int(rng.integers(1, 65)))
+
+
+def test_block_written_builders_are_bit_identical_to_term_sums():
+    for p, trunc in _block_written_draws(300):
+        assert h_resonant(p, trunc).tobytes() == _h_resonant_by_terms(p, trunc).tobytes(), p
+        for constant in (False, True):
+            got = h_qrm(p, trunc, include_constant=constant)
+            assert got.tobytes() == _h_qrm_by_terms(p, trunc, constant).tobytes(), p
+
