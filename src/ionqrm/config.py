@@ -15,9 +15,10 @@ of its section takes one of the rule's values, or is unset where the rule
 says so (``evolve.alpha`` needs ``evolve.state = coherent``, ``format`` a
 command other than ``regime``, ``evolve.t_max`` and ``evolve.samples`` an
 unset ``evolve.times``).
-A nonzero ``delta`` or ``phi_l`` is an error for a Hamiltonian builder that
-does not read it (:data:`BUILDER_READS`), in ``build``, ``evolve`` and
-``scan.kind = truncation``.
+A nonzero ``delta`` or ``phi_l`` is an error where what the command runs does
+not read it: a Hamiltonian builder (:data:`BUILDER_READS`) in ``build``,
+``evolve`` and ``scan.kind = truncation``, and every other scan kind, verify
+check, ``regime`` and ``all-checks`` (:data:`RUN_READS`).
 Values use the shortest round-trip decimal form for floats,
 ``true``/``false`` for booleans, ``re+imj`` for complex numbers and
 comma-separated items for lists.
@@ -61,6 +62,21 @@ BUILDER_READS: dict[str, tuple[str, ...]] = {
 BUILDER_NAMES = tuple(sorted(BUILDER_READS))
 VERIFY_CHECKS = ("qrm-transform", "guard", "dispersive", "jc-rabi", "speed", "rotation")
 SCAN_KINDS = ("dispersive", "truncation", "lamb-dicke")
+#: The same declaration for what the other commands run, keyed by the setting that
+#: selects it: each ``verify.check``, each ``scan.kind`` but ``truncation`` (which
+#: runs ``scan.builder``), ``regime`` and ``all-checks``.
+RUN_READS: dict[str, tuple[str, ...]] = {
+    "verify.check = qrm-transform": (),
+    "verify.check = guard": (),
+    "verify.check = dispersive": (),
+    "verify.check = jc-rabi": (),
+    "verify.check = speed": (),
+    "verify.check = rotation": (),
+    "scan.kind = dispersive": (),
+    "scan.kind = lamb-dicke": ("phi_l",),
+    "command = regime": ("phi_l",),
+    "command = all-checks": (),
+}
 
 
 class ConfigError(ValueError):
@@ -368,11 +384,9 @@ def _validate(config: RunConfig) -> None:
         times = c.evolve.times or ()
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError("constraint violation: evolve.times strictly increasing")
-        _builder_preconditions(c.evolve.hamiltonian, c)
     elif c.command == "build":
         if c.format != "json":
             raise ConfigError("constraint violation: build emits json (format = json)")
-        _builder_preconditions(c.build.hamiltonian, c)
     elif c.command in ("verify", "all-checks"):
         if c.format != "json":
             raise ConfigError(
@@ -397,14 +411,27 @@ def _validate(config: RunConfig) -> None:
                 raise ConfigError("constraint violation: scan.n_list strictly increasing")
         if c.scan.k_lowest < 1:
             raise ConfigError("constraint violation: scan.k_lowest >= 1")
-        if c.scan.kind == "truncation":
-            _builder_preconditions(c.scan.builder, c)
+    _run_preconditions(c)
 
 
-def _builder_preconditions(name: str, c: RunConfig) -> None:
+def _what_runs(c: RunConfig) -> str:
+    """The :data:`BUILDER_READS` or :data:`RUN_READS` key of what the command runs."""
+    if c.command in ("build", "evolve"):
+        return getattr(c, c.command).hamiltonian
+    if c.command == "scan":
+        return c.scan.builder if c.scan.kind == "truncation" else f"scan.kind = {c.scan.kind}"
+    if c.command == "verify":
+        return f"verify.check = {c.verify.check}"
+    return f"command = {c.command}"
+
+
+def _run_preconditions(c: RunConfig) -> None:
+    """A nonzero delta or phi_l that what the command runs would drop is an error."""
     p = c.params
+    name = _what_runs(c)
+    reads = BUILDER_READS[name] if name in BUILDER_READS else RUN_READS[name]
     for param in ("delta", "phi_l"):
-        if getattr(p, param) != 0.0 and param not in BUILDER_READS[name]:
+        if getattr(p, param) != 0.0 and param not in reads:
             raise ConfigError(f"constraint violation: {name} requires {param} = 0")
     if name == "rabi-rotated" and not phase_is_zero_or_pi(p.phi_l):
         raise ConfigError("constraint violation: rabi-rotated requires phi_l in {0, pi}")
@@ -413,8 +440,6 @@ def _builder_preconditions(name: str, c: RunConfig) -> None:
 def _verify_preconditions(c: RunConfig) -> None:
     p = c.params
     check = c.verify.check
-    if check == "qrm-transform" and (p.phi_l != 0.0 or p.delta != 0.0):
-        raise ConfigError("constraint violation: qrm-transform requires phi_l = 0 and delta = 0")
     if check == "guard" and p.eta < 0.3:
         raise ConfigError("constraint violation: guard demonstration requires eta >= 0.3")
     if check == "jc-rabi":

@@ -4,6 +4,11 @@ Everything is assembled as an explicit matrix on the truncated composite
 space (spin outer, oscillator inner; hbar = 1, ion mass = 1, the vacuum
 shift nu/2 dropped). Frequencies are dimensionless multiples of a reference
 frequency and time is measured in its inverse.
+
+Every Hamiltonian builder has the block form [[diag(d_e), B], [B^dag, diag(d_g)]]:
+its spin-diagonal blocks are diagonal in Fock space and its spin-flip blocks
+are one n_max x n_max coupling B and its adjoint. :func:`_spin_blocks` writes
+that form, so each builder is Hermitian by construction and no entry is -0.0.
 """
 from __future__ import annotations
 
@@ -13,13 +18,10 @@ import math
 import numpy as np
 
 from .algebra import (
-    Spin,
     annihilation,
     displacement,
     fock_gauge,
-    number_op,
     osc_identity,
-    pauli,
     sigma_y,
     spin_tensor_osc,
 )
@@ -37,26 +39,41 @@ from .params import (  # noqa: F401 - the scalar definitions are re-exported fro
 )
 
 
+def _spin_blocks(d_e: np.ndarray, d_g: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """The composite-space matrix [[diag(d_e), b], [b^dag, diag(d_g)]].
+
+    d_e and d_g are the real Fock diagonals of the spin-diagonal blocks and b
+    the n_max x n_max spin-flip block (e, g), or None for none. Block (g, e)
+    is always b^dag, so the result is Hermitian by construction.
+    """
+    n = len(d_e)
+    h = np.zeros((2 * n, 2 * n), dtype=complex)
+    if b is not None:
+        h[:n, n:] = b
+        h[n:, :n] = b.conj().T
+    np.fill_diagonal(h, np.concatenate([d_e, d_g]))
+    # a product leaves -0.0 where an entry vanishes, and build prints every entry
+    h += 0.0
+    return h
+
+
+def _levels(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
+    """The Fock diagonal of nu*n as a real vector."""
+    return p.nu * np.arange(trunc.n_max, dtype=float)
+
+
 def h_resonant(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     """Resonant ion-laser Hamiltonian in the laser-rotating frame.
 
     H = nu*n + Omega*[e^(i*phi_l) sigma_+ D(i*eta) + e^(-i*phi_l) sigma_- D^dag(i*eta)]
 
-    Exact in the Lamb-Dicke parameter; requires delta = 0. Each spin block
-    is written once into one array (block (0, 1) is Omega e^(i*phi_l) D, the
-    diagonal nu*n), so no 2n x 2n term is formed and summed.
+    Exact in the Lamb-Dicke parameter; requires delta = 0.
     """
     if p.delta != 0.0:
         raise ValueError("h_resonant requires delta = 0 (resonant condition)")
-    n = trunc.n_max
+    level = _levels(p, trunc)
     disp = displacement(1j * p.eta, trunc)
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    h[:n, n:] = p.Omega * np.exp(1j * p.phi_l) * disp
-    h[n:, :n] = p.Omega * np.exp(-1j * p.phi_l) * disp.conj().T
-    np.fill_diagonal(h, p.nu * np.tile(np.arange(n, dtype=float), 2))
-    # a product leaves -0.0 where an entry vanishes, and build prints every entry
-    h += 0.0
-    return h
+    return _spin_blocks(level, level, p.Omega * np.exp(1j * p.phi_l) * disp)
 
 
 def h_lamb_dicke(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
@@ -68,16 +85,14 @@ def h_lamb_dicke(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     Valid as an approximation when eta*sqrt(mean n) << 1; the construction
     itself is unconditional.
     """
-    n = number_op(trunc)
+    level = _levels(p, trunc)
     a = annihilation(trunc)
-    x = a + a.conj().T
-    drive = np.exp(1j * p.phi_l) * pauli(Spin.PLUS) + np.exp(-1j * p.phi_l) * pauli(Spin.MINUS)
-    chiral = np.exp(1j * p.phi_l) * pauli(Spin.PLUS) - np.exp(-1j * p.phi_l) * pauli(Spin.MINUS)
-    return (
-        p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), n)
-        + p.Omega * spin_tensor_osc(drive, osc_identity(trunc))
-        + 1j * p.eta * p.Omega * spin_tensor_osc(chiral, x)
+    phase = np.exp(1j * p.phi_l)
+    coupling = (
+        p.Omega * phase * osc_identity(trunc)
+        + 1j * p.eta * p.Omega * (phase * (a + a.conj().T))
     )
+    return _spin_blocks(level, level, coupling)
 
 
 def y_rotation(convention: str = "standard") -> np.ndarray:
@@ -112,15 +127,10 @@ def h_rabi_rotated(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     """
     if not phase_is_zero_or_pi(p.phi_l):
         raise ValueError(f"unsupported phase phi_l={p.phi_l!r}; expected 0 or pi")
-    n = number_op(trunc)
+    level = _levels(p, trunc)
     a = annihilation(trunc)
-    x = a + a.conj().T
-    flip = pauli(Spin.PLUS) - pauli(Spin.MINUS)
-    return (
-        p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), n)
-        - p.Omega * spin_tensor_osc(pauli(Spin.Z), osc_identity(trunc))
-        - 1j * p.eta * p.Omega * spin_tensor_osc(flip, x)
-    )
+    coupling = -1j * p.eta * p.Omega * (a + a.conj().T)
+    return _spin_blocks(level - p.Omega, level + p.Omega, coupling)
 
 
 def h_jc(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
@@ -129,10 +139,8 @@ def h_jc(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     Couples |e,n> with |g,n+1>; conserves the excitation number
     n + (sigma_z + 1)/2.
     """
-    a = annihilation(trunc)
-    return 1j * p.eta * p.Omega * (
-        spin_tensor_osc(pauli(Spin.PLUS), a) - spin_tensor_osc(pauli(Spin.MINUS), a.conj().T)
-    )
+    zero = np.zeros(trunc.n_max)
+    return _spin_blocks(zero, zero, 1j * p.eta * p.Omega * annihilation(trunc))
 
 
 def h_ajc(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
@@ -140,10 +148,8 @@ def h_ajc(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
 
     Couples |g,n> with |e,n+1>; conserves n - (sigma_z + 1)/2.
     """
-    a = annihilation(trunc)
-    return -1j * p.eta * p.Omega * (
-        spin_tensor_osc(pauli(Spin.MINUS), a) - spin_tensor_osc(pauli(Spin.PLUS), a.conj().T)
-    )
+    zero = np.zeros(trunc.n_max)
+    return _spin_blocks(zero, zero, 1j * p.eta * p.Omega * annihilation(trunc).conj().T)
 
 
 def qrm_transform(eta: float, trunc: TruncationSpec) -> np.ndarray:
@@ -158,9 +164,7 @@ def qrm_transform(eta: float, trunc: TruncationSpec) -> np.ndarray:
     """
     half = displacement(1j * eta / 2.0, trunc)
     half_dag = half.conj().T
-    top = np.hstack([half_dag, half])
-    bottom = np.hstack([-half_dag, half])
-    return np.vstack([top, bottom]) / np.sqrt(2.0)
+    return np.block([[half_dag, half], [-half_dag, half]]) / np.sqrt(2.0)
 
 
 def qrm_conjugate(h: np.ndarray, eta: float, trunc: TruncationSpec) -> np.ndarray:
@@ -210,42 +214,29 @@ def h_qrm(p: IonParams, trunc: TruncationSpec, include_constant: bool = False) -
 
     The constant offset matches the exact image of :func:`h_resonant` under
     :func:`qrm_transform`; it is unobservable in populations, so dynamics
-    callers usually leave it off. Like :func:`h_resonant`, each spin block
-    is written once into one array.
+    callers usually leave it off.
     """
-    n = trunc.n_max
+    constant = p.nu * p.eta**2 / 4.0 if include_constant else 0.0
+    level = _levels(p, trunc)
     a = annihilation(trunc)
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
-    h[:n, n:] = h[n:, :n] = (1j * p.eta * p.nu / 2.0) * (a - a.conj().T)
-    level = p.nu * np.arange(n, dtype=float)
-    diag = np.concatenate([level + p.Omega, level - p.Omega])
-    if include_constant:
-        diag += p.nu * p.eta**2 / 4.0
-    np.fill_diagonal(h, diag)
-    # a product leaves -0.0 where an entry vanishes, and build prints every entry
-    h += 0.0
-    return h
+    coupling = (1j * p.eta * p.nu / 2.0) * (a - a.conj().T)
+    return _spin_blocks(level + p.Omega + constant, level - p.Omega + constant, coupling)
 
 
 def h_qrm_detuned(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     """Quantum Rabi Hamiltonian with the delta/2 detuning on the spin-flip blocks.
 
-    Assembled directly as the block matrix
+    The block matrix
 
         [[nu*n + Omega + nu*eta^2/4,  (i*eta*nu/2)(a - a^dag) + delta/2],
          [(i*eta*nu/2)(a - a^dag) + delta/2,  nu*n - Omega + nu*eta^2/4]]
 
-    and Hermitian for real delta. Reduces to ``h_qrm(include_constant=True)``
-    at delta = 0.
+    Reduces to ``h_qrm(include_constant=True)`` at delta = 0.
     """
-    n = number_op(trunc)
+    level = _levels(p, trunc) + p.nu * p.eta**2 / 4.0
     a = annihilation(trunc)
-    eye = osc_identity(trunc)
-    diag = p.nu * n + (p.nu * p.eta**2 / 4.0) * eye
-    off = (1j * p.eta * p.nu / 2.0) * (a - a.conj().T) + (p.delta / 2.0) * eye
-    top = np.hstack([diag + p.Omega * eye, off])
-    bottom = np.hstack([off, diag - p.Omega * eye])
-    return np.vstack([top, bottom])
+    coupling = (1j * p.eta * p.nu / 2.0) * (a - a.conj().T) + (p.delta / 2.0) * osc_identity(trunc)
+    return _spin_blocks(level + p.Omega, level - p.Omega, coupling)
 
 
 _ROTATION_KINDS = ("counter", "co")
@@ -285,13 +276,9 @@ def h_dispersive(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     :func:`derived_couplings`.
     """
     chi = derived_couplings(p).chi
-    n = number_op(trunc)
-    eye = osc_identity(trunc)
-    return (
-        p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), n)
-        + p.Omega * spin_tensor_osc(pauli(Spin.Z), eye)
-        - chi * spin_tensor_osc(pauli(Spin.Z), n + 0.5 * eye)
-    )
+    level = _levels(p, trunc)
+    half = np.arange(trunc.n_max) + 0.5
+    return _spin_blocks(level + p.Omega - chi * half, level - p.Omega + chi * half)
 
 
 def rotation_diagnostic(p: IonParams, trunc: TruncationSpec) -> dict[str, float]:
@@ -308,16 +295,12 @@ def rotation_diagnostic(p: IonParams, trunc: TruncationSpec) -> dict[str, float]
     convention makes the derivation chain consistent instead of baking a
     guess into the builders.
     """
-    n = number_op(trunc)
+    level = _levels(p, trunc)
     a = annihilation(trunc)
-    x = a + a.conj().T
     eye = osc_identity(trunc)
-    flip = pauli(Spin.PLUS) - pauli(Spin.MINUS)
     minus_form = h_rabi_rotated(IonParams(Omega=p.Omega, eta=p.eta, nu=p.nu), trunc)
-    plus_form = (
-        p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), n)
-        + p.Omega * spin_tensor_osc(pauli(Spin.Z), eye)
-        + 1j * p.eta * p.Omega * spin_tensor_osc(flip, x)
+    plus_form = _spin_blocks(
+        level + p.Omega, level - p.Omega, 1j * p.eta * p.Omega * (a + a.conj().T)
     )
     metrics: dict[str, float] = {}
     for convention in ("standard", "alt"):
@@ -346,5 +329,5 @@ HAMILTONIAN_BUILDERS = {
     "qrm": h_qrm,
     "qrm-detuned": h_qrm_detuned,
     "dispersive": h_dispersive,
-    "zero": lambda p, trunc: np.zeros((2 * trunc.n_max, 2 * trunc.n_max), dtype=complex),
+    "zero": lambda p, trunc: _spin_blocks(np.zeros(trunc.n_max), np.zeros(trunc.n_max)),
 }

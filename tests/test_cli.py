@@ -9,6 +9,7 @@ import pytest
 from ionqrm import (HAMILTONIAN_BUILDERS, IonParams, TruncationSpec, coherent_state,
                     fock_state)
 from ionqrm.cli import EXIT_CHECKS_FAILED, EXIT_ERROR, EXIT_OK, main
+from ionqrm.config import VERIFY_CHECKS
 
 
 def run_cli(args, capsys):
@@ -191,6 +192,29 @@ _DROPPED = [
 ]
 
 
+# (command, what it runs, parameter): a nonzero value that a verify check, scan kind or
+# command other than a builder would drop
+_RUN_DROPPED = [
+    *(("verify", f"verify.check = {check}", param)
+      for check in VERIFY_CHECKS for param in ("delta", "phi_l")),
+    ("scan", "scan.kind = dispersive", "delta"), ("scan", "scan.kind = dispersive", "phi_l"),
+    ("scan", "scan.kind = lamb-dicke", "delta"),
+    ("regime", "command = regime", "delta"),
+    ("all-checks", "command = all-checks", "delta"),
+    ("all-checks", "command = all-checks", "phi_l"),
+]
+
+
+def _run_dropped_case(command, run, param):
+    value = "0.4" if param == "delta" else "0.7"
+    extra = ["--set", f"{param}={value}"]
+    if not run.startswith("command"):
+        extra += ["--set", run.replace(" = ", "=")]
+    if run == "verify.check = jc-rabi":
+        extra += ["--set", "nu=1.4"]  # its sideband resonance nu = 2*Omega
+    return (command, extra, f"constraint violation: {run} requires {param} = 0")
+
+
 def _builder_args(command, builder):
     if command == "scan":
         return ["--set", "scan.kind=truncation", "--set", f"scan.builder={builder}"]
@@ -229,11 +253,13 @@ def _dropped_case(command, builder, param):
         ("evolve", ["--set", "evolve.samples=7", "--set", "evolve.times=0,1,2"],
          "evolve.samples applies only to evolve.times = unset"),
         *(_dropped_case(*case) for case in _DROPPED),
+        *(_run_dropped_case(*case) for case in _RUN_DROPPED),
     ],
     ids=["evolve.alpha", "evolve.fock", "scan.n_list", "scan.builder", "verify.fock",
          "format", "--format", "scan.etas", "scan.k_lowest", "scan-rabi-rotated-phi_l",
          "evolve.t_max-with-times", "evolve.samples-with-times",
-         *("-".join(case) for case in _DROPPED)],
+         *("-".join(case) for case in _DROPPED),
+         *(f"{run.replace(' = ', '=')}-{param}" for _, run, param in _RUN_DROPPED)],
 )
 def test_key_the_run_would_not_read_is_one_config_error(command, extra, message, capsys):
     args = [command, "--set", "Omega=0.7", "--set", "eta=0.3", *extra]

@@ -6,7 +6,7 @@ import pytest
 
 from ionqrm import (HAMILTONIAN_BUILDERS, ConfigError, IonParams, TruncationSpec, emit_config,
                     parse_config)
-from ionqrm.config import BUILDER_READS, KEYS
+from ionqrm.config import BUILDER_READS, KEYS, RUN_READS, SCAN_KINDS, VERIFY_CHECKS
 
 
 def test_minimal_document_gets_defaults():
@@ -225,7 +225,7 @@ _NON_DEFAULT = {
     "Omega": {"Omega": "1.5"},
     "eta": {"eta": "0.05"},
     "phi_l": {"phi_l": "3.141592653589793"},
-    "delta": {"delta": "0.25"},
+    "delta": {"command": "build", "build.hamiltonian": "qrm-detuned", "delta": "0.25"},
     "trunc.n_max": {"trunc.n_max": "32"},
     "trunc.guard": {"trunc.guard": "4"},
     "seed": {"seed": "7"},
@@ -294,6 +294,15 @@ _NONZERO = {"delta": 0.4, "phi_l": 0.7}
 def test_builder_reads_names_every_builder_and_only_delta_or_phi_l():
     assert sorted(BUILDER_READS) == sorted(HAMILTONIAN_BUILDERS)
     assert {p for reads in BUILDER_READS.values() for p in reads} <= set(_NONZERO)
+
+
+def test_run_reads_names_every_verify_check_scan_kind_and_other_command():
+    runs = [f"verify.check = {check}" for check in VERIFY_CHECKS]
+    # scan.kind = truncation runs scan.builder, which BUILDER_READS covers
+    runs += [f"scan.kind = {kind}" for kind in SCAN_KINDS if kind != "truncation"]
+    runs += ["command = regime", "command = all-checks"]
+    assert sorted(RUN_READS) == sorted(runs)
+    assert {p for reads in RUN_READS.values() for p in reads} <= set(_NONZERO)
 
 
 def _build_or_reject(name: str, **params):

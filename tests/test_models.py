@@ -1,5 +1,6 @@
 """Tests for the Hamiltonian and transformation builders."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from ionqrm import (
     unitary_expm,
     y_rotation,
 )
+from ionqrm import models
+from ionqrm.params import phase_is_zero_or_pi
 
 T64 = TruncationSpec(n_max=64, guard=16)
 T32 = TruncationSpec(n_max=32, guard=8)
@@ -512,6 +515,81 @@ def _h_qrm_by_terms(p, trunc, include_constant):
     return h
 
 
+def _h_lamb_dicke_by_terms(p, trunc):
+    a = annihilation(trunc)
+    x = a + a.conj().T
+    drive = np.exp(1j * p.phi_l) * pauli(Spin.PLUS) + np.exp(-1j * p.phi_l) * pauli(Spin.MINUS)
+    chiral = np.exp(1j * p.phi_l) * pauli(Spin.PLUS) - np.exp(-1j * p.phi_l) * pauli(Spin.MINUS)
+    return (
+        p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), number_op(trunc))
+        + p.Omega * spin_tensor_osc(drive, osc_identity(trunc))
+        + 1j * p.eta * p.Omega * spin_tensor_osc(chiral, x)
+    )
+
+
+def _h_rabi_rotated_by_terms(p, trunc, sign=-1.0):
+    """nu*n + sign*[Omega*sigma_z + i*eta*Omega*(a^dag + a)(sigma_+ - sigma_-)] as dense terms.
+
+    sign = -1 is h_rabi_rotated, +1 the plus form of rotation_diagnostic.
+    """
+    a = annihilation(trunc)
+    x = a + a.conj().T
+    flip = pauli(Spin.PLUS) - pauli(Spin.MINUS)
+    return (
+        p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), number_op(trunc))
+        + sign * p.Omega * spin_tensor_osc(pauli(Spin.Z), osc_identity(trunc))
+        + sign * 1j * p.eta * p.Omega * spin_tensor_osc(flip, x)
+    )
+
+
+def _h_jc_by_terms(p, trunc):
+    a = annihilation(trunc)
+    return 1j * p.eta * p.Omega * (
+        spin_tensor_osc(pauli(Spin.PLUS), a) - spin_tensor_osc(pauli(Spin.MINUS), a.conj().T)
+    )
+
+
+def _h_ajc_by_terms(p, trunc):
+    a = annihilation(trunc)
+    return -1j * p.eta * p.Omega * (
+        spin_tensor_osc(pauli(Spin.MINUS), a) - spin_tensor_osc(pauli(Spin.PLUS), a.conj().T)
+    )
+
+
+def _h_qrm_detuned_by_terms(p, trunc):
+    a = annihilation(trunc)
+    eye = osc_identity(trunc)
+    return (
+        p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), number_op(trunc))
+        + (p.nu * p.eta**2 / 4.0) * spin_tensor_osc(pauli(Spin.IDENTITY), eye)
+        + p.Omega * spin_tensor_osc(pauli(Spin.Z), eye)
+        + (1j * p.eta * p.nu / 2.0) * spin_tensor_osc(pauli(Spin.X), a - a.conj().T)
+        + (p.delta / 2.0) * spin_tensor_osc(pauli(Spin.X), eye)
+    )
+
+
+def _h_dispersive_by_terms(p, trunc):
+    chi = derived_couplings(p).chi
+    n = number_op(trunc)
+    eye = osc_identity(trunc)
+    return (
+        p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), n)
+        + p.Omega * spin_tensor_osc(pauli(Spin.Z), eye)
+        - chi * spin_tensor_osc(pauli(Spin.Z), n + 0.5 * eye)
+    )
+
+
+# the docstring formula of each remaining builder as a dense spin_tensor_osc sum
+_TERM_SUMS = {
+    "lamb-dicke": _h_lamb_dicke_by_terms,
+    "rabi-rotated": _h_rabi_rotated_by_terms,
+    "jc": _h_jc_by_terms,
+    "ajc": _h_ajc_by_terms,
+    "qrm-detuned": _h_qrm_detuned_by_terms,
+    "dispersive": _h_dispersive_by_terms,
+}
+
+
 def _block_written_draws(n_draws):
     rng = np.random.default_rng(2024)
     fixed = [  # the edges: one Fock level, no coupling, no drive, both special phases
@@ -520,6 +598,8 @@ def _block_written_draws(n_draws):
         (IonParams(Omega=0.0, eta=0.3), 8),
         (IonParams(Omega=0.7, eta=0.3, phi_l=math.pi), 8),
         (IonParams(Omega=0.0, eta=0.0, nu=2.5, phi_l=-2.0), 1),
+        (IonParams(Omega=0.7, eta=0.3, delta=-0.4), 8),
+        (IonParams(Omega=0.0, eta=0.0, delta=0.4), 1),
     ]
     for p, n_max in fixed:
         yield p, TruncationSpec(n_max)
@@ -529,14 +609,51 @@ def _block_written_draws(n_draws):
             Omega=0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 3.0)),
             eta=0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 1.0)),
             phi_l=float(rng.choice([0.0, math.pi, rng.uniform(-7.0, 7.0)])),
+            delta=float(rng.choice([0.0, rng.uniform(-2.0, 2.0)])),
         )
         yield p, TruncationSpec(int(rng.integers(1, 65)))
 
 
-def test_block_written_builders_are_bit_identical_to_term_sums():
+def _assert_bit_identical(got, oracle, p):
+    assert np.array_equal(got, oracle), p
+    # the oracle's products leave -0.0 where the assembled entry is 0.0
+    assert got.tobytes() == (oracle + 0.0).tobytes(), p
+
+
+def test_block_written_builders_are_bit_identical_to_term_sums(monkeypatch):
+    assembled = []  # every matrix the block assembler returns, to find the plus form
+    spin_blocks = models._spin_blocks
+
+    def recording(*args):
+        assembled.append(spin_blocks(*args))
+        return assembled[-1]
+
+    monkeypatch.setattr(models, "_spin_blocks", recording)
     for p, trunc in _block_written_draws(300):
-        assert h_resonant(p, trunc).tobytes() == _h_resonant_by_terms(p, trunc).tobytes(), p
+        resonant = replace(p, delta=0.0)  # h_resonant requires delta = 0
+        got = h_resonant(resonant, trunc)
+        assert got.tobytes() == _h_resonant_by_terms(resonant, trunc).tobytes(), p
         for constant in (False, True):
             got = h_qrm(p, trunc, include_constant=constant)
             assert got.tobytes() == _h_qrm_by_terms(p, trunc, constant).tobytes(), p
+        for name, oracle in _TERM_SUMS.items():
+            if name == "rabi-rotated" and not phase_is_zero_or_pi(p.phi_l):
+                continue  # the builder rejects every other phase
+            _assert_bit_identical(HAMILTONIAN_BUILDERS[name](p, trunc), oracle(p, trunc), p)
+        assembled.clear()
+        rotation_diagnostic(p, trunc)
+        plus = _h_rabi_rotated_by_terms(p, trunc, sign=1.0)
+        assert any(
+            np.array_equal(h, plus) and h.tobytes() == (plus + 0.0).tobytes() for h in assembled
+        ), p
 
+
+@pytest.mark.parametrize("name", sorted(HAMILTONIAN_BUILDERS))
+def test_no_builder_returns_a_negative_zero(name):
+    for p, trunc in _block_written_draws(100):
+        if name == "resonant":
+            p = replace(p, delta=0.0)
+        elif name == "rabi-rotated" and not phase_is_zero_or_pi(p.phi_l):
+            continue
+        floats = HAMILTONIAN_BUILDERS[name](p, trunc).view(np.float64)
+        assert not np.signbit(floats[floats == 0.0]).any(), p

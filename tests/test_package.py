@@ -1,8 +1,10 @@
 """Tests of the lazily resolved ``ionqrm`` package namespace."""
 import importlib
+import importlib.util
 import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,3 +85,17 @@ def test_submodule_is_an_attribute_after_a_bare_import(src_env):
                           env=src_env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True"]
+
+
+def test_every_name_the_perfbench_tracer_wraps_exists():
+    # the tracer binds functions by name; a rename would otherwise show only in its own suite
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{layer}.{name}" for layer, names in tracing.LAYER_FUNCTIONS.items()
+               for name in names
+               if not hasattr(importlib.import_module(f"ionqrm.{layer}"), name)]
+    missing += [f"analysis.{name}" for name in tracing.ANALYSIS_JOBS
+                if not hasattr(ionqrm.analysis, name)]
+    assert missing == []
