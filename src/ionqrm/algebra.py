@@ -30,10 +30,10 @@ The displacement operator has one production construction and two oracles:
 
 The checks compare all three.
 
-The Fock-parity gauge P = diag(i^n) is defined once, by :func:`fock_gauge`:
-it writes P H P^dagger as a real array when that is exact, for the
-real-arithmetic eigensolver in ``dynamics`` and the transform identity in
-``models``.
+The Fock-parity gauge P = diag(i^n) is defined once, here: :func:`fock_phases`
+is its diagonal, and :func:`fock_gauge` writes P H P^dagger as one real array
+when that is exact, for the real-arithmetic eigensolver in ``dynamics`` and
+the transform identity in ``models``.
 
 ``import ionqrm`` loads nothing heavy: the package resolves each public name
 on first use, and the ``regime`` command never loads numpy. Only the
@@ -300,23 +300,24 @@ def _gauge_is_real(h: np.ndarray, n_osc: int) -> bool:
     return not any(nz[:, a::2, :, b::2, c].any() for a, b, c in parts)
 
 
-def fock_gauge(
-    h: np.ndarray, n_osc: int, blocks: list[np.ndarray] | None = None
-) -> np.ndarray | list[np.ndarray] | None:
+def fock_phases(dim: int, n_osc: int) -> np.ndarray:
+    """Diagonal of the Fock-parity gauge P = diag(i^n): i^(k mod n_osc) at each index k < dim."""
+    return np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(dim) % n_osc % 4]
+
+
+def fock_gauge(h: np.ndarray, n_osc: int) -> np.ndarray | None:
     """P h P^dagger for the Fock-parity gauge P = diag(i^n), or None when it is not exactly real.
 
-    Index k of h has Fock index k mod n_osc: pass n_osc = dim(h) for an
-    oscillator operator, and dim(h)/2 for a composite one, where P acts on
-    both spin blocks. Entry (k, l) of P h P^dagger is i^(m-n) h_kl for the
-    Fock indices m, n of k and l. It is exactly real when h_kl is real for
-    even m - n and imaginary for odd m - n; the test reads exact zeros, not a
-    tolerance. D(i*r) passes it (see :func:`displacement`), and so does every
-    builder at phi_l = 0.
+    Index k of h has Fock index k mod n_osc (:func:`fock_phases`): pass
+    n_osc = dim(h) for an oscillator operator, and dim(h)/2 for a composite
+    one, where P acts on both spin blocks. Entry (k, l) of P h P^dagger is
+    i^(m-n) h_kl for the Fock indices m, n of k and l. It is exactly real when
+    h_kl is real for even m - n and imaginary for odd m - n; the test reads
+    exact zeros, not a tolerance. D(i*r) passes it (see :func:`displacement`),
+    and so does every builder at phi_l = 0.
 
-    Returns the real matrix P h P^dagger. With ``blocks``, a list of (k, s)
-    arrays of indices (ascending within each row), it returns instead the
-    stacked (k, s, s) real blocks at those indices, one array per entry, and
-    forms nothing else.
+    Returns the real matrix P h P^dagger, whose entries are those of h up to
+    sign: the one nonzero part of each entry keeps its magnitude.
     """
     h = np.ascontiguousarray(h, dtype=complex)
     dim = h.shape[0]
@@ -324,16 +325,11 @@ def fock_gauge(
         raise ValueError(f"h must be square with a multiple of {n_osc} rows, got {h.shape}")
     if not _gauge_is_real(h, n_osc):
         return None
-    # i^(m-n) h_kl = t_k t_l (re h_kl + s_k im h_kl), t_k = (-1)^(m//2), s_k = (-1)^m
-    n = np.arange(dim) % n_osc
-    t = np.where(n % 4 < 2, 1.0, -1.0)
-    ts = np.where(n % 2, -t, t)
-    out = []
-    for idx in [np.arange(dim)[None]] if blocks is None else blocks:
-        # one block spanning h is h itself: no copy
-        sub = h[None] if idx.shape[1] == dim else h[idx[:, :, None], idx[:, None, :]]
-        real = sub.imag * ts[idx][:, :, None]
-        real += sub.real * t[idx][:, :, None]
-        real *= t[idx][:, None, :]
-        out.append(real)
-    return out[0][0] if blocks is None else out
+    # i^(m-n) h_kl = t_k t_l (re h_kl + s_k im h_kl) with s_k = (-1)^m and, from
+    # p_k = i^m, t_k = Re p_k + Im p_k = (-1)^(m//2) and t_k s_k = Re p_k - Im p_k
+    p = fock_phases(dim, n_osc)
+    t = p.real + p.imag
+    real = h.imag * (p.real - p.imag)[:, None]
+    real += h.real * t[:, None]
+    real *= t
+    return real

@@ -5,12 +5,13 @@ Usage::
     ionqrm <command> [--config PATH] [--set key=value]... [--out PATH] [--format csv|json]
 
 Commands: build, verify, evolve, scan, regime, all-checks. The positional
-command and every ``--set`` pair override values from the config file; the
-combined configuration is validated before any computation. Output files
-are written atomically (temp file then rename); without ``--out`` results
-go to stdout. Exit status: 0 on success, 1 on any error (with a
-machine-parsable JSON record on stderr), 2 when ``all-checks`` finds a
-failing report.
+command and every ``--set`` pair override values from the config file (a
+``--set`` of ``command`` is an error: the positional command is the one that
+runs); the combined configuration is validated before any computation.
+Output files are written atomically (temp file then rename); without
+``--out`` results go to stdout. Exit status: 0 on success, 1 on any error
+(with a machine-parsable JSON record on stderr), 2 when ``all-checks``
+finds a failing report.
 
 Each handler imports the layers it needs (numpy, ``analysis``, ``dynamics``,
 ``models``) when it runs, so ``regime`` and configuration errors cost only
@@ -241,6 +242,8 @@ def main(argv: list[str] | None = None) -> int:
             if "=" not in item:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             key, _, value = item.partition("=")
+            if key.strip() == "command":
+                raise ConfigError("the command is the positional argument; --set cannot change it")
             overrides.append((key, value))
         if args.out is not None:
             overrides.append(("out", args.out))

@@ -13,8 +13,8 @@ costliest failure mode. Command-scoped keys (``build.*``, ``evolve.*``,
 selects that section, and a key with an ``only_if`` rule only where a field
 of its section takes one of the rule's values, or is unset where the rule
 says so (``evolve.alpha`` needs ``evolve.state = coherent``, ``format`` a
-command other than ``regime``, ``evolve.t_max`` and ``evolve.samples`` an
-unset ``evolve.times``).
+command other than ``regime``, ``seed`` the command ``all-checks``,
+``evolve.t_max`` and ``evolve.samples`` an unset ``evolve.times``).
 A nonzero ``delta`` or ``phi_l`` is an error where what the command runs does
 not read it: a Hamiltonian builder (:data:`BUILDER_READS`) in ``build``,
 ``evolve`` and ``scan.kind = truncation``, and every other scan kind, verify
@@ -73,7 +73,7 @@ RUN_READS: dict[str, tuple[str, ...]] = {
     "verify.check = speed": (),
     "verify.check = rotation": (),
     "scan.kind = dispersive": (),
-    "scan.kind = lamb-dicke": ("phi_l",),
+    "scan.kind = lamb-dicke": (),
     "command = regime": ("phi_l",),
     "command = all-checks": (),
 }
@@ -219,7 +219,7 @@ KEYS: dict[str, _Key] = {
     "delta": _Key("params", "delta", _parse_float),
     "trunc.n_max": _Key("trunc", "n_max", _parse_int),
     "trunc.guard": _Key("trunc", "guard", _parse_int),
-    "seed": _Key(None, "seed", _parse_int),
+    "seed": _Key(None, "seed", _parse_int, only_if=("command", ("all-checks",))),
     "format": _Key(None, "format", str, ("csv", "json"),
                    only_if=("command", ("build", "verify", "evolve", "scan", "all-checks"))),
     "tol.identity": _Key("tol", "identity", _parse_float),

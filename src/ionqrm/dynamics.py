@@ -5,20 +5,24 @@ point, so there is no integrator error to confound approximation-validity
 studies. States are plain complex vectors on the composite space with the
 spin factor outer (|e> block first).
 
-:func:`block_eigh` diagonalizes H using only structure that H has exactly.
-No tolerance enters: an entry counts as zero only when it is exactly zero,
-so the result is the dense decomposition up to rounding.
+:func:`block_eigh` is the one reader of H, and diagonalizes it using only
+structure that H has exactly. No tolerance enters the structure: an entry
+counts as zero only when it is exactly zero, so the result is the dense
+decomposition up to rounding.
 
-* Blocks. H splits into the connected components of its exact nonzero
-  pattern: the two parity blocks of the QRM (Braak, PRL 107, 100401
+* Gauge. When P H P^dagger, P = diag(i^n) on both spin blocks, is exactly
+  real (:func:`~ionqrm.algebra.fock_gauge`; every builder at phi_l = 0), that
+  real array is read in place of H: its blocks are real symmetric, and the
+  eigenvectors map back with P^dagger.
+* Blocks. The array read splits into the connected components of its exact
+  nonzero pattern: the two parity blocks of the QRM (Braak, PRL 107, 100401
   (2011)), the 2x2 excitation blocks of JC and AJC, the 1x1 blocks of the
   diagonal dispersive model. Same-size blocks share one stacked
   ``np.linalg.eigh`` call; 1x1 blocks need none.
-* Gauge. With the Fock phase P = diag(i^n) on both spin blocks, when every
-  entry of P H P^dagger is exactly real (:func:`~ionqrm.algebra.fock_gauge`)
-  the blocks are diagonalized as real symmetric matrices, and the
-  eigenvectors map back with P^dagger. The builders at phi_l = 0 all pass
-  this test.
+* Hermiticity. max|H - H^dagger| must not exceed 1e-10 max(1, max|H|), else
+  ValueError, also when only eigenvalues are asked for. It is checked on the
+  blocks: H is zero between them, and the gauge changes only the sign of an
+  entry's one nonzero part, so the blocks give the dense values exactly.
 
 The residual bound of a dense decomposition stays: ||H V - V W||_F summed
 over the blocks must be below 1e-9 ||H||_F. Entries of H between blocks are
@@ -35,13 +39,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .algebra import TruncationSpec, displacement, fock_gauge
+from .algebra import TruncationSpec, displacement, fock_gauge, fock_phases
 
 _HERMITIAN_TOL = 1e-10
 _NORM_TOL = 1e-10
 _RECORD_NORM_TOL = 1e-8
 _RESIDUAL_TOL = 1e-9
-_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
 @dataclass
@@ -180,31 +183,31 @@ def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
     vectors : compute eigenvectors (``np.linalg.eigh``) or only eigenvalues
         (``np.linalg.eigvalsh``).
 
-    With vectors, the residual ||H V - V W||_F over the blocks must stay
-    below 1e-9 ||H||_F, else ArithmeticError. See the module docstring for
-    the block and gauge rules.
+    Each block is checked for Hermiticity (ValueError), also without
+    vectors; with vectors, the residual ||H V - V W||_F over the blocks must
+    stay below 1e-9 ||H||_F, else ArithmeticError. See the module docstring
+    for the gauge, block and Hermiticity rules.
     """
     h = np.ascontiguousarray(h, dtype=complex)
     dim = h.shape[0]
     if h.shape != (dim, dim) or dim % 2 != 0:
         raise ValueError(f"H must be square with even dimension, got shape {h.shape}")
-    # one pass over (re, im) pairs: columns 2j and 2j+1 hold Re and Im of column j;
-    # read as one uint16, a pair of flags is nonzero exactly where h is
-    nonzero = (h.view(np.float64) != 0).view(np.uint16) != 0
+    gauged = fock_gauge(h, dim // 2)
+    if gauged is None:
+        a = h
+        # the (Re, Im) flags of an entry, read as one uint16, are nonzero where it is
+        nonzero = (h.view(np.float64) != 0).view(np.uint16) != 0
+    else:
+        a, nonzero = gauged, gauged != 0
     blocks = _blocks_by_size(_block_labels(nonzero))
-    # a 1x1 block is real in any gauge; only the larger ones are mapped
-    gauged = fock_gauge(h, dim // 2, [idx for idx in blocks if idx.shape[1] > 1])
-    gauge = None if gauged is None else _I_POWERS[np.arange(dim) % (dim // 2) % 4]
-    gauged = iter(gauged or ())
     groups = []
-    residual_sq = 0.0
+    deviation = scale = residual_sq = 0.0
     for idx in blocks:
         k, s = idx.shape
-        if gauge is not None and s > 1:
-            sub = next(gauged)
-        else:
-            # one block spanning H is H itself: no copy
-            sub = h[None] if s == dim else h[idx[:, :, None], idx[:, None, :]]
+        # one block spanning H is H itself: no copy
+        sub = a[None] if s == dim else a[idx[:, :, None], idx[:, None, :]]
+        deviation = max(deviation, np.max(np.abs(sub - sub.conj().swapaxes(1, 2))))
+        scale = max(scale, np.max(np.abs(sub)))
         if s == 1:
             w = sub[:, :, 0].real
             v = np.ones((k, 1, 1)) if vectors else None
@@ -215,11 +218,14 @@ def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
         if vectors:
             residual_sq += float(np.linalg.norm(sub @ v - v * w[:, None, :])) ** 2
         groups.append((idx, w, v))
+    if deviation > _HERMITIAN_TOL * max(1.0, scale):
+        raise ValueError("H is not Hermitian within tolerance")
     h_norm = np.linalg.norm(h)
     if vectors and h_norm > 0:
         residual = np.sqrt(residual_sq)
         if residual > _RESIDUAL_TOL * h_norm:
             raise ArithmeticError(f"eigendecomposition residual {residual:.3e} too large")
+    gauge = None if gauged is None else fock_phases(dim, dim // 2)
     return BlockEigensystem(gauge=gauge, groups=tuple(groups))
 
 
@@ -251,13 +257,13 @@ def propagate(
         given, per-time fidelities |<ref|psi>|^2 are recorded.
     store_states : keep the full trajectory in the result.
 
-    The Hamiltonian is diagonalized once, by :func:`block_eigh`: block by
-    block, in the real gauge P = diag(i^n) when P H P^dagger is exactly
-    real. Blocks on which psi0 is identically zero stay exactly zero, so
-    only the other blocks are evolved. The eigendecomposition residual
-    keeps the dense bound 1e-9 ||H||_F, and the norm of every evolved state
-    is checked, so a violation fails loudly instead of polluting downstream
-    records.
+    H is read and diagonalized once, by :func:`block_eigh`: block by block,
+    in the real gauge P = diag(i^n) when P H P^dagger is exactly real; a
+    non-Hermitian H is reported before the other arguments are checked.
+    Blocks on which psi0 is identically zero stay exactly zero, so only the
+    other blocks are evolved. The eigendecomposition residual keeps the
+    dense bound 1e-9 ||H||_F, and the norm of every evolved state is
+    checked, so a violation fails loudly instead of polluting records.
     """
     h = np.asarray(h, dtype=complex)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -267,8 +273,7 @@ def propagate(
         raise ValueError(f"dimension mismatch: H {h.shape} vs state {dim}")
     if dim % 2 != 0:
         raise ValueError("state dimension must be 2*n_osc (spin outer)")
-    if np.max(np.abs(h - h.conj().T)) > _HERMITIAN_TOL * max(1.0, np.max(np.abs(h))):
-        raise ValueError("H is not Hermitian within tolerance")
+    eig = block_eigh(h)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-d array")
     if times.size > 1 and not np.all(np.diff(times) > 0):
@@ -282,7 +287,6 @@ def propagate(
                 f"reference trajectory shape {reference.shape} != {(times.size, dim)}"
             )
 
-    eig = block_eigh(h)
     n_osc = dim // 2
     n_diag = np.concatenate([np.arange(n_osc), np.arange(n_osc)])
     phi = psi0 if eig.gauge is None else eig.gauge * psi0

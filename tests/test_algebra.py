@@ -345,15 +345,5 @@ def test_fock_gauge_reads_exact_zeros_only():
     np.testing.assert_array_equal(fock_gauge(h, 7), _gauged_by_phases(h, 7).real)
     h[1, 7] = 1.0  # Fock indices 1 and 0: odd, so it must be imaginary
     assert fock_gauge(h, 7) is None
-
-
-def test_fock_gauge_blocks_are_those_of_the_whole_matrix():
-    trunc = TruncationSpec(6)
-    d = displacement(0.8j, trunc)
-    h = spin_tensor_osc(pauli(Spin.PLUS), d) + spin_tensor_osc(pauli(Spin.MINUS), dagger(d))
-    whole = fock_gauge(h, 6)
-    blocks = [np.array([[0, 3, 7], [1, 8, 11]]), np.arange(12)[None]]
-    for idx, got in zip(blocks, fock_gauge(h, 6, blocks)):
-        np.testing.assert_array_equal(got, whole[idx[:, :, None], idx[:, None, :]])
     with pytest.raises(ValueError, match="multiple of 5"):
         fock_gauge(h, 5)

@@ -306,25 +306,28 @@ def _flip_one_block(conjugate):
     return flipped
 
 
-def _gauge_on_top_spin_half(h, n_osc, blocks=None):
-    """P h P^dag with P = diag(i^n) on the |e> block only and 1 on |g>, real part kept."""
-    import ionqrm.algebra as algebra
+def _phases_on_top_spin_half(phases):
+    """The Fock-parity gauge's diagonal i^n on the |e> block only and 1 on |g>."""
 
-    if h.shape[0] != 2 * n_osc:
-        return algebra.fock_gauge(h, n_osc, blocks)
-    phases = np.concatenate([np.array([1, 1j, -1, -1j])[np.arange(n_osc) % 4], np.ones(n_osc)])
-    return (phases[:, None] * h * phases.conj()[None, :]).real
+    def half(dim, n_osc):
+        out = phases(dim, n_osc)
+        if dim == 2 * n_osc:
+            out[n_osc:] = 1.0
+        return out
+
+    return half
 
 
 @pytest.mark.parametrize("broken", ["sign-flip", "half-gauge"])
 def test_transform_check_fails_on_a_broken_conjugation(broken, monkeypatch):
+    import ionqrm.algebra as algebra
     import ionqrm.analysis as analysis
     import ionqrm.models as models
 
     if broken == "sign-flip":
         monkeypatch.setattr(analysis, "qrm_conjugate", _flip_one_block(models.qrm_conjugate))
     else:
-        monkeypatch.setattr(models, "fock_gauge", _gauge_on_top_spin_half)
+        monkeypatch.setattr(algebra, "fock_phases", _phases_on_top_spin_half(algebra.fock_phases))
     rep = qrm_transform_check(IonParams(Omega=0.7, eta=0.3), T64)
     assert not rep.passed
     assert rep.metrics["frobenius_norm"] > 1e3 * rep.metrics["threshold"]

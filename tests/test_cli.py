@@ -198,11 +198,15 @@ _RUN_DROPPED = [
     *(("verify", f"verify.check = {check}", param)
       for check in VERIFY_CHECKS for param in ("delta", "phi_l")),
     ("scan", "scan.kind = dispersive", "delta"), ("scan", "scan.kind = dispersive", "phi_l"),
-    ("scan", "scan.kind = lamb-dicke", "delta"),
+    ("scan", "scan.kind = lamb-dicke", "delta"), ("scan", "scan.kind = lamb-dicke", "phi_l"),
     ("regime", "command = regime", "delta"),
     ("all-checks", "command = all-checks", "delta"),
     ("all-checks", "command = all-checks", "phi_l"),
 ]
+
+
+# every command but all-checks runs nothing random, so none reads seed
+_SEEDLESS = ("build", "verify", "evolve", "scan", "regime")
 
 
 def _run_dropped_case(command, run, param):
@@ -254,12 +258,15 @@ def _dropped_case(command, builder, param):
          "evolve.samples applies only to evolve.times = unset"),
         *(_dropped_case(*case) for case in _DROPPED),
         *(_run_dropped_case(*case) for case in _RUN_DROPPED),
+        *((command, ["--set", "seed=99"], "seed applies only to command = all-checks")
+          for command in _SEEDLESS),
     ],
     ids=["evolve.alpha", "evolve.fock", "scan.n_list", "scan.builder", "verify.fock",
          "format", "--format", "scan.etas", "scan.k_lowest", "scan-rabi-rotated-phi_l",
          "evolve.t_max-with-times", "evolve.samples-with-times",
          *("-".join(case) for case in _DROPPED),
-         *(f"{run.replace(' = ', '=')}-{param}" for _, run, param in _RUN_DROPPED)],
+         *(f"{run.replace(' = ', '=')}-{param}" for _, run, param in _RUN_DROPPED),
+         *(f"seed-{command}" for command in _SEEDLESS)],
 )
 def test_key_the_run_would_not_read_is_one_config_error(command, extra, message, capsys):
     args = [command, "--set", "Omega=0.7", "--set", "eta=0.3", *extra]
@@ -271,6 +278,24 @@ def test_key_the_run_would_not_read_is_one_config_error(command, extra, message,
     record = json.loads(records[0])
     assert record["error"] == "ConfigError"
     assert record["message"] == message
+
+
+@pytest.mark.parametrize("positional, other", [("build", "regime"), ("regime", "build")])
+def test_set_command_is_one_config_error(positional, other, tmp_path, capsys):
+    args = [positional, "--set", "Omega=0.5", "--set", "eta=0.02", "--set", f"command={other}"]
+    code, out, err = run_cli(args, capsys)
+    assert code == EXIT_ERROR
+    assert out == ""
+    records = err.splitlines()
+    assert len(records) == 1
+    record = json.loads(records[0])
+    assert record["error"] == "ConfigError"
+    assert record["message"] == "the command is the positional argument; --set cannot change it"
+    # a config file's command is still replaced by the positional one
+    config = tmp_path / "run.cfg"
+    config.write_text(f"command = {other}\nOmega = 0.5\neta = 0.02\n")
+    code, out, _ = run_cli(["regime", "--config", str(config)], capsys)
+    assert code == EXIT_OK and out.startswith("JC-resonant")
 
 
 @pytest.mark.parametrize("state", ["fock", "coherent"])

@@ -69,7 +69,7 @@ def test_guard_constraint_checked():
 
 def test_overrides_replace_file_values():
     cfg = parse_config(
-        "command = verify\nOmega = 0.7\neta = 0.3\n", (("eta", "0.4"), ("seed", "7"))
+        "command = all-checks\nOmega = 0.7\neta = 0.3\n", (("eta", "0.4"), ("seed", "7"))
     )
     assert cfg.params.eta == 0.4 and cfg.seed == 7
 
@@ -149,6 +149,8 @@ def _random_config_text(rng) -> str:
         f"trunc.n_max = {int(rng.integers(8, 100))}",
         "trunc.guard = 4",
     ]
+    if command != "all-checks":  # seed applies only to all-checks; drawn anyway, same stream
+        del lines[4]
     if command == "build":
         hamiltonian = str(rng.choice(['qrm', 'jc', 'ajc', 'zero']))
         include_constant = str(rng.choice(['true', 'false']))
@@ -228,7 +230,7 @@ _NON_DEFAULT = {
     "delta": {"command": "build", "build.hamiltonian": "qrm-detuned", "delta": "0.25"},
     "trunc.n_max": {"trunc.n_max": "32"},
     "trunc.guard": {"trunc.guard": "4"},
-    "seed": {"seed": "7"},
+    "seed": {"command": "all-checks", "seed": "7"},
     "format": {"command": "scan", "format": "json"},
     "tol.identity": {"tol.identity": "1e-11"},
     "tol.oracle": {"tol.oracle": "1e-08"},

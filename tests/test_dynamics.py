@@ -1,8 +1,10 @@
 """Tests for the eigendecomposition propagator and observables."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ionqrm import dynamics
+from ionqrm import algebra, dynamics
 from ionqrm.dynamics import block_eigh
 
 from ionqrm import (
@@ -286,9 +288,112 @@ def test_block_eigh_rejects_odd_or_non_square_matrices():
         block_eigh(np.zeros((4, 2)))
 
 
+def _dense_hermitian(h) -> bool:
+    """The dense scan propagate ran before block_eigh checked blocks: the test oracle."""
+    return bool(np.max(np.abs(h - h.conj().T)) <= 1e-10 * max(1.0, np.max(np.abs(h))))
+
+
+def _accepted(h) -> bool:
+    """Whether H passes the Hermiticity check; block_eigh with and without vectors and
+    propagate must agree."""
+    psi0 = np.eye(h.shape[0], dtype=complex)[0]
+    verdicts = set()
+    for run in (lambda: block_eigh(h), lambda: block_eigh(h, vectors=False),
+                lambda: propagate(h, psi0, [0.0, 1.0])):
+        try:
+            run()
+            verdicts.add(True)
+        except ArithmeticError:
+            # the residual bound, checked after Hermiticity: an imaginary diagonal
+            # below the tolerance's floor of 1e-10 can exceed it when H is that small
+            verdicts.add(True)
+        except ValueError as exc:
+            assert str(exc) == "H is not Hermitian within tolerance"
+            verdicts.add(False)
+    assert len(verdicts) == 1, "block_eigh and propagate disagree"
+    return verdicts.pop()
+
+
+def _skewed(h, factor):
+    """H with one entry moved so that max|H - H^dag| is factor times the tolerance.
+
+    The first nonzero entry above the diagonal moves in its nonzero part, so an H
+    real in the Fock-parity gauge stays so; with none, entry (0, 0) gains an
+    imaginary part.
+    """
+    h = h.copy()
+    eps = factor * 1e-10 * max(1.0, np.max(np.abs(h)))
+    upper = np.argwhere(np.triu(h, 1) != 0)
+    if len(upper):
+        k, l = upper[0]
+        h[k, l] += eps if h[k, l].real != 0 else 1j * eps
+    else:
+        h[0, 0] += 0.5j * eps
+    return h
+
+
+def _verdict_case(case):
+    if case[0] == "hidden":
+        return _hidden_blocks(case[1], case[2])[0]
+    name, phi_l = case
+    return HAMILTONIAN_BUILDERS[name](_builder_params(name, phi_l), T16)
+
+
+@pytest.mark.parametrize(
+    "case",
+    _BUILDER_CASES + [("hidden", seed, kind) for seed in (3, 11)
+                      for kind in ("real-gauge", "complex", "complex-diagonal")],
+    ids=str,
+)
+def test_hermiticity_on_blocks_gives_the_dense_verdict(case):
+    h = _verdict_case(case)
+    assert _dense_hermitian(h) and _accepted(h)
+    # just below and just above the tolerance
+    for factor in (0.99, 1.01):
+        skewed = _skewed(h, factor)
+        assert _dense_hermitian(skewed) == (factor < 1)
+        assert _accepted(skewed) == (factor < 1), factor
+
+
+@pytest.mark.parametrize("path", ["gauged-block", "complex-block", "imaginary-diagonal"])
+def test_hermiticity_check_fails_on_each_path(path):
+    h, block = _hidden_blocks(3, "real-gauge" if path == "gauged-block" else "complex")
+    if path == "imaginary-diagonal":
+        k = np.flatnonzero(block == 0)[0]  # a 1x1 block
+        h[k, k] += 1e-6j
+    else:
+        k, l = np.flatnonzero(block == 6)[:2]  # two indices of the 7x7 block
+        h[k, l] += 1e-6 if h[k, l].real != 0 else 1e-6j
+    assert (algebra.fock_gauge(h, h.shape[0] // 2) is not None) == (path == "gauged-block")
+    for vectors in (True, False):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            block_eigh(h, vectors=vectors)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        # reported before the bad time grid
+        propagate(h, np.eye(h.shape[0], dtype=complex)[0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("state", ["fock", "coherent"])
+@pytest.mark.parametrize("builder", [h_jc, h_dispersive])
+def test_propagate_allocates_less_than_one_and_a_half_dense_matrices(builder, state):
+    trunc = TruncationSpec(256)
+    h = builder(IonParams(Omega=0.35, eta=0.11), trunc)
+    psi0 = _start(state, trunc)
+    tracemalloc.start()
+    try:
+        propagate(h, psi0, np.linspace(0.0, 5.0, 9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 6 MiB at dim 512: no dense complex temporary beside the real gauged copy
+    assert peak < 1.5 * h.nbytes, peak / 2**20
+
+
 def test_oracle_catches_a_flipped_gauge(monkeypatch, dense_states):
-    # the eigenvectors of P H P^dag mapped back with P instead of P^dag
-    monkeypatch.setattr(dynamics, "_I_POWERS", dynamics._I_POWERS.conj())
+    # the real matrix formed with P^dag in place of P, its eigenvectors mapped back
+    # with P^dag: the gauge's one definition flipped where fock_gauge reads it
+    phases = algebra.fock_phases
+    monkeypatch.setattr(algebra, "fock_phases", lambda dim, n_osc: phases(dim, n_osc).conj())
     h, _ = _hidden_blocks(3, "real-gauge")
     with pytest.raises(AssertionError):
         _assert_matches_dense(h, _random_state(7, h.shape[0]), np.linspace(0.0, 3.0, 7),
