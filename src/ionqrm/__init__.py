@@ -23,9 +23,8 @@ _HOMES = {
         "derived_couplings",
     ),
     "algebra": (
-        "Spin", "annihilation", "creation", "commutator", "dagger", "displacement",
-        "displacement_generator", "displacement_laguerre", "interior_block", "is_hermitian",
-        "is_unitary", "number_op", "osc_identity", "pauli", "sigma_y", "spin_tensor_osc",
+        "annihilation", "commutator", "dagger", "displacement", "displacement_generator",
+        "displacement_laguerre", "interior_block", "osc_identity", "sigma_y", "spin_tensor_osc",
         "unitary_expm",
     ),
     "models": (
@@ -34,8 +33,7 @@ _HOMES = {
         "rotation_diagnostic", "small_rotation", "y_rotation",
     ),
     "dynamics": (
-        "EvolutionResult", "coherent_state", "expectation", "fidelity", "fock_state",
-        "propagate",
+        "EvolutionResult", "coherent_state", "fidelity", "fock_state", "propagate",
     ),
     "analysis": (
         "DEFAULT_TOLERANCES", "VerificationReport", "ajc_dynamics_check",

@@ -43,23 +43,11 @@ of the CLI commands only ``all-checks`` loads scipy, and none loads
 """
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .params import DEFAULT_TRUNC, TruncationSpec  # noqa: F401 - re-exported from here
-
-
-class Spin(Enum):
-    """Names for the elementary two-level operators."""
-
-    Z = "z"
-    PLUS = "+"
-    MINUS = "-"
-    X = "x"
-    Y = "y"
-    IDENTITY = "1"
 
 
 def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -74,49 +62,14 @@ def annihilation(trunc: TruncationSpec) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, trunc.n_max, dtype=float)), 1).astype(complex)
 
 
-def creation(trunc: TruncationSpec) -> np.ndarray:
-    """Ladder operator a^dagger on the truncated Fock space."""
-    return annihilation(trunc).conj().T
-
-
-def number_op(trunc: TruncationSpec) -> np.ndarray:
-    """Number operator diag(0, 1, ..., n_max-1).
-
-    Equals dagger(a) @ a at every entry including the truncation edge
-    (the edge defect of the truncated algebra sits in a @ dagger(a)).
-    """
-    return np.diag(np.arange(trunc.n_max, dtype=float)).astype(complex)
-
-
 def osc_identity(trunc: TruncationSpec) -> np.ndarray:
     return np.eye(trunc.n_max, dtype=complex)
 
 
-_SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 _SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
 _SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
-_SIGMA_X = _SIGMA_PLUS + _SIGMA_MINUS
 _SIGMA_Y_STANDARD = 1j * (_SIGMA_MINUS - _SIGMA_PLUS)
 _SIGMA_Y_ALT = 1j * _SIGMA_MINUS - _SIGMA_PLUS
-_SPIN_IDENTITY = np.eye(2, dtype=complex)
-
-
-def pauli(s: Spin) -> np.ndarray:
-    """Two-level operator in the (|e>, |g>) basis.
-
-    ``Spin.Y`` returns the ``i*sigma_- - sigma_+`` variant that appears in
-    some trapped-ion derivations; note it is NOT Hermitian and differs from
-    the conventional Pauli-Y (``sigma_y("standard")``).
-    """
-    table = {
-        Spin.Z: _SIGMA_Z,
-        Spin.PLUS: _SIGMA_PLUS,
-        Spin.MINUS: _SIGMA_MINUS,
-        Spin.X: _SIGMA_X,
-        Spin.Y: _SIGMA_Y_ALT,
-        Spin.IDENTITY: _SPIN_IDENTITY,
-    }
-    return table[s].copy()
 
 
 def sigma_y(convention: str = "standard") -> np.ndarray:
@@ -144,16 +97,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    a = _require_square(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
-def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
-    a = _require_square(a)
-    return bool(np.max(np.abs(a @ a.conj().T - np.eye(a.shape[0]))) <= tol)
 
 
 def unitary_expm(generator: np.ndarray) -> np.ndarray:

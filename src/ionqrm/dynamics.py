@@ -88,15 +88,6 @@ def coherent_state(spin: str, alpha: complex, trunc: TruncationSpec) -> np.ndarr
     return psi
 
 
-def expectation(op: np.ndarray, psi: np.ndarray) -> complex:
-    """<psi| op |psi>; real up to rounding when op is Hermitian."""
-    op = np.asarray(op)
-    psi = np.asarray(psi)
-    if op.shape != (psi.size, psi.size):
-        raise ValueError(f"dimension mismatch: op {op.shape} vs state {psi.shape}")
-    return complex(np.vdot(psi, op @ psi))
-
-
 def fidelity(psi: np.ndarray, phi: np.ndarray) -> float:
     """|<psi|phi>|^2 between two normalized states."""
     psi = np.asarray(psi)

@@ -4,7 +4,6 @@ import pytest
 
 from ionqrm import (
     IonParams,
-    Spin,
     TruncationSpec,
     ajc_dynamics_check,
     chi_identity_check,
@@ -17,10 +16,8 @@ from ionqrm import (
     h_lamb_dicke,
     jc_rabi_experiment,
     lamb_dicke_remainder_scan,
-    number_op,
     operator_algebra_check,
     osc_identity,
-    pauli,
     propagate,
     propagator_conservation_check,
     qrm_transform_check,
@@ -33,6 +30,7 @@ from ionqrm import (
     truncation_convergence,
     y_rotation,
 )
+from oracles import Spin, number_op, pauli
 
 T64 = TruncationSpec(n_max=64, guard=16)
 

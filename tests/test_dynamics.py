@@ -10,22 +10,19 @@ from ionqrm.dynamics import block_eigh
 from ionqrm import (
     HAMILTONIAN_BUILDERS,
     IonParams,
-    Spin,
     TruncationSpec,
     coherent_state,
-    expectation,
     fidelity,
     fock_state,
     h_dispersive,
     h_jc,
     h_qrm,
     h_resonant,
-    number_op,
     osc_identity,
-    pauli,
     propagate,
     spin_tensor_osc,
 )
+from oracles import Spin, expectation, number_op, pauli
 
 T16 = TruncationSpec(16)
 

@@ -11,7 +11,6 @@ from ionqrm import (
     Regime,
     RegimeThresholds,
     ResonancePoleError,
-    Spin,
     TruncationSpec,
     annihilation,
     classify_regime,
@@ -27,11 +26,7 @@ from ionqrm import (
     h_rabi_rotated,
     h_resonant,
     interior_block,
-    is_hermitian,
-    is_unitary,
-    number_op,
     osc_identity,
-    pauli,
     qrm_conjugate,
     qrm_transform,
     rotation_diagnostic,
@@ -42,6 +37,7 @@ from ionqrm import (
 )
 from ionqrm import models
 from ionqrm.params import phase_is_zero_or_pi
+from oracles import Spin, is_hermitian, is_unitary, number_op, pauli
 
 T64 = TruncationSpec(n_max=64, guard=16)
 T32 = TruncationSpec(n_max=32, guard=8)
