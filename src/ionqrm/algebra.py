@@ -10,7 +10,7 @@ Conventions used throughout the package:
   block (i, j) of ``spin_tensor_osc(s, m)`` equals ``s[i, j] * m``, so a
   2x2 block matrix written over the spin states is literally the block
   structure of the assembled array.
-* Operators are plain complex ``numpy.ndarray`` matrices.
+* Operators are plain complex ``numpy.ndarray`` matrices; gauge-real forms (below) are real.
 
 The displacement operator has one production construction and two oracles:
 
@@ -31,9 +31,11 @@ The displacement operator has one production construction and two oracles:
 The checks compare all three.
 
 The Fock-parity gauge P = diag(i^n) is defined once, here: :func:`fock_phases`
-is its diagonal, and :func:`fock_gauge` writes P H P^dagger as one real array
-when that is exact, for the real-arithmetic eigensolver in ``dynamics`` and
-the transform identity in ``models``.
+is its diagonal and :func:`gauge_parts` the sign map from the real and
+imaginary parts of M to the real array P M P^dagger. :func:`fock_gauge` maps a
+built complex H (the eigensolver in ``dynamics``); :func:`displacement_gauged`
+maps D(i*r)'s cos and sin parts, so the transform identity in ``models`` never
+forms a complex displacement.
 
 ``import ionqrm`` loads nothing heavy: the package resolves each public name
 on first use, and the ``regime`` command never loads numpy. Only the
@@ -131,6 +133,22 @@ def displacement_basis(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return x, v
 
 
+def _displacement_parts(r: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(sqrt(2)*r*X) and sin(sqrt(2)*r*X): the real and imaginary parts of D(i*r)."""
+    x, v = displacement_basis(n_max)
+    theta = np.sqrt(2.0) * r * x
+    # V is real: two real products instead of one complex one
+    cos_part = (v * np.cos(theta)) @ v.T
+    sin_part = (v * np.sin(theta)) @ v.T
+    # X links n only to n +- 1, so cos(sqrt2 r X) vanishes where m - n is odd and
+    # sin(sqrt2 r X) where it is even: write those zeros exactly, not as rounding
+    cos_part[::2, 1::2] = 0.0
+    cos_part[1::2, ::2] = 0.0
+    sin_part[::2, ::2] = 0.0
+    sin_part[1::2, 1::2] = 0.0
+    return cos_part, sin_part
+
+
 def displacement(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     """Displacement operator exp(alpha*a^dagger - conj(alpha)*a) in the cached X basis.
 
@@ -143,29 +161,27 @@ def displacement(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     D(i*r) has the exact Fock parity of the infinite-dimensional operator:
     <m|D(i*r)|n> is real where m - n is even and imaginary where it is odd,
     with the other part exactly zero, not rounding noise. So i^(m-n) D_mn is
-    exactly real (:func:`fock_gauge`), which lets
-    :func:`~ionqrm.dynamics.block_eigh` treat the resonant Hamiltonian as a
-    real symmetric matrix and :func:`~ionqrm.models.qrm_conjugate` run the
-    transform identity in real arithmetic.
+    exactly real: :func:`fock_gauge` finds it so in a complex H built from
+    D (``dynamics.block_eigh``), and :func:`displacement_gauged` writes it
+    as a real array directly (``h_resonant``'s real form, ``qrm_conjugate``).
     """
     alpha = complex(alpha)
-    x, v = displacement_basis(trunc.n_max)
     r = alpha.imag if alpha.real == 0.0 else abs(alpha)
-    theta = np.sqrt(2.0) * r * x
-    # V is real: two real products instead of one complex one
-    cos_part = (v * np.cos(theta)) @ v.T
-    sin_part = (v * np.sin(theta)) @ v.T
-    # X links n only to n +- 1, so cos(sqrt2 r X) vanishes where m - n is odd and
-    # sin(sqrt2 r X) where it is even: write those zeros exactly, not as rounding
-    cos_part[::2, 1::2] = 0.0
-    cos_part[1::2, ::2] = 0.0
-    sin_part[::2, ::2] = 0.0
-    sin_part[1::2, 1::2] = 0.0
+    cos_part, sin_part = _displacement_parts(r, trunc.n_max)
     out = cos_part + 1j * sin_part
     if alpha.real != 0.0:
         phase = np.exp(1j * (np.angle(alpha) - np.pi / 2.0) * np.arange(trunc.n_max))
         out *= np.outer(phase, phase.conj())
     return out
+
+
+def displacement_gauged(r: float, trunc: TruncationSpec) -> np.ndarray:
+    """P D(i*r) P^dagger as a real array, P = diag(i^n) the Fock-parity gauge.
+
+    Equals ``fock_gauge(displacement(1j * r, trunc), trunc.n_max)`` entry for
+    entry, written from the same cos and sin parts without a complex array.
+    """
+    return gauge_parts(*_displacement_parts(r, trunc.n_max), trunc.n_max)
 
 
 def displacement_generator(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
@@ -248,6 +264,21 @@ def fock_phases(dim: int, n_osc: int) -> np.ndarray:
     return np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(dim) % n_osc % 4]
 
 
+def gauge_parts(re: np.ndarray, im: np.ndarray, n_osc: int) -> np.ndarray:
+    """P (re + i*im) P^dagger as a real array, for parts that make it exactly real.
+
+    It does not test exactness; :func:`fock_gauge` does, before it calls this.
+    """
+    # i^(m-n) h_kl = t_k t_l (re h_kl + s_k im h_kl) with s_k = (-1)^m and, from
+    # p_k = i^m, t_k = Re p_k + Im p_k = (-1)^(m//2) and t_k s_k = Re p_k - Im p_k
+    p = fock_phases(re.shape[0], n_osc)
+    t = p.real + p.imag
+    real = im * (p.real - p.imag)[:, None]
+    real += re * t[:, None]
+    real *= t
+    return real
+
+
 def fock_gauge(h: np.ndarray, n_osc: int) -> np.ndarray | None:
     """P h P^dagger for the Fock-parity gauge P = diag(i^n), or None when it is not exactly real.
 
@@ -268,11 +299,4 @@ def fock_gauge(h: np.ndarray, n_osc: int) -> np.ndarray | None:
         raise ValueError(f"h must be square with a multiple of {n_osc} rows, got {h.shape}")
     if not _gauge_is_real(h, n_osc):
         return None
-    # i^(m-n) h_kl = t_k t_l (re h_kl + s_k im h_kl) with s_k = (-1)^m and, from
-    # p_k = i^m, t_k = Re p_k + Im p_k = (-1)^(m//2) and t_k s_k = Re p_k - Im p_k
-    p = fock_phases(dim, n_osc)
-    t = p.real + p.imag
-    real = h.imag * (p.real - p.imag)[:, None]
-    real += h.real * t[:, None]
-    real *= t
-    return real
+    return gauge_parts(h.real, h.imag, n_osc)

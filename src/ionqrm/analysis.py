@@ -19,7 +19,6 @@ from .algebra import (
     displacement,
     displacement_generator,
     displacement_laguerre,
-    fock_gauge,
     interior_block,
     osc_identity,
     spin_tensor_osc,
@@ -196,19 +195,23 @@ def qrm_transform_check(
     passes iff its Frobenius norm is below spectral_tol * interior_dim.
     Requires phi_l = 0 and delta = 0.
 
-    Both sides are taken in the Fock-parity gauge P = diag(i^n)
-    (:func:`~ionqrm.algebra.fock_gauge`), where they are exactly real, so the
-    comparison runs in real arithmetic. P is diagonal and unitary: Delta's
-    Frobenius norm, largest entry and diagonal are those of the ungauged
-    difference, up to rounding.
+    Both sides are taken in the Fock-parity gauge P = diag(i^n), where they
+    are exactly real, so the comparison runs in real arithmetic: the
+    ``gauged`` form of :func:`~ionqrm.models.h_resonant` feeds
+    :func:`~ionqrm.models.qrm_conjugate`, and the Rabi side is the ``gauged``
+    :func:`~ionqrm.models.h_qrm` at the interior cutoff
+    ``TruncationSpec(interior_dim)``, entry for entry the interior block of
+    the one at ``trunc``. P is diagonal and unitary: Delta's Frobenius norm,
+    largest entry and diagonal are those of the ungauged difference, up to
+    rounding.
     """
     if p.phi_l != 0.0:
         raise ValueError("qrm_transform_check requires phi_l = 0")
     if p.delta != 0.0:
         raise ValueError("qrm_transform_check requires delta = 0")
-    transformed = qrm_conjugate(h_resonant(p, trunc), p.eta, trunc)
+    transformed = qrm_conjugate(h_resonant(p, trunc, gauged=True), p.eta, trunc)
     constant = p.nu * p.eta**2 / 4.0
-    rabi = fock_gauge(interior_block(h_qrm(p, trunc), trunc), trunc.interior_dim)
+    rabi = h_qrm(p, TruncationSpec(trunc.interior_dim), gauged=True)
     shift = transformed - rabi
     delta = shift - constant * np.eye(shift.shape[0])
     diag_dev = float(np.max(np.abs(np.diag(shift) - constant)))

@@ -9,6 +9,11 @@ Every Hamiltonian builder has the block form [[diag(d_e), B], [B^dag, diag(d_g)]
 its spin-diagonal blocks are diagonal in Fock space and its spin-flip blocks
 are one n_max x n_max coupling B and its adjoint. :func:`_spin_blocks` writes
 that form, so each builder is Hermitian by construction and no entry is -0.0.
+
+The two builders the transform identity reads, :func:`h_resonant` and
+:func:`h_qrm`, have a real form (``gauged=True``): P H P^dag, P = diag(i^n) on
+both spin blocks, written from the real gauged coupling P B P^dag. It equals
+``fock_gauge(H, n_max)`` entry for entry.
 """
 from __future__ import annotations
 
@@ -20,7 +25,8 @@ import numpy as np
 from .algebra import (
     annihilation,
     displacement,
-    fock_gauge,
+    displacement_gauged,
+    gauge_parts,
     osc_identity,
     sigma_y,
     spin_tensor_osc,
@@ -39,15 +45,19 @@ from .params import (  # noqa: F401 - the scalar definitions are re-exported fro
 )
 
 
-def _spin_blocks(d_e: np.ndarray, d_g: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+def _spin_blocks(
+    d_e: np.ndarray, d_g: np.ndarray, b: np.ndarray | None = None, *, gauged: bool = False
+) -> np.ndarray:
     """The composite-space matrix [[diag(d_e), b], [b^dag, diag(d_g)]].
 
     d_e and d_g are the real Fock diagonals of the spin-diagonal blocks and b
     the n_max x n_max spin-flip block (e, g), or None for none. Block (g, e)
-    is always b^dag, so the result is Hermitian by construction.
+    is always b^dag, so the result is Hermitian by construction. With
+    ``gauged`` b is the real gauged coupling P B P^dag, and the result is the
+    real array P H P^dag (block (g, e) is b^T).
     """
     n = len(d_e)
-    h = np.zeros((2 * n, 2 * n), dtype=complex)
+    h = np.zeros((2 * n, 2 * n), dtype=float if gauged else complex)
     if b is not None:
         h[:n, n:] = b
         h[n:, :n] = b.conj().T
@@ -62,18 +72,27 @@ def _levels(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     return p.nu * np.arange(trunc.n_max, dtype=float)
 
 
-def h_resonant(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
+def h_resonant(p: IonParams, trunc: TruncationSpec, *, gauged: bool = False) -> np.ndarray:
     """Resonant ion-laser Hamiltonian in the laser-rotating frame.
 
     H = nu*n + Omega*[e^(i*phi_l) sigma_+ D(i*eta) + e^(-i*phi_l) sigma_- D^dag(i*eta)]
 
-    Exact in the Lamb-Dicke parameter; requires delta = 0.
+    Exact in the Lamb-Dicke parameter; requires delta = 0. The real form
+    (``gauged``) needs a real drive factor Omega*e^(i*phi_l), else
+    ValueError: every phi_l but 0 at a nonzero Omega, pi included, whose
+    float e^(i*pi) has an imaginary part of 1.2e-16.
     """
     if p.delta != 0.0:
         raise ValueError("h_resonant requires delta = 0 (resonant condition)")
     level = _levels(p, trunc)
+    drive = p.Omega * np.exp(1j * p.phi_l)
+    if gauged:
+        if drive.imag != 0.0:
+            raise ValueError("H is not exactly real in the Fock-parity gauge diag(i^n)")
+        disp = displacement_gauged(p.eta, trunc)
+        return _spin_blocks(level, level, drive.real * disp, gauged=True)
     disp = displacement(1j * p.eta, trunc)
-    return _spin_blocks(level, level, p.Omega * np.exp(1j * p.phi_l) * disp)
+    return _spin_blocks(level, level, drive * disp)
 
 
 def h_lamb_dicke(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
@@ -167,14 +186,15 @@ def qrm_transform(eta: float, trunc: TruncationSpec) -> np.ndarray:
     return np.block([[half_dag, half], [-half_dag, half]]) / np.sqrt(2.0)
 
 
-def qrm_conjugate(h: np.ndarray, eta: float, trunc: TruncationSpec) -> np.ndarray:
+def qrm_conjugate(g: np.ndarray, eta: float, trunc: TruncationSpec) -> np.ndarray:
     """Interior of P T H T^dag P^dag, T = :func:`qrm_transform` (eta, trunc), in real arithmetic.
 
     P = diag(i^n) on both spin blocks is the Fock-parity gauge of
-    :func:`~ionqrm.algebra.fock_gauge`. H must be exactly real in it (every
-    builder at phi_l = 0 is), else ValueError; D(i*eta/2) always is. With
-    G = P H P^dag, b = P D(i*eta/2) P^dag (real, so P D^dag P^dag = b^T) and
-    s = (+1, -1), block (i, j) of the result is
+    :func:`~ionqrm.algebra.fock_gauge`, and g = P H P^dag must be given as a
+    real 2n x 2n array, such as the ``gauged`` form of :func:`h_resonant`
+    at phi_l = 0, else ValueError. With b = P D(i*eta/2) P^dag from
+    :func:`~ionqrm.algebra.displacement_gauged` (real, so P D^dag P^dag = b^T)
+    and s = (+1, -1), block (i, j) of the result is
 
         (1/2) * (s_i s_j b^T G00 b + s_i b^T G01 b^T + s_j b G10 b + b G11 b^T)
 
@@ -185,12 +205,9 @@ def qrm_conjugate(h: np.ndarray, eta: float, trunc: TruncationSpec) -> np.ndarra
     The dense :func:`qrm_transform` is its test oracle.
     """
     n, k = trunc.n_max, trunc.interior_dim
-    if h.shape != (2 * n, 2 * n):
-        raise ValueError(f"H must be {2 * n}x{2 * n}, got {h.shape}")
-    g = fock_gauge(h, n)
-    if g is None:
-        raise ValueError("H is not exactly real in the Fock-parity gauge diag(i^n)")
-    b = fock_gauge(displacement(1j * eta / 2.0, trunc), n)
+    if g.shape != (2 * n, 2 * n) or np.iscomplexobj(g):
+        raise ValueError(f"G must be a real {2 * n}x{2 * n} array, got {g.dtype} {g.shape}")
+    b = displacement_gauged(eta / 2.0, trunc)
     bt = b.T
     # only interior rows of a left factor and interior columns of a right one are kept
     p00 = bt[:k] @ g[:n, :n] @ b[:, :k]
@@ -206,7 +223,9 @@ def qrm_conjugate(h: np.ndarray, eta: float, trunc: TruncationSpec) -> np.ndarra
     return out
 
 
-def h_qrm(p: IonParams, trunc: TruncationSpec, include_constant: bool = False) -> np.ndarray:
+def h_qrm(
+    p: IonParams, trunc: TruncationSpec, include_constant: bool = False, *, gauged: bool = False
+) -> np.ndarray:
     """Quantum Rabi Hamiltonian on the composite space.
 
     H = nu*n + Omega*sigma_z + (i*eta*nu/2)*(sigma_+ + sigma_-)*(a - a^dag)
@@ -214,13 +233,18 @@ def h_qrm(p: IonParams, trunc: TruncationSpec, include_constant: bool = False) -
 
     The constant offset matches the exact image of :func:`h_resonant` under
     :func:`qrm_transform`; it is unobservable in populations, so dynamics
-    callers usually leave it off.
+    callers usually leave it off. The real form (``gauged``) exists at every
+    parameter: the coupling is imaginary where m - n is odd.
     """
     constant = p.nu * p.eta**2 / 4.0 if include_constant else 0.0
     level = _levels(p, trunc)
     a = annihilation(trunc)
     coupling = (1j * p.eta * p.nu / 2.0) * (a - a.conj().T)
-    return _spin_blocks(level + p.Omega + constant, level - p.Omega + constant, coupling)
+    d_e, d_g = level + p.Omega + constant, level - p.Omega + constant
+    if not gauged:
+        return _spin_blocks(d_e, d_g, coupling)
+    real = gauge_parts(coupling.real, coupling.imag, trunc.n_max)
+    return _spin_blocks(d_e, d_g, real, gauged=True)
 
 
 def h_qrm_detuned(p: IonParams, trunc: TruncationSpec) -> np.ndarray:

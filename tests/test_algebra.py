@@ -15,7 +15,7 @@ from ionqrm import (
     spin_tensor_osc,
     unitary_expm,
 )
-from ionqrm.algebra import displacement_basis, fock_gauge
+from ionqrm.algebra import displacement_basis, displacement_gauged, fock_gauge
 from oracles import Spin, creation, is_hermitian, is_unitary, number_op, pauli
 
 
@@ -316,6 +316,9 @@ def test_fock_gauge_makes_the_displacement_real(n_max):
         real = fock_gauge(d, n_max)
         assert real.dtype == np.float64
         np.testing.assert_array_equal(real, _gauged_by_phases(d, n_max).real)
+        # the real form written from D's cos and sin parts is the same array
+        assert displacement_gauged(r, trunc).dtype == np.float64
+        np.testing.assert_array_equal(displacement_gauged(r, trunc), real)
         # the composite embedding, gauged on both spin blocks
         h = spin_tensor_osc(pauli(Spin.PLUS), d) + spin_tensor_osc(pauli(Spin.MINUS), dagger(d))
         np.testing.assert_array_equal(fock_gauge(h, n_max), _gauged_by_phases(h, n_max).real)

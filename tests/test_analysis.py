@@ -305,12 +305,16 @@ def _flip_one_block(conjugate):
 
 
 def _phases_on_top_spin_half(phases):
-    """The Fock-parity gauge's diagonal i^n on the |e> block only and 1 on |g>."""
+    """The Fock-parity gauge's diagonal i^n on the top half of the indices only and 1 below.
+
+    On a composite index the top half is the |e> block; on an oscillator
+    index it is the lower Fock levels, the half of D(i*r) that
+    ``displacement_gauged`` then writes with the right signs.
+    """
 
     def half(dim, n_osc):
         out = phases(dim, n_osc)
-        if dim == 2 * n_osc:
-            out[n_osc:] = 1.0
+        out[dim // 2:] = 1.0
         return out
 
     return half
@@ -331,6 +335,72 @@ def test_transform_check_fails_on_a_broken_conjugation(broken, monkeypatch):
     assert rep.metrics["frobenius_norm"] > 1e3 * rep.metrics["threshold"]
     draws = qrm_transform_property(5, T64, seed=99)
     assert not draws.passed and draws.metrics["failed"] > 0
+
+
+def _odd_parity_flipped(m):
+    """m with the sign of every entry at odd m - n flipped: S m S for S = diag((-1)^n)."""
+    out = m.copy()
+    out[::2, 1::2] *= -1.0
+    out[1::2, ::2] *= -1.0
+    return out
+
+
+# (call index mod 2, defect): each draw builds D(i*eta) in h_resonant first (index 0),
+# then D(i*eta/2) in qrm_conjugate (index 1)
+_GAUGE_REAL_DEFECTS = {
+    "transposed-half": (1, lambda m: m.T),
+    "flipped-odd-parity-full": (0, _odd_parity_flipped),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(_GAUGE_REAL_DEFECTS))
+def test_transform_check_fails_on_a_broken_gauge_real_displacement(broken, monkeypatch):
+    import ionqrm.models as models
+
+    which, defect = _GAUGE_REAL_DEFECTS[broken]
+    radii = []
+    original = models.displacement_gauged
+
+    def broken_displacement(r, trunc):
+        radii.append(r)
+        out = original(r, trunc)
+        return defect(out) if (len(radii) - 1) % 2 == which else out
+
+    monkeypatch.setattr(models, "displacement_gauged", broken_displacement)
+    rep = qrm_transform_check(IonParams(Omega=0.7, eta=0.3), T64)
+    assert not rep.passed
+    assert rep.metrics["frobenius_norm"] > 1e3 * rep.metrics["threshold"]
+    draws = qrm_transform_property(5, T64, seed=99)
+    assert not draws.passed and draws.metrics["failed"] > 0
+    # the defect hit the displacement it names: full and half alternate
+    assert radii[1::2] == [r / 2.0 for r in radii[0::2]] and len(radii) == 12
+
+
+def test_transform_draws_form_no_complex_displacement_and_gauge_nothing(monkeypatch):
+    """The transform identity reads the builders' real form: no complex D, no fock_gauge."""
+    import sys
+
+    import ionqrm.algebra as algebra
+    import ionqrm.models as models
+
+    calls = dict.fromkeys(("fock_gauge", "displacement", "h_resonant", "h_qrm"), 0)
+    for target in calls:
+        home = models if target.startswith("h_") else algebra
+        original = getattr(home, target)
+
+        def counting(*args, _target=target, _original=original, **kwargs):
+            calls[_target] += 1
+            return _original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ionqrm" and vars(module).get(target) is original:
+                monkeypatch.setattr(module, target, counting)
+    rep = qrm_transform_property(5, T64, seed=99)
+    assert rep.passed
+    assert calls == {"fock_gauge": 0, "displacement": 0, "h_resonant": 5, "h_qrm": 5}
+    # the counters see a call through any binding, for example the dense oracle's
+    models.qrm_transform(0.3, T64)
+    assert calls["displacement"] == 1
 
 
 def test_report_serialization_round_trip_types():

@@ -36,6 +36,7 @@ from ionqrm import (
     y_rotation,
 )
 from ionqrm import models
+from ionqrm.algebra import displacement_gauged, fock_gauge
 from ionqrm.params import phase_is_zero_or_pi
 from oracles import Spin, is_hermitian, is_unitary, number_op, pauli
 
@@ -265,36 +266,37 @@ def _gauged_interior(m, trunc):
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.6])
 def test_gauged_conjugation_matches_dense_transform(eta):
     t_mat = qrm_transform(eta, T64)
-    h = h_resonant(IonParams(Omega=0.7, eta=eta, nu=1.3), T64)
+    p = IonParams(Omega=0.7, eta=eta, nu=1.3)
+    h = h_resonant(p, T64)
     dense = _gauged_interior(t_mat @ h @ dagger(t_mat), T64)
     # the gauged dense product is real up to rounding, and so is the blockwise one exactly
     assert np.max(np.abs(dense.imag)) < 1e-12
-    got = qrm_conjugate(h, eta, T64)
+    got = qrm_conjugate(h_resonant(p, T64, gauged=True), eta, T64)
     assert np.isrealobj(got) and got.shape == (2 * T64.interior_dim,) * 2
     assert np.max(np.abs(got - dense)) < 1e-12
-    # any H that is real in the gauge: P^dag G P for a real symmetric G
+    # any H that is real in the gauge: H = P^dag G P for a real symmetric G
     rng = np.random.default_rng(11)
     g = rng.normal(size=(128, 128))
     phases = np.tile(_I_POWERS[np.arange(64) % 4], 2)
     m = phases.conj()[:, None] * (g + g.T) * phases[None, :]
     dense = _gauged_interior(t_mat @ m @ dagger(t_mat), T64)
-    assert np.max(np.abs(qrm_conjugate(m, eta, T64) - dense)) < 1e-12
+    assert np.max(np.abs(qrm_conjugate(g + g.T, eta, T64) - dense)) < 1e-12
 
 
 def test_conjugation_rejects_h_not_real_in_the_gauge():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
-    with pytest.raises(ValueError, match="not exactly real in the Fock-parity gauge"):
-        qrm_conjugate(m + dagger(m), 0.3, T64)
-    # off the phases 0 and pi the resonant model has no real gauge
-    h = h_resonant(IonParams(Omega=0.7, eta=0.3, phi_l=0.4), T64)
+    # one input form: the real G = P H P^dag, never a complex H, even one real in the gauge
+    for h in (m + dagger(m), h_resonant(IonParams(Omega=0.7, eta=0.3), T64)):
+        with pytest.raises(ValueError, match="must be a real 128x128 array"):
+            qrm_conjugate(h, 0.3, T64)
+    # off the phase 0 the resonant model has no real gauge, so it has no real form
+    for phase in (0.4, math.pi):
+        with pytest.raises(ValueError, match="not exactly real in the Fock-parity gauge"):
+            h_resonant(IonParams(Omega=0.7, eta=0.3, phi_l=phase), T64, gauged=True)
+    # a phase of rounding size is enough
     with pytest.raises(ValueError, match="not exactly real"):
-        qrm_conjugate(h, 0.3, T64)
-    # one entry of rounding size on the wrong part is enough
-    h = h_resonant(IonParams(Omega=0.7, eta=0.3), T64)
-    h[0, 1] += 1e-300
-    with pytest.raises(ValueError, match="not exactly real"):
-        qrm_conjugate(h, 0.3, T64)
+        h_resonant(IonParams(Omega=0.7, eta=0.3, phi_l=1e-300), T64, gauged=True)
 
 
 def test_blockwise_conjugation_rejects_wrong_dimension():
@@ -653,3 +655,34 @@ def test_no_builder_returns_a_negative_zero(name):
             continue
         floats = HAMILTONIAN_BUILDERS[name](p, trunc).view(np.float64)
         assert not np.signbit(floats[floats == 0.0]).any(), p
+
+
+def test_gauged_form_of_resonant_and_qrm_is_fock_gauge_of_the_complex_form():
+    # the real form exists exactly where fock_gauge finds P H P^dag real, and then equals it
+    builds = {
+        "resonant": lambda p, trunc, **kw: h_resonant(replace(p, delta=0.0), trunc, **kw),
+        "qrm": h_qrm,
+        "qrm-constant": lambda p, trunc, **kw: h_qrm(p, trunc, include_constant=True, **kw),
+    }
+    for p, trunc in _block_written_draws(100):
+        n = trunc.n_max
+        for eta in (p.eta, p.eta / 2.0, -p.eta):
+            assert np.array_equal(
+                displacement_gauged(eta, trunc), fock_gauge(displacement(1j * eta, trunc), n)
+            ), p
+        for phase in dict.fromkeys((0.0, math.pi, p.phi_l)):
+            q = replace(p, phi_l=phase)
+            for name, build in builds.items():
+                oracle = fock_gauge(build(q, trunc), n)
+                if oracle is None:
+                    # only a drive whose float phase factor Omega*e^(i*phi_l) is not real
+                    assert name == "resonant" and phase != 0.0 and p.Omega != 0.0, q
+                    with pytest.raises(ValueError, match="not exactly real in the Fock-parity"):
+                        build(q, trunc, gauged=True)
+                    continue
+                got = build(q, trunc, gauged=True)
+                assert got.dtype == np.float64 and np.array_equal(got, oracle), (name, q)
+            # a drive at any phase but 0 (pi included, in floats) has no real form
+            assert (fock_gauge(builds["resonant"](q, trunc), n) is None) == (
+                phase != 0.0 and p.Omega != 0.0
+            ), q
