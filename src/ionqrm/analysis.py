@@ -8,7 +8,6 @@ the report, so reports are deterministic given (params, trunc, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -41,6 +40,7 @@ from .params import (
     DEFAULT_SEED,
     DEFAULT_TRUNC,
     IonParams,
+    Record,
     Regime,
     RegimeThresholds,
     Tolerances,
@@ -53,14 +53,13 @@ from .params import (
 DEFAULT_TOLERANCES = Tolerances()
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one experiment: metrics, the tolerance used, and a pass flag."""
 
     name: str
     passed: bool
     tolerance: float
-    metrics: dict[str, float] = field(default_factory=dict)
+    metrics: dict[str, float] = {}
     params: IonParams | None = None
     trunc: TruncationSpec | None = None
     seed: int | None = None
@@ -69,10 +68,10 @@ class VerificationReport:
     def to_dict(self) -> dict:
         params = None
         if self.params is not None:
-            params = {k: float(v) for k, v in asdict(self.params).items()}
+            params = {k: float(v) for k, v in self.params.asdict().items()}
         trunc = None
         if self.trunc is not None:
-            trunc = {k: int(v) for k, v in asdict(self.trunc).items()}
+            trunc = {k: int(v) for k, v in self.trunc.asdict().items()}
         return {
             "schema_version": 1,
             "name": self.name,

@@ -20,11 +20,9 @@ the standard library.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict
 
 from .config import COMMANDS, ConfigError, RunConfig, parse_config
 from .params import classify_regime
@@ -60,6 +58,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _json_text(payload: dict) -> str:
+    import json
+
     # strict JSON: a NaN or infinity is an error, never a bare token
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
@@ -77,8 +77,8 @@ def _cmd_build(config: RunConfig) -> int:
         "kind": "hamiltonian",
         "name": name,
         "dim": int(h.shape[0]),
-        "params": asdict(config.params),
-        "trunc": asdict(config.trunc),
+        "params": config.params.asdict(),
+        "trunc": config.trunc.asdict(),
         "entries": [[float(z.real), float(z.imag)] for z in h.ravel()],
     }
     _write_text(config.out, _json_text(payload))
@@ -203,6 +203,8 @@ _DISPATCH = {
 
 
 def _error_record(exc: Exception) -> str:
+    import json
+
     payload = {
         "schema_version": SCHEMA_VERSION,
         "error": type(exc).__name__,

@@ -18,14 +18,16 @@ command other than ``regime``, ``seed`` the command ``all-checks``,
 A nonzero ``delta`` or ``phi_l`` is an error where what the command runs does
 not read it: a Hamiltonian builder (:data:`BUILDER_READS`) in ``build``,
 ``evolve`` and ``scan.kind = truncation``, and every other scan kind, verify
-check, ``regime`` and ``all-checks`` (:data:`RUN_READS`).
+check, ``regime`` and ``all-checks`` (:data:`RUN_READS`). So is a key of a
+section that what the command runs never reads (:data:`RUN_SKIPS`: ``trunc.*``
+and ``tol.*`` for ``regime``, ``trunc.*`` for ``scan.kind = lamb-dicke``).
 Values use the shortest round-trip decimal form for floats,
 ``true``/``false`` for booleans, ``re+imj`` for complex numbers and
 comma-separated items for lists.
 
 Each key is one row of :data:`KEYS` (its :class:`RunConfig` section, field,
 parser and rule), in the order :func:`emit_config` writes. Defaults come only
-from the dataclasses (``IonParams``, ``DEFAULT_TRUNC``, ``Tolerances``,
+from the record classes (``IonParams``, ``DEFAULT_TRUNC``, ``Tolerances``,
 ``RegimeThresholds``, the ``*Spec`` classes), except that ``format`` follows
 the command and ``scan.k_lowest`` is 8 for ``scan.kind = truncation``.
 
@@ -35,14 +37,13 @@ configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import groupby
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from collections.abc import Callable
 
-from .params import (DEFAULT_SEED, DEFAULT_TRUNC, IonParams, RegimeThresholds, Tolerances,
-                     TruncationSpec, is_sideband_resonant, phase_is_zero_or_pi)
+from .params import (DEFAULT_SEED, DEFAULT_TRUNC, IonParams, Record, RegimeThresholds,
+                     Tolerances, TruncationSpec, is_sideband_resonant, phase_is_zero_or_pi)
 
 COMMANDS = ("build", "verify", "evolve", "scan", "regime", "all-checks")
 #: Which of ``delta`` and ``phi_l`` each Hamiltonian builder reads (its keys are
@@ -77,6 +78,13 @@ RUN_READS: dict[str, tuple[str, ...]] = {
     "command = regime": ("phi_l",),
     "command = all-checks": (),
 }
+#: The :class:`RunConfig` sections that a run, keyed as in :data:`RUN_READS`,
+#: never reads: setting one of their keys is a ConfigError. ``regime`` reads only
+#: the parameters and thresholds; the lamb-dicke scan fixes its own truncation.
+RUN_SKIPS: dict[str, tuple[str, ...]] = {
+    "command = regime": ("trunc", "tol"),
+    "scan.kind = lamb-dicke": ("trunc",),
+}
 
 
 class ConfigError(ValueError):
@@ -88,14 +96,12 @@ class ConfigError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
-class BuildSpec:
+class BuildSpec(Record):
     hamiltonian: str = "qrm"
     include_constant: bool = True
 
 
-@dataclass(frozen=True)
-class EvolveSpec:
+class EvolveSpec(Record):
     hamiltonian: str = "jc"
     state: str = "fock"
     spin: str = "e"
@@ -114,8 +120,7 @@ class EvolveSpec:
             raise ValueError("evolve.samples >= 2")
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(Record):
     kind: str = "dispersive"
     etas: tuple[float, ...] = (0.08, 0.04, 0.02)
     n_list: tuple[int, ...] = (16, 32, 64)
@@ -123,14 +128,12 @@ class ScanSpec:
     builder: str = "qrm"
 
 
-@dataclass(frozen=True)
-class VerifySpec:
+class VerifySpec(Record):
     check: str = "qrm-transform"
     fock: int = 0
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     command: str
     params: IonParams
     trunc: TruncationSpec
@@ -192,7 +195,7 @@ def _format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}j"
 
 
-class _Key(NamedTuple):
+class _Key(Record):
     attr: str | None  # RunConfig attribute holding the section; None: a RunConfig field
     field: str
     parse: Callable[[str], object]
@@ -255,7 +258,7 @@ KEYS: dict[str, _Key] = {
 # RunConfig attribute -> constructor of that section from the keys set in it
 _SECTIONS: dict[str, Callable[..., object]] = {
     "params": IonParams,
-    "trunc": partial(replace, DEFAULT_TRUNC),
+    "trunc": DEFAULT_TRUNC.replace,
     "tol": Tolerances,
     "build": BuildSpec,
     "evolve": EvolveSpec,
@@ -367,12 +370,15 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
                 )
 
     config = RunConfig(**fields)
-    _validate(config)
+    _validate(config, lines)
     return config
 
 
-def _validate(config: RunConfig) -> None:
-    """Constraint checks against the target command, before any computation."""
+def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
+    """Constraint checks against the target command, before any computation.
+
+    ``lines`` maps each key the input set to its line number.
+    """
     c = config
     if c.command == "evolve":
         if c.format != "csv":
@@ -411,7 +417,7 @@ def _validate(config: RunConfig) -> None:
                 raise ConfigError("constraint violation: scan.n_list strictly increasing")
         if c.scan.k_lowest < 1:
             raise ConfigError("constraint violation: scan.k_lowest >= 1")
-    _run_preconditions(c)
+    _run_preconditions(c, lines)
 
 
 def _what_runs(c: RunConfig) -> str:
@@ -425,14 +431,18 @@ def _what_runs(c: RunConfig) -> str:
     return f"command = {c.command}"
 
 
-def _run_preconditions(c: RunConfig) -> None:
-    """A nonzero delta or phi_l that what the command runs would drop is an error."""
+def _run_preconditions(c: RunConfig, lines: dict[str, int | None]) -> None:
+    """A nonzero delta or phi_l, or a key set, that what the command runs would drop."""
     p = c.params
     name = _what_runs(c)
     reads = BUILDER_READS[name] if name in BUILDER_READS else RUN_READS[name]
     for param in ("delta", "phi_l"):
         if getattr(p, param) != 0.0 and param not in reads:
             raise ConfigError(f"constraint violation: {name} requires {param} = 0")
+    skips = RUN_SKIPS.get(name, ())
+    for key, line in lines.items():
+        if KEYS[key].attr in skips:
+            raise ConfigError(f"{key} is not read by {name}", line)
     if name == "rabi-rotated" and not phase_is_zero_or_pi(p.phi_l):
         raise ConfigError("constraint violation: rabi-rotated requires phi_l in {0, pi}")
 
@@ -473,12 +483,13 @@ def emit_config(config: RunConfig) -> str:
     whose ``only_if`` rule fails (``format`` for ``regime``,
     ``build.include_constant`` off ``qrm``, ``evolve.alpha`` for a Fock
     start, ``scan.etas`` for ``scan.kind = truncation``, ``evolve.t_max``
-    with ``evolve.times`` set, ...);
+    with ``evolve.times`` set, ...) or of a section in :data:`RUN_SKIPS`;
     ``parse_config(emit_config(c)) == c`` for every valid config.
     """
+    skips = RUN_SKIPS.get(_what_runs(config), ())
     out = []
     for key, spec in KEYS.items():
-        if _scope(key) not in (None, config.command):
+        if _scope(key) not in (None, config.command) or spec.attr in skips:
             continue
         section = config if spec.attr is None else getattr(config, spec.attr)
         value = getattr(section, spec.field)

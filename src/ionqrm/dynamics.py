@@ -34,12 +34,12 @@ touches one 2x2 block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from .algebra import TruncationSpec, displacement, fock_gauge, fock_phases
+from .params import Record
 
 _HERMITIAN_TOL = 1e-10
 _NORM_TOL = 1e-10
@@ -47,8 +47,7 @@ _RECORD_NORM_TOL = 1e-8
 _RESIDUAL_TOL = 1e-9
 
 
-@dataclass
-class EvolutionResult:
+class EvolutionResult(Record):
     """Per-time observable records of one trajectory.
 
     fidelity is populated only when a reference trajectory was supplied;
@@ -100,8 +99,7 @@ def fidelity(psi: np.ndarray, phi: np.ndarray) -> float:
     return float(abs(np.vdot(psi, phi)) ** 2)
 
 
-@dataclass(frozen=True)
-class BlockEigensystem:
+class BlockEigensystem(Record):
     """Eigenpairs of a Hermitian H, grouped by block size.
 
     Each group is ``(idx, w, v)`` for k blocks of size s: ``idx`` (k, s) holds

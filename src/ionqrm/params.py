@@ -9,7 +9,6 @@ here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 _PHASE_ATOL = 1e-12
@@ -22,8 +21,92 @@ class ResonancePoleError(ValueError):
     """Raised when a formula hits the 2*Omega = nu (or 2*Omega = -nu) pole."""
 
 
-@dataclass(frozen=True)
-class IonParams:
+class Record:
+    """Frozen value class: every parameter, configuration and result type.
+
+    The fields are the class annotations, in order, and a class value is that
+    field's default. An instance stores the fields it was given; the others
+    read the class value, except that a dict, list or set default is copied
+    for each instance. Construction takes the fields positionally or by
+    keyword, raises ``TypeError`` for a missing, unknown or duplicate one,
+    then calls ``__post_init__``. Equality and hash are those of the field
+    tuple, and the repr is ``Name(field=value, ...)``. No code is generated
+    per class, so defining one costs a class statement and nothing more.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._field_set = frozenset(cls._fields)
+        cls._required = frozenset(name for name in cls._fields if not hasattr(cls, name))
+        cls._copied = tuple(name for name in cls._fields
+                            if isinstance(getattr(cls, name, None), (dict, list, set)))
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        values = self.__dict__
+        if args:
+            if (len(args) > len(cls._fields)
+                    or kwargs and not kwargs.keys().isdisjoint(cls._fields[:len(args)])):
+                raise TypeError(cls._bad_arguments(args, kwargs))
+            values.update(zip(cls._fields, args))
+        values.update(kwargs)
+        if not cls._required <= values.keys() <= cls._field_set:
+            raise TypeError(cls._bad_arguments(args, kwargs))
+        for name in cls._copied:
+            if name not in values:
+                values[name] = getattr(cls, name).copy()
+        self.__post_init__()
+
+    @classmethod
+    def _bad_arguments(cls, args: tuple, kwargs: dict) -> str:
+        fields = cls._fields
+        if len(args) > len(fields):
+            return (f"{cls.__name__}() takes {len(fields)} positional arguments "
+                    f"but {len(args)} were given")
+        for name in kwargs:
+            if name not in fields:
+                return f"{cls.__name__}() got an unexpected keyword argument {name!r}"
+            if name in fields[:len(args)]:
+                return f"{cls.__name__}() got multiple values for argument {name!r}"
+        missing = [name for name in fields[len(args):]
+                   if name in cls._required and name not in kwargs]
+        return f"{cls.__name__}() missing required arguments: {', '.join(map(repr, missing))}"
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({items})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, validated like a new instance."""
+        return type(self)(**{**self.__dict__, **changes})
+
+    def asdict(self) -> dict:
+        """Field name -> value, in field order (a nested record stays a record)."""
+        return dict(zip(self._fields, self._values()))
+
+
+class IonParams(Record):
     """Physical parameters of the resonant ion-laser interaction.
 
     Omega is the laser Rabi coupling, eta the Lamb-Dicke parameter, nu the
@@ -50,8 +133,7 @@ class IonParams:
             raise ValueError(f"Omega >= 0 violated (got {self.Omega})")
 
 
-@dataclass(frozen=True)
-class DerivedCouplings:
+class DerivedCouplings(Record):
     """Coupling constants derived from :class:`IonParams`.
 
     g_qrm is the Rabi-model coupling eta*nu/2; eps_counter and eps_co are
@@ -75,8 +157,7 @@ class Regime(Enum):
     UNCLASSIFIED = "unclassified"
 
 
-@dataclass(frozen=True)
-class RegimeThresholds:
+class RegimeThresholds(Record):
     """Configurable ratio thresholds for :func:`classify_regime`.
 
     ordering_factor is the ratio read for a "much greater than" ordering,
@@ -99,8 +180,7 @@ class RegimeThresholds:
                 raise ValueError(f"{name} must be positive and finite")
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
+class TruncationSpec(Record):
     """Oscillator Fock cutoff plus an interior guard band.
 
     ``guard`` is the number of top Fock levels excluded from interior
@@ -128,8 +208,7 @@ class TruncationSpec:
 DEFAULT_TRUNC = TruncationSpec(n_max=64, guard=16)
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(Record):
     """Pass/fail thresholds shared by the verification experiments."""
 
     identity: float = 1e-10

@@ -205,6 +205,24 @@ _RUN_DROPPED = [
 ]
 
 
+# (command, what it runs, key, value): a key of a section the run never reads
+_RUN_SKIPPED = [
+    *(("regime", "command = regime", key, value)
+      for key, value in (("trunc.n_max", "40"), ("trunc.guard", "4"), ("tol.identity", "1e-11"),
+                         ("tol.oracle", "1e-08"), ("tol.spectral", "0.5"),
+                         ("tol.min_order", "2.5"))),
+    ("scan", "scan.kind = lamb-dicke", "trunc.n_max", "40"),
+    ("scan", "scan.kind = lamb-dicke", "trunc.guard", "4"),
+]
+
+
+def _run_skipped_case(command, run, key, value):
+    extra = ["--set", f"{key}={value}"]
+    if not run.startswith("command"):
+        extra += ["--set", run.replace(" = ", "=")]
+    return (command, extra, f"{key} is not read by {run}")
+
+
 # every command but all-checks runs nothing random, so none reads seed
 _SEEDLESS = ("build", "verify", "evolve", "scan", "regime")
 
@@ -258,6 +276,7 @@ def _dropped_case(command, builder, param):
          "evolve.samples applies only to evolve.times = unset"),
         *(_dropped_case(*case) for case in _DROPPED),
         *(_run_dropped_case(*case) for case in _RUN_DROPPED),
+        *(_run_skipped_case(*case) for case in _RUN_SKIPPED),
         *((command, ["--set", "seed=99"], "seed applies only to command = all-checks")
           for command in _SEEDLESS),
     ],
@@ -266,6 +285,7 @@ def _dropped_case(command, builder, param):
          "evolve.t_max-with-times", "evolve.samples-with-times",
          *("-".join(case) for case in _DROPPED),
          *(f"{run.replace(' = ', '=')}-{param}" for _, run, param in _RUN_DROPPED),
+         *(f"{run.replace(' = ', '=')}-{key}" for _, run, key, _ in _RUN_SKIPPED),
          *(f"seed-{command}" for command in _SEEDLESS)],
 )
 def test_key_the_run_would_not_read_is_one_config_error(command, extra, message, capsys):
@@ -509,7 +529,8 @@ def test_import_and_regime_never_load_numpy(src_env, tmp_path):
 
 
 def test_module_entry_point_regime_never_loads_numpy(src_env):
-    # what `python -m ionqrm regime ...` runs, with sys.modules visible afterwards
+    # what `python -m ionqrm regime ...` runs, with sys.modules visible afterwards;
+    # the records need no dataclasses (nor its inspect), and json only writes errors
     child = (
         "import contextlib, io, runpy, sys\n"
         "sys.argv = ['ionqrm', 'regime', '--set', 'Omega=1.0', '--set', 'eta=2.5']\n"
@@ -519,12 +540,13 @@ def test_module_entry_point_regime_never_loads_numpy(src_env):
         "        runpy.run_module('ionqrm', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(code, out.getvalue().splitlines()[0], 'numpy' in sys.modules)\n"
+        "loaded = [m for m in ('numpy', 'dataclasses', 'inspect', 'json') if m in sys.modules]\n"
+        "print(code, out.getvalue().splitlines()[0], *loaded)\n"
     )
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           env=src_env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(EXIT_OK), "deep-strong", "False"]
+    assert proc.stdout.split() == [str(EXIT_OK), "deep-strong"]
 
 
 def test_scipy_users_resolve_their_lazy_imports(src_env):

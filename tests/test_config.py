@@ -6,7 +6,8 @@ import pytest
 
 from ionqrm import (HAMILTONIAN_BUILDERS, ConfigError, IonParams, TruncationSpec, emit_config,
                     parse_config)
-from ionqrm.config import BUILDER_READS, KEYS, RUN_READS, SCAN_KINDS, VERIFY_CHECKS
+from ionqrm.config import (BUILDER_READS, KEYS, RUN_READS, RUN_SKIPS, SCAN_KINDS,
+                           VERIFY_CHECKS)
 
 
 def test_minimal_document_gets_defaults():
@@ -179,6 +180,8 @@ def _random_config_text(rng) -> str:
         lines.append("verify.check = speed")
     elif command == "regime":
         lines.append(f"regime.ordering_factor = {rng.uniform(2.0, 20.0)!r}")
+    if command == "regime" or "scan.kind = lamb-dicke" in lines:  # neither reads trunc.*
+        lines = [line for line in lines if not line.startswith("trunc.")]
     return "\n".join(lines) + "\n"
 
 
@@ -228,14 +231,14 @@ _NON_DEFAULT = {
     "eta": {"eta": "0.05"},
     "phi_l": {"phi_l": "3.141592653589793"},
     "delta": {"command": "build", "build.hamiltonian": "qrm-detuned", "delta": "0.25"},
-    "trunc.n_max": {"trunc.n_max": "32"},
-    "trunc.guard": {"trunc.guard": "4"},
+    "trunc.n_max": {"command": "build", "trunc.n_max": "32"},
+    "trunc.guard": {"command": "build", "trunc.guard": "4"},
     "seed": {"command": "all-checks", "seed": "7"},
     "format": {"command": "scan", "format": "json"},
-    "tol.identity": {"tol.identity": "1e-11"},
-    "tol.oracle": {"tol.oracle": "1e-08"},
-    "tol.spectral": {"tol.spectral": "1e-07"},
-    "tol.min_order": {"tol.min_order": "2.5"},
+    "tol.identity": {"command": "verify", "tol.identity": "1e-11"},
+    "tol.oracle": {"command": "verify", "tol.oracle": "1e-08"},
+    "tol.spectral": {"command": "verify", "tol.spectral": "1e-07"},
+    "tol.min_order": {"command": "verify", "tol.min_order": "2.5"},
     "out": {"out": "result.json"},
     "build.hamiltonian": {"command": "build", "build.hamiltonian": "jc"},
     "build.include_constant": {"command": "build", "build.include_constant": "false"},
@@ -305,6 +308,20 @@ def test_run_reads_names_every_verify_check_scan_kind_and_other_command():
     runs += ["command = regime", "command = all-checks"]
     assert sorted(RUN_READS) == sorted(runs)
     assert {p for reads in RUN_READS.values() for p in reads} <= set(_NONZERO)
+    # a skipped section is one of RunConfig's keyed sections, skipped by a declared run
+    assert set(RUN_SKIPS) <= set(RUN_READS)
+    assert {s for skips in RUN_SKIPS.values() for s in skips} <= {k.attr for k in KEYS.values()}
+
+
+@pytest.mark.parametrize("run, text", [
+    ("command = regime", "command = regime\nOmega = 0.5\neta = 0.02\n"),
+    ("scan.kind = lamb-dicke", "command = scan\nOmega = 0.7\neta = 0.3\nscan.kind = lamb-dicke\n"),
+])
+def test_emit_writes_no_key_of_a_section_the_run_skips(run, text):
+    cfg = parse_config(text)
+    emitted = emit_config(cfg)
+    assert [line for line in emitted.splitlines() if line.split(".")[0] in RUN_SKIPS[run]] == []
+    assert parse_config(emitted) == cfg
 
 
 def _build_or_reject(name: str, **params):

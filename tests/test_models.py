@@ -1,6 +1,5 @@
 """Tests for the Hamiltonian and transformation builders."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -628,7 +627,7 @@ def test_block_written_builders_are_bit_identical_to_term_sums(monkeypatch):
 
     monkeypatch.setattr(models, "_spin_blocks", recording)
     for p, trunc in _block_written_draws(300):
-        resonant = replace(p, delta=0.0)  # h_resonant requires delta = 0
+        resonant = p.replace(delta=0.0)  # h_resonant requires delta = 0
         got = h_resonant(resonant, trunc)
         assert got.tobytes() == _h_resonant_by_terms(resonant, trunc).tobytes(), p
         for constant in (False, True):
@@ -650,7 +649,7 @@ def test_block_written_builders_are_bit_identical_to_term_sums(monkeypatch):
 def test_no_builder_returns_a_negative_zero(name):
     for p, trunc in _block_written_draws(100):
         if name == "resonant":
-            p = replace(p, delta=0.0)
+            p = p.replace(delta=0.0)
         elif name == "rabi-rotated" and not phase_is_zero_or_pi(p.phi_l):
             continue
         floats = HAMILTONIAN_BUILDERS[name](p, trunc).view(np.float64)
@@ -660,7 +659,7 @@ def test_no_builder_returns_a_negative_zero(name):
 def test_gauged_form_of_resonant_and_qrm_is_fock_gauge_of_the_complex_form():
     # the real form exists exactly where fock_gauge finds P H P^dag real, and then equals it
     builds = {
-        "resonant": lambda p, trunc, **kw: h_resonant(replace(p, delta=0.0), trunc, **kw),
+        "resonant": lambda p, trunc, **kw: h_resonant(p.replace(delta=0.0), trunc, **kw),
         "qrm": h_qrm,
         "qrm-constant": lambda p, trunc, **kw: h_qrm(p, trunc, include_constant=True, **kw),
     }
@@ -671,7 +670,7 @@ def test_gauged_form_of_resonant_and_qrm_is_fock_gauge_of_the_complex_form():
                 displacement_gauged(eta, trunc), fock_gauge(displacement(1j * eta, trunc), n)
             ), p
         for phase in dict.fromkeys((0.0, math.pi, p.phi_l)):
-            q = replace(p, phi_l=phase)
+            q = p.replace(phi_l=phase)
             for name, build in builds.items():
                 oracle = fock_gauge(build(q, trunc), n)
                 if oracle is None:
