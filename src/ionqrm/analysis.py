@@ -42,7 +42,6 @@ from .params import (
     IonParams,
     Record,
     Regime,
-    RegimeThresholds,
     Tolerances,
     TruncationSpec,
     classify_regime,
@@ -102,11 +101,12 @@ def _fit_order(xs: list[float], ys: list[float]) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
-def dominant_frequency(times: np.ndarray, signal: np.ndarray, pad_factor: int = 8) -> float:
+def dominant_frequency(times: np.ndarray, signal: np.ndarray) -> float:
     """Angular frequency of the dominant spectral line of a uniformly sampled signal.
 
-    Hann-windowed zero-padded FFT with quadratic interpolation around the
-    peak bin, which resolves the line well below the bin spacing.
+    Hann-windowed FFT zero-padded to 8 times the signal length, with
+    quadratic interpolation around the peak bin, which resolves the line
+    well below the bin spacing.
     """
     times = np.asarray(times, dtype=float)
     signal = np.asarray(signal, dtype=float)
@@ -117,7 +117,7 @@ def dominant_frequency(times: np.ndarray, signal: np.ndarray, pad_factor: int = 
     if not np.allclose(steps, dt, rtol=1e-9, atol=0):
         raise ValueError("dominant_frequency requires a uniform time grid")
     x = (signal - signal.mean()) * np.hanning(signal.size)
-    n_fft = pad_factor * signal.size
+    n_fft = 8 * signal.size
     spectrum = np.abs(np.fft.rfft(x, n=n_fft))
     k = int(np.argmax(spectrum[1:])) + 1
     if 1 <= k < spectrum.size - 1:
@@ -131,13 +131,13 @@ def dominant_frequency(times: np.ndarray, signal: np.ndarray, pad_factor: int = 
 
 def operator_algebra_check(
     trunc: TruncationSpec = DEFAULT_TRUNC,
-    alphas: tuple[complex, ...] = (0.5, 0.5j, 0.3 + 0.4j, -0.25 - 0.35j),
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationReport:
     """Ladder commutator on the interior plus both displacement oracles.
 
     Checks that the interior of [a, a^dag] is the identity (to rounding),
     that the production displacement (:func:`~ionqrm.algebra.displacement`)
+    at each of the four displacements 0.5, 0.5i, 0.3+0.4i and -0.25-0.35i
     is unitary and matches the generator exponential on the full matrix
     within the identity tolerance, and that it agrees elementwise with the
     Laguerre closed form on the interior block within the oracle tolerance.
@@ -150,7 +150,7 @@ def operator_algebra_check(
     oracle_dev = 0.0
     gen_dev = 0.0
     eye = np.eye(trunc.n_max)
-    for alpha in alphas:
+    for alpha in (0.5, 0.5j, 0.3 + 0.4j, -0.25 - 0.35j):
         disp = displacement(alpha, trunc)
         lag = displacement_laguerre(alpha, trunc)
         unit_dev = max(unit_dev, float(np.max(np.abs(disp @ dagger(disp) - eye))))
@@ -307,20 +307,17 @@ def guard_necessity_check(
 def lamb_dicke_remainder_scan(
     p_base: IonParams | None = None,
     etas: tuple[float, ...] = (0.04, 0.02, 0.01),
-    trunc: TruncationSpec | None = None,
-    interior_levels: int = 8,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationReport:
     """Scaling of the first-order expansion remainder with the Lamb-Dicke parameter.
 
-    On a fixed low-Fock interior the Frobenius norm of
-    (h_resonant - h_lamb_dicke) must shrink with measured order >= 1.8 in
-    eta (the remainder is second order in the displacement expansion).
+    On the fixed 8-level interior of ``TruncationSpec(n_max=64, guard=56)``
+    the Frobenius norm of (h_resonant - h_lamb_dicke) must shrink with
+    measured order >= min_scaling_order in eta (the remainder is second
+    order in the displacement expansion).
     """
     p_base = p_base or IonParams(Omega=0.7, eta=0.0)
-    trunc = trunc or TruncationSpec(n_max=64, guard=64 - interior_levels)
-    if trunc.interior_dim > interior_levels:
-        raise ValueError("guard too small for the requested fixed interior")
+    trunc = TruncationSpec(n_max=64, guard=56)
     if len(etas) < 2 or any(e <= 0 for e in etas) or any(np.diff(etas) >= 0):
         raise ValueError("etas must be positive and strictly decreasing")
     norms = []
@@ -345,6 +342,9 @@ def lamb_dicke_remainder_scan(
     )
 
 
+_MAX_SMALL_ROTATION = 0.2  # the dispersive premise is first order in these angles
+
+
 def dispersive_error_scan(
     p_base: IonParams,
     etas: tuple[float, ...] = (0.08, 0.04, 0.02),
@@ -357,8 +357,8 @@ def dispersive_error_scan(
     For each eta the Rabi Hamiltonian is conjugated by the two small
     rotations and its lowest eigenvalues are compared (sorted) with the
     diagonal dispersive Hamiltonian; the scan fits the scaling order of the
-    error in eta and passes iff it reaches min_scaling_order. Raises before
-    computing when a small-rotation angle exceeds max_small_rotation (the
+    error in eta and passes iff it reaches ``tol.min_scaling_order``. Raises
+    ValueError before computing when a small-rotation angle exceeds 0.2 (the
     first-order premise breaks near the 2*Omega = nu pole).
     """
     if len(etas) < 2 or any(e <= 0 for e in etas) or any(np.diff(etas) >= 0):
@@ -368,10 +368,10 @@ def dispersive_error_scan(
     for eta in etas:
         p = IonParams(Omega=p_base.Omega, eta=eta, nu=p_base.nu)
         cpl = derived_couplings(p)
-        if max(abs(cpl.eps_counter), abs(cpl.eps_co)) > tol.max_small_rotation:
+        if max(abs(cpl.eps_counter), abs(cpl.eps_co)) > _MAX_SMALL_ROTATION:
             raise ValueError(
                 f"small-rotation angle {max(abs(cpl.eps_counter), abs(cpl.eps_co)):.3g} "
-                f"exceeds {tol.max_small_rotation} at eta={eta}; too close to the "
+                f"exceeds {_MAX_SMALL_ROTATION} at eta={eta}; too close to the "
                 "2*Omega = nu pole"
             )
     distances = []
@@ -400,15 +400,12 @@ def dispersive_error_scan(
     )
 
 
-def chi_identity_check(
-    n_draws: int = 100,
-    seed: int = DEFAULT_SEED,
-    rtol: float = 1e-12,
-) -> VerificationReport:
+def chi_identity_check(n_draws: int = 100, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Algebraic cross-check chi = nu*eta*(eps_counter + eps_co).
 
     Equivalently chi = 2*g*(eps_counter + eps_co) with g = eta*nu/2; holds
-    exactly for every parameter set away from the sideband pole.
+    exactly for every parameter set away from the sideband pole, so every
+    draw must agree to 1e-12 relative (rounding).
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -426,21 +423,22 @@ def chi_identity_check(
         count += 1
     return VerificationReport(
         name="chi-identity",
-        passed=worst <= rtol,
-        tolerance=rtol,
+        passed=worst <= 1e-12,
+        tolerance=1e-12,
         metrics={"draws": float(n_draws), "worst_relative_dev": worst},
         seed=seed,
         notes="chi = nu*eta*(eps_counter+eps_co) = 2*g*(eps_counter+eps_co)",
     )
 
 
+_DYNAMICS_TRUNC = TruncationSpec(n_max=32, guard=8)  # of the JC, AJC and conservation runs
+_JC_FREQ_RTOL = 0.05  # relative deviation of the full model's Rabi line
+
+
 def jc_rabi_experiment(
     p: IonParams,
     n0: int = 0,
-    trunc: TruncationSpec = TruncationSpec(n_max=32, guard=8),
-    periods: int = 8,
-    points_per_period: int = 64,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    trunc: TruncationSpec = _DYNAMICS_TRUNC,
 ) -> VerificationReport:
     """Sideband Rabi oscillations: JC interaction against the full model.
 
@@ -451,8 +449,9 @@ def jc_rabi_experiment(
     evolution under the rotated Hamiltonian measures the same line.
 
     The analytic population frequency is 2*eta*Omega*sqrt(n0+1) (twice the
-    amplitude Rabi rate). Pass requires the full-model line within
-    jc_freq_rtol of that value and the JC run to match its closed-form
+    amplitude Rabi rate). Both runs take 64 samples per analytic period over
+    8 periods. Pass requires the full-model line within 5% of that value
+    (the report's tolerance, 0.05) and the JC run to match its closed-form
     cos^2 oracle pointwise at 1e-8.
     """
     if not is_sideband_resonant(p):
@@ -467,7 +466,7 @@ def jc_rabi_experiment(
     rabi_rate = p.eta * p.Omega * math.sqrt(n0 + 1)
     freq_analytic = 2.0 * rabi_rate
     period = 2.0 * math.pi / freq_analytic
-    times = np.linspace(0.0, periods * period, periods * points_per_period, endpoint=False)
+    times = np.linspace(0.0, 8 * period, 8 * 64, endpoint=False)
     psi0 = fock_state("e", n0, trunc)
 
     run_jc = propagate(h_jc(p, trunc), psi0, times)
@@ -482,11 +481,11 @@ def jc_rabi_experiment(
 
     rel_dev_full = abs(freq_full - freq_analytic) / freq_analytic
     rel_dev_jc = abs(freq_jc - freq_analytic) / freq_analytic
-    passed = rel_dev_full <= tol.jc_freq_rtol and pointwise_dev <= 1e-8
+    passed = rel_dev_full <= _JC_FREQ_RTOL and pointwise_dev <= 1e-8
     return VerificationReport(
         name="jc-rabi",
         passed=passed,
-        tolerance=tol.jc_freq_rtol,
+        tolerance=_JC_FREQ_RTOL,
         metrics={
             "freq_analytic": freq_analytic,
             "freq_jc": freq_jc,
@@ -502,22 +501,19 @@ def jc_rabi_experiment(
     )
 
 
-def ajc_dynamics_check(
-    p: IonParams,
-    trunc: TruncationSpec = TruncationSpec(n_max=32, guard=8),
-    periods: int = 4,
-    points_per_period: int = 64,
-) -> VerificationReport:
+def ajc_dynamics_check(p: IonParams) -> VerificationReport:
     """Anti-JC oscillation |g,0> <-> |e,1> against its two-level oracle.
 
-    P_e(t) must equal sin^2(eta*Omega*t) pointwise at 1e-8; the same state
-    is dark under the JC interaction, which is checked alongside.
+    Over 4 periods at 64 samples each, at n_max = 32 with guard 8, P_e(t)
+    must equal sin^2(eta*Omega*t) pointwise at 1e-8; the same state is dark
+    under the JC interaction, which is checked alongside.
     """
+    trunc = _DYNAMICS_TRUNC
     if p.eta <= 0 or p.Omega <= 0:
         raise ValueError("eta and Omega must be positive for an oscillation")
     rate = p.eta * p.Omega
     period = math.pi / rate
-    times = np.linspace(0.0, periods * period, periods * points_per_period, endpoint=False)
+    times = np.linspace(0.0, 4 * period, 4 * 64, endpoint=False)
     psi0 = fock_state("g", 0, trunc)
     run = propagate(h_ajc(p, trunc), psi0, times)
     dev = float(np.max(np.abs(run.p_excited - np.sin(rate * times) ** 2)))
@@ -533,18 +529,20 @@ def ajc_dynamics_check(
     )
 
 
+_CONVERGENCE_TOL = 1e-9  # eigenvalue shift between the last two cutoffs
+
+
 def truncation_convergence(
     builder: str,
     p: IonParams,
     n_list: tuple[int, ...] = (16, 32, 64),
     k_lowest: int = 8,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationReport:
     """Convergence of the lowest eigenvalues with the Fock cutoff.
 
     Diagonalizes the named Hamiltonian at each cutoff and reports the
     successive max eigenvalue shifts; passes iff the final shift is below
-    the convergence tolerance.
+    1e-9 (the report's tolerance).
     """
     if builder not in HAMILTONIAN_BUILDERS:
         raise ValueError(f"unknown builder {builder!r}")
@@ -568,23 +566,24 @@ def truncation_convergence(
     metrics["k_lowest"] = float(k_lowest)
     return VerificationReport(
         name=f"truncation-convergence-{builder}",
-        passed=shifts[-1] < tol.convergence,
-        tolerance=tol.convergence,
+        passed=shifts[-1] < _CONVERGENCE_TOL,
+        tolerance=_CONVERGENCE_TOL,
         metrics=metrics,
         params=p,
         notes=f"n_list={list(n_list)}",
     )
 
 
-def speed_comparison(
-    p: IonParams,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> VerificationReport:
+_FAST_MIN_G_RATIO = 0.01  # the smallest g/nu and Omega/nu flagged fast
+_FAST_MIN_OMEGA_RATIO = 0.1
+
+
+def speed_comparison(p: IonParams) -> VerificationReport:
     """Coupling-scale ratios and the characteristic gate time of the scheme.
 
     Reports g/nu, Omega/nu and, when the coupling is nonzero, the gate time
-    2*pi/g in units of 1/nu. Flagged fast iff g/nu >= fast_min_g_ratio and
-    Omega/nu >= fast_min_omega_ratio (the single-beam scheme reaches
+    2*pi/g in units of 1/nu. Flagged fast iff g/nu >= 0.01 (the report's
+    tolerance) and Omega/nu >= 0.1 (the single-beam scheme reaches
     couplings of the order of the trap frequency).
     """
     g = p.eta * p.nu / 2.0
@@ -592,38 +591,34 @@ def speed_comparison(
     if g > 0:
         metrics["gate_time"] = 2.0 * math.pi / g * p.nu  # in units of 1/nu
     fast = (
-        metrics["g_ratio"] >= tol.fast_min_g_ratio
-        and metrics["omega_ratio"] >= tol.fast_min_omega_ratio
+        metrics["g_ratio"] >= _FAST_MIN_G_RATIO
+        and metrics["omega_ratio"] >= _FAST_MIN_OMEGA_RATIO
     )
     return VerificationReport(
         name="speed-comparison",
         passed=fast,
-        tolerance=tol.fast_min_g_ratio,
+        tolerance=_FAST_MIN_G_RATIO,
         metrics=metrics,
         params=p,
         notes="pass flag means 'fast'; gate_time omitted when g = 0",
     )
 
 
-def regime_check(
-    n_draws: int = 100,
-    seed: int = DEFAULT_SEED,
-    thresholds: RegimeThresholds | None = None,
-) -> VerificationReport:
+def regime_check(n_draws: int = 100, seed: int = DEFAULT_SEED) -> VerificationReport:
     """Fixture labels plus scale invariance of the regime classifier.
 
-    The three fixture points must classify as JC-resonant, decoupling and
-    deep-strong; over seeded random draws, rescaling nu and Omega by a
-    common positive factor (eta fixed) must never change the label.
+    At the default :class:`~ionqrm.params.RegimeThresholds`, the three
+    fixture points must classify as JC-resonant, decoupling and deep-strong;
+    over seeded random draws, rescaling nu and Omega by a common positive
+    factor (eta fixed) must never change the label.
     """
-    t = thresholds or RegimeThresholds()
     fixtures = [
         (IonParams(Omega=0.5, eta=0.02, nu=1.0), Regime.JC_RESONANT),
         (IonParams(Omega=0.0005, eta=0.2, nu=1.0), Regime.DECOUPLING),
         (IonParams(Omega=1.0, eta=2.5, nu=1.0), Regime.DEEP_STRONG),
     ]
     fixture_failures = sum(
-        1 for p, expected in fixtures if classify_regime(p, t) is not expected
+        1 for p, expected in fixtures if classify_regime(p) is not expected
     )
     rng = np.random.default_rng(seed)
     invariance_failures = 0
@@ -638,7 +633,7 @@ def regime_check(
         scaled = IonParams(
             nu=p.nu * scale, Omega=p.Omega * scale, eta=p.eta, phi_l=p.phi_l
         )
-        if classify_regime(p, t) is not classify_regime(scaled, t):
+        if classify_regime(p) is not classify_regime(scaled):
             invariance_failures += 1
     passed = fixture_failures == 0 and invariance_failures == 0
     return VerificationReport(
@@ -656,7 +651,7 @@ def regime_check(
 
 def rotation_diagnostic_check(
     p: IonParams | None = None,
-    trunc: TruncationSpec = TruncationSpec(n_max=32, guard=8),
+    trunc: TruncationSpec = _DYNAMICS_TRUNC,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> VerificationReport:
     """Report which sigma_y convention reproduces the rotated Rabi form.
@@ -683,17 +678,17 @@ def rotation_diagnostic_check(
 
 def propagator_conservation_check(
     p: IonParams | None = None,
-    trunc: TruncationSpec = TruncationSpec(n_max=32, guard=8),
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
     """Norm and energy conservation plus the composition property.
 
-    Runs the JC and anti-JC trajectories used by the dynamics checks,
-    requiring |norm - 1| < 1e-10 and |<H>(t) - <H>(0)| < 1e-9 * ||H||_F at
-    every record, and verifies that splitting the evolution at a random
-    intermediate time reproduces the direct evolution within 1e-10.
+    Runs the JC and anti-JC trajectories used by the dynamics checks, at
+    their truncation n_max = 32 with guard 8, requiring |norm - 1| < 1e-10
+    and |<H>(t) - <H>(0)| < 1e-9 * ||H||_F at every record, and verifies
+    that splitting the evolution at a random intermediate time reproduces
+    the direct evolution within 1e-10.
     """
-    p = p or IonParams(Omega=0.5, eta=0.02)
+    p, trunc = p or IonParams(Omega=0.5, eta=0.02), _DYNAMICS_TRUNC
     rng = np.random.default_rng(seed)
     rate = p.eta * p.Omega
     times = np.linspace(0.0, 4.0 * math.pi / rate, 512)
@@ -746,13 +741,13 @@ def run_all_checks(
         qrm_transform_property(50, trunc, seed=seed, tol=tol),
         guard_necessity_check(p_ref, n_max=trunc.n_max, tol=tol),
         lamb_dicke_remainder_scan(IonParams(Omega=0.7, eta=0.0), tol=tol),
-        jc_rabi_experiment(p_res, 0, tol=tol),
+        jc_rabi_experiment(p_res, 0),
         ajc_dynamics_check(p_res),
         dispersive_error_scan(IonParams(Omega=1.0, eta=0.08), trunc=trunc, tol=tol),
         chi_identity_check(100, seed=seed),
         regime_check(100, seed=seed),
         propagator_conservation_check(p_res, seed=seed),
         rotation_diagnostic_check(tol=tol),
-        speed_comparison(p_ref, tol=tol),
+        speed_comparison(p_ref),
         truncation_convergence("qrm", p_ref),
     ]

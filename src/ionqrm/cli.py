@@ -97,9 +97,9 @@ def _cmd_verify(config: RunConfig) -> int:
     elif check == "dispersive":
         report = analysis.dispersive_error_scan(p, trunc=trunc, tol=tol)
     elif check == "jc-rabi":
-        report = analysis.jc_rabi_experiment(p, config.verify.fock, trunc, tol=tol)
+        report = analysis.jc_rabi_experiment(p, config.verify.fock, trunc)
     elif check == "speed":
-        report = analysis.speed_comparison(p, tol=tol)
+        report = analysis.speed_comparison(p)
     else:
         report = analysis.rotation_diagnostic_check(p, trunc, tol=tol)
     _write_text(config.out, _json_text(report.to_dict()))
@@ -151,9 +151,7 @@ def _cmd_scan(config: RunConfig) -> int:
             f"{_fmt(eta)},{_fmt(report.metrics[f'norm_eta_{eta}'])}" for eta in s.etas
         ]
     else:
-        report = analysis.truncation_convergence(
-            s.builder, p, s.n_list, s.k_lowest, tol=config.tol
-        )
+        report = analysis.truncation_convergence(s.builder, p, s.n_list, s.k_lowest)
         rows = ["n_max,max_shift_from_prev"]
         rows.append(f"{s.n_list[0]},")
         for a, b in zip(s.n_list[:-1], s.n_list[1:]):

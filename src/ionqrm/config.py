@@ -19,17 +19,19 @@ A nonzero ``delta`` or ``phi_l`` is an error where what the command runs does
 not read it: a Hamiltonian builder (:data:`BUILDER_READS`) in ``build``,
 ``evolve`` and ``scan.kind = truncation``, and every other scan kind, verify
 check, ``regime`` and ``all-checks`` (:data:`RUN_READS`). So is a key of a
-section that what the command runs never reads (:data:`RUN_SKIPS`: ``trunc.*``
-and ``tol.*`` for ``regime``, ``trunc.*`` for ``scan.kind = lamb-dicke``).
+section that what the command runs never reads (:data:`RUN_SKIPS`, such as
+``tol.*`` for every builder and ``trunc.*`` for ``verify.check = speed``).
 Values use the shortest round-trip decimal form for floats,
 ``true``/``false`` for booleans, ``re+imj`` for complex numbers and
 comma-separated items for lists.
 
 Each key is one row of :data:`KEYS` (its :class:`RunConfig` section, field,
-parser and rule), in the order :func:`emit_config` writes. Defaults come only
-from the record classes (``IonParams``, ``DEFAULT_TRUNC``, ``Tolerances``,
-``RegimeThresholds``, the ``*Spec`` classes), except that ``format`` follows
-the command and ``scan.k_lowest`` is 8 for ``scan.kind = truncation``.
+parser and rule), in the order :func:`emit_config` writes, and each field has
+exactly one key: a setting no key reaches, such as a check's fixed threshold,
+is a constant of :mod:`ionqrm.analysis`. Defaults come only from the record
+classes (``IonParams``, ``DEFAULT_TRUNC``, ``Tolerances``, ``RegimeThresholds``,
+the ``*Spec`` classes), except that ``format`` follows the command and
+``scan.k_lowest`` is 8 for ``scan.kind = truncation``.
 
 :func:`parse_config` and :func:`emit_config` are inverses on valid
 configurations.
@@ -78,10 +80,14 @@ RUN_READS: dict[str, tuple[str, ...]] = {
     "command = regime": ("phi_l",),
     "command = all-checks": (),
 }
-#: The :class:`RunConfig` sections that a run, keyed as in :data:`RUN_READS`,
-#: never reads: setting one of their keys is a ConfigError. ``regime`` reads only
-#: the parameters and thresholds; the lamb-dicke scan fixes its own truncation.
+#: The :class:`RunConfig` sections that a run, keyed as in :data:`BUILDER_READS` or
+#: :data:`RUN_READS`, never reads: setting one of their keys is a ConfigError. No
+#: builder reads a tolerance, ``jc-rabi`` and ``speed`` have fixed thresholds, and
+#: ``speed``, ``regime`` and the lamb-dicke scan never use ``trunc``.
 RUN_SKIPS: dict[str, tuple[str, ...]] = {
+    **{name: ("tol",) for name in BUILDER_NAMES},
+    "verify.check = jc-rabi": ("tol",),
+    "verify.check = speed": ("trunc", "tol"),
     "command = regime": ("trunc", "tol"),
     "scan.kind = lamb-dicke": ("trunc",),
 }

@@ -45,19 +45,19 @@ from .params import (  # noqa: F401 - the scalar definitions are re-exported fro
 )
 
 
-def _spin_blocks(
-    d_e: np.ndarray, d_g: np.ndarray, b: np.ndarray | None = None, *, gauged: bool = False
-) -> np.ndarray:
+def _spin_blocks(d_e: np.ndarray, d_g: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """The composite-space matrix [[diag(d_e), b], [b^dag, diag(d_g)]].
 
     d_e and d_g are the real Fock diagonals of the spin-diagonal blocks and b
     the n_max x n_max spin-flip block (e, g), or None for none. Block (g, e)
-    is always b^dag, so the result is Hermitian by construction. With
-    ``gauged`` b is the real gauged coupling P B P^dag, and the result is the
-    real array P H P^dag (block (g, e) is b^T).
+    is always b^dag, so the result is Hermitian by construction. Its dtype
+    is that of b: a real b (the gauged coupling P B P^dag of a ``gauged``
+    builder) gives the real array P H P^dag, with block (g, e) b^T; a
+    complex b, or none, gives a complex H.
     """
     n = len(d_e)
-    h = np.zeros((2 * n, 2 * n), dtype=float if gauged else complex)
+    real = b is not None and not np.iscomplexobj(b)
+    h = np.zeros((2 * n, 2 * n), dtype=float if real else complex)
     if b is not None:
         h[:n, n:] = b
         h[n:, :n] = b.conj().T
@@ -90,7 +90,7 @@ def h_resonant(p: IonParams, trunc: TruncationSpec, *, gauged: bool = False) -> 
         if drive.imag != 0.0:
             raise ValueError("H is not exactly real in the Fock-parity gauge diag(i^n)")
         disp = displacement_gauged(p.eta, trunc)
-        return _spin_blocks(level, level, drive.real * disp, gauged=True)
+        return _spin_blocks(level, level, drive.real * disp)
     disp = displacement(1j * p.eta, trunc)
     return _spin_blocks(level, level, drive * disp)
 
@@ -244,7 +244,7 @@ def h_qrm(
     if not gauged:
         return _spin_blocks(d_e, d_g, coupling)
     real = gauge_parts(coupling.real, coupling.imag, trunc.n_max)
-    return _spin_blocks(d_e, d_g, real, gauged=True)
+    return _spin_blocks(d_e, d_g, real)
 
 
 def h_qrm_detuned(p: IonParams, trunc: TruncationSpec) -> np.ndarray:

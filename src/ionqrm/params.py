@@ -209,17 +209,15 @@ DEFAULT_TRUNC = TruncationSpec(n_max=64, guard=16)
 
 
 class Tolerances(Record):
-    """Pass/fail thresholds shared by the verification experiments."""
+    """The pass/fail thresholds a configuration can set, one ``tol.*`` key each.
+
+    The fixed settings of the checks are constants of :mod:`ionqrm.analysis`.
+    """
 
     identity: float = 1e-10
     oracle: float = 1e-9
     spectral: float = 1e-8
-    convergence: float = 1e-9
     min_scaling_order: float = 1.8
-    jc_freq_rtol: float = 0.05
-    max_small_rotation: float = 0.2
-    fast_min_g_ratio: float = 0.01
-    fast_min_omega_ratio: float = 0.1
 
 
 def derived_couplings(p: IonParams) -> DerivedCouplings:

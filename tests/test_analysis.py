@@ -110,7 +110,7 @@ def test_dispersive_error_scan_stable_under_doubling_n_max():
 
 
 def test_dispersive_error_scan_pole_guard():
-    with pytest.raises(ValueError, match="pole"):
+    with pytest.raises(ValueError, match=r"exceeds 0\.2 at eta=0\.08; too close to the .* pole"):
         dispersive_error_scan(IonParams(Omega=0.5 + 1e-6, eta=0.08))
 
 
@@ -123,6 +123,7 @@ def test_chi_identity_check():
 def test_jc_rabi_experiment_reference_point():
     rep = jc_rabi_experiment(IonParams(Omega=0.5, eta=0.02), n0=0)
     assert rep.passed
+    assert rep.tolerance == 0.05
     assert rep.metrics["rel_dev_full"] <= 0.05
     assert rep.metrics["jc_pointwise_dev"] <= 1e-8
     assert rep.metrics["freq_analytic"] == pytest.approx(0.02)
@@ -180,6 +181,7 @@ def test_rwa_fidelity_stays_high_over_one_rabi_period():
 def test_truncation_convergence_standard_point():
     rep = truncation_convergence("qrm", IonParams(Omega=0.7, eta=0.3))
     assert rep.passed
+    assert rep.tolerance == 1e-9
     assert rep.metrics["final_shift"] < 1e-9
 
 
@@ -226,7 +228,11 @@ def test_truncation_convergence_input_validation():
 def test_speed_comparison_examples():
     fast = speed_comparison(IonParams(Omega=1.0, eta=0.3))
     assert fast.passed
+    assert fast.tolerance == 0.01
     assert fast.metrics["g_ratio"] == pytest.approx(0.15)
+    # Omega/nu = 0.1 is the slowest drive still flagged fast
+    assert speed_comparison(IonParams(Omega=0.1, eta=0.3)).passed
+    assert not speed_comparison(IonParams(Omega=0.099, eta=0.3)).passed
     idle = speed_comparison(IonParams(Omega=1.0, eta=0.0))
     assert not idle.passed
     assert "gate_time" not in idle.metrics

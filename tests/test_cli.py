@@ -9,7 +9,7 @@ import pytest
 from ionqrm import (HAMILTONIAN_BUILDERS, IonParams, TruncationSpec, coherent_state,
                     fock_state)
 from ionqrm.cli import EXIT_CHECKS_FAILED, EXIT_ERROR, EXIT_OK, main
-from ionqrm.config import VERIFY_CHECKS
+from ionqrm.config import BUILDER_NAMES, VERIFY_CHECKS
 
 
 def run_cli(args, capsys):
@@ -213,13 +213,26 @@ _RUN_SKIPPED = [
                          ("tol.min_order", "2.5"))),
     ("scan", "scan.kind = lamb-dicke", "trunc.n_max", "40"),
     ("scan", "scan.kind = lamb-dicke", "trunc.guard", "4"),
+    # no builder reads a tolerance, in build, evolve or the truncation scan
+    *(("build", builder, "tol.identity", "1e-11") for builder in BUILDER_NAMES),
+    ("evolve", "resonant", "tol.spectral", "0.5"), ("evolve", "jc", "tol.spectral", "0.5"),
+    ("scan", "qrm", "tol.oracle", "1e-08"), ("scan", "dispersive", "tol.oracle", "1e-08"),
+    ("verify", "verify.check = jc-rabi", "tol.min_order", "2.5"),
+    ("verify", "verify.check = jc-rabi", "tol.spectral", "0.5"),
+    ("verify", "verify.check = speed", "tol.identity", "1e-11"),
+    ("verify", "verify.check = speed", "trunc.n_max", "40"),
+    ("verify", "verify.check = speed", "trunc.guard", "4"),
 ]
 
 
 def _run_skipped_case(command, run, key, value):
     extra = ["--set", f"{key}={value}"]
-    if not run.startswith("command"):
+    if run in BUILDER_NAMES:
+        extra += _builder_args(command, run)
+    elif not run.startswith("command"):
         extra += ["--set", run.replace(" = ", "=")]
+    if run == "verify.check = jc-rabi":
+        extra += ["--set", "nu=1.4"]  # its sideband resonance nu = 2*Omega
     return (command, extra, f"{key} is not read by {run}")
 
 
@@ -495,7 +508,8 @@ def test_import_and_cheap_commands_never_load_scipy(src_env):
     for kind in ("dispersive", "truncation", "lamb-dicke"):
         commands.append((f"scan {kind}", ["scan", *base, "--set", f"scan.kind={kind}"]))
     for check in ("qrm-transform", "guard", "speed"):
-        commands.append((f"verify {check}", ["verify", *base, *small,
+        trunc = [] if check == "speed" else small  # speed reads no trunc.* key
+        commands.append((f"verify {check}", ["verify", *base, *trunc,
                                              "--set", f"verify.check={check}"]))
     seen = _run_cold(commands, src_env)
     assert list(seen) == ["import ionqrm"] + [label for label, _ in commands]

@@ -1,4 +1,6 @@
 """Tests for the configuration grammar and round-tripping."""
+import typing
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 from ionqrm import (HAMILTONIAN_BUILDERS, ConfigError, IonParams, TruncationSpec, emit_config,
                     parse_config)
 from ionqrm.config import (BUILDER_READS, KEYS, RUN_READS, RUN_SKIPS, SCAN_KINDS,
-                           VERIFY_CHECKS)
+                           VERIFY_CHECKS, RunConfig)
+from ionqrm.params import Record
 
 
 def test_minimal_document_gets_defaults():
@@ -180,7 +183,8 @@ def _random_config_text(rng) -> str:
         lines.append("verify.check = speed")
     elif command == "regime":
         lines.append(f"regime.ordering_factor = {rng.uniform(2.0, 20.0)!r}")
-    if command == "regime" or "scan.kind = lamb-dicke" in lines:  # neither reads trunc.*
+    # none of these reads trunc.*; the lines were drawn anyway, so the stream is the same
+    if {"command = regime", "scan.kind = lamb-dicke", "verify.check = speed"} & set(lines):
         lines = [line for line in lines if not line.startswith("trunc.")]
     return "\n".join(lines) + "\n"
 
@@ -309,13 +313,33 @@ def test_run_reads_names_every_verify_check_scan_kind_and_other_command():
     assert sorted(RUN_READS) == sorted(runs)
     assert {p for reads in RUN_READS.values() for p in reads} <= set(_NONZERO)
     # a skipped section is one of RunConfig's keyed sections, skipped by a declared run
-    assert set(RUN_SKIPS) <= set(RUN_READS)
+    assert set(RUN_SKIPS) <= set(RUN_READS) | set(BUILDER_READS)
     assert {s for skips in RUN_SKIPS.values() for s in skips} <= {k.attr for k in KEYS.values()}
+
+
+def test_every_run_config_field_is_the_target_of_exactly_one_key():
+    # a field no key reaches is a knob only code can turn: it belongs in a constant
+    hints = typing.get_type_hints(RunConfig)
+    fields = Counter()
+    for name in RunConfig._fields:
+        if isinstance(hints[name], type) and issubclass(hints[name], Record):
+            fields.update((name, field) for field in hints[name]._fields)
+        else:
+            fields[(None, name)] += 1
+    targets = Counter((spec.attr, spec.field) for spec in KEYS.values())
+    assert fields - targets == Counter()  # a field no key sets
+    assert targets - fields == Counter()  # a key without a field, or two keys on one
 
 
 @pytest.mark.parametrize("run, text", [
     ("command = regime", "command = regime\nOmega = 0.5\neta = 0.02\n"),
     ("scan.kind = lamb-dicke", "command = scan\nOmega = 0.7\neta = 0.3\nscan.kind = lamb-dicke\n"),
+    ("qrm", "command = build\nOmega = 0.7\neta = 0.3\n"),
+    ("jc", "command = evolve\nOmega = 0.5\neta = 0.05\n"),
+    ("qrm", "command = scan\nOmega = 0.7\neta = 0.3\nscan.kind = truncation\n"),
+    ("verify.check = jc-rabi",
+     "command = verify\nOmega = 0.5\neta = 0.02\nverify.check = jc-rabi\n"),
+    ("verify.check = speed", "command = verify\nOmega = 0.7\neta = 0.3\nverify.check = speed\n"),
 ])
 def test_emit_writes_no_key_of_a_section_the_run_skips(run, text):
     cfg = parse_config(text)
