@@ -21,7 +21,8 @@ The displacement operator has one production construction and two oracles:
   A general alpha is a diagonal Fock phase away from D(i*|alpha|). The
   result is exactly unitary on the truncated space, and D(i*r) keeps the
   exact Fock parity of the operator: its real part is exactly zero where
-  m - n is odd and its imaginary part exactly zero where m - n is even.
+  m - n is odd and its imaginary part exactly zero where m - n is even. It
+  is exactly symmetric too.
 * :func:`displacement_generator` exponentiates the generator directly (also
   exactly unitary on the truncated space, one complex ``eigh`` per call).
 * :func:`displacement_laguerre` evaluates the closed-form Fock matrix
@@ -133,8 +134,19 @@ def displacement_basis(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return x, v
 
 
+@lru_cache(maxsize=8)
+def _upper_triangle(n_max: int) -> np.ndarray:
+    """Read-only mask of the entries above the diagonal of an n_max x n_max matrix."""
+    mask = np.triu(np.ones((n_max, n_max), dtype=bool), 1)
+    mask.setflags(write=False)
+    return mask
+
+
 def _displacement_parts(r: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(sqrt(2)*r*X) and sin(sqrt(2)*r*X): the real and imaginary parts of D(i*r)."""
+    """cos(sqrt(2)*r*X) and sin(sqrt(2)*r*X): the real and imaginary parts of D(i*r).
+
+    Both are exactly symmetric, and both vanish exactly where X's parity says so.
+    """
     x, v = displacement_basis(n_max)
     theta = np.sqrt(2.0) * r * x
     # V is real: two real products instead of one complex one
@@ -146,6 +158,11 @@ def _displacement_parts(r: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     cos_part[1::2, ::2] = 0.0
     sin_part[::2, ::2] = 0.0
     sin_part[1::2, 1::2] = 0.0
+    # a product is symmetric only up to rounding: mirror the lower triangle, so
+    # column 0 (the coherent state) keeps its bits and D(i*r) = D(i*r)^T exactly
+    upper = _upper_triangle(n_max)
+    np.copyto(cos_part, cos_part.T, where=upper)
+    np.copyto(sin_part, sin_part.T, where=upper)
     return cos_part, sin_part
 
 
@@ -164,6 +181,13 @@ def displacement(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     exactly real: :func:`fock_gauge` finds it so in a complex H built from
     D (``dynamics.block_eigh``), and :func:`displacement_gauged` writes it
     as a real array directly (``h_resonant``'s real form, ``qrm_conjugate``).
+
+    D(i*r) is also exactly symmetric, D_mn = D_nm bit for bit, as
+    exp(i*sqrt(2)*r*X) is for the real symmetric X: the upper triangle is
+    the mirror of the lower one, whose column 0 (the coherent state) is the
+    product as computed. So P D(i*r) P = D(i*r)^dagger holds exactly for
+    P = diag((-1)^n), and H of ``h_resonant`` at phi_l = 0 commutes exactly
+    with sigma_x (x) P, the symmetry ``dynamics.block_eigh`` splits by.
     """
     alpha = complex(alpha)
     r = alpha.imag if alpha.real == 0.0 else abs(alpha)

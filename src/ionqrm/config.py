@@ -19,8 +19,9 @@ A nonzero ``delta`` or ``phi_l`` is an error where what the command runs does
 not read it: a Hamiltonian builder (:data:`BUILDER_READS`) in ``build``,
 ``evolve`` and ``scan.kind = truncation``, and every other scan kind, verify
 check, ``regime`` and ``all-checks`` (:data:`RUN_READS`). So is a key of a
-section that what the command runs never reads (:data:`RUN_SKIPS`, such as
-``tol.*`` for every builder and ``trunc.*`` for ``verify.check = speed``).
+section, or a single key, that what the command runs never reads
+(:data:`RUN_SKIPS`, such as ``tol.*`` for every builder, ``trunc.*`` for
+``verify.check = speed`` and ``trunc.guard`` for ``verify.check = guard``).
 Values use the shortest round-trip decimal form for floats,
 ``true``/``false`` for booleans, ``re+imj`` for complex numbers and
 comma-separated items for lists.
@@ -80,15 +81,21 @@ RUN_READS: dict[str, tuple[str, ...]] = {
     "command = regime": ("phi_l",),
     "command = all-checks": (),
 }
-#: The :class:`RunConfig` sections that a run, keyed as in :data:`BUILDER_READS` or
-#: :data:`RUN_READS`, never reads: setting one of their keys is a ConfigError. No
-#: builder reads a tolerance, ``jc-rabi`` and ``speed`` have fixed thresholds, and
-#: ``speed``, ``regime`` and the lamb-dicke scan never use ``trunc``.
+#: The :class:`RunConfig` sections (every key of one) and single keys that a run
+#: never reads: setting one is a ConfigError. A run is keyed as in
+#: :data:`BUILDER_READS` or :data:`RUN_READS`, or by ``scan.kind = truncation``,
+#: which runs ``scan.builder``; both of its entries apply. No builder reads a
+#: tolerance, ``jc-rabi`` and ``speed`` have fixed thresholds, ``speed``, ``regime``
+#: and the lamb-dicke scan never use ``trunc``, the truncation scan builds its own
+#: cutoffs from ``scan.n_list``, and ``guard`` compares at guard 0 (it reads only
+#: ``trunc.n_max``).
 RUN_SKIPS: dict[str, tuple[str, ...]] = {
     **{name: ("tol",) for name in BUILDER_NAMES},
+    "verify.check = guard": ("trunc.guard",),
     "verify.check = jc-rabi": ("tol",),
     "verify.check = speed": ("trunc", "tol"),
     "command = regime": ("trunc", "tol"),
+    "scan.kind = truncation": ("trunc",),
     "scan.kind = lamb-dicke": ("trunc",),
 }
 
@@ -426,15 +433,31 @@ def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
     _run_preconditions(c, lines)
 
 
+def _selector(c: RunConfig) -> str:
+    """The setting that selects what the command runs: ``scan.kind = ...`` and so on."""
+    if c.command == "scan":
+        return f"scan.kind = {c.scan.kind}"
+    if c.command == "verify":
+        return f"verify.check = {c.verify.check}"
+    return f"command = {c.command}"
+
+
 def _what_runs(c: RunConfig) -> str:
     """The :data:`BUILDER_READS` or :data:`RUN_READS` key of what the command runs."""
     if c.command in ("build", "evolve"):
         return getattr(c, c.command).hamiltonian
-    if c.command == "scan":
-        return c.scan.builder if c.scan.kind == "truncation" else f"scan.kind = {c.scan.kind}"
-    if c.command == "verify":
-        return f"verify.check = {c.verify.check}"
-    return f"command = {c.command}"
+    if c.command == "scan" and c.scan.kind == "truncation":
+        return c.scan.builder
+    return _selector(c)
+
+
+def _skipping_run(c: RunConfig, key: str) -> str | None:
+    """The run whose :data:`RUN_SKIPS` entry names ``key`` or its section, or None."""
+    for run in (_what_runs(c), _selector(c)):
+        skips = RUN_SKIPS.get(run, ())
+        if key in skips or KEYS[key].attr in skips:
+            return run
+    return None
 
 
 def _run_preconditions(c: RunConfig, lines: dict[str, int | None]) -> None:
@@ -445,10 +468,10 @@ def _run_preconditions(c: RunConfig, lines: dict[str, int | None]) -> None:
     for param in ("delta", "phi_l"):
         if getattr(p, param) != 0.0 and param not in reads:
             raise ConfigError(f"constraint violation: {name} requires {param} = 0")
-    skips = RUN_SKIPS.get(name, ())
     for key, line in lines.items():
-        if KEYS[key].attr in skips:
-            raise ConfigError(f"{key} is not read by {name}", line)
+        run = _skipping_run(c, key)
+        if run is not None:
+            raise ConfigError(f"{key} is not read by {run}", line)
     if name == "rabi-rotated" and not phase_is_zero_or_pi(p.phi_l):
         raise ConfigError("constraint violation: rabi-rotated requires phi_l in {0, pi}")
 
@@ -489,13 +512,12 @@ def emit_config(config: RunConfig) -> str:
     whose ``only_if`` rule fails (``format`` for ``regime``,
     ``build.include_constant`` off ``qrm``, ``evolve.alpha`` for a Fock
     start, ``scan.etas`` for ``scan.kind = truncation``, ``evolve.t_max``
-    with ``evolve.times`` set, ...) or of a section in :data:`RUN_SKIPS`;
+    with ``evolve.times`` set, ...) or that :data:`RUN_SKIPS` names for the run;
     ``parse_config(emit_config(c)) == c`` for every valid config.
     """
-    skips = RUN_SKIPS.get(_what_runs(config), ())
     out = []
     for key, spec in KEYS.items():
-        if _scope(key) not in (None, config.command) or spec.attr in skips:
+        if _scope(key) not in (None, config.command) or _skipping_run(config, key) is not None:
             continue
         section = config if spec.attr is None else getattr(config, spec.attr)
         value = getattr(section, spec.field)

@@ -19,6 +19,18 @@ decomposition up to rounding.
   (2011)), the 2x2 excitation blocks of JC and AJC, the 1x1 blocks of the
   diagonal dispersive model. Same-size blocks share one stacked
   ``np.linalg.eigh`` call; 1x1 blocks need none.
+* Parity sectors. When the pattern gives one block spanning H and the array
+  read commutes exactly with Pi = sigma_x (x) S, S = diag((-1)^n), that is
+  H_ee = S H_gg S and H_eg = S H_ge S, its two Pi sectors
+  H_+- = H_ee +- H_eg S go to one stacked ``eigh`` of shape (2, n, n), and
+  the eigenvectors come back as one group, V = [[U_+, U_-], [S U_+, -S U_-]]
+  / sqrt(2). This is the QRM parity sigma_z (x) S carried back through the
+  map T of ``models.qrm_transform``: P D(i eta) P = D(i eta)^dagger for
+  P = S, so T^dagger (sigma_z (x) S) T = sigma_x (x) S, and the resonant and
+  Lamb-Dicke models at phi_l = 0 commute with it although their nonzero
+  pattern is one block. The test compares entries exactly, since a sign flip
+  is exact: D(i r) is exactly symmetric (``algebra.displacement``), and so
+  the built H is exactly Pi-symmetric. An H one ulp off takes the dense path.
 * Hermiticity. max|H - H^dagger| must not exceed 1e-10 max(1, max|H|), else
   ValueError, also when only eigenvalues are asked for. It is checked on the
   blocks: H is zero between them, and the gauge changes only the sign of an
@@ -26,7 +38,9 @@ decomposition up to rounding.
 
 The residual bound of a dense decomposition stays: ||H V - V W||_F summed
 over the blocks must be below 1e-9 ||H||_F. Entries of H between blocks are
-exactly zero, so this is the residual of the whole matrix.
+exactly zero, so this is the residual of the whole matrix; for the parity
+sectors it is summed over H_+ and H_-, whose basis change is orthogonal.
+Hermiticity is checked on the whole spanning block, not on the sectors.
 
 :func:`propagate` evolves only the blocks on which the initial state is not
 identically zero; the others stay exactly zero. A Fock start on JC or AJC
@@ -34,6 +48,7 @@ touches one 2x2 block.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -163,6 +178,50 @@ def _blocks_by_size(labels: np.ndarray) -> list[np.ndarray]:
     return [order[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
+@lru_cache(maxsize=8)
+def _parity_signs(n_osc: int) -> np.ndarray:
+    """Diagonal of S = (-1)^n on n_osc Fock levels, read-only."""
+    s = 1.0 - 2.0 * (np.arange(n_osc) % 2)
+    s.setflags(write=False)
+    return s
+
+
+def _parity_sectors(a: np.ndarray) -> np.ndarray | None:
+    """H_+ and H_- of a composite H as one (2, n, n) stack, or None when H does not
+    commute exactly with Pi = sigma_x (x) S.
+
+    With S = diag((-1)^n), H commutes with Pi when H_ee = S H_gg S and
+    H_eg = S H_ge S, compared exactly (a sign flip is exact). On the
+    eigenvectors (x, +-S x)/sqrt(2) of Pi, H then acts as H_+ (+) H_-,
+    H_+- = H_ee +- H_eg S.
+    """
+    n = a.shape[0] // 2
+    s = _parity_signs(n)
+    signs = s[:, None] * s
+    h_ee, h_eg = a[:n, :n], a[:n, n:]
+    if not (np.array_equal(h_ee, a[n:, n:] * signs) and np.array_equal(h_eg, a[n:, :n] * signs)):
+        return None
+    coupling = h_eg * s
+    return np.stack([h_ee + coupling, h_ee - coupling])
+
+
+def _from_sectors(w: np.ndarray, u: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Eigenpairs of H, one (1, 2n) group, from those of its two Pi sectors.
+
+    An eigenvector u of H_+ is (u, S u)/sqrt(2) on H, one of H_- is (u, -S u)/sqrt(2).
+    """
+    n = w.shape[1]
+    if u is None:
+        return w.reshape(1, 2 * n), None
+    u = u * np.sqrt(0.5)
+    s = _parity_signs(n)[:, None]
+    v = np.empty((2 * n, 2 * n), dtype=u.dtype)
+    v[:n, :n], v[:n, n:] = u
+    np.multiply(u[0], s, out=v[n:, :n])
+    np.multiply(u[1], -s, out=v[n:, n:])
+    return w.reshape(1, 2 * n), v[None]
+
+
 def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
     """Diagonalize a composite Hermitian H block by block, in a real gauge when exact.
 
@@ -175,7 +234,7 @@ def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
     Each block is checked for Hermiticity (ValueError), also without
     vectors; with vectors, the residual ||H V - V W||_F over the blocks must
     stay below 1e-9 ||H||_F, else ArithmeticError. See the module docstring
-    for the gauge, block and Hermiticity rules.
+    for the gauge, block, parity-sector and Hermiticity rules.
     """
     h = np.ascontiguousarray(h, dtype=complex)
     dim = h.shape[0]
@@ -197,6 +256,11 @@ def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
         sub = a[None] if s == dim else a[idx[:, :, None], idx[:, None, :]]
         deviation = max(deviation, np.max(np.abs(sub - sub.conj().swapaxes(1, 2))))
         scale = max(scale, np.max(np.abs(sub)))
+        sectors = _parity_sectors(a) if s == dim else None
+        if sectors is not None:
+            # the basis change to the sectors is orthogonal: same spectrum, same residual
+            sub = sectors
+            k, s = sub.shape[:2]
         if s == 1:
             w = sub[:, :, 0].real
             v = np.ones((k, 1, 1)) if vectors else None
@@ -206,6 +270,8 @@ def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
             w, v = np.linalg.eigvalsh(sub), None
         if vectors:
             residual_sq += float(np.linalg.norm(sub @ v - v * w[:, None, :])) ** 2
+        if sectors is not None:
+            w, v = _from_sectors(w, v)
         groups.append((idx, w, v))
     if deviation > _HERMITIAN_TOL * max(1.0, scale):
         raise ValueError("H is not Hermitian within tolerance")
@@ -246,7 +312,8 @@ def propagate(
         given, per-time fidelities |<ref|psi>|^2 are recorded.
     store_states : keep the full trajectory in the result.
 
-    H is read and diagonalized once, by :func:`block_eigh`: block by block,
+    H is read and diagonalized once, by :func:`block_eigh`: block by block
+    (or by Pi parity sector when one block spans H),
     in the real gauge P = diag(i^n) when P H P^dagger is exactly real; a
     non-Hermitian H is reported before the other arguments are checked.
     Blocks on which psi0 is identically zero stay exactly zero, so only the

@@ -4,7 +4,9 @@ import pytest
 
 from ionqrm import (
     TruncationSpec,
+    algebra,
     annihilation,
+    coherent_state,
     commutator,
     dagger,
     displacement,
@@ -156,6 +158,26 @@ def test_displacement_of_imaginary_alpha_has_exact_fock_parity(n_max):
         assert not np.any(d.real[odd]), r
         assert not np.any(d.imag[~odd]), r
         assert np.all(np.isfinite(d))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 16, 64, 256])
+def test_displacement_of_imaginary_alpha_is_exactly_symmetric(n_max, monkeypatch):
+    trunc = TruncationSpec(n_max)
+    alphas = (0.6 - 0.3j, 0.45j, -1.2 + 0.0j)
+    for r in (0.02, 0.3, -0.45, 1.7):
+        cos_part, sin_part = algebra._displacement_parts(r, n_max)
+        assert np.array_equal(cos_part, cos_part.T) and np.array_equal(sin_part, sin_part.T)
+        d = displacement(1j * r, trunc)
+        assert np.array_equal(d, d.T), r
+    mirrored = [algebra._displacement_parts(r, n_max) for r in (0.3, -0.45)]
+    states = [coherent_state("g", alpha, trunc).tobytes() for alpha in alphas]
+    # the products before the mirror: column 0, and so every coherent state, keeps its bits
+    monkeypatch.setattr(algebra, "_upper_triangle", lambda n: np.zeros((n, n), dtype=bool))
+    for parts, r in zip(mirrored, (0.3, -0.45)):
+        for part, plain in zip(parts, algebra._displacement_parts(r, n_max)):
+            assert part[:, 0].tobytes() == plain[:, 0].tobytes()
+            assert np.array_equal(np.tril(part), np.tril(plain))
+    assert [coherent_state("g", alpha, trunc).tobytes() for alpha in alphas] == states
 
 
 def test_displacement_basis_diagonalizes_the_quadrature():

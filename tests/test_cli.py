@@ -222,6 +222,9 @@ _RUN_SKIPPED = [
     ("verify", "verify.check = speed", "tol.identity", "1e-11"),
     ("verify", "verify.check = speed", "trunc.n_max", "40"),
     ("verify", "verify.check = speed", "trunc.guard", "4"),
+    ("scan", "scan.kind = truncation", "trunc.n_max", "40"),
+    ("scan", "scan.kind = truncation", "trunc.guard", "4"),
+    ("verify", "verify.check = guard", "trunc.guard", "4"),
 ]
 
 
@@ -508,7 +511,8 @@ def test_import_and_cheap_commands_never_load_scipy(src_env):
     for kind in ("dispersive", "truncation", "lamb-dicke"):
         commands.append((f"scan {kind}", ["scan", *base, "--set", f"scan.kind={kind}"]))
     for check in ("qrm-transform", "guard", "speed"):
-        trunc = [] if check == "speed" else small  # speed reads no trunc.* key
+        # speed reads no trunc.* key, and guard no trunc.guard (so n_max > the default 16)
+        trunc = {"qrm-transform": small, "guard": ["--set", "trunc.n_max=24"]}.get(check, [])
         commands.append((f"verify {check}", ["verify", *base, *trunc,
                                              "--set", f"verify.check={check}"]))
     seen = _run_cold(commands, src_env)

@@ -184,7 +184,8 @@ def _random_config_text(rng) -> str:
     elif command == "regime":
         lines.append(f"regime.ordering_factor = {rng.uniform(2.0, 20.0)!r}")
     # none of these reads trunc.*; the lines were drawn anyway, so the stream is the same
-    if {"command = regime", "scan.kind = lamb-dicke", "verify.check = speed"} & set(lines):
+    if {"command = regime", "scan.kind = lamb-dicke", "scan.kind = truncation",
+            "verify.check = speed"} & set(lines):
         lines = [line for line in lines if not line.startswith("trunc.")]
     return "\n".join(lines) + "\n"
 
@@ -312,9 +313,11 @@ def test_run_reads_names_every_verify_check_scan_kind_and_other_command():
     runs += ["command = regime", "command = all-checks"]
     assert sorted(RUN_READS) == sorted(runs)
     assert {p for reads in RUN_READS.values() for p in reads} <= set(_NONZERO)
-    # a skipped section is one of RunConfig's keyed sections, skipped by a declared run
-    assert set(RUN_SKIPS) <= set(RUN_READS) | set(BUILDER_READS)
-    assert {s for skips in RUN_SKIPS.values() for s in skips} <= {k.attr for k in KEYS.values()}
+    # a skipped entry is one of RunConfig's keyed sections or one key, skipped by a
+    # declared run or by the truncation scan (which runs a declared builder)
+    assert set(RUN_SKIPS) <= set(RUN_READS) | set(BUILDER_READS) | {"scan.kind = truncation"}
+    sections = {k.attr for k in KEYS.values()}
+    assert {s for skips in RUN_SKIPS.values() for s in skips} <= sections | set(KEYS)
 
 
 def test_every_run_config_field_is_the_target_of_exactly_one_key():
@@ -346,6 +349,25 @@ def test_emit_writes_no_key_of_a_section_the_run_skips(run, text):
     emitted = emit_config(cfg)
     assert [line for line in emitted.splitlines() if line.split(".")[0] in RUN_SKIPS[run]] == []
     assert parse_config(emitted) == cfg
+
+
+@pytest.mark.parametrize("text, run, skipped, kept", [
+    ("command = scan\nOmega = 0.7\neta = 0.3\nscan.kind = truncation\n",
+     "scan.kind = truncation", {"trunc.n_max": "40", "trunc.guard": "4"}, ()),
+    ("command = verify\nOmega = 0.7\neta = 0.3\nverify.check = guard\n",
+     "verify.check = guard", {"trunc.guard": "4"}, ("trunc.n_max",)),
+])
+def test_keys_the_run_skips_are_rejected_and_never_emitted(text, run, skipped, kept):
+    cfg = parse_config(text)
+    emitted = emit_config(cfg)
+    keys = {line.split(" = ")[0] for line in emitted.splitlines()}
+    assert keys.isdisjoint(skipped) and keys >= set(kept)
+    assert parse_config(emitted) == cfg
+    for key, value in skipped.items():
+        with pytest.raises(ConfigError, match=f"^line 5: {key} is not read by {run}$"):
+            parse_config(f"{text}{key} = {value}\n")
+    for key in kept:  # still read: n_max sets the guard check's cutoff
+        assert parse_config(f"{text}{key} = 24\n") != cfg
 
 
 def _build_or_reject(name: str, **params):

@@ -16,7 +16,10 @@ from ionqrm import (
     fock_state,
     h_dispersive,
     h_jc,
+    h_lamb_dicke,
     h_qrm,
+    h_qrm_detuned,
+    h_rabi_rotated,
     h_resonant,
     osc_identity,
     propagate,
@@ -435,8 +438,15 @@ def test_eigh_calls_follow_the_structure_of_each_model(monkeypatch):
     assert _eigh_calls(monkeypatch, h_jc(p, trunc), psi0) == [((n - 1, 2, 2), "f")]
     # the two parity blocks of the QRM, real in the Fock-parity gauge
     assert _eigh_calls(monkeypatch, h_qrm(p, trunc), psi0) == [((2, n, n), "f")]
-    assert _eigh_calls(monkeypatch, h_resonant(p, trunc), psi0) == [((1, 2 * n, 2 * n), "f")]
-    # off the phases 0 and pi no real gauge exists
+    # the rotated Rabi form has the same parity zero pattern
+    assert _eigh_calls(monkeypatch, h_rabi_rotated(p, trunc), psi0) == [((2, n, n), "f")]
+    # delta/2 sigma_x breaks the QRM parity: one dense real block
+    h = h_qrm_detuned(IonParams(Omega=0.35, eta=0.11, delta=0.2), trunc)
+    assert _eigh_calls(monkeypatch, h, psi0) == [((1, 2 * n, 2 * n), "f")]
+    # one block spanning H that commutes with Pi = sigma_x (x) (-1)^n: its two sectors
+    assert _eigh_calls(monkeypatch, h_resonant(p, trunc), psi0) == [((2, n, n), "f")]
+    assert _eigh_calls(monkeypatch, h_lamb_dicke(p, trunc), psi0) == [((2, n, n), "f")]
+    # off the phases 0 and pi no real gauge exists, and H does not commute with Pi
     h = h_resonant(IonParams(Omega=0.35, eta=0.11, phi_l=0.4), trunc)
     assert _eigh_calls(monkeypatch, h, psi0) == [((1, 2 * n, 2 * n), "c")]
 
@@ -456,3 +466,112 @@ def test_propagate_evolves_only_the_blocks_the_state_touches(monkeypatch):
     # |g,0> and |e,15> and the other 14 pairs are left out
     propagate(h, fock_state("e", 3, trunc), np.linspace(0.0, 2.0, 5))
     assert shapes == [(1, 1, 2), (1, 5, 2)]
+
+
+def _parity_symmetric(seed: int, kind: str, n: int = 12) -> np.ndarray:
+    """Random Hermitian H = [[A, C S], [S C, S A S]], S = diag((-1)^n), A and C Hermitian.
+
+    H commutes with Pi = sigma_x (x) S, and its nonzero pattern is one block.
+    kind "real-gauge": P^dag G P for such a real symmetric G and P = diag(i^n),
+    so the gauge test must find G again; "complex": A and C complex.
+    """
+    rng = np.random.default_rng(seed)
+    a, c = rng.normal(size=(2, n, n))
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=(n, n))
+        c = c + 1j * rng.normal(size=(n, n))
+    a, c = a + a.conj().T, c + c.conj().T
+    s = (-1.0) ** np.arange(n)
+    h = np.block([[a, c * s], [s[:, None] * c, s[:, None] * a * s]])
+    if kind == "real-gauge":
+        p = _I_POW[np.arange(2 * n) % n % 4]
+        h = p.conj()[:, None] * h * p[None, :]
+    return h
+
+
+@pytest.mark.parametrize("kind", ["real-gauge", "complex"])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_propagate_matches_dense_oracle_on_parity_sectors(seed, kind, monkeypatch,
+                                                          dense_states):
+    h = _parity_symmetric(seed, kind)
+    psi0 = _random_state(seed + 100, h.shape[0])
+    _assert_matches_dense(h, psi0, np.linspace(0.0, 3.0, 7), dense_states)
+    np.testing.assert_allclose(block_eigh(h, vectors=False).eigenvalues,
+                               np.linalg.eigvalsh(h), rtol=0, atol=1e-12)
+    eig = block_eigh(h)
+    assert (eig.gauge is not None) == (kind == "real-gauge")
+    dtype = "f" if kind == "real-gauge" else "c"
+    assert _eigh_calls(monkeypatch, h, psi0) == [((2, 12, 12), dtype)]
+
+
+@pytest.mark.parametrize("name", ["resonant", "lamb-dicke"])
+def test_one_ulp_off_the_parity_takes_the_dense_path(name, monkeypatch, dense_states):
+    trunc = TruncationSpec(16)
+    h = HAMILTONIAN_BUILDERS[name](_builder_params(name), trunc)
+    psi0 = _start("coherent", trunc)
+    assert _eigh_calls(monkeypatch, h, psi0) == [((2, 16, 16), "f")]
+    # coupling |e,0> <-> |g,1>, imaginary, and its Hermitian mirror: one ulp up
+    moved = h.copy()
+    moved[0, 17] = 1j * np.nextafter(h[0, 17].imag, np.inf)
+    moved[17, 0] = moved[0, 17].conj()
+    assert moved[0, 17] != h[0, 17] and algebra.fock_gauge(moved, 16) is not None
+    assert _eigh_calls(monkeypatch, moved, psi0) == [((1, 32, 32), "f")]
+    _assert_matches_dense(moved, psi0, np.linspace(0.0, 5.0, 9), dense_states)
+
+
+def test_hermiticity_is_checked_on_the_whole_block_in_the_sector_path(monkeypatch):
+    # H_ee and H_gg gain one entry off the diagonal, kept out of the transposed
+    # place: H still commutes with Pi exactly, but is not Hermitian
+    n = 16
+    h = h_resonant(IonParams(Omega=0.35, eta=0.11), TruncationSpec(n))
+    psi0 = _start("coherent", TruncationSpec(n))
+    for factor in (0.99, 1.01):
+        skewed = h.copy()
+        eps = factor * 1e-10 * max(1.0, np.max(np.abs(h)))
+        skewed[0, 2] += eps
+        skewed[n, n + 2] += eps  # (-1)^0 (-1)^2 = 1
+        assert _dense_hermitian(skewed) == (factor < 1)
+        if factor < 1:
+            assert _eigh_calls(monkeypatch, skewed, psi0) == [((2, n, n), "f")]
+        assert _accepted(skewed) == (factor < 1), factor
+
+
+def _broken_assembly(flaw: str):
+    """dynamics._from_sectors written out, with one flaw or none ("none")."""
+    def assemble(w, u):
+        n = w.shape[1]
+        s = 1.0 if flaw == "S dropped" else (-1.0) ** np.arange(n)[:, None]
+        plus, minus = (u[1], u[0]) if flaw == "+- swapped" else (u[0], u[1])
+        v = np.block([[plus, minus], [s * plus, -s * minus]]) / np.sqrt(2.0)
+        return w.reshape(1, 2 * n), v[None]
+    return assemble
+
+
+@pytest.mark.parametrize("flaw", ["none", "S dropped", "+- swapped"])
+@pytest.mark.parametrize("stage", ["sectors", "vectors"])
+@pytest.mark.parametrize("name", ["resonant", "lamb-dicke"])
+def test_oracle_catches_a_broken_sector_assembly(name, stage, flaw, monkeypatch,
+                                                 dense_states):
+    parity_sectors = dynamics._parity_sectors
+
+    def broken_sectors(a):
+        good = parity_sectors(a)
+        if good is None or flaw == "none":
+            return good
+        if flaw == "+- swapped":
+            return good[::-1].copy()
+        n = a.shape[0] // 2
+        return np.stack([a[:n, :n] + a[:n, n:], a[:n, :n] - a[:n, n:]])
+
+    if stage == "sectors":
+        monkeypatch.setattr(dynamics, "_parity_sectors", broken_sectors)
+    else:
+        monkeypatch.setattr(dynamics, "_from_sectors", _broken_assembly(flaw))
+    trunc = TruncationSpec(16)
+    h = HAMILTONIAN_BUILDERS[name](_builder_params(name), trunc)
+    args = (h, _start("coherent", trunc), np.linspace(0.0, 5.0, 9), dense_states)
+    if flaw == "none":
+        _assert_matches_dense(*args)
+    else:
+        with pytest.raises((AssertionError, ArithmeticError)):
+            _assert_matches_dense(*args)
