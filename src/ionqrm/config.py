@@ -88,7 +88,8 @@ RUN_READS: dict[str, tuple[str, ...]] = {
 #: tolerance, ``jc-rabi`` and ``speed`` have fixed thresholds, ``speed``, ``regime``
 #: and the lamb-dicke scan never use ``trunc``, the truncation scan builds its own
 #: cutoffs from ``scan.n_list``, and ``guard`` compares at guard 0 (it reads only
-#: ``trunc.n_max``).
+#: ``trunc.n_max``; a run that skips ``trunc.guard`` holds guard 0 in its section,
+#: so ``trunc.n_max`` is not checked against the default guard).
 RUN_SKIPS: dict[str, tuple[str, ...]] = {
     **{name: ("tol",) for name in BUILDER_NAMES},
     "verify.check = guard": ("trunc.guard",),
@@ -355,6 +356,11 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
         values.setdefault("format", "csv")
     if values.get("scan.kind") == "truncation":
         values.setdefault("scan.k_lowest", 8)
+    # a run that never reads trunc.guard compares without a guard band: its section
+    # holds guard 0, so trunc.n_max is not checked against the default guard
+    selector = _selector(command, values.get("scan.kind", ScanSpec.kind),
+                         values.get("verify.check", VerifySpec.check))
+    unguarded = "trunc.guard" in RUN_SKIPS.get(selector, ())
 
     # table order: each section's keys are checked, then the section is built, so an
     # input with several errors always reports the same first one
@@ -365,6 +371,8 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
         for key, spec in group:
             _check_value(key, values[key], lines.get(key))
             section_fields[spec.field] = values[key]
+        if attr == "trunc" and unguarded:
+            section_fields.setdefault("guard", 0)
         if attr is None:
             fields.update(section_fields)
             section = SimpleNamespace(**fields)
@@ -433,13 +441,13 @@ def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
     _run_preconditions(c, lines)
 
 
-def _selector(c: RunConfig) -> str:
+def _selector(command: str, scan_kind: str, verify_check: str) -> str:
     """The setting that selects what the command runs: ``scan.kind = ...`` and so on."""
-    if c.command == "scan":
-        return f"scan.kind = {c.scan.kind}"
-    if c.command == "verify":
-        return f"verify.check = {c.verify.check}"
-    return f"command = {c.command}"
+    if command == "scan":
+        return f"scan.kind = {scan_kind}"
+    if command == "verify":
+        return f"verify.check = {verify_check}"
+    return f"command = {command}"
 
 
 def _what_runs(c: RunConfig) -> str:
@@ -448,12 +456,12 @@ def _what_runs(c: RunConfig) -> str:
         return getattr(c, c.command).hamiltonian
     if c.command == "scan" and c.scan.kind == "truncation":
         return c.scan.builder
-    return _selector(c)
+    return _selector(c.command, c.scan.kind, c.verify.check)
 
 
 def _skipping_run(c: RunConfig, key: str) -> str | None:
     """The run whose :data:`RUN_SKIPS` entry names ``key`` or its section, or None."""
-    for run in (_what_runs(c), _selector(c)):
+    for run in (_what_runs(c), _selector(c.command, c.scan.kind, c.verify.check)):
         skips = RUN_SKIPS.get(run, ())
         if key in skips or KEYS[key].attr in skips:
             return run

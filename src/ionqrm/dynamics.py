@@ -48,7 +48,6 @@ touches one 2x2 block.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -178,14 +177,6 @@ def _blocks_by_size(labels: np.ndarray) -> list[np.ndarray]:
     return [order[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
-@lru_cache(maxsize=8)
-def _parity_signs(n_osc: int) -> np.ndarray:
-    """Diagonal of S = (-1)^n on n_osc Fock levels, read-only."""
-    s = 1.0 - 2.0 * (np.arange(n_osc) % 2)
-    s.setflags(write=False)
-    return s
-
-
 def _parity_sectors(a: np.ndarray) -> np.ndarray | None:
     """H_+ and H_- of a composite H as one (2, n, n) stack, or None when H does not
     commute exactly with Pi = sigma_x (x) S.
@@ -196,7 +187,7 @@ def _parity_sectors(a: np.ndarray) -> np.ndarray | None:
     H_+- = H_ee +- H_eg S.
     """
     n = a.shape[0] // 2
-    s = _parity_signs(n)
+    s = 1.0 - 2.0 * (np.arange(n) % 2)  # diagonal of S
     signs = s[:, None] * s
     h_ee, h_eg = a[:n, :n], a[:n, n:]
     if not (np.array_equal(h_ee, a[n:, n:] * signs) and np.array_equal(h_eg, a[n:, :n] * signs)):
@@ -214,7 +205,7 @@ def _from_sectors(w: np.ndarray, u: np.ndarray | None) -> tuple[np.ndarray, np.n
     if u is None:
         return w.reshape(1, 2 * n), None
     u = u * np.sqrt(0.5)
-    s = _parity_signs(n)[:, None]
+    s = (1.0 - 2.0 * (np.arange(n) % 2))[:, None]
     v = np.empty((2 * n, 2 * n), dtype=u.dtype)
     v[:n, :n], v[:n, n:] = u
     np.multiply(u[0], s, out=v[n:, :n])

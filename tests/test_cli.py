@@ -511,8 +511,8 @@ def test_import_and_cheap_commands_never_load_scipy(src_env):
     for kind in ("dispersive", "truncation", "lamb-dicke"):
         commands.append((f"scan {kind}", ["scan", *base, "--set", f"scan.kind={kind}"]))
     for check in ("qrm-transform", "guard", "speed"):
-        # speed reads no trunc.* key, and guard no trunc.guard (so n_max > the default 16)
-        trunc = {"qrm-transform": small, "guard": ["--set", "trunc.n_max=24"]}.get(check, [])
+        # speed reads no trunc.* key, and guard no trunc.guard
+        trunc = {"qrm-transform": small, "guard": small[:2]}.get(check, [])
         commands.append((f"verify {check}", ["verify", *base, *trunc,
                                              "--set", f"verify.check={check}"]))
     seen = _run_cold(commands, src_env)

@@ -370,6 +370,15 @@ def test_keys_the_run_skips_are_rejected_and_never_emitted(text, run, skipped, k
         assert parse_config(f"{text}{key} = 24\n") != cfg
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 16, 64])
+def test_a_run_that_skips_trunc_guard_holds_guard_0(n_max):
+    # the guard check compares at guard 0, so any cutoff is valid, the default 16 too
+    cfg = parse_config("command = verify\nOmega = 0.7\neta = 0.3\nverify.check = guard\n"
+                       f"trunc.n_max = {n_max}\n")
+    assert cfg.trunc == TruncationSpec(n_max=n_max, guard=0)
+    assert parse_config(emit_config(cfg)) == cfg
+
+
 def _build_or_reject(name: str, **params):
     """The builder's matrix, or None when the builder itself rejects the parameters."""
     try:

@@ -204,23 +204,37 @@ def _hidden_blocks(seed: int, kind: str):
     kind "real-gauge": P^dag G P for a real symmetric G and P = diag(i^n), so the
     gauge test must find G again; "complex": random complex Hermitian blocks;
     "complex-diagonal": the real-gauge matrix with a rounding-size imaginary
-    part on one diagonal entry.
+    part on one diagonal entry. "parity-real-gauge" and "parity-complex": one
+    block spanning H = [[A, C S], [S C, S A S]], S = diag((-1)^n), with A and C
+    random Hermitian (real, then gauged as for "real-gauge", or complex), so H
+    commutes exactly with Pi = sigma_x (x) S.
     """
     rng = np.random.default_rng(seed)
     dim = sum(_HIDDEN_SIZES)
-    h = np.zeros((dim, dim), dtype=complex)
-    block = np.repeat(np.arange(len(_HIDDEN_SIZES)), _HIDDEN_SIZES)
-    start = 0
-    for size in _HIDDEN_SIZES:
-        m = rng.normal(size=(size, size))
-        if kind == "complex":
-            m = m + 1j * rng.normal(size=(size, size))
-        h[start:start + size, start:start + size] = m + m.conj().T
-        start += size
-    perm = rng.permutation(dim)
-    h = h[np.ix_(perm, perm)]
-    block = block[perm]
-    if kind != "complex":
+    if kind.startswith("parity-"):
+        n = dim // 2
+        a, c = rng.normal(size=(2, n, n))
+        if kind == "parity-complex":
+            a = a + 1j * rng.normal(size=(n, n))
+            c = c + 1j * rng.normal(size=(n, n))
+        a, c = a + a.conj().T, c + c.conj().T
+        s = (-1.0) ** np.arange(n)
+        h = np.block([[a, c * s], [s[:, None] * c, s[:, None] * a * s]])
+        block = np.zeros(dim, dtype=int)
+    else:
+        h = np.zeros((dim, dim), dtype=complex)
+        block = np.repeat(np.arange(len(_HIDDEN_SIZES)), _HIDDEN_SIZES)
+        start = 0
+        for size in _HIDDEN_SIZES:
+            m = rng.normal(size=(size, size))
+            if kind == "complex":
+                m = m + 1j * rng.normal(size=(size, size))
+            h[start:start + size, start:start + size] = m + m.conj().T
+            start += size
+        perm = rng.permutation(dim)
+        h = h[np.ix_(perm, perm)]
+        block = block[perm]
+    if kind not in ("complex", "parity-complex"):
         p = _I_POW[np.arange(dim) % (dim // 2) % 4]
         h = p.conj()[:, None] * h * p[None, :]
     if kind == "complex-diagonal":
@@ -235,26 +249,37 @@ def _random_state(seed: int, dim: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("vanishing", [False, True])
-@pytest.mark.parametrize("kind", ["real-gauge", "complex", "complex-diagonal"])
+@pytest.mark.parametrize("kind", ["real-gauge", "complex", "complex-diagonal",
+                                  "parity-real-gauge", "parity-complex"])
 @pytest.mark.parametrize("seed", [3, 11])
 def test_propagate_matches_dense_oracle_on_hidden_blocks(seed, kind, vanishing,
-                                                         dense_states):
+                                                         monkeypatch, dense_states):
     h, block = _hidden_blocks(seed, kind)
+    parity = kind.startswith("parity-")
     psi0 = _random_state(seed + 100, h.shape[0])
-    if vanishing:  # psi0 identically zero on three whole blocks
+    if vanishing and parity:  # psi0 in the Pi = +1 sector, zero in the other
+        n = h.shape[0] // 2
+        s = (-1.0) ** np.arange(n)
+        psi0 += np.concatenate([s * psi0[n:], s * psi0[:n]])
+        psi0 /= np.linalg.norm(psi0)
+    elif vanishing:  # psi0 identically zero on three whole blocks
         psi0[np.isin(block, [0, 3, 6])] = 0.0
         psi0 /= np.linalg.norm(psi0)
     _assert_matches_dense(h, psi0, np.linspace(0.0, 3.0, 7), dense_states)
 
     eig = block_eigh(h)
-    assert (eig.gauge is not None) == (kind == "real-gauge")
+    real = kind in ("real-gauge", "parity-real-gauge")
+    assert (eig.gauge is not None) == real
     found = sorted(idx.shape[1] for idx, _, _ in eig.groups for _ in idx)
-    assert found == sorted(_HIDDEN_SIZES)
+    assert found == ([h.shape[0]] if parity else sorted(_HIDDEN_SIZES))
     for idx, _, _ in eig.groups:
         for members in idx:
             assert np.unique(block[members]).size == 1
     for idx, _, v in eig.groups:
-        assert np.isrealobj(v) == (kind == "real-gauge" or idx.shape[1] == 1)
+        assert np.isrealobj(v) == (real or idx.shape[1] == 1)
+    if parity:  # the spanning block goes as its two Pi sectors
+        n = h.shape[0] // 2
+        assert _eigh_calls(monkeypatch, h, psi0) == [((2, n, n), "f" if real else "c")]
 
 
 def test_blocks_follow_entries_in_either_triangle(dense_states):
@@ -268,7 +293,7 @@ def test_blocks_follow_entries_in_either_triangle(dense_states):
 
 
 def test_block_eigh_values_match_dense_eigvalsh():
-    for kind in ("real-gauge", "complex"):
+    for kind in ("real-gauge", "complex", "parity-real-gauge", "parity-complex"):
         h, _ = _hidden_blocks(5, kind)
         np.testing.assert_allclose(
             block_eigh(h, vectors=False).eigenvalues, np.linalg.eigvalsh(h), rtol=0, atol=1e-12
@@ -466,42 +491,6 @@ def test_propagate_evolves_only_the_blocks_the_state_touches(monkeypatch):
     # |g,0> and |e,15> and the other 14 pairs are left out
     propagate(h, fock_state("e", 3, trunc), np.linspace(0.0, 2.0, 5))
     assert shapes == [(1, 1, 2), (1, 5, 2)]
-
-
-def _parity_symmetric(seed: int, kind: str, n: int = 12) -> np.ndarray:
-    """Random Hermitian H = [[A, C S], [S C, S A S]], S = diag((-1)^n), A and C Hermitian.
-
-    H commutes with Pi = sigma_x (x) S, and its nonzero pattern is one block.
-    kind "real-gauge": P^dag G P for such a real symmetric G and P = diag(i^n),
-    so the gauge test must find G again; "complex": A and C complex.
-    """
-    rng = np.random.default_rng(seed)
-    a, c = rng.normal(size=(2, n, n))
-    if kind == "complex":
-        a = a + 1j * rng.normal(size=(n, n))
-        c = c + 1j * rng.normal(size=(n, n))
-    a, c = a + a.conj().T, c + c.conj().T
-    s = (-1.0) ** np.arange(n)
-    h = np.block([[a, c * s], [s[:, None] * c, s[:, None] * a * s]])
-    if kind == "real-gauge":
-        p = _I_POW[np.arange(2 * n) % n % 4]
-        h = p.conj()[:, None] * h * p[None, :]
-    return h
-
-
-@pytest.mark.parametrize("kind", ["real-gauge", "complex"])
-@pytest.mark.parametrize("seed", [3, 11])
-def test_propagate_matches_dense_oracle_on_parity_sectors(seed, kind, monkeypatch,
-                                                          dense_states):
-    h = _parity_symmetric(seed, kind)
-    psi0 = _random_state(seed + 100, h.shape[0])
-    _assert_matches_dense(h, psi0, np.linspace(0.0, 3.0, 7), dense_states)
-    np.testing.assert_allclose(block_eigh(h, vectors=False).eigenvalues,
-                               np.linalg.eigvalsh(h), rtol=0, atol=1e-12)
-    eig = block_eigh(h)
-    assert (eig.gauge is not None) == (kind == "real-gauge")
-    dtype = "f" if kind == "real-gauge" else "c"
-    assert _eigh_calls(monkeypatch, h, psi0) == [((2, 12, 12), dtype)]
 
 
 @pytest.mark.parametrize("name", ["resonant", "lamb-dicke"])
