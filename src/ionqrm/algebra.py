@@ -34,9 +34,9 @@ The checks compare all three.
 The Fock-parity gauge P = diag(i^n) is defined once, here: :func:`fock_phases`
 is its diagonal and :func:`gauge_parts` the sign map from the real and
 imaginary parts of M to the real array P M P^dagger. :func:`fock_gauge` maps a
-built complex H (the eigensolver in ``dynamics``); :func:`displacement_gauged`
-maps D(i*r)'s cos and sin parts, so the transform identity in ``models`` never
-forms a complex displacement.
+built complex H (``dynamics`` tests its pattern with :func:`gauge_is_real`);
+:func:`displacement_gauged` maps D(i*r)'s cos and sin parts, so the transform
+identity in ``models`` never forms a complex displacement.
 
 ``import ionqrm`` loads nothing heavy: the package resolves each public name
 on first use, and the ``regime`` command never loads numpy. Only the
@@ -274,11 +274,10 @@ def interior_block(a: np.ndarray, trunc: TruncationSpec) -> np.ndarray:
     )
 
 
-def _gauge_is_real(h: np.ndarray, n_osc: int) -> bool:
-    """Whether h is exactly real for even m - n and imaginary for odd m - n (see fock_gauge)."""
-    dim = h.shape[0]
-    # axis 4 of the float view splits each entry into (Re, Im)
-    nz = (h.view(np.float64) != 0).reshape((dim // n_osc, n_osc) * 2 + (2,))
+def gauge_is_real(nonzero: np.ndarray, n_osc: int) -> bool:
+    """Whether P h P^dagger is exactly real (see fock_gauge), from ``h.view(np.float64) != 0``."""
+    dim = nonzero.shape[0]
+    nz = nonzero.reshape((dim // n_osc, n_osc) * 2 + (2,))  # axis 4: (Re, Im)
     parts = ((0, 0, 1), (1, 1, 1), (0, 1, 0), (1, 0, 0))  # (row parity, column parity, Re/Im)
     return not any(nz[:, a::2, :, b::2, c].any() for a, b, c in parts)
 
@@ -291,7 +290,7 @@ def fock_phases(dim: int, n_osc: int) -> np.ndarray:
 def gauge_parts(re: np.ndarray, im: np.ndarray, n_osc: int) -> np.ndarray:
     """P (re + i*im) P^dagger as a real array, for parts that make it exactly real.
 
-    It does not test exactness; :func:`fock_gauge` does, before it calls this.
+    It does not test exactness; :func:`gauge_is_real` does, before this is called.
     """
     # i^(m-n) h_kl = t_k t_l (re h_kl + s_k im h_kl) with s_k = (-1)^m and, from
     # p_k = i^m, t_k = Re p_k + Im p_k = (-1)^(m//2) and t_k s_k = Re p_k - Im p_k
@@ -321,6 +320,6 @@ def fock_gauge(h: np.ndarray, n_osc: int) -> np.ndarray | None:
     dim = h.shape[0]
     if h.shape != (dim, dim) or n_osc < 1 or dim % n_osc:
         raise ValueError(f"h must be square with a multiple of {n_osc} rows, got {h.shape}")
-    if not _gauge_is_real(h, n_osc):
+    if not gauge_is_real(h.view(np.float64) != 0, n_osc):
         return None
     return gauge_parts(h.real, h.imag, n_osc)

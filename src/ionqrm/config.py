@@ -15,13 +15,13 @@ of its section takes one of the rule's values, or is unset where the rule
 says so (``evolve.alpha`` needs ``evolve.state = coherent``, ``format`` a
 command other than ``regime``, ``seed`` the command ``all-checks``,
 ``evolve.t_max`` and ``evolve.samples`` an unset ``evolve.times``).
-A nonzero ``delta`` or ``phi_l`` is an error where what the command runs does
-not read it: a Hamiltonian builder (:data:`BUILDER_READS`) in ``build``,
-``evolve`` and ``scan.kind = truncation``, and every other scan kind, verify
-check, ``regime`` and ``all-checks`` (:data:`RUN_READS`). So is a key of a
-section, or a single key, that what the command runs never reads
-(:data:`RUN_SKIPS`, such as ``tol.*`` for every builder, ``trunc.*`` for
-``verify.check = speed`` and ``trunc.guard`` for ``verify.check = guard``).
+A key set that what the command runs never reads is an error, and so is a
+nonzero ``delta`` or ``phi_l`` it never reads. :data:`RUN_SKIPS` has one row
+per Hamiltonian builder and per setting that selects a run (``verify.check``,
+``scan.kind``, ``command``), such as ``tol.*`` for every builder,
+``trunc.guard`` for ``command = evolve`` and every tolerance but
+``tol.spectral`` for ``verify.check = guard``. A command emits one of the
+formats :data:`FORMATS` lists for it, the first by default.
 Values use the shortest round-trip decimal form for floats,
 ``true``/``false`` for booleans, ``re+imj`` for complex numbers and
 comma-separated items for lists.
@@ -31,7 +31,7 @@ parser and rule), in the order :func:`emit_config` writes, and each field has
 exactly one key: a setting no key reaches, such as a check's fixed threshold,
 is a constant of :mod:`ionqrm.analysis`. Defaults come only from the record
 classes (``IonParams``, ``DEFAULT_TRUNC``, ``Tolerances``, ``RegimeThresholds``,
-the ``*Spec`` classes), except that ``format`` follows the command and
+the ``*Spec`` classes), except that ``format`` follows :data:`FORMATS` and
 ``scan.k_lowest`` is 8 for ``scan.kind = truncation``.
 
 :func:`parse_config` and :func:`emit_config` are inverses on valid
@@ -49,56 +49,55 @@ from .params import (DEFAULT_SEED, DEFAULT_TRUNC, IonParams, Record, RegimeThres
                      Tolerances, TruncationSpec, is_sideband_resonant, phase_is_zero_or_pi)
 
 COMMANDS = ("build", "verify", "evolve", "scan", "regime", "all-checks")
-#: Which of ``delta`` and ``phi_l`` each Hamiltonian builder reads (its keys are
-#: those of ``models.HAMILTONIAN_BUILDERS``); a nonzero value of the other is a
-#: ConfigError, because the builder would drop it without a word.
-BUILDER_READS: dict[str, tuple[str, ...]] = {
-    "resonant": ("phi_l",),
-    "lamb-dicke": ("phi_l",),
-    "rabi-rotated": ("phi_l",),
-    "jc": (),
-    "ajc": (),
-    "qrm": (),
-    "qrm-detuned": ("delta",),
-    "dispersive": (),
-    "zero": (),
-}
-BUILDER_NAMES = tuple(sorted(BUILDER_READS))
 VERIFY_CHECKS = ("qrm-transform", "guard", "dispersive", "jc-rabi", "speed", "rotation")
 SCAN_KINDS = ("dispersive", "truncation", "lamb-dicke")
-#: The same declaration for what the other commands run, keyed by the setting that
-#: selects it: each ``verify.check``, each ``scan.kind`` but ``truncation`` (which
-#: runs ``scan.builder``), ``regime`` and ``all-checks``.
-RUN_READS: dict[str, tuple[str, ...]] = {
-    "verify.check = qrm-transform": (),
-    "verify.check = guard": (),
-    "verify.check = dispersive": (),
-    "verify.check = jc-rabi": (),
-    "verify.check = speed": (),
-    "verify.check = rotation": (),
-    "scan.kind = dispersive": (),
-    "scan.kind = lamb-dicke": (),
-    "command = regime": ("phi_l",),
-    "command = all-checks": (),
+#: The formats each command emits, its default first; ``regime`` prints text.
+FORMATS: dict[str, tuple[str, ...]] = {
+    "build": ("json",), "verify": ("json",), "evolve": ("csv",), "scan": ("csv", "json"),
+    "all-checks": ("json",),
 }
-#: The :class:`RunConfig` sections (every key of one) and single keys that a run
-#: never reads: setting one is a ConfigError. A run is keyed as in
-#: :data:`BUILDER_READS` or :data:`RUN_READS`, or by ``scan.kind = truncation``,
-#: which runs ``scan.builder``; both of its entries apply. No builder reads a
-#: tolerance, ``jc-rabi`` and ``speed`` have fixed thresholds, ``speed``, ``regime``
-#: and the lamb-dicke scan never use ``trunc``, the truncation scan builds its own
-#: cutoffs from ``scan.n_list``, and ``guard`` compares at guard 0 (it reads only
-#: ``trunc.n_max``; a run that skips ``trunc.guard`` holds guard 0 in its section,
-#: so ``trunc.n_max`` is not checked against the default guard).
+_DELTA_PHI = ("delta", "phi_l")
+_ONLY_SPECTRAL = ("tol.identity", "tol.oracle", "tol.min_order")
+_ONLY_MIN_ORDER = ("tol.identity", "tol.oracle", "tol.spectral")
+#: What each run never reads. A run is keyed by its Hamiltonian builder (the keys of
+#: ``models.HAMILTONIAN_BUILDERS``) and by the setting that selects it; :func:`_runs`
+#: gives both, so the truncation scan is its ``scan.builder`` and ``scan.kind =
+#: truncation``. An entry is a :class:`RunConfig` section (every key of one) or one
+#: key, and setting it is a ConfigError; ``delta`` and ``phi_l`` always hold a value,
+#: so for them a nonzero value is. No builder reads a tolerance, ``jc-rabi`` and
+#: ``speed`` have fixed thresholds and the other checks and scans read the one they
+#: compare against, ``speed``, ``regime`` and the lamb-dicke scan never use ``trunc``,
+#: the truncation scan builds its own cutoffs from ``scan.n_list``, and ``guard`` and
+#: ``evolve`` read only ``trunc.n_max`` (a run that skips ``trunc.guard`` holds guard 0
+#: in its section, so ``trunc.n_max`` is not checked against the default guard).
 RUN_SKIPS: dict[str, tuple[str, ...]] = {
-    **{name: ("tol",) for name in BUILDER_NAMES},
-    "verify.check = guard": ("trunc.guard",),
-    "verify.check = jc-rabi": ("tol",),
-    "verify.check = speed": ("trunc", "tol"),
-    "command = regime": ("trunc", "tol"),
+    "resonant": ("delta", "tol"),
+    "lamb-dicke": ("delta", "tol"),
+    "rabi-rotated": ("delta", "tol"),
+    "jc": (*_DELTA_PHI, "tol"),
+    "ajc": (*_DELTA_PHI, "tol"),
+    "qrm": (*_DELTA_PHI, "tol"),
+    "qrm-detuned": ("phi_l", "tol"),
+    "dispersive": (*_DELTA_PHI, "tol"),
+    "zero": (*_DELTA_PHI, "tol"),
+    "verify.check = qrm-transform": (*_DELTA_PHI, *_ONLY_SPECTRAL),
+    "verify.check = guard": (*_DELTA_PHI, "trunc.guard", *_ONLY_SPECTRAL),
+    "verify.check = dispersive": (*_DELTA_PHI, *_ONLY_MIN_ORDER),
+    "verify.check = jc-rabi": (*_DELTA_PHI, "tol"),
+    "verify.check = speed": (*_DELTA_PHI, "trunc", "tol"),
+    "verify.check = rotation": (*_DELTA_PHI, "tol.oracle", "tol.spectral", "tol.min_order"),
+    "scan.kind = dispersive": (*_DELTA_PHI, *_ONLY_MIN_ORDER),
     "scan.kind = truncation": ("trunc",),
-    "scan.kind = lamb-dicke": ("trunc",),
+    "scan.kind = lamb-dicke": (*_DELTA_PHI, "trunc", *_ONLY_MIN_ORDER),
+    "command = build": (),
+    "command = evolve": ("trunc.guard",),
+    "command = regime": ("delta", "trunc", "tol"),
+    "command = all-checks": _DELTA_PHI,
 }
+BUILDER_NAMES = tuple(sorted(run for run in RUN_SKIPS if " = " not in run))
+# the selector of a run that runs a Hamiltonian builder -> the key that names it
+_BUILDER_KEYS = {"command = build": "build.hamiltonian", "command = evolve": "evolve.hamiltonian",
+                 "scan.kind = truncation": "scan.builder"}
 
 
 class ConfigError(ValueError):
@@ -237,8 +236,7 @@ KEYS: dict[str, _Key] = {
     "trunc.n_max": _Key("trunc", "n_max", _parse_int),
     "trunc.guard": _Key("trunc", "guard", _parse_int),
     "seed": _Key(None, "seed", _parse_int, only_if=("command", ("all-checks",))),
-    "format": _Key(None, "format", str, ("csv", "json"),
-                   only_if=("command", ("build", "verify", "evolve", "scan", "all-checks"))),
+    "format": _Key(None, "format", str, ("csv", "json"), only_if=("command", tuple(FORMATS))),
     "tol.identity": _Key("tol", "identity", _parse_float),
     "tol.oracle": _Key("tol", "oracle", _parse_float),
     "tol.spectral": _Key("tol", "spectral", _parse_float),
@@ -352,15 +350,14 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
             raise ConfigError(
                 f"key {key!r} applies to command {scope!r}, not {command!r}", lines[key]
             )
-    if command in ("evolve", "scan"):
-        values.setdefault("format", "csv")
+    if command in FORMATS:
+        values.setdefault("format", FORMATS[command][0])
     if values.get("scan.kind") == "truncation":
         values.setdefault("scan.k_lowest", 8)
-    # a run that never reads trunc.guard compares without a guard band: its section
-    # holds guard 0, so trunc.n_max is not checked against the default guard
-    selector = _selector(command, values.get("scan.kind", ScanSpec.kind),
-                         values.get("verify.check", VerifySpec.check))
-    unguarded = "trunc.guard" in RUN_SKIPS.get(selector, ())
+    # a run that never reads trunc.guard holds guard 0 in its section, so trunc.n_max is
+    # not checked against the default guard (a name not checked yet may have no row)
+    runs = _runs(lambda key: values[key] if key in values else _value(RunConfig, key))
+    unguarded = any("trunc.guard" in RUN_SKIPS.get(run, ()) for run in runs)
 
     # table order: each section's keys are checked, then the section is built, so an
     # input with several errors always reports the same first one
@@ -401,9 +398,10 @@ def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
     ``lines`` maps each key the input set to its line number.
     """
     c = config
+    if c.command in FORMATS and c.format not in FORMATS[c.command]:
+        f = FORMATS[c.command][0]
+        raise ConfigError(f"constraint violation: {c.command} emits {f} (format = {f})")
     if c.command == "evolve":
-        if c.format != "csv":
-            raise ConfigError("constraint violation: evolve emits csv (format = csv)")
         if c.evolve.fock < 0:
             raise ConfigError("constraint violation: evolve.fock >= 0")
         if c.evolve.fock >= c.trunc.n_max:
@@ -411,16 +409,8 @@ def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
         times = c.evolve.times or ()
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError("constraint violation: evolve.times strictly increasing")
-    elif c.command == "build":
-        if c.format != "json":
-            raise ConfigError("constraint violation: build emits json (format = json)")
-    elif c.command in ("verify", "all-checks"):
-        if c.format != "json":
-            raise ConfigError(
-                f"constraint violation: {c.command} emits json (format = json)"
-            )
-        if c.command == "verify":
-            _verify_preconditions(c)
+    elif c.command == "verify":
+        _verify_preconditions(c)
     elif c.command == "scan":
         if c.scan.kind in ("dispersive", "lamb-dicke"):
             if len(c.scan.etas) < 2:
@@ -441,46 +431,44 @@ def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
     _run_preconditions(c, lines)
 
 
-def _selector(command: str, scan_kind: str, verify_check: str) -> str:
-    """The setting that selects what the command runs: ``scan.kind = ...`` and so on."""
-    if command == "scan":
-        return f"scan.kind = {scan_kind}"
-    if command == "verify":
-        return f"verify.check = {verify_check}"
-    return f"command = {command}"
+def _value(config: RunConfig, key: str):
+    """The value ``config`` holds for ``key``."""
+    spec = KEYS[key]
+    return getattr(config if spec.attr is None else getattr(config, spec.attr), spec.field)
 
 
-def _what_runs(c: RunConfig) -> str:
-    """The :data:`BUILDER_READS` or :data:`RUN_READS` key of what the command runs."""
-    if c.command in ("build", "evolve"):
-        return getattr(c, c.command).hamiltonian
-    if c.command == "scan" and c.scan.kind == "truncation":
-        return c.scan.builder
-    return _selector(c.command, c.scan.kind, c.verify.check)
+def _runs(setting: Callable[[str], object]) -> tuple[str, ...]:
+    """The :data:`RUN_SKIPS` rows of what the command runs: its builder, if any, then
+    the setting that selects it. ``setting(key)`` is the value of ``key``."""
+    command = setting("command")
+    key = {"scan": "scan.kind", "verify": "verify.check"}.get(command, "command")
+    selector = f"{key} = {setting(key)}"
+    if selector in _BUILDER_KEYS:
+        return setting(_BUILDER_KEYS[selector]), selector
+    return (selector,)
 
 
-def _skipping_run(c: RunConfig, key: str) -> str | None:
-    """The run whose :data:`RUN_SKIPS` entry names ``key`` or its section, or None."""
-    for run in (_what_runs(c), _selector(c.command, c.scan.kind, c.verify.check)):
-        skips = RUN_SKIPS.get(run, ())
-        if key in skips or KEYS[key].attr in skips:
-            return run
-    return None
+def _skipping_run(runs: tuple[str, ...], key: str) -> str | None:
+    """The first of ``runs`` whose :data:`RUN_SKIPS` row names ``key`` or its section; None
+    for ``delta`` and ``phi_l``, whose entries rule on the value, not on the key set."""
+    if key in _DELTA_PHI:
+        return None
+    return next((run for run in runs
+                 if key in RUN_SKIPS[run] or KEYS[key].attr in RUN_SKIPS[run]), None)
 
 
 def _run_preconditions(c: RunConfig, lines: dict[str, int | None]) -> None:
     """A nonzero delta or phi_l, or a key set, that what the command runs would drop."""
-    p = c.params
-    name = _what_runs(c)
-    reads = BUILDER_READS[name] if name in BUILDER_READS else RUN_READS[name]
-    for param in ("delta", "phi_l"):
-        if getattr(p, param) != 0.0 and param not in reads:
-            raise ConfigError(f"constraint violation: {name} requires {param} = 0")
+    runs = _runs(partial(_value, c))
+    for param in _DELTA_PHI:
+        run = next((run for run in runs if param in RUN_SKIPS[run]), None)
+        if run is not None and getattr(c.params, param) != 0.0:
+            raise ConfigError(f"constraint violation: {run} requires {param} = 0")
     for key, line in lines.items():
-        run = _skipping_run(c, key)
+        run = _skipping_run(runs, key)
         if run is not None:
             raise ConfigError(f"{key} is not read by {run}", line)
-    if name == "rabi-rotated" and not phase_is_zero_or_pi(p.phi_l):
+    if runs[0] == "rabi-rotated" and not phase_is_zero_or_pi(c.params.phi_l):
         raise ConfigError("constraint violation: rabi-rotated requires phi_l in {0, pi}")
 
 
@@ -523,9 +511,10 @@ def emit_config(config: RunConfig) -> str:
     with ``evolve.times`` set, ...) or that :data:`RUN_SKIPS` names for the run;
     ``parse_config(emit_config(c)) == c`` for every valid config.
     """
+    runs = _runs(partial(_value, config))
     out = []
     for key, spec in KEYS.items():
-        if _scope(key) not in (None, config.command) or _skipping_run(config, key) is not None:
+        if _scope(key) not in (None, config.command) or _skipping_run(runs, key) is not None:
             continue
         section = config if spec.attr is None else getattr(config, spec.attr)
         value = getattr(section, spec.field)

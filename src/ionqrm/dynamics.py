@@ -11,7 +11,7 @@ counts as zero only when it is exactly zero, so the result is the dense
 decomposition up to rounding.
 
 * Gauge. When P H P^dagger, P = diag(i^n) on both spin blocks, is exactly
-  real (:func:`~ionqrm.algebra.fock_gauge`; every builder at phi_l = 0), that
+  real (:func:`~ionqrm.algebra.gauge_is_real`; every builder at phi_l = 0), that
   real array is read in place of H: its blocks are real symmetric, and the
   eigenvectors map back with P^dagger.
 * Blocks. The array read splits into the connected components of its exact
@@ -52,7 +52,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .algebra import TruncationSpec, displacement, fock_gauge, fock_phases
+from .algebra import TruncationSpec, displacement, fock_phases, gauge_is_real, gauge_parts
 from .params import Record
 
 _HERMITIAN_TOL = 1e-10
@@ -231,14 +231,12 @@ def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
     dim = h.shape[0]
     if h.shape != (dim, dim) or dim % 2 != 0:
         raise ValueError(f"H must be square with even dimension, got shape {h.shape}")
-    gauged = fock_gauge(h, dim // 2)
-    if gauged is None:
-        a = h
-        # the (Re, Im) flags of an entry, read as one uint16, are nonzero where it is
-        nonzero = (h.view(np.float64) != 0).view(np.uint16) != 0
-    else:
-        a, nonzero = gauged, gauged != 0
-    blocks = _blocks_by_size(_block_labels(nonzero))
+    # the (Re, Im) flags of each entry; read as one uint16, nonzero where the entry is,
+    # also in the gauge, which flips the sign of an entry's one nonzero part
+    nonzero = h.view(np.float64) != 0
+    real = gauge_is_real(nonzero, dim // 2)
+    a = gauge_parts(h.real, h.imag, dim // 2) if real else h
+    blocks = _blocks_by_size(_block_labels(nonzero.view(np.uint16) != 0))
     groups = []
     deviation = scale = residual_sq = 0.0
     for idx in blocks:
@@ -271,7 +269,7 @@ def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
         residual = np.sqrt(residual_sq)
         if residual > _RESIDUAL_TOL * h_norm:
             raise ArithmeticError(f"eigendecomposition residual {residual:.3e} too large")
-    gauge = None if gauged is None else fock_phases(dim, dim // 2)
+    gauge = fock_phases(dim, dim // 2) if real else None
     return BlockEigensystem(gauge=gauge, groups=tuple(groups))
 
 

@@ -8,8 +8,9 @@ import pytest
 
 from ionqrm import (HAMILTONIAN_BUILDERS, IonParams, TruncationSpec, coherent_state,
                     fock_state)
-from ionqrm.cli import EXIT_CHECKS_FAILED, EXIT_ERROR, EXIT_OK, main
-from ionqrm.config import BUILDER_NAMES, VERIFY_CHECKS
+from ionqrm.cli import _DISPATCH, EXIT_CHECKS_FAILED, EXIT_ERROR, EXIT_OK, main
+from ionqrm.config import (BUILDER_NAMES, KEYS, RUN_SKIPS, SCAN_KINDS, VERIFY_CHECKS,
+                           parse_config)
 
 
 def run_cli(args, capsys):
@@ -205,6 +206,20 @@ _RUN_DROPPED = [
 ]
 
 
+# a valid value of each tolerance key, other than its default
+_TOL_VALUES = {"tol.identity": "1e-11", "tol.oracle": "1e-08", "tol.spectral": "0.5",
+               "tol.min_order": "2.5"}
+# (command, what it runs, the one tolerance it reads)
+_TOL_READ = [
+    ("verify", "verify.check = qrm-transform", "tol.spectral"),
+    ("verify", "verify.check = guard", "tol.spectral"),
+    ("verify", "verify.check = dispersive", "tol.min_order"),
+    ("verify", "verify.check = rotation", "tol.identity"),
+    ("scan", "scan.kind = dispersive", "tol.min_order"),
+    ("scan", "scan.kind = lamb-dicke", "tol.min_order"),
+]
+
+
 # (command, what it runs, key, value): a key of a section the run never reads
 _RUN_SKIPPED = [
     *(("regime", "command = regime", key, value)
@@ -225,7 +240,38 @@ _RUN_SKIPPED = [
     ("scan", "scan.kind = truncation", "trunc.n_max", "40"),
     ("scan", "scan.kind = truncation", "trunc.guard", "4"),
     ("verify", "verify.check = guard", "trunc.guard", "4"),
+    ("evolve", "command = evolve", "trunc.guard", "4"),
+    # each other check and scan reads only the tolerance it compares against
+    *((command, run, key, value) for command, run, read in _TOL_READ
+      for key, value in _TOL_VALUES.items() if key != read),
 ]
+
+
+@pytest.mark.parametrize("command, selector", [
+    *(("verify", f"verify.check = {check}") for check in VERIFY_CHECKS),
+    *(("scan", f"scan.kind = {kind}") for kind in SCAN_KINDS),
+])
+def test_tolerances_the_run_skips_leave_its_output_unchanged(command, selector, capsys):
+    key, _, value = selector.partition(" = ")
+    sets = [("command", command), ("Omega", "0.7"), ("eta", "0.3"), (key, value)]
+    if command == "scan":
+        sets.append(("format", "json"))  # the CSV carries no pass flag or tolerance
+    if value == "jc-rabi":
+        sets.append(("nu", "1.4"))  # its sideband resonance nu = 2*Omega
+    config = parse_config("", tuple(sets))
+    rows = [RUN_SKIPS[selector]]
+    if value == "truncation":
+        rows.append(RUN_SKIPS[config.scan.builder])
+
+    def output(**tol):
+        _DISPATCH[command](config.replace(tol=config.tol.replace(**tol)))
+        return capsys.readouterr().out
+
+    base = output()
+    for key, value in _TOL_VALUES.items():
+        skipped = any("tol" in row or key in row for row in rows)
+        # the run reads the value iff it changes the output
+        assert (output(**{KEYS[key].field: float(value)}) == base) == skipped, key
 
 
 def _run_skipped_case(command, run, key, value):
@@ -505,7 +551,8 @@ def test_import_and_cheap_commands_never_load_scipy(src_env):
     commands = [
         ("regime", ["regime", *base]),
         ("build resonant", ["build", *base, *small, "--set", "build.hamiltonian=resonant"]),
-        ("evolve resonant", ["evolve", *base, *small, *evolve,
+        # evolve reads no trunc.guard
+        ("evolve resonant", ["evolve", *base, *small[:2], *evolve,
                              "--set", "evolve.hamiltonian=resonant"]),
     ]
     for kind in ("dispersive", "truncation", "lamb-dicke"):

@@ -1,4 +1,5 @@
 """Tests for the configuration grammar and round-tripping."""
+import re
 import typing
 from collections import Counter
 from pathlib import Path
@@ -8,8 +9,7 @@ import pytest
 
 from ionqrm import (HAMILTONIAN_BUILDERS, ConfigError, IonParams, TruncationSpec, emit_config,
                     parse_config)
-from ionqrm.config import (BUILDER_READS, KEYS, RUN_READS, RUN_SKIPS, SCAN_KINDS,
-                           VERIFY_CHECKS, RunConfig)
+from ionqrm.config import COMMANDS, KEYS, RUN_SKIPS, SCAN_KINDS, VERIFY_CHECKS, RunConfig
 from ionqrm.params import Record
 
 
@@ -162,6 +162,7 @@ def _random_config_text(rng) -> str:
         if hamiltonian == "qrm":  # the key is rejected for every other builder
             lines.append(f"build.include_constant = {include_constant}")
     elif command == "evolve":
+        lines.remove("trunc.guard = 4")  # evolve reads trunc.n_max only; the line is drawn
         lines.append(f"evolve.hamiltonian = {rng.choice(['jc', 'ajc', 'qrm', 'zero'])}")
         lines.append(f"evolve.spin = {rng.choice(['e', 'g'])}")
         lines.append(f"evolve.t_max = {rng.uniform(1.0, 20.0)!r}")
@@ -240,10 +241,10 @@ _NON_DEFAULT = {
     "trunc.guard": {"command": "build", "trunc.guard": "4"},
     "seed": {"command": "all-checks", "seed": "7"},
     "format": {"command": "scan", "format": "json"},
-    "tol.identity": {"command": "verify", "tol.identity": "1e-11"},
-    "tol.oracle": {"command": "verify", "tol.oracle": "1e-08"},
+    "tol.identity": {"command": "all-checks", "tol.identity": "1e-11"},
+    "tol.oracle": {"command": "all-checks", "tol.oracle": "1e-08"},
     "tol.spectral": {"command": "verify", "tol.spectral": "1e-07"},
-    "tol.min_order": {"command": "verify", "tol.min_order": "2.5"},
+    "tol.min_order": {"command": "all-checks", "tol.min_order": "2.5"},
     "out": {"out": "result.json"},
     "build.hamiltonian": {"command": "build", "build.hamiltonian": "jc"},
     "build.include_constant": {"command": "build", "build.include_constant": "false"},
@@ -297,27 +298,33 @@ def test_every_key_is_documented_in_readme():
     assert [key for key in restricted if not any(f"`{key}`" in row for row in rows)] == []
 
 
-# a nonzero value of each parameter BUILDER_READS governs
+# a nonzero value of each parameter that a RUN_SKIPS row may require to be 0
 _NONZERO = {"delta": 0.4, "phi_l": 0.7}
 
 
-def test_builder_reads_names_every_builder_and_only_delta_or_phi_l():
-    assert sorted(BUILDER_READS) == sorted(HAMILTONIAN_BUILDERS)
-    assert {p for reads in BUILDER_READS.values() for p in reads} <= set(_NONZERO)
+def test_run_skips_has_a_row_per_builder_and_selector_and_only_known_entries():
+    selectors = [f"verify.check = {check}" for check in VERIFY_CHECKS]
+    selectors += [f"scan.kind = {kind}" for kind in SCAN_KINDS]
+    selectors += [f"command = {command}" for command in COMMANDS
+                  if command not in ("verify", "scan")]
+    assert sorted(RUN_SKIPS) == sorted([*HAMILTONIAN_BUILDERS, *selectors])
+    # an entry is one of RunConfig's keyed sections, one key, delta or phi_l
+    sections = {k.attr for k in KEYS.values()} - {None}
+    entries = {s for skips in RUN_SKIPS.values() for s in skips}
+    assert entries <= sections | set(KEYS) | set(_NONZERO)
 
 
-def test_run_reads_names_every_verify_check_scan_kind_and_other_command():
-    runs = [f"verify.check = {check}" for check in VERIFY_CHECKS]
-    # scan.kind = truncation runs scan.builder, which BUILDER_READS covers
-    runs += [f"scan.kind = {kind}" for kind in SCAN_KINDS if kind != "truncation"]
-    runs += ["command = regime", "command = all-checks"]
-    assert sorted(RUN_READS) == sorted(runs)
-    assert {p for reads in RUN_READS.values() for p in reads} <= set(_NONZERO)
-    # a skipped entry is one of RunConfig's keyed sections or one key, skipped by a
-    # declared run or by the truncation scan (which runs a declared builder)
-    assert set(RUN_SKIPS) <= set(RUN_READS) | set(BUILDER_READS) | {"scan.kind = truncation"}
-    sections = {k.attr for k in KEYS.values()}
-    assert {s for skips in RUN_SKIPS.values() for s in skips} <= sections | set(KEYS)
+def test_readme_run_table_names_every_run_and_what_it_skips():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| run | reads | never reads")[1].split("\n\n")[0]
+    rows = [line.split("|") for line in table.splitlines()[2:]]
+    cells = [(re.findall(r"`([^`]*)`", row[1]), set(re.findall(r"`([^`]*)`", row[-2])))
+             for row in rows]
+    for run, skips in RUN_SKIPS.items():
+        row = [skipped for runs, skipped in cells if run in runs]
+        assert len(row) == 1, run
+        # a section is written as `<section>.*`
+        assert [s for s in skips if s not in row[0] and f"{s}.*" not in row[0]] == [], run
 
 
 def test_every_run_config_field_is_the_target_of_exactly_one_key():
@@ -356,6 +363,8 @@ def test_emit_writes_no_key_of_a_section_the_run_skips(run, text):
      "scan.kind = truncation", {"trunc.n_max": "40", "trunc.guard": "4"}, ()),
     ("command = verify\nOmega = 0.7\neta = 0.3\nverify.check = guard\n",
      "verify.check = guard", {"trunc.guard": "4"}, ("trunc.n_max",)),
+    ("command = evolve\nOmega = 0.35\neta = 0.11\nevolve.hamiltonian = jc\n",
+     "command = evolve", {"trunc.guard": "4"}, ("trunc.n_max",)),
 ])
 def test_keys_the_run_skips_are_rejected_and_never_emitted(text, run, skipped, kept):
     cfg = parse_config(text)
@@ -366,7 +375,7 @@ def test_keys_the_run_skips_are_rejected_and_never_emitted(text, run, skipped, k
     for key, value in skipped.items():
         with pytest.raises(ConfigError, match=f"^line 5: {key} is not read by {run}$"):
             parse_config(f"{text}{key} = {value}\n")
-    for key in kept:  # still read: n_max sets the guard check's cutoff, any from 1 up,
+    for key in kept:  # still read: n_max sets the run's cutoff, any from 1 up,
         for n_max in (1, 16, 24):  # as the section holds guard 0, not the default 16
             again = parse_config(f"{text}{key} = {n_max}\n")
             assert again.trunc == TruncationSpec(n_max=n_max, guard=0)
@@ -388,7 +397,7 @@ def test_builder_reads_matches_what_each_builder_reads(name, param):
     base = _build_or_reject(name)
     assert base is not None
     h = _build_or_reject(name, **{param: _NONZERO[param]})
-    if param in BUILDER_READS[name]:
+    if param not in RUN_SKIPS[name]:
         # the value changes the matrix, or the builder's own precondition rejects it
         assert h is None or not np.array_equal(h, base)
     else:
