@@ -302,16 +302,28 @@ def test_every_key_is_documented_in_readme():
 _NONZERO = {"delta": 0.4, "phi_l": 0.7}
 
 
-def test_run_skips_has_a_row_per_builder_and_selector_and_only_known_entries():
+def _assert_known_entries(runs):
+    # an entry is one of RunConfig's keyed sections, one key, delta or phi_l; of the ion's
+    # parameters a row names only delta or phi_l
+    sections = {k.attr for k in KEYS.values()} - {None}
+    entries = {s for run in runs for s in RUN_SKIPS[run]}
+    assert entries <= sections | set(KEYS) | set(_NONZERO)
+    assert entries & set(IonParams._fields) <= set(_NONZERO)
+
+
+def test_builder_reads_names_every_builder_and_only_delta_or_phi_l():
+    assert set(HAMILTONIAN_BUILDERS) <= set(RUN_SKIPS)
+    _assert_known_entries(HAMILTONIAN_BUILDERS)
+
+
+def test_run_reads_names_every_verify_check_scan_kind_and_other_command():
     selectors = [f"verify.check = {check}" for check in VERIFY_CHECKS]
     selectors += [f"scan.kind = {kind}" for kind in SCAN_KINDS]
     selectors += [f"command = {command}" for command in COMMANDS
                   if command not in ("verify", "scan")]
+    # RUN_SKIPS holds a row per builder and per selector, and no other
     assert sorted(RUN_SKIPS) == sorted([*HAMILTONIAN_BUILDERS, *selectors])
-    # an entry is one of RunConfig's keyed sections, one key, delta or phi_l
-    sections = {k.attr for k in KEYS.values()} - {None}
-    entries = {s for skips in RUN_SKIPS.values() for s in skips}
-    assert entries <= sections | set(KEYS) | set(_NONZERO)
+    _assert_known_entries(selectors)
 
 
 def test_readme_run_table_names_every_run_and_what_it_skips():
