@@ -39,13 +39,13 @@ built complex H (``dynamics`` tests its pattern with :func:`gauge_is_real`);
 identity in ``models`` never forms a complex displacement.
 
 ``import ionqrm`` loads nothing heavy: the package resolves each public name
-on first use, and the ``regime`` command never loads numpy. Only the
-Laguerre oracle loads scipy: it imports ``scipy.special`` on first use, so
-of the CLI commands only ``all-checks`` loads scipy, and none loads
-``scipy.linalg``.
+on first use, and the ``regime`` command never loads numpy. The package
+needs numpy and the standard library only; the Laguerre oracle computes its
+polynomials by recurrence, so no command, ``all-checks`` included, loads scipy.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -222,22 +222,34 @@ def displacement_laguerre(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     """Displacement operator from its closed-form Fock matrix elements.
 
     <m|D(alpha)|n> = sqrt(n!/m!) alpha^(m-n) e^(-|alpha|^2/2) L_n^(m-n)(|alpha|^2)
-    for m >= n, and the adjoint-symmetric expression below the diagonal.
-    These are the exact infinite-dimensional matrix elements, truncated, so
-    the result is NOT unitary at the truncation edge; it serves as an
-    independent cross-check of :func:`displacement`.
+    for m >= n, and the adjoint-symmetric expression below the diagonal
+    (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)). The Laguerre values come
+    from the three-term recurrence in the degree j (Abramowitz & Stegun 22.7.12),
+    (j+1) L_(j+1)^(k)(x) = (2j+k+1-x) L_j^(k)(x) - (j+k) L_(j-1)^(k)(x),
+    run for every order k at once; it shares nothing with :func:`displacement`
+    or :func:`displacement_basis`. These are the exact infinite-dimensional
+    matrix elements, truncated, so the result is NOT unitary at the truncation
+    edge; it serves as an independent cross-check of :func:`displacement`.
     """
-    # local import: only this oracle needs scipy, so `import ionqrm` stays numpy-only
-    from scipy.special import eval_genlaguerre, gammaln
-
-    m = np.arange(trunc.n_max)[:, None]
-    n = np.arange(trunc.n_max)[None, :]
-    lo, hi = np.minimum(m, n), np.maximum(m, n)
+    n_max = trunc.n_max
     aa = abs(alpha) ** 2
+    k = np.arange(n_max, dtype=float)
+    # table[j, k] = L_j^(k)(|alpha|^2)
+    table = np.empty((n_max, n_max))
+    table[0] = 1.0
+    if n_max > 1:
+        table[1] = 1.0 + k - aa
+    for j in range(1, n_max - 1):
+        table[j + 1] = ((2 * j + 1 + k - aa) * table[j] - (j + k) * table[j - 1]) / (j + 1)
+
+    m = np.arange(n_max)[:, None]
+    n = np.arange(n_max)[None, :]
+    lo, hi = np.minimum(m, n), np.maximum(m, n)
+    log_fact = np.array([math.lgamma(i + 1) for i in range(n_max)])
     # on and below the diagonal (m >= n) the base is alpha, above it -conj(alpha)
     base = np.where(m >= n, complex(alpha), -np.conj(alpha))
-    pref = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)) - aa / 2.0)
-    return pref * base ** (hi - lo) * eval_genlaguerre(lo, hi - lo, aa)
+    pref = np.exp(0.5 * (log_fact[lo] - log_fact[hi]) - aa / 2.0)
+    return pref * base ** (hi - lo) * table[lo, hi - lo]
 
 
 def spin_tensor_osc(s: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -21,7 +21,9 @@ per Hamiltonian builder and per setting that selects a run (``verify.check``,
 ``scan.kind``, ``command``), such as ``tol.*`` for every builder,
 ``trunc.guard`` for ``command = evolve`` and every tolerance but
 ``tol.spectral`` for ``verify.check = guard``. A command emits one of the
-formats :data:`FORMATS` lists for it, the first by default.
+formats :data:`FORMATS` lists for it, the first by default, and
+:data:`FORMAT_SKIPS` names what a format never reads (a CSV has no pass flag,
+so no ``tol.*`` key).
 Values use the shortest round-trip decimal form for floats,
 ``true``/``false`` for booleans, ``re+imj`` for complex numbers and
 comma-separated items for lists.
@@ -56,6 +58,10 @@ FORMATS: dict[str, tuple[str, ...]] = {
     "build": ("json",), "verify": ("json",), "evolve": ("csv",), "scan": ("csv", "json"),
     "all-checks": ("json",),
 }
+#: What a format never writes, checked like a :data:`RUN_SKIPS` row named ``format =
+#: <format>``: a CSV table holds only the scanned or sampled values, never a report's
+#: pass flag, so no ``tol.*`` key (the scans' ``tol.min_order``) reaches it.
+FORMAT_SKIPS: dict[str, tuple[str, ...]] = {"csv": ("tol",)}
 _DELTA_PHI = ("delta", "phi_l")
 _ONLY_SPECTRAL = ("tol.identity", "tol.oracle", "tol.min_order")
 _ONLY_MIN_ORDER = ("tol.identity", "tol.oracle", "tol.spectral")
@@ -95,6 +101,8 @@ RUN_SKIPS: dict[str, tuple[str, ...]] = {
     "command = all-checks": _DELTA_PHI,
 }
 BUILDER_NAMES = tuple(sorted(run for run in RUN_SKIPS if " = " not in run))
+# every row a run is checked against: RUN_SKIPS, then the FORMAT_SKIPS rows
+_SKIPS = {**RUN_SKIPS, **{f"format = {name}": skips for name, skips in FORMAT_SKIPS.items()}}
 # the selector of a run that runs a Hamiltonian builder -> the key that names it
 _BUILDER_KEYS = {"command = build": "build.hamiltonian", "command = evolve": "evolve.hamiltonian",
                  "scan.kind = truncation": "scan.builder"}
@@ -357,7 +365,7 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
     # a run that never reads trunc.guard holds guard 0 in its section, so trunc.n_max is
     # not checked against the default guard (a name not checked yet may have no row)
     runs = _runs(lambda key: values[key] if key in values else _value(RunConfig, key))
-    unguarded = any("trunc.guard" in RUN_SKIPS.get(run, ()) for run in runs)
+    unguarded = any("trunc.guard" in _SKIPS.get(run, ()) for run in runs)
 
     # table order: each section's keys are checked, then the section is built, so an
     # input with several errors always reports the same first one
@@ -438,30 +446,33 @@ def _value(config: RunConfig, key: str):
 
 
 def _runs(setting: Callable[[str], object]) -> tuple[str, ...]:
-    """The :data:`RUN_SKIPS` rows of what the command runs: its builder, if any, then
-    the setting that selects it. ``setting(key)`` is the value of ``key``."""
+    """The skip rows of what the command runs: its builder, if any, then the setting
+    that selects it (:data:`RUN_SKIPS`), then its format when :data:`FORMAT_SKIPS` has a
+    row for it. ``setting(key)`` is the value of ``key``."""
     command = setting("command")
     key = {"scan": "scan.kind", "verify": "verify.check"}.get(command, "command")
     selector = f"{key} = {setting(key)}"
+    runs = (selector,)
     if selector in _BUILDER_KEYS:
-        return setting(_BUILDER_KEYS[selector]), selector
-    return (selector,)
+        runs = (setting(_BUILDER_KEYS[selector]), selector)
+    fmt = f"format = {setting('format')}"
+    return runs + (fmt,) if fmt in _SKIPS else runs
 
 
 def _skipping_run(runs: tuple[str, ...], key: str) -> str | None:
-    """The first of ``runs`` whose :data:`RUN_SKIPS` row names ``key`` or its section; None
-    for ``delta`` and ``phi_l``, whose entries rule on the value, not on the key set."""
+    """The first of ``runs`` whose skip row names ``key`` or its section; None for
+    ``delta`` and ``phi_l``, whose entries rule on the value, not on the key set."""
     if key in _DELTA_PHI:
         return None
-    return next((run for run in runs
-                 if key in RUN_SKIPS[run] or KEYS[key].attr in RUN_SKIPS[run]), None)
+    return next((run for run in runs if key in _SKIPS[run] or KEYS[key].attr in _SKIPS[run]),
+                None)
 
 
 def _run_preconditions(c: RunConfig, lines: dict[str, int | None]) -> None:
     """A nonzero delta or phi_l, or a key set, that what the command runs would drop."""
     runs = _runs(partial(_value, c))
     for param in _DELTA_PHI:
-        run = next((run for run in runs if param in RUN_SKIPS[run]), None)
+        run = next((run for run in runs if param in _SKIPS[run]), None)
         if run is not None and getattr(c.params, param) != 0.0:
             raise ConfigError(f"constraint violation: {run} requires {param} = 0")
     for key, line in lines.items():

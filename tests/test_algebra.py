@@ -1,4 +1,6 @@
 """Unit and property tests for the operator-algebra layer."""
+import math
+
 import numpy as np
 import pytest
 
@@ -293,6 +295,50 @@ def test_hermiticity_implies_real_eigenvalues():
     assert np.max(np.abs(np.linalg.eigvals(h).imag)) < 1e-12
 
 
+# |displacement_laguerre - scipy reference| per n_max over _LAGUERRE_ALPHAS, about three
+# times the largest deviation seen: 0 at n_max <= 2, 5.7e-16 at 7, 2.1e-14 at 64 and
+# 9.3e-14 at 256 (numpy 2.4, scipy 1.17). At n_max <= 2 the bound is one ulp at 1.
+_LAGUERRE_BOUND = {1: 2.5e-16, 2: 2.5e-16, 7: 2e-15, 64: 6e-14, 256: 3e-13}
+# the operator-algebra check's four amplitudes, zero and two beyond |alpha| = 1
+_LAGUERRE_ALPHAS = (0.5, 0.5j, 0.3 + 0.4j, -0.25 - 0.35j, 0.0, 1.7 - 0.2j, -2.5j)
+
+
+def _laguerre_by_scipy(alpha, trunc):
+    """The Laguerre closed form from scipy.special, broadcast over the Fock grid."""
+    from scipy.special import eval_genlaguerre, gammaln
+
+    m = np.arange(trunc.n_max)[:, None]
+    n = np.arange(trunc.n_max)[None, :]
+    lo, hi = np.minimum(m, n), np.maximum(m, n)
+    aa = abs(alpha) ** 2
+    base = np.where(m >= n, complex(alpha), -np.conj(alpha))
+    pref = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)) - aa / 2.0)
+    return pref * base ** (hi - lo) * eval_genlaguerre(lo, hi - lo, aa)
+
+
+@pytest.mark.parametrize("n_max", sorted(_LAGUERRE_BOUND))
+def test_laguerre_recurrence_matches_scipy(n_max):
+    trunc = TruncationSpec(n_max)
+    for alpha in _LAGUERRE_ALPHAS:
+        lag = displacement_laguerre(alpha, trunc)
+        dev = np.max(np.abs(lag - _laguerre_by_scipy(alpha, trunc)))
+        assert dev <= _LAGUERRE_BOUND[n_max], (alpha, dev)
+
+
+@pytest.mark.parametrize("n_max", sorted(_LAGUERRE_BOUND))
+def test_laguerre_column_and_row_zero_are_the_closed_forms(n_max):
+    # <m|D|0> = e^(-|alpha|^2/2) alpha^m / sqrt(m!) and
+    # <0|D|n> = e^(-|alpha|^2/2) (-conj alpha)^n / sqrt(n!), with math.lgamma only
+    k = np.arange(n_max)
+    log_fact = np.array([math.lgamma(i + 1) for i in range(n_max)])
+    for alpha in _LAGUERRE_ALPHAS:
+        lag = displacement_laguerre(alpha, TruncationSpec(n_max))
+        scale = np.exp(-abs(alpha) ** 2 / 2 - 0.5 * log_fact)
+        # one ulp at 1; seen: equal to n_max 64, 1.8e-124 apart at 256 (two complex powers)
+        np.testing.assert_allclose(lag[:, 0], scale * complex(alpha) ** k, rtol=0, atol=2.5e-16)
+        np.testing.assert_allclose(lag[0, :], scale * (-np.conj(alpha)) ** k, rtol=0, atol=2.5e-16)
+
+
 def _laguerre_by_columns(alpha, trunc):
     """The Laguerre closed form one column at a time, as it was first written."""
     from scipy.special import eval_genlaguerre, gammaln
@@ -314,14 +360,13 @@ def _laguerre_by_columns(alpha, trunc):
 
 @pytest.mark.parametrize("n_max", [1, 2, 7, 64])
 def test_broadcast_laguerre_equals_the_column_loop(n_max):
+    # a recurrence is not scipy's algorithm, so the column loop is matched at the bound of
+    # test_laguerre_recurrence_matches_scipy, not bit for bit
     trunc = TruncationSpec(n_max)
-    # the operator-algebra check's amplitudes: every entry equal
-    for alpha in (0.5, 0.5j, 0.3 + 0.4j, -0.25 - 0.35j):
-        np.testing.assert_array_equal(displacement_laguerre(alpha, trunc),
-                                      _laguerre_by_columns(alpha, trunc))
-    for alpha in (0.0, 1.7 - 0.2j, -2.5j):
-        np.testing.assert_allclose(displacement_laguerre(alpha, trunc),
-                                   _laguerre_by_columns(alpha, trunc), rtol=0, atol=1e-15)
+    for alpha in _LAGUERRE_ALPHAS:
+        lag = displacement_laguerre(alpha, trunc)
+        dev = np.max(np.abs(lag - _laguerre_by_columns(alpha, trunc)))
+        assert dev <= _LAGUERRE_BOUND[n_max], (alpha, dev)
 
 
 def _gauged_by_phases(h, n_osc):

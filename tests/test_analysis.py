@@ -1,8 +1,11 @@
 """Tests for the verification experiments."""
+import inspect
+
 import numpy as np
 import pytest
 
 from ionqrm import (
+    DEFAULT_TOLERANCES,
     IonParams,
     TruncationSpec,
     ajc_dynamics_check,
@@ -298,6 +301,26 @@ def test_operator_algebra_check_fails_on_a_broken_displacement_basis(monkeypatch
     assert rep.metrics["displacement_unitarity_dev"] <= 1e-10
     assert rep.metrics["displacement_generator_dev"] > 1e-10
     assert rep.metrics["displacement_oracle_dev"] > 1e-9
+
+
+def test_operator_algebra_check_fails_on_a_broken_laguerre_oracle(monkeypatch):
+    import ionqrm.algebra as algebra
+    import ionqrm.analysis as analysis
+
+    # the oracle's own source with an off-by-one in the recurrence's (j + k) coefficient
+    source = inspect.getsource(algebra.displacement_laguerre)
+    assert source.count("(j + k)") == 1
+    namespace = dict(vars(algebra))
+    exec(source.replace("(j + k)", "(j + k + 1)"), namespace)
+    monkeypatch.setattr(analysis, "displacement_laguerre", namespace["displacement_laguerre"])
+    rep = operator_algebra_check()
+    tol = DEFAULT_TOLERANCES
+    assert not rep.passed
+    # the production displacement is untouched: only the oracle comparison fails
+    assert rep.metrics["displacement_oracle_dev"] > tol.oracle
+    assert rep.metrics["commutator_interior_dev"] <= 1e-13
+    assert rep.metrics["displacement_unitarity_dev"] <= tol.identity
+    assert rep.metrics["displacement_generator_dev"] <= tol.identity
 
 
 def _flip_one_block(conjugate):

@@ -274,6 +274,27 @@ def test_tolerances_the_run_skips_leave_its_output_unchanged(command, selector, 
         assert (output(**{KEYS[key].field: float(value)}) == base) == skipped, key
 
 
+@pytest.mark.parametrize("kind", ["dispersive", "lamb-dicke"])
+def test_a_csv_scan_rejects_the_tolerance_its_json_report_reads(kind, capsys):
+    args = ["scan", "--set", "Omega=1.0", "--set", "eta=0.08", "--set", f"scan.kind={kind}"]
+    strict = ["--set", "tol.min_order=2.5"]
+    # CSV, the scan's default format, writes no pass flag: the key is one ConfigError
+    for csv in ([], ["--format", "csv"]):
+        code, out, err = run_cli([*args, *csv, *strict], capsys)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"error": "ConfigError", "message": "tol.min_order is not read by format = csv",
+             "schema_version": 1}]
+    # the JSON report still takes it: the order ~2 fails 2.5 and passes the default 1.8
+    code, out, _ = run_cli([*args, "--format", "json", *strict], capsys)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert (report["tolerance"], report["passed"]) == (2.5, False)
+    code, out, _ = run_cli([*args, "--format", "json"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["passed"]
+
+
 def _run_skipped_case(command, run, key, value):
     extra = ["--set", f"{key}={value}"]
     if run in BUILDER_NAMES:
@@ -532,9 +553,30 @@ print(json.dumps(seen))
 """
 
 
-def _run_cold(commands, src_env):
+# Run before _COLD_CHILD, it makes every import of scipy or a scipy module fail, as
+# where scipy is not installed, and checks that it does.
+_NO_SCIPY = """
+import sys
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, _NoScipy())
+try:
+    import scipy.special
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy was not blocked")
+"""
+
+
+def _run_cold(commands, src_env, prelude=""):
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_CHILD, json.dumps(commands)],
+        [sys.executable, "-c", prelude + _COLD_CHILD, json.dumps(commands)],
         capture_output=True,
         text=True,
         env=src_env,
@@ -570,12 +612,34 @@ def test_import_and_cheap_commands_never_load_scipy(src_env):
 
 
 def test_all_checks_runs_on_numpy_blas_only(src_env):
-    # scipy.linalg brings its own BLAS thread pool, which competes with numpy's
+    # the Laguerre oracle is a numpy recurrence, so no command loads scipy (nor
+    # scipy.linalg's own BLAS thread pool, which would compete with numpy's)
     seen = _run_cold([("all-checks", ["all-checks", "--set", "Omega=0.7", "--set", "eta=0.3"])],
                      src_env)
     assert seen["all-checks"]["exit"] == EXIT_OK
-    assert "scipy.special" in seen["all-checks"]["scipy"]  # the Laguerre oracle
-    assert not [m for m in seen["all-checks"]["scipy"] if m.startswith("scipy.linalg")]
+    assert seen["all-checks"]["scipy"] == []
+
+
+def test_every_command_runs_without_scipy(src_env):
+    base = ["--set", "Omega=0.7", "--set", "eta=0.3"]
+    small = ["--set", "trunc.n_max=16", "--set", "trunc.guard=4"]
+    commands = [
+        ("regime", ["regime", *base]),
+        ("build", ["build", *base, *small, "--set", "build.hamiltonian=resonant"]),
+        ("evolve", ["evolve", *base, "--set", "trunc.n_max=16",
+                    "--set", "evolve.hamiltonian=resonant", "--set", "evolve.samples=11"]),
+        *((f"scan {kind}", ["scan", *base, "--set", f"scan.kind={kind}"])
+          for kind in SCAN_KINDS),
+        ("all-checks", ["all-checks", *base]),
+    ]
+    for check in VERIFY_CHECKS:
+        ion = base
+        if check == "jc-rabi":  # its sideband resonance nu = 2*Omega
+            ion = ["--set", "Omega=0.5", "--set", "eta=0.05"]
+        commands.append((f"verify {check}", ["verify", *ion, "--set", f"verify.check={check}"]))
+    seen = _run_cold(commands, src_env, prelude=_NO_SCIPY)
+    assert {label: run["exit"] for label, run in seen.items()} == {
+        "import ionqrm": None, **{label: EXIT_OK for label, _ in commands}}
 
 
 def test_import_and_regime_never_load_numpy(src_env, tmp_path):
@@ -638,7 +702,7 @@ def test_scipy_users_resolve_their_lazy_imports(src_env):
     vacuum, loaded = proc.stdout.split()
     # <0|D(alpha)|0> = exp(-|alpha|^2 / 2)
     assert float(vacuum) == pytest.approx(np.exp(-0.05), rel=1e-14)
-    assert loaded == "True"
+    assert loaded == "False"
 
 
 def test_output_is_written_atomically_no_temp_left_behind(tmp_path, capsys):

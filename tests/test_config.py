@@ -370,6 +370,23 @@ def test_emit_writes_no_key_of_a_section_the_run_skips(run, text):
     assert parse_config(emitted) == cfg
 
 
+@pytest.mark.parametrize("kind", ["dispersive", "lamb-dicke"])
+def test_a_csv_scan_rejects_and_never_emits_a_tolerance(kind):
+    text = f"command = scan\nOmega = 1.0\neta = 0.08\nscan.kind = {kind}\n"
+    cfg = parse_config(text)
+    assert cfg.format == "csv"
+    emitted = emit_config(cfg)
+    assert [line for line in emitted.splitlines() if line.startswith("tol.")] == []
+    assert parse_config(emitted) == cfg
+    with pytest.raises(ConfigError, match="^line 5: tol.min_order is not read by format = csv$"):
+        parse_config(f"{text}tol.min_order = 2.5\n")
+    # a JSON scan writes the pass flag that tol.min_order sets
+    again = parse_config(f"{text}format = json\ntol.min_order = 2.5\n")
+    assert again.tol.min_scaling_order == 2.5
+    assert "tol.min_order = 2.5" in emit_config(again).splitlines()
+    assert parse_config(emit_config(again)) == again
+
+
 @pytest.mark.parametrize("text, run, skipped, kept", [
     ("command = scan\nOmega = 0.7\neta = 0.3\nscan.kind = truncation\n",
      "scan.kind = truncation", {"trunc.n_max": "40", "trunc.guard": "4"}, ()),
