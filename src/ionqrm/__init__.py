@@ -33,7 +33,7 @@ _HOMES = {
         "rotation_diagnostic", "small_rotation", "y_rotation",
     ),
     "dynamics": (
-        "EvolutionResult", "coherent_state", "fidelity", "fock_state", "propagate",
+        "EvolutionResult", "coherent_state", "fock_state", "propagate",
     ),
     "analysis": (
         "DEFAULT_TOLERANCES", "VerificationReport", "ajc_dynamics_check",

@@ -32,11 +32,12 @@ The displacement operator has one production construction and two oracles:
 The checks compare all three.
 
 The Fock-parity gauge P = diag(i^n) is defined once, here: :func:`fock_phases`
-is its diagonal and :func:`gauge_parts` the sign map from the real and
-imaginary parts of M to the real array P M P^dagger. :func:`fock_gauge` maps a
-built complex H (``dynamics`` tests its pattern with :func:`gauge_is_real`);
-:func:`displacement_gauged` maps D(i*r)'s cos and sin parts, so the transform
-identity in ``models`` never forms a complex displacement.
+is its diagonal, :func:`gauge_is_real` tests from the exact nonzero pattern of
+M whether P M P^dagger is real, and :func:`gauge_parts` is the sign map from
+the real and imaginary parts of M to that real array. ``dynamics.block_eigh``
+applies both to a built complex H; :func:`displacement_gauged` maps D(i*r)'s
+cos and sin parts, so the transform identity in ``models`` never forms a
+complex displacement.
 
 ``import ionqrm`` loads nothing heavy: the package resolves each public name
 on first use, and the ``regime`` command never loads numpy. The package
@@ -111,7 +112,8 @@ def unitary_expm(generator: np.ndarray) -> np.ndarray:
     """
     g = _require_square(generator, "generator")
     herm = 1j * g
-    if np.max(np.abs(herm - herm.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(herm))):
+    # written "not <=" so that a NaN fails the test
+    if not np.max(np.abs(herm - herm.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(herm))):
         raise ValueError("generator must be anti-Hermitian")
     w, v = np.linalg.eigh(herm)
     return (v * np.exp(-1j * w)) @ v.conj().T
@@ -178,7 +180,7 @@ def displacement(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     D(i*r) has the exact Fock parity of the infinite-dimensional operator:
     <m|D(i*r)|n> is real where m - n is even and imaginary where it is odd,
     with the other part exactly zero, not rounding noise. So i^(m-n) D_mn is
-    exactly real: :func:`fock_gauge` finds it so in a complex H built from
+    exactly real: :func:`gauge_is_real` finds it so in a complex H built from
     D (``dynamics.block_eigh``), and :func:`displacement_gauged` writes it
     as a real array directly (``h_resonant``'s real form, ``qrm_conjugate``).
 
@@ -202,8 +204,9 @@ def displacement(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
 def displacement_gauged(r: float, trunc: TruncationSpec) -> np.ndarray:
     """P D(i*r) P^dagger as a real array, P = diag(i^n) the Fock-parity gauge.
 
-    Equals ``fock_gauge(displacement(1j * r, trunc), trunc.n_max)`` entry for
-    entry, written from the same cos and sin parts without a complex array.
+    Equals :func:`gauge_parts` of the real and imaginary parts of
+    ``displacement(1j * r, trunc)`` entry for entry, written from the same
+    cos and sin parts without a complex array.
     """
     return gauge_parts(*_displacement_parts(r, trunc.n_max), trunc.n_max)
 
@@ -287,7 +290,13 @@ def interior_block(a: np.ndarray, trunc: TruncationSpec) -> np.ndarray:
 
 
 def gauge_is_real(nonzero: np.ndarray, n_osc: int) -> bool:
-    """Whether P h P^dagger is exactly real (see fock_gauge), from ``h.view(np.float64) != 0``."""
+    """Whether P h P^dagger is exactly real, P = diag(i^n), from ``h.view(np.float64) != 0``.
+
+    Index k of h has Fock index k mod n_osc (:func:`fock_phases`), and entry
+    (k, l) of P h P^dagger is i^(m-n) h_kl for the Fock indices m, n of k and
+    l. It is exactly real when h_kl is real for even m - n and imaginary for
+    odd m - n; the test reads exact zeros, not a tolerance.
+    """
     dim = nonzero.shape[0]
     nz = nonzero.reshape((dim // n_osc, n_osc) * 2 + (2,))  # axis 4: (Re, Im)
     parts = ((0, 0, 1), (1, 1, 1), (0, 1, 0), (1, 0, 0))  # (row parity, column parity, Re/Im)
@@ -312,26 +321,3 @@ def gauge_parts(re: np.ndarray, im: np.ndarray, n_osc: int) -> np.ndarray:
     real += re * t[:, None]
     real *= t
     return real
-
-
-def fock_gauge(h: np.ndarray, n_osc: int) -> np.ndarray | None:
-    """P h P^dagger for the Fock-parity gauge P = diag(i^n), or None when it is not exactly real.
-
-    Index k of h has Fock index k mod n_osc (:func:`fock_phases`): pass
-    n_osc = dim(h) for an oscillator operator, and dim(h)/2 for a composite
-    one, where P acts on both spin blocks. Entry (k, l) of P h P^dagger is
-    i^(m-n) h_kl for the Fock indices m, n of k and l. It is exactly real when
-    h_kl is real for even m - n and imaginary for odd m - n; the test reads
-    exact zeros, not a tolerance. D(i*r) passes it (see :func:`displacement`),
-    and so does every builder at phi_l = 0.
-
-    Returns the real matrix P h P^dagger, whose entries are those of h up to
-    sign: the one nonzero part of each entry keeps its magnitude.
-    """
-    h = np.ascontiguousarray(h, dtype=complex)
-    dim = h.shape[0]
-    if h.shape != (dim, dim) or n_osc < 1 or dim % n_osc:
-        raise ValueError(f"h must be square with a multiple of {n_osc} rows, got {h.shape}")
-    if not gauge_is_real(h.view(np.float64) != 0, n_osc):
-        return None
-    return gauge_parts(h.real, h.imag, n_osc)

@@ -25,13 +25,11 @@ import sys
 import tempfile
 
 from .config import COMMANDS, ConfigError, RunConfig, parse_config
-from .params import classify_regime
+from .params import SCHEMA_VERSION, classify_regime, qrm_coupling
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECKS_FAILED = 2
-
-SCHEMA_VERSION = 1
 
 
 def _fmt(x: float) -> str:
@@ -166,10 +164,9 @@ def _cmd_scan(config: RunConfig) -> int:
 def _cmd_regime(config: RunConfig) -> int:
     p = config.params
     label = classify_regime(p, config.regime)
-    g = p.eta * p.nu / 2.0
     out = [
         label.value,
-        f"g_ratio = {_fmt(g / p.nu)}",
+        f"g_ratio = {_fmt(qrm_coupling(p) / p.nu)}",
         f"omega_ratio = {_fmt(p.Omega / p.nu)}",
     ]
     _write_text(config.out, "\n".join(out) + "\n")

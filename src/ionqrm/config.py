@@ -18,12 +18,11 @@ command other than ``regime``, ``seed`` the command ``all-checks``,
 A key set that what the command runs never reads is an error, and so is a
 nonzero ``delta`` or ``phi_l`` it never reads. :data:`RUN_SKIPS` has one row
 per Hamiltonian builder and per setting that selects a run (``verify.check``,
-``scan.kind``, ``command``), such as ``tol.*`` for every builder,
-``trunc.guard`` for ``command = evolve`` and every tolerance but
-``tol.spectral`` for ``verify.check = guard``. A command emits one of the
-formats :data:`FORMATS` lists for it, the first by default, and
-:data:`FORMAT_SKIPS` names what a format never reads (a CSV has no pass flag,
-so no ``tol.*`` key).
+``scan.kind``, ``command``, ``format``), such as ``tol.*`` for every builder,
+``trunc.guard`` for ``command = evolve``, every tolerance but
+``tol.spectral`` for ``verify.check = guard`` and ``tol.*`` for
+``format = csv`` (a CSV has no pass flag). A command emits one of the formats
+:data:`FORMATS` lists for it, the first by default.
 Values use the shortest round-trip decimal form for floats,
 ``true``/``false`` for booleans, ``re+imj`` for complex numbers and
 comma-separated items for lists.
@@ -58,24 +57,22 @@ FORMATS: dict[str, tuple[str, ...]] = {
     "build": ("json",), "verify": ("json",), "evolve": ("csv",), "scan": ("csv", "json"),
     "all-checks": ("json",),
 }
-#: What a format never writes, checked like a :data:`RUN_SKIPS` row named ``format =
-#: <format>``: a CSV table holds only the scanned or sampled values, never a report's
-#: pass flag, so no ``tol.*`` key (the scans' ``tol.min_order``) reaches it.
-FORMAT_SKIPS: dict[str, tuple[str, ...]] = {"csv": ("tol",)}
 _DELTA_PHI = ("delta", "phi_l")
 _ONLY_SPECTRAL = ("tol.identity", "tol.oracle", "tol.min_order")
 _ONLY_MIN_ORDER = ("tol.identity", "tol.oracle", "tol.spectral")
 #: What each run never reads. A run is keyed by its Hamiltonian builder (the keys of
-#: ``models.HAMILTONIAN_BUILDERS``) and by the setting that selects it; :func:`_runs`
-#: gives both, so the truncation scan is its ``scan.builder`` and ``scan.kind =
-#: truncation``. An entry is a :class:`RunConfig` section (every key of one) or one
-#: key, and setting it is a ConfigError; ``delta`` and ``phi_l`` always hold a value,
-#: so for them a nonzero value is. No builder reads a tolerance, ``jc-rabi`` and
+#: ``models.HAMILTONIAN_BUILDERS``), by the setting that selects it and by its format;
+#: :func:`_runs` gives all three, so the truncation scan is its ``scan.builder``,
+#: ``scan.kind = truncation`` and ``format = csv`` (``json`` has no row). An entry is
+#: a :class:`RunConfig` section (every key of one) or one key, and setting it is a
+#: ConfigError; ``delta`` and ``phi_l`` always hold a value, so for them a nonzero
+#: value is. No builder reads a tolerance, ``jc-rabi`` and
 #: ``speed`` have fixed thresholds and the other checks and scans read the one they
 #: compare against, ``speed``, ``regime`` and the lamb-dicke scan never use ``trunc``,
-#: the truncation scan builds its own cutoffs from ``scan.n_list``, and ``guard`` and
+#: the truncation scan builds its own cutoffs from ``scan.n_list``, ``guard`` and
 #: ``evolve`` read only ``trunc.n_max`` (a run that skips ``trunc.guard`` holds guard 0
-#: in its section, so ``trunc.n_max`` is not checked against the default guard).
+#: in its section, so ``trunc.n_max`` is not checked against the default guard), and a
+#: CSV table holds only the scanned or sampled values, never a report's pass flag.
 RUN_SKIPS: dict[str, tuple[str, ...]] = {
     "resonant": ("delta", "tol"),
     "lamb-dicke": ("delta", "tol"),
@@ -99,10 +96,9 @@ RUN_SKIPS: dict[str, tuple[str, ...]] = {
     "command = evolve": ("trunc.guard",),
     "command = regime": ("delta", "trunc", "tol"),
     "command = all-checks": _DELTA_PHI,
+    "format = csv": ("tol",),
 }
 BUILDER_NAMES = tuple(sorted(run for run in RUN_SKIPS if " = " not in run))
-# every row a run is checked against: RUN_SKIPS, then the FORMAT_SKIPS rows
-_SKIPS = {**RUN_SKIPS, **{f"format = {name}": skips for name, skips in FORMAT_SKIPS.items()}}
 # the selector of a run that runs a Hamiltonian builder -> the key that names it
 _BUILDER_KEYS = {"command = build": "build.hamiltonian", "command = evolve": "evolve.hamiltonian",
                  "scan.kind = truncation": "scan.builder"}
@@ -365,7 +361,7 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
     # a run that never reads trunc.guard holds guard 0 in its section, so trunc.n_max is
     # not checked against the default guard (a name not checked yet may have no row)
     runs = _runs(lambda key: values[key] if key in values else _value(RunConfig, key))
-    unguarded = any("trunc.guard" in _SKIPS.get(run, ()) for run in runs)
+    unguarded = any("trunc.guard" in RUN_SKIPS.get(run, ()) for run in runs)
 
     # table order: each section's keys are checked, then the section is built, so an
     # input with several errors always reports the same first one
@@ -396,13 +392,14 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
                 )
 
     config = RunConfig(**fields)
-    _validate(config, lines)
+    _validate(config, runs, lines)
     return config
 
 
-def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
+def _validate(config: RunConfig, runs: tuple[str, ...], lines: dict[str, int | None]) -> None:
     """Constraint checks against the target command, before any computation.
 
+    ``runs`` are the skip rows of what the command runs (:func:`_runs`) and
     ``lines`` maps each key the input set to its line number.
     """
     c = config
@@ -436,7 +433,7 @@ def _validate(config: RunConfig, lines: dict[str, int | None]) -> None:
                 raise ConfigError("constraint violation: scan.n_list strictly increasing")
         if c.scan.k_lowest < 1:
             raise ConfigError("constraint violation: scan.k_lowest >= 1")
-    _run_preconditions(c, lines)
+    _run_preconditions(c, runs, lines)
 
 
 def _value(config: RunConfig, key: str):
@@ -446,9 +443,9 @@ def _value(config: RunConfig, key: str):
 
 
 def _runs(setting: Callable[[str], object]) -> tuple[str, ...]:
-    """The skip rows of what the command runs: its builder, if any, then the setting
-    that selects it (:data:`RUN_SKIPS`), then its format when :data:`FORMAT_SKIPS` has a
-    row for it. ``setting(key)`` is the value of ``key``."""
+    """The :data:`RUN_SKIPS` rows of what the command runs: its builder, if any, then
+    the setting that selects it, then its format when that has a row.
+    ``setting(key)`` is the value of ``key``."""
     command = setting("command")
     key = {"scan": "scan.kind", "verify": "verify.check"}.get(command, "command")
     selector = f"{key} = {setting(key)}"
@@ -456,7 +453,7 @@ def _runs(setting: Callable[[str], object]) -> tuple[str, ...]:
     if selector in _BUILDER_KEYS:
         runs = (setting(_BUILDER_KEYS[selector]), selector)
     fmt = f"format = {setting('format')}"
-    return runs + (fmt,) if fmt in _SKIPS else runs
+    return runs + (fmt,) if fmt in RUN_SKIPS else runs
 
 
 def _skipping_run(runs: tuple[str, ...], key: str) -> str | None:
@@ -464,15 +461,15 @@ def _skipping_run(runs: tuple[str, ...], key: str) -> str | None:
     ``delta`` and ``phi_l``, whose entries rule on the value, not on the key set."""
     if key in _DELTA_PHI:
         return None
-    return next((run for run in runs if key in _SKIPS[run] or KEYS[key].attr in _SKIPS[run]),
-                None)
+    return next((run for run in runs
+                 if key in RUN_SKIPS[run] or KEYS[key].attr in RUN_SKIPS[run]), None)
 
 
-def _run_preconditions(c: RunConfig, lines: dict[str, int | None]) -> None:
-    """A nonzero delta or phi_l, or a key set, that what the command runs would drop."""
-    runs = _runs(partial(_value, c))
+def _run_preconditions(c: RunConfig, runs: tuple[str, ...],
+                       lines: dict[str, int | None]) -> None:
+    """A nonzero delta or phi_l, or a key set, that ``runs`` would drop."""
     for param in _DELTA_PHI:
-        run = next((run for run in runs if param in _SKIPS[run]), None)
+        run = next((run for run in runs if param in RUN_SKIPS[run]), None)
         if run is not None and getattr(c.params, param) != 0.0:
             raise ConfigError(f"constraint violation: {run} requires {param} = 0")
     for key, line in lines.items():

@@ -76,14 +76,20 @@ class EvolutionResult(Record):
     states: np.ndarray | None = None
 
 
-def fock_state(spin: str, n: int, trunc: TruncationSpec) -> np.ndarray:
-    """Product state |spin, n> with spin "e" or "g"."""
+def _spin_offset(spin: str, trunc: TruncationSpec) -> int:
+    """Composite index of |spin, 0>: the |e> block comes first."""
     if spin not in ("e", "g"):
         raise ValueError(f"spin must be 'e' or 'g', got {spin!r}")
+    return 0 if spin == "e" else trunc.n_max
+
+
+def fock_state(spin: str, n: int, trunc: TruncationSpec) -> np.ndarray:
+    """Product state |spin, n> with spin "e" or "g"."""
+    offset = _spin_offset(spin, trunc)
     if not 0 <= n < trunc.n_max:
         raise ValueError(f"Fock index {n} outside [0, {trunc.n_max})")
     psi = np.zeros(2 * trunc.n_max, dtype=complex)
-    psi[(0 if spin == "e" else trunc.n_max) + n] = 1.0
+    psi[offset + n] = 1.0
     return psi
 
 
@@ -93,24 +99,10 @@ def coherent_state(spin: str, alpha: complex, trunc: TruncationSpec) -> np.ndarr
     The amplitudes are column 0 of the cached-basis displacement, so the
     state is normalized exactly on the truncated space.
     """
-    if spin not in ("e", "g"):
-        raise ValueError(f"spin must be 'e' or 'g', got {spin!r}")
+    offset = _spin_offset(spin, trunc)
     psi = np.zeros(2 * trunc.n_max, dtype=complex)
-    offset = 0 if spin == "e" else trunc.n_max
     psi[offset:offset + trunc.n_max] = displacement(alpha, trunc)[:, 0]
     return psi
-
-
-def fidelity(psi: np.ndarray, phi: np.ndarray) -> float:
-    """|<psi|phi>|^2 between two normalized states."""
-    psi = np.asarray(psi)
-    phi = np.asarray(phi)
-    if psi.shape != phi.shape:
-        raise ValueError(f"dimension mismatch: {psi.shape} vs {phi.shape}")
-    for name, v in (("psi", psi), ("phi", phi)):
-        if abs(np.linalg.norm(v) - 1.0) > _NORM_TOL:
-            raise ValueError(f"{name} is not normalized")
-    return float(abs(np.vdot(psi, phi)) ** 2)
 
 
 class BlockEigensystem(Record):
@@ -177,6 +169,11 @@ def _blocks_by_size(labels: np.ndarray) -> list[np.ndarray]:
     return [order[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
+def _fock_signs(n: int) -> np.ndarray:
+    """The diagonal (-1)^k, k < n, of S."""
+    return 1.0 - 2.0 * (np.arange(n) % 2)
+
+
 def _parity_sectors(a: np.ndarray) -> np.ndarray | None:
     """H_+ and H_- of a composite H as one (2, n, n) stack, or None when H does not
     commute exactly with Pi = sigma_x (x) S.
@@ -187,7 +184,7 @@ def _parity_sectors(a: np.ndarray) -> np.ndarray | None:
     H_+- = H_ee +- H_eg S.
     """
     n = a.shape[0] // 2
-    s = 1.0 - 2.0 * (np.arange(n) % 2)  # diagonal of S
+    s = _fock_signs(n)
     signs = s[:, None] * s
     h_ee, h_eg = a[:n, :n], a[:n, n:]
     if not (np.array_equal(h_ee, a[n:, n:] * signs) and np.array_equal(h_eg, a[n:, :n] * signs)):
@@ -205,7 +202,7 @@ def _from_sectors(w: np.ndarray, u: np.ndarray | None) -> tuple[np.ndarray, np.n
     if u is None:
         return w.reshape(1, 2 * n), None
     u = u * np.sqrt(0.5)
-    s = (1.0 - 2.0 * (np.arange(n) % 2))[:, None]
+    s = _fock_signs(n)[:, None]
     v = np.empty((2 * n, 2 * n), dtype=u.dtype)
     v[:n, :n], v[:n, n:] = u
     np.multiply(u[0], s, out=v[n:, :n])
@@ -238,13 +235,14 @@ def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
     a = gauge_parts(h.real, h.imag, dim // 2) if real else h
     blocks = _blocks_by_size(_block_labels(nonzero.view(np.uint16) != 0))
     groups = []
-    deviation = scale = residual_sq = 0.0
+    deviations, scales = [], []
+    residual_sq = 0.0
     for idx in blocks:
         k, s = idx.shape
         # one block spanning H is H itself: no copy
         sub = a[None] if s == dim else a[idx[:, :, None], idx[:, None, :]]
-        deviation = max(deviation, np.max(np.abs(sub - sub.conj().swapaxes(1, 2))))
-        scale = max(scale, np.max(np.abs(sub)))
+        deviations.append(np.max(np.abs(sub - sub.conj().swapaxes(1, 2))))
+        scales.append(np.max(np.abs(sub)))
         sectors = _parity_sectors(a) if s == dim else None
         if sectors is not None:
             # the basis change to the sectors is orthogonal: same spectrum, same residual
@@ -262,12 +260,13 @@ def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
         if sectors is not None:
             w, v = _from_sectors(w, v)
         groups.append((idx, w, v))
-    if deviation > _HERMITIAN_TOL * max(1.0, scale):
+    # each gate is written "not <=", so that a NaN fails it; np.max keeps a NaN
+    if not np.max(deviations) <= _HERMITIAN_TOL * max(1.0, np.max(scales)):
         raise ValueError("H is not Hermitian within tolerance")
     h_norm = np.linalg.norm(h)
     if vectors and h_norm > 0:
         residual = np.sqrt(residual_sq)
-        if residual > _RESIDUAL_TOL * h_norm:
+        if not residual <= _RESIDUAL_TOL * h_norm:
             raise ArithmeticError(f"eigendecomposition residual {residual:.3e} too large")
     gauge = fock_phases(dim, dim // 2) if real else None
     return BlockEigensystem(gauge=gauge, groups=tuple(groups))
@@ -323,7 +322,8 @@ def propagate(
         raise ValueError("times must be a non-empty 1-d array")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
-    if abs(np.linalg.norm(psi0) - 1.0) > _NORM_TOL:
+    # each gate is written "not <=", so that a NaN fails it
+    if not abs(np.linalg.norm(psi0) - 1.0) <= _NORM_TOL:
         raise ValueError("initial state is not normalized")
     if reference is not None:
         reference = np.asarray(reference, dtype=complex)
@@ -358,12 +358,12 @@ def propagate(
 
     norms = np.linalg.norm(states, axis=1)
     norm_residual = np.abs(norms - 1.0)
-    if np.max(norm_residual) > _RECORD_NORM_TOL:
+    if not np.max(norm_residual) <= _RECORD_NORM_TOL:
         raise ArithmeticError(f"norm drift {np.max(norm_residual):.3e} exceeds tolerance")
 
     probs = np.abs(states) ** 2
     p_excited = probs[:, :n_osc].sum(axis=1)
-    if np.max(p_excited) > 1.0 + _NORM_TOL or np.min(p_excited) < -_NORM_TOL:
+    if not (np.max(p_excited) <= 1.0 + _NORM_TOL and np.min(p_excited) >= -_NORM_TOL):
         raise ArithmeticError("excited-state population outside [0, 1]")
     mean_n = probs @ n_diag
 

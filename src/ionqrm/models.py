@@ -12,8 +12,8 @@ that form, so each builder is Hermitian by construction and no entry is -0.0.
 
 The two builders the transform identity reads, :func:`h_resonant` and
 :func:`h_qrm`, have a real form (``gauged=True``): P H P^dag, P = diag(i^n) on
-both spin blocks, written from the real gauged coupling P B P^dag. It equals
-``fock_gauge(H, n_max)`` entry for entry.
+both spin blocks, written from the real gauged coupling P B P^dag, entry for
+entry the map :func:`~ionqrm.algebra.gauge_parts` makes of the complex form.
 """
 from __future__ import annotations
 
@@ -42,6 +42,8 @@ from .params import (  # noqa: F401 - the scalar definitions are re-exported fro
     derived_couplings,
     is_sideband_resonant,
     phase_is_zero_or_pi,
+    qrm_coupling,
+    transform_offset,
 )
 
 
@@ -190,7 +192,7 @@ def qrm_conjugate(g: np.ndarray, eta: float, trunc: TruncationSpec) -> np.ndarra
     """Interior of P T H T^dag P^dag, T = :func:`qrm_transform` (eta, trunc), in real arithmetic.
 
     P = diag(i^n) on both spin blocks is the Fock-parity gauge of
-    :func:`~ionqrm.algebra.fock_gauge`, and g = P H P^dag must be given as a
+    :func:`~ionqrm.algebra.fock_phases`, and g = P H P^dag must be given as a
     real 2n x 2n array, such as the ``gauged`` form of :func:`h_resonant`
     at phi_l = 0, else ValueError. With b = P D(i*eta/2) P^dag from
     :func:`~ionqrm.algebra.displacement_gauged` (real, so P D^dag P^dag = b^T)
@@ -236,10 +238,10 @@ def h_qrm(
     callers usually leave it off. The real form (``gauged``) exists at every
     parameter: the coupling is imaginary where m - n is odd.
     """
-    constant = p.nu * p.eta**2 / 4.0 if include_constant else 0.0
+    constant = transform_offset(p) if include_constant else 0.0
     level = _levels(p, trunc)
     a = annihilation(trunc)
-    coupling = (1j * p.eta * p.nu / 2.0) * (a - a.conj().T)
+    coupling = (1j * qrm_coupling(p)) * (a - a.conj().T)
     d_e, d_g = level + p.Omega + constant, level - p.Omega + constant
     if not gauged:
         return _spin_blocks(d_e, d_g, coupling)
@@ -257,9 +259,9 @@ def h_qrm_detuned(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
 
     Reduces to ``h_qrm(include_constant=True)`` at delta = 0.
     """
-    level = _levels(p, trunc) + p.nu * p.eta**2 / 4.0
+    level = _levels(p, trunc) + transform_offset(p)
     a = annihilation(trunc)
-    coupling = (1j * p.eta * p.nu / 2.0) * (a - a.conj().T) + (p.delta / 2.0) * osc_identity(trunc)
+    coupling = (1j * qrm_coupling(p)) * (a - a.conj().T) + (p.delta / 2.0) * osc_identity(trunc)
     return _spin_blocks(level + p.Omega, level - p.Omega, coupling)
 
 

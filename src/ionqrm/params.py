@@ -1,10 +1,12 @@
-"""Scalar parameters, derived couplings and the regime classifier.
+"""Scalar parameters, derived couplings, the regime classifier and the schema version.
 
 Everything here is plain Python on floats and imports only the standard
 library, so configuration parsing and the ``regime`` command never load
 numpy. :mod:`ionqrm.models`, :mod:`ionqrm.algebra` and
 :mod:`ionqrm.analysis` import these names back, and each is defined only
-here.
+here. So are the scheme's two conventions every layer reads: the engineered
+coupling g = eta*nu/2 (:func:`qrm_coupling`) and the diagonal offset
+nu*eta^2/4 of the transformed resonant model (:func:`transform_offset`).
 """
 from __future__ import annotations
 
@@ -15,6 +17,9 @@ _PHASE_ATOL = 1e-12
 
 #: Seed of every randomized check unless the configuration sets ``seed``.
 DEFAULT_SEED = 2024
+
+#: Version of every JSON document the package writes: reports, Hamiltonians, errors.
+SCHEMA_VERSION = 1
 
 
 class ResonancePoleError(ValueError):
@@ -220,6 +225,16 @@ class Tolerances(Record):
     min_scaling_order: float = 1.8
 
 
+def qrm_coupling(p: IonParams) -> float:
+    """The engineered Rabi coupling g = eta*nu/2; defined at every parameter, no pole."""
+    return p.eta * p.nu / 2.0
+
+
+def transform_offset(p: IonParams) -> float:
+    """The constant nu*eta^2/4 on the diagonal of the transformed resonant model."""
+    return p.nu * p.eta**2 / 4.0
+
+
 def derived_couplings(p: IonParams) -> DerivedCouplings:
     """Evaluate g = eta*nu/2, the small-rotation angles and the chi shift.
 
@@ -236,7 +251,7 @@ def derived_couplings(p: IonParams) -> DerivedCouplings:
             f"2*Omega = nu pole (nu={p.nu}, Omega={p.Omega}); "
             "small-rotation angles are undefined at the sideband resonance"
         )
-    g = p.eta * p.nu / 2.0
+    g = qrm_coupling(p)
     eps_counter = p.eta * p.nu / (2.0 * (p.nu + 2.0 * p.Omega))
     eps_co = p.eta * p.nu / (2.0 * (2.0 * p.Omega - p.nu))
     chi = 2.0 * p.eta**2 * p.nu**2 * p.Omega / (4.0 * p.Omega**2 - p.nu**2)
@@ -264,7 +279,7 @@ def classify_regime(p: IonParams, thresholds: RegimeThresholds | None = None) ->
     laser phase selects the JC or AJC branch), dispersive, unclassified.
     """
     t = thresholds or RegimeThresholds()
-    g = p.eta * p.nu / 2.0
+    g = qrm_coupling(p)
     if g / p.nu >= 1.0:
         return Regime.DEEP_STRONG
     if g > 0 and p.nu >= t.ordering_factor * g and g >= t.ordering_factor * 2.0 * p.Omega:

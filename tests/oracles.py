@@ -4,13 +4,15 @@ The package builds every Hamiltonian from Fock diagonals and one coupling
 block, so it needs neither a number operator nor a table of spin operators.
 The tests still write the models' docstring formulas as dense sums of
 ``spin_tensor_osc`` terms and check Hermiticity, unitarity and expectation
-values; those helpers live here.
+values; those helpers live here. So do the dense Fock-parity gauge of a whole
+matrix, which the package applies only inside ``dynamics.block_eigh``, and
+the fidelity of two states.
 """
 from enum import Enum
 
 import numpy as np
 
-from ionqrm.algebra import _require_square, annihilation, sigma_y
+from ionqrm.algebra import _require_square, annihilation, gauge_is_real, gauge_parts, sigma_y
 from ionqrm.params import TruncationSpec
 
 
@@ -78,3 +80,37 @@ def expectation(op: np.ndarray, psi: np.ndarray) -> complex:
     if op.shape != (psi.size, psi.size):
         raise ValueError(f"dimension mismatch: op {op.shape} vs state {psi.shape}")
     return complex(np.vdot(psi, op @ psi))
+
+
+def fidelity(psi: np.ndarray, phi: np.ndarray) -> float:
+    """|<psi|phi>|^2 between two normalized states."""
+    psi = np.asarray(psi)
+    phi = np.asarray(phi)
+    if psi.shape != phi.shape:
+        raise ValueError(f"dimension mismatch: {psi.shape} vs {phi.shape}")
+    for name, v in (("psi", psi), ("phi", phi)):
+        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+            raise ValueError(f"{name} is not normalized")
+    return float(abs(np.vdot(psi, phi)) ** 2)
+
+
+def fock_gauge(h: np.ndarray, n_osc: int) -> np.ndarray | None:
+    """P h P^dagger for the Fock-parity gauge P = diag(i^n), or None when it is not exactly real.
+
+    Index k of h has Fock index k mod n_osc: pass n_osc = dim(h) for an
+    oscillator operator, and dim(h)/2 for a composite one, where P acts on
+    both spin blocks. The exactness test is
+    :func:`~ionqrm.algebra.gauge_is_real` and the map
+    :func:`~ionqrm.algebra.gauge_parts`. D(i*r) passes it (see
+    ``algebra.displacement``), and so does every builder at phi_l = 0.
+
+    Returns the real matrix P h P^dagger, whose entries are those of h up to
+    sign: the one nonzero part of each entry keeps its magnitude.
+    """
+    h = np.ascontiguousarray(h, dtype=complex)
+    dim = h.shape[0]
+    if h.shape != (dim, dim) or n_osc < 1 or dim % n_osc:
+        raise ValueError(f"h must be square with a multiple of {n_osc} rows, got {h.shape}")
+    if not gauge_is_real(h.view(np.float64) != 0, n_osc):
+        return None
+    return gauge_parts(h.real, h.imag, n_osc)

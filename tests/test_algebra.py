@@ -19,8 +19,8 @@ from ionqrm import (
     spin_tensor_osc,
     unitary_expm,
 )
-from ionqrm.algebra import displacement_basis, displacement_gauged, fock_gauge
-from oracles import Spin, creation, is_hermitian, is_unitary, number_op, pauli
+from ionqrm.algebra import displacement_basis, displacement_gauged
+from oracles import Spin, creation, fock_gauge, is_hermitian, is_unitary, number_op, pauli
 
 
 def test_truncation_spec_invariants():
@@ -273,6 +273,14 @@ def test_dagger_is_an_involution():
 def test_unitary_expm_requires_anti_hermitian():
     with pytest.raises(ValueError):
         unitary_expm(np.eye(3, dtype=complex))
+
+
+def test_unitary_expm_rejects_a_nan_generator():
+    a = annihilation(TruncationSpec(4))
+    g = a.conj().T - a
+    g[1, 2] = np.nan
+    with pytest.raises(ValueError, match="^generator must be anti-Hermitian$"):
+        unitary_expm(g)
 
 
 def test_interior_block_oscillator_and_composite():

@@ -323,6 +323,67 @@ def test_operator_algebra_check_fails_on_a_broken_laguerre_oracle(monkeypatch):
     assert rep.metrics["displacement_generator_dev"] <= tol.identity
 
 
+def _nan_on_second_call(monkeypatch, module, name, spoil):
+    """Wrap ``module.name`` so that its second call returns ``spoil(result)``."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        out = original(*args, **kwargs)
+        return spoil(out) if len(calls) == 2 else out
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def _nan_entry(m):
+    m = m.copy()
+    m[1, 1] = np.nan
+    return m
+
+
+# each worst case over a set of draws or displacements, with a NaN at its second
+# member, which a worst case must keep so that the report fails
+_NAN_CASES = {
+    "operator-algebra": ("displacement_laguerre", _nan_entry,
+                         lambda: operator_algebra_check(TruncationSpec(16, 4)),
+                         "displacement_oracle_dev"),
+    "qrm-transform-draws": ("qrm_transform_check",
+                            lambda rep: rep.replace(
+                                metrics={**rep.metrics, "diag_offset_dev": float("nan")}),
+                            lambda: qrm_transform_property(3, TruncationSpec(16, 4)),
+                            "worst_diag_offset_dev"),
+    "chi-identity": ("derived_couplings", lambda cpl: cpl.replace(chi=float("nan")),
+                     lambda: chi_identity_check(5), "worst_relative_dev"),
+    "propagator-conservation": ("propagate",
+                                lambda run: run.replace(norm_residual=run.norm_residual * np.nan),
+                                propagator_conservation_check, "worst_norm_residual"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NAN_CASES))
+def test_a_nan_worst_case_fails_its_report(case, monkeypatch):
+    import ionqrm.analysis as analysis
+
+    name, spoil, check, metric = _NAN_CASES[case]
+    _nan_on_second_call(monkeypatch, analysis, name, spoil)
+    rep = check()
+    assert rep.name == case
+    assert np.isnan(rep.metrics[metric])
+    assert not rep.passed
+    if case == "qrm-transform-draws":
+        assert rep.metrics["failed"] == 1.0
+
+
+def test_operator_algebra_note_names_the_identity_tolerance_used():
+    trunc = TruncationSpec(16, 4)
+    default = operator_algebra_check(trunc)
+    assert default.notes == ("commutator compared at 1e-13 (rounding of sqrt products); "
+                             "unitarity at the identity tolerance 1e-10")
+    looser = operator_algebra_check(trunc, DEFAULT_TOLERANCES.replace(identity=1e-9))
+    assert looser.notes.endswith("unitarity at the identity tolerance 1e-09")
+
+
 def _flip_one_block(conjugate):
     def flipped(h, eta, trunc):
         out = conjugate(h, eta, trunc)
@@ -406,13 +467,13 @@ def test_transform_check_fails_on_a_broken_gauge_real_displacement(broken, monke
 
 
 def test_transform_draws_form_no_complex_displacement_and_gauge_nothing(monkeypatch):
-    """The transform identity reads the builders' real form: no complex D, no fock_gauge."""
+    """The transform identity reads the builders' real form: no complex D, no gauge test."""
     import sys
 
     import ionqrm.algebra as algebra
     import ionqrm.models as models
 
-    calls = dict.fromkeys(("fock_gauge", "displacement", "h_resonant", "h_qrm"), 0)
+    calls = dict.fromkeys(("gauge_is_real", "displacement", "h_resonant", "h_qrm"), 0)
     for target in calls:
         home = models if target.startswith("h_") else algebra
         original = getattr(home, target)
@@ -426,7 +487,7 @@ def test_transform_draws_form_no_complex_displacement_and_gauge_nothing(monkeypa
                 monkeypatch.setattr(module, target, counting)
     rep = qrm_transform_property(5, T64, seed=99)
     assert rep.passed
-    assert calls == {"fock_gauge": 0, "displacement": 0, "h_resonant": 5, "h_qrm": 5}
+    assert calls == {"gauge_is_real": 0, "displacement": 0, "h_resonant": 5, "h_qrm": 5}
     # the counters see a call through any binding, for example the dense oracle's
     models.qrm_transform(0.3, T64)
     assert calls["displacement"] == 1

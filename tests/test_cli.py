@@ -484,6 +484,25 @@ def test_all_checks_nonzero_when_a_check_fails(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+def test_a_nan_oracle_deviation_is_one_error_record_not_a_nan_token(capsys, monkeypatch):
+    import ionqrm.analysis as analysis
+
+    oracle = analysis.displacement_laguerre
+
+    def nan_oracle(alpha, trunc):
+        out = oracle(alpha, trunc)
+        out[1, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(analysis, "displacement_laguerre", nan_oracle)
+    code, out, err = run_cli(["all-checks", "--set", "Omega=0.7", "--set", "eta=0.3"], capsys)
+    assert code == EXIT_ERROR
+    assert out == "" and "NaN" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError"
+
+
 def test_all_checks_applies_tol_identity_to_the_rotation_diagnostic(capsys):
     args = ["all-checks", "--set", "Omega=0.7", "--set", "eta=0.3", "--set", "tol.identity=1e-30"]
     code, out, _ = run_cli(args, capsys)
@@ -703,6 +722,25 @@ def test_scipy_users_resolve_their_lazy_imports(src_env):
     # <0|D(alpha)|0> = exp(-|alpha|^2 / 2)
     assert float(vacuum) == pytest.approx(np.exp(-0.05), rel=1e-14)
     assert loaded == "False"
+
+
+def test_cli_corpus_runs_every_entry_to_its_exit_code():
+    import importlib.util
+    from pathlib import Path
+
+    from conftest import SRC
+
+    tool = Path(SRC).parent / "tools" / "cli_corpus.py"
+    spec = importlib.util.spec_from_file_location("cli_corpus", tool)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    proc = subprocess.run([sys.executable, str(tool), SRC], capture_output=True, text=True,
+                          check=True)
+    lines = [line.split(" ", 2) for line in proc.stdout.splitlines()]
+    assert len(lines) == len(corpus.ENTRIES) == 65
+    for (digest, code, argv), (entry, expected) in zip(lines, corpus.ENTRIES):
+        assert argv == " ".join(entry) and len(digest) == 64
+        assert int(code) == expected, argv
 
 
 def test_output_is_written_atomically_no_temp_left_behind(tmp_path, capsys):

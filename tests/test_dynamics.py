@@ -12,7 +12,6 @@ from ionqrm import (
     IonParams,
     TruncationSpec,
     coherent_state,
-    fidelity,
     fock_state,
     h_dispersive,
     h_jc,
@@ -25,7 +24,7 @@ from ionqrm import (
     propagate,
     spin_tensor_osc,
 )
-from oracles import Spin, expectation, number_op, pauli
+from oracles import Spin, expectation, fidelity, fock_gauge, number_op, pauli
 
 T16 = TruncationSpec(16)
 
@@ -389,13 +388,29 @@ def test_hermiticity_check_fails_on_each_path(path):
     else:
         k, l = np.flatnonzero(block == 6)[:2]  # two indices of the 7x7 block
         h[k, l] += 1e-6 if h[k, l].real != 0 else 1e-6j
-    assert (algebra.fock_gauge(h, h.shape[0] // 2) is not None) == (path == "gauged-block")
+    assert (fock_gauge(h, h.shape[0] // 2) is not None) == (path == "gauged-block")
     for vectors in (True, False):
         with pytest.raises(ValueError, match="not Hermitian"):
             block_eigh(h, vectors=vectors)
     with pytest.raises(ValueError, match="not Hermitian"):
         # reported before the bad time grid
         propagate(h, np.eye(h.shape[0], dtype=complex)[0], [1.0, 0.0])
+
+
+def test_a_nan_in_h_or_psi0_fails_the_gates():
+    p, n = IonParams(Omega=0.5, eta=0.02), T16.n_max
+    h = h_jc(p, T16)
+    h[0, n + 1] = h[n + 1, 0] = np.nan  # one Hermitian pair of one 2x2 block
+    for vectors in (True, False):
+        with pytest.raises(ValueError, match="^H is not Hermitian within tolerance$"):
+            block_eigh(h, vectors=vectors)
+    times = np.linspace(0.0, 1.0, 2)
+    with pytest.raises(ValueError, match="^H is not Hermitian within tolerance$"):
+        propagate(h, fock_state("e", 0, T16), times)
+    psi0 = fock_state("e", 0, T16)
+    psi0[3] = np.nan
+    with pytest.raises(ValueError, match="^initial state is not normalized$"):
+        propagate(h_jc(p, T16), psi0, times)
 
 
 @pytest.mark.parametrize("state", ["fock", "coherent"])
@@ -416,7 +431,7 @@ def test_propagate_allocates_less_than_one_and_a_half_dense_matrices(builder, st
 
 def test_oracle_catches_a_flipped_gauge(monkeypatch, dense_states):
     # the real matrix formed with P^dag in place of P, its eigenvectors mapped back
-    # with P^dag: the gauge's one definition flipped where fock_gauge reads it
+    # with P^dag: the gauge's one definition flipped where gauge_parts reads it
     phases = algebra.fock_phases
     monkeypatch.setattr(algebra, "fock_phases", lambda dim, n_osc: phases(dim, n_osc).conj())
     h, _ = _hidden_blocks(3, "real-gauge")
@@ -503,7 +518,7 @@ def test_one_ulp_off_the_parity_takes_the_dense_path(name, monkeypatch, dense_st
     moved = h.copy()
     moved[0, 17] = 1j * np.nextafter(h[0, 17].imag, np.inf)
     moved[17, 0] = moved[0, 17].conj()
-    assert moved[0, 17] != h[0, 17] and algebra.fock_gauge(moved, 16) is not None
+    assert moved[0, 17] != h[0, 17] and fock_gauge(moved, 16) is not None
     assert _eigh_calls(monkeypatch, moved, psi0) == [((1, 32, 32), "f")]
     _assert_matches_dense(moved, psi0, np.linspace(0.0, 5.0, 9), dense_states)
 

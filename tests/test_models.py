@@ -35,9 +35,9 @@ from ionqrm import (
     y_rotation,
 )
 from ionqrm import models
-from ionqrm.algebra import displacement_gauged, fock_gauge
-from ionqrm.params import phase_is_zero_or_pi
-from oracles import Spin, is_hermitian, is_unitary, number_op, pauli
+from ionqrm.algebra import displacement_gauged
+from ionqrm.params import phase_is_zero_or_pi, qrm_coupling, transform_offset
+from oracles import Spin, fock_gauge, is_hermitian, is_unitary, number_op, pauli
 
 T64 = TruncationSpec(n_max=64, guard=16)
 T32 = TruncationSpec(n_max=32, guard=8)
@@ -317,6 +317,34 @@ def test_h_qrm_constant_flag_shifts_by_nu_eta_sq_over_4():
     trunc = TruncationSpec(8)
     diff = h_qrm(p, trunc, include_constant=True) - h_qrm(p, trunc, include_constant=False)
     np.testing.assert_allclose(diff, (1.3 * 0.09 / 4) * np.eye(16), rtol=0, atol=1e-15)
+
+
+def test_every_reader_of_g_and_the_offset_agrees_with_their_one_home(capsys):
+    from ionqrm.analysis import speed_comparison
+    from ionqrm.cli import main
+
+    rng = np.random.default_rng(17)
+    trunc = TruncationSpec(6)
+    n = trunc.n_max
+    points = 0
+    while points < 40:
+        p = IonParams(nu=float(rng.uniform(0.1, 10.0)), Omega=float(rng.uniform(0.0, 3.0)),
+                      eta=float(rng.uniform(0.0, 3.0)))
+        if abs(2.0 * p.Omega - p.nu) < 1e-3 * p.nu:
+            continue  # the sideband pole of derived_couplings
+        points += 1
+        g = qrm_coupling(p)
+        assert main(["regime", "--set", f"nu={p.nu!r}", "--set", f"Omega={p.Omega!r}",
+                     "--set", f"eta={p.eta!r}"]) == 0
+        printed = capsys.readouterr().out.splitlines()[1]
+        assert printed == f"g_ratio = {g / p.nu!r}"
+        assert speed_comparison(p).metrics["g_ratio"] == g / p.nu
+        assert derived_couplings(p).g_qrm == g
+        h = h_qrm(p, trunc)
+        coupling = h[0, n + 1]
+        assert (coupling.real, coupling.imag) == (0.0, g) and coupling == 1j * g
+        np.testing.assert_array_equal(np.diag(h_qrm(p, trunc, include_constant=True)),
+                                      np.diag(h) + transform_offset(p))
 
 
 def test_central_identity_single_point():
