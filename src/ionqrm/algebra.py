@@ -22,7 +22,8 @@ The displacement operator has one production construction and two oracles:
   result is exactly unitary on the truncated space, and D(i*r) keeps the
   exact Fock parity of the operator: its real part is exactly zero where
   m - n is odd and its imaginary part exactly zero where m - n is even. It
-  is exactly symmetric too.
+  is exactly symmetric too. :func:`displacement_column` gives its column 0,
+  the coherent state, from two matrix-vector products in the same basis.
 * :func:`displacement_generator` exponentiates the generator directly (also
   exactly unitary on the truncated space, one complex ``eigh`` per call).
 * :func:`displacement_laguerre` evaluates the closed-form Fock matrix
@@ -168,6 +169,17 @@ def _displacement_parts(r: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return cos_part, sin_part
 
 
+def _radius_and_phase(alpha: complex, n_max: int) -> tuple[float, np.ndarray | None]:
+    """r and the Fock phase diag(u^k), u = -i*alpha/|alpha|, with D(alpha) = P D(i*r) P^dagger.
+
+    An imaginary alpha = i*r needs no phase (None), and r keeps its sign.
+    """
+    alpha = complex(alpha)
+    if alpha.real == 0.0:
+        return alpha.imag, None
+    return abs(alpha), np.exp(1j * (np.angle(alpha) - np.pi / 2.0) * np.arange(n_max))
+
+
 def displacement(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     """Displacement operator exp(alpha*a^dagger - conj(alpha)*a) in the cached X basis.
 
@@ -191,14 +203,32 @@ def displacement(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     P = diag((-1)^n), and H of ``h_resonant`` at phi_l = 0 commutes exactly
     with sigma_x (x) P, the symmetry ``dynamics.block_eigh`` splits by.
     """
-    alpha = complex(alpha)
-    r = alpha.imag if alpha.real == 0.0 else abs(alpha)
+    r, phase = _radius_and_phase(alpha, trunc.n_max)
     cos_part, sin_part = _displacement_parts(r, trunc.n_max)
     out = cos_part + 1j * sin_part
-    if alpha.real != 0.0:
-        phase = np.exp(1j * (np.angle(alpha) - np.pi / 2.0) * np.arange(trunc.n_max))
+    if phase is not None:
         out *= np.outer(phase, phase.conj())
     return out
+
+
+def displacement_column(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
+    """Column 0 of :func:`displacement` (alpha, trunc): the coherent state |alpha>.
+
+    Column 0 of V diag(f(x_k)) V^T is V (f(x_k) V_0k), so two matrix-vector
+    products give it, with the exact zeros of the Fock parity; it agrees
+    with the column of the two matrix products to rounding.
+    """
+    r, phase = _radius_and_phase(alpha, trunc.n_max)
+    x, v = displacement_basis(trunc.n_max)
+    theta = np.sqrt(2.0) * r * x
+    col = np.empty(trunc.n_max, dtype=complex)
+    col.real = v @ (np.cos(theta) * v[0])
+    col.imag = v @ (np.sin(theta) * v[0])
+    col.real[1::2] = 0.0
+    col.imag[::2] = 0.0
+    if phase is not None:
+        col *= phase
+    return col
 
 
 def displacement_gauged(r: float, trunc: TruncationSpec) -> np.ndarray:

@@ -23,8 +23,9 @@ decomposition up to rounding.
   read commutes exactly with Pi = sigma_x (x) S, S = diag((-1)^n), that is
   H_ee = S H_gg S and H_eg = S H_ge S, its two Pi sectors
   H_+- = H_ee +- H_eg S go to one stacked ``eigh`` of shape (2, n, n), and
-  the eigenvectors come back as one group, V = [[U_+, U_-], [S U_+, -S U_-]]
-  / sqrt(2). This is the QRM parity sigma_z (x) S carried back through the
+  the group keeps them as sectors: an eigenvector u of H_+- is
+  (u, +-S u)/sqrt(2) on H, so the dense (2n, 2n) eigenvector matrix is never
+  formed. This is the QRM parity sigma_z (x) S carried back through the
   map T of ``models.qrm_transform``: P D(i eta) P = D(i eta)^dagger for
   P = S, so T^dagger (sigma_z (x) S) T = sigma_x (x) S, and the resonant and
   Lamb-Dicke models at phi_l = 0 commute with it although their nonzero
@@ -32,9 +33,10 @@ decomposition up to rounding.
   is exact: D(i r) is exactly symmetric (``algebra.displacement``), and so
   the built H is exactly Pi-symmetric. An H one ulp off takes the dense path.
 * Hermiticity. max|H - H^dagger| must not exceed 1e-10 max(1, max|H|), else
-  ValueError, also when only eigenvalues are asked for. It is checked on the
-  blocks: H is zero between them, and the gauge changes only the sign of an
-  entry's one nonzero part, so the blocks give the dense values exactly.
+  ValueError, also when only eigenvalues are asked for. It is checked on
+  every block before the first ``eigh``, so a NaN fails here and not in
+  LAPACK. H is zero between the blocks, and the gauge changes only the sign
+  of an entry's one nonzero part, so the blocks give the dense values exactly.
 
 The residual bound of a dense decomposition stays: ||H V - V W||_F summed
 over the blocks must be below 1e-9 ||H||_F. Entries of H between blocks are
@@ -44,7 +46,15 @@ Hermiticity is checked on the whole spanning block, not on the sectors.
 
 :func:`propagate` evolves only the blocks on which the initial state is not
 identically zero; the others stay exactly zero. A Fock start on JC or AJC
-touches one 2x2 block.
+touches one 2x2 block. It evolves at most half of H's indices, or one
+block, at a time, with one set of scratch arrays, and writes every piece
+into one preallocated state array. The parity sectors are two such pieces,
+the (T, n) products x and y, from which the state is e = (x + y)/sqrt(2),
+g = S (x - y)/sqrt(2); the real products read contiguous real and
+imaginary planes. Blocks of one or two states (the JC and AJC pairs, the
+diagonal models' 1x1 blocks) evolve with the time axis innermost, so that
+every elementwise pass runs over long rows; a real product of at most two
+terms gives the same bits in either layout.
 """
 from __future__ import annotations
 
@@ -52,10 +62,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .algebra import TruncationSpec, displacement, fock_phases, gauge_is_real, gauge_parts
+from .algebra import (TruncationSpec, displacement_column, fock_phases, gauge_is_real,
+                      gauge_parts)
 from .params import Record
 
 _HERMITIAN_TOL = 1e-10
+# tiles of |B - B^T| small enough that the transposed read stays in cache
+_HERMITIAN_TILE = 128
 _NORM_TOL = 1e-10
 _RECORD_NORM_TOL = 1e-8
 _RESIDUAL_TOL = 1e-9
@@ -96,33 +109,38 @@ def fock_state(spin: str, n: int, trunc: TruncationSpec) -> np.ndarray:
 def coherent_state(spin: str, alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     """Product state |spin> (x) |alpha>, the coherent state from a displacement column.
 
-    The amplitudes are column 0 of the cached-basis displacement, so the
-    state is normalized exactly on the truncated space.
+    The amplitudes are column 0 of the cached-basis displacement
+    (:func:`~ionqrm.algebra.displacement_column`), so the state is normalized
+    on the truncated space to rounding.
     """
     offset = _spin_offset(spin, trunc)
     psi = np.zeros(2 * trunc.n_max, dtype=complex)
-    psi[offset:offset + trunc.n_max] = displacement(alpha, trunc)[:, 0]
+    psi[offset:offset + trunc.n_max] = displacement_column(alpha, trunc)
     return psi
 
 
 class BlockEigensystem(Record):
     """Eigenpairs of a Hermitian H, grouped by block size.
 
-    Each group is ``(idx, w, v)`` for k blocks of size s: ``idx`` (k, s) holds
-    the composite indices of each block in ascending order, ``w`` (k, s) its
-    eigenvalues and ``v`` (k, s, s) its eigenvectors as columns (``None``
-    when only values were asked for). When ``gauge`` is set, H was
+    Each group is ``(idx, w, v, sectors)``. For k blocks of size s, ``idx``
+    (k, s) holds the composite indices of each block in ascending order,
+    ``w`` (k, s) its eigenvalues and ``v`` (k, s, s) its eigenvectors as
+    columns (``None`` when only values were asked for), and ``sectors`` is
+    False. A group with ``sectors`` True is one block spanning H, ``idx``
+    (1, 2n), given by its two Pi sectors: ``w`` (2, n) and ``v`` (2, n, n)
+    are the eigenpairs of H_+ and H_-, and an eigenvector u of H_+- is
+    (u, +-S u)/sqrt(2) on H, S = diag((-1)^n). When ``gauge`` is set, H was
     diagonalized as the real matrix P H P^dagger with P = diag(gauge), so
     ``v`` is real and the eigenvectors of H are P^dagger applied to it.
     """
 
     gauge: np.ndarray | None
-    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray | None], ...]
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray | None, bool], ...]
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Every eigenvalue of H, ascending."""
-        return np.sort(np.concatenate([w.ravel() for _, w, _ in self.groups]))
+        return np.sort(np.concatenate([w.ravel() for _, w, _, _ in self.groups]))
 
 
 def _block_labels(nz: np.ndarray) -> np.ndarray:
@@ -190,24 +208,49 @@ def _parity_sectors(a: np.ndarray) -> np.ndarray | None:
     if not (np.array_equal(h_ee, a[n:, n:] * signs) and np.array_equal(h_eg, a[n:, :n] * signs)):
         return None
     coupling = h_eg * s
-    return np.stack([h_ee + coupling, h_ee - coupling])
+    sectors = np.empty((2, n, n), dtype=a.dtype)
+    np.add(h_ee, coupling, out=sectors[0])
+    np.subtract(h_ee, coupling, out=sectors[1])
+    return sectors
 
 
-def _from_sectors(w: np.ndarray, u: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenpairs of H, one (1, 2n) group, from those of its two Pi sectors.
+def _hermiticity(sub: np.ndarray) -> tuple[float, float]:
+    """max|B - B^dagger| and max|B| over a stack of blocks B.
 
-    An eigenvector u of H_+ is (u, S u)/sqrt(2) on H, one of H_- is (u, -S u)/sqrt(2).
+    B is compared by tiles above the diagonal and their mirrors, so that no
+    temporary is larger than a tile; a NaN entry makes the deviation NaN. A
+    real scale is max(max B, -min B), without a temporary.
     """
-    n = w.shape[1]
-    if u is None:
-        return w.reshape(1, 2 * n), None
-    u = u * np.sqrt(0.5)
-    s = _fock_signs(n)[:, None]
-    v = np.empty((2 * n, 2 * n), dtype=u.dtype)
-    v[:n, :n], v[:n, n:] = u
-    np.multiply(u[0], s, out=v[n:, :n])
-    np.multiply(u[1], -s, out=v[n:, n:])
-    return w.reshape(1, 2 * n), v[None]
+    s, t = sub.shape[-1], _HERMITIAN_TILE
+    deviations = []
+    for i in range(0, s, t):
+        for j in range(i, s, t):
+            diff = sub[:, i:i + t, j:j + t] - sub[:, j:j + t, i:i + t].conj().swapaxes(1, 2)
+            deviations.append(np.max(np.abs(diff)))
+    scale = np.max(np.abs(sub)) if np.iscomplexobj(sub) else max(sub.max(), -sub.min())
+    return np.max(deviations), scale
+
+
+def _read_blocks(h: np.ndarray, real: bool,
+                 blocks: list[np.ndarray]) -> tuple[list[np.ndarray], bool]:
+    """The blocks of the array read, P H P^dagger when ``real`` else H, one stack per
+    size, and whether the one block spanning it went as its two Pi sectors.
+
+    Every block is checked for Hermiticity before any is diagonalized, so that
+    a NaN fails the check and not LAPACK. The gauged array lives only here:
+    what is returned is copies of its blocks, its sectors, or H itself.
+    """
+    dim = h.shape[0]
+    a = gauge_parts(h.real, h.imag, dim // 2) if real else h
+    # one block spanning H is the array read itself: no copy
+    subs = [a[None] if idx.shape[1] == dim else a[idx[:, :, None], idx[:, None, :]]
+            for idx in blocks]
+    # each gate is written "not <=", so that a NaN fails it; np.max keeps a NaN
+    deviation, scale = np.max([_hermiticity(sub) for sub in subs], axis=0)
+    if not deviation <= _HERMITIAN_TOL * max(1.0, scale):
+        raise ValueError("H is not Hermitian within tolerance")
+    sectors = _parity_sectors(a) if blocks[0].shape[1] == dim else None
+    return ([sectors], True) if sectors is not None else (subs, False)
 
 
 def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
@@ -219,10 +262,11 @@ def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
     vectors : compute eigenvectors (``np.linalg.eigh``) or only eigenvalues
         (``np.linalg.eigvalsh``).
 
-    Each block is checked for Hermiticity (ValueError), also without
-    vectors; with vectors, the residual ||H V - V W||_F over the blocks must
-    stay below 1e-9 ||H||_F, else ArithmeticError. See the module docstring
-    for the gauge, block, parity-sector and Hermiticity rules.
+    Every block is checked for Hermiticity (ValueError) before the first
+    ``eigh``, also without vectors; with vectors, the residual
+    ||H V - V W||_F over the blocks must stay below 1e-9 ||H||_F, else
+    ArithmeticError. See the module docstring for the gauge, block,
+    parity-sector and Hermiticity rules.
     """
     h = np.ascontiguousarray(h, dtype=complex)
     dim = h.shape[0]
@@ -232,22 +276,14 @@ def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
     # also in the gauge, which flips the sign of an entry's one nonzero part
     nonzero = h.view(np.float64) != 0
     real = gauge_is_real(nonzero, dim // 2)
-    a = gauge_parts(h.real, h.imag, dim // 2) if real else h
     blocks = _blocks_by_size(_block_labels(nonzero.view(np.uint16) != 0))
+    del nonzero
+    subs, sectors = _read_blocks(h, real, blocks)
     groups = []
-    deviations, scales = [], []
     residual_sq = 0.0
-    for idx in blocks:
-        k, s = idx.shape
-        # one block spanning H is H itself: no copy
-        sub = a[None] if s == dim else a[idx[:, :, None], idx[:, None, :]]
-        deviations.append(np.max(np.abs(sub - sub.conj().swapaxes(1, 2))))
-        scales.append(np.max(np.abs(sub)))
-        sectors = _parity_sectors(a) if s == dim else None
-        if sectors is not None:
-            # the basis change to the sectors is orthogonal: same spectrum, same residual
-            sub = sectors
-            k, s = sub.shape[:2]
+    for idx, sub in zip(blocks, subs):
+        # the basis change to the sectors is orthogonal: same spectrum, same residual
+        k, s = sub.shape[:2]
         if s == 1:
             w = sub[:, :, 0].real
             v = np.ones((k, 1, 1)) if vectors else None
@@ -256,13 +292,10 @@ def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
         else:
             w, v = np.linalg.eigvalsh(sub), None
         if vectors:
-            residual_sq += float(np.linalg.norm(sub @ v - v * w[:, None, :])) ** 2
-        if sectors is not None:
-            w, v = _from_sectors(w, v)
-        groups.append((idx, w, v))
-    # each gate is written "not <=", so that a NaN fails it; np.max keeps a NaN
-    if not np.max(deviations) <= _HERMITIAN_TOL * max(1.0, np.max(scales)):
-        raise ValueError("H is not Hermitian within tolerance")
+            residual = sub @ v
+            residual -= v * w[:, None, :]
+            residual_sq += float(np.linalg.norm(residual)) ** 2
+        groups.append((idx, w, v, sectors))
     h_norm = np.linalg.norm(h)
     if vectors and h_norm > 0:
         residual = np.sqrt(residual_sq)
@@ -280,6 +313,89 @@ def _times_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out.real = a.real @ b
     out.imag = a.imag @ b
     return out
+
+
+def _place(dest: np.ndarray, out: np.ndarray, idx: np.ndarray, sector: int | None,
+           small: bool) -> None:
+    """Write one piece's evolved blocks into the (T, dim) array dest.
+
+    ``out`` is (k, s, T) for small blocks, else (k, T, s). Pi sector 0 gives
+    x and sector 1 then y, from which the state is e = x + y, g = S (x - y);
+    z carried both 1/sqrt(2) factors.
+    """
+    if sector is None:
+        dest[:, idx] = out.transpose(2, 0, 1) if small else out.transpose(1, 0, 2)
+        return
+    n = dest.shape[1] // 2
+    if sector == 0:
+        dest[:, :n] = dest[:, n:] = out[0]
+    else:
+        dest[:, :n] += out[0]
+        dest[:, n:] -= out[0]
+        dest[:, n + 1::2] *= -1.0
+
+
+def _pieces(eig: BlockEigensystem, phi: np.ndarray):
+    """(idx, w, v, z, sector) for each piece of H evolved at once: at most half its
+    indices, or one block, so that the scratch arrays stay small.
+
+    z is phi on each block, or on one Pi sector with both 1/sqrt(2) factors;
+    sector is its index (0 for H_+, 1 for H_-), or None for blocks. A block
+    psi0 does not touch stays exactly zero and is left out; evolving every JC
+    block for a Fock start made a suite op about 12% slower.
+    """
+    n = phi.size // 2
+    for idx, w, v, sectors in eig.groups:
+        if sectors:
+            flipped = _fock_signs(n) * phi[n:]
+            z = 0.5 * np.stack([phi[:n] + flipped, phi[:n] - flipped])
+            yield from ((idx, w[j:j + 1], v[j:j + 1], z[j:j + 1], j) for j in range(2))
+            continue
+        z = phi[idx]
+        touched = np.flatnonzero(np.any(z != 0, axis=1))
+        step = max(1, n // idx.shape[1])
+        for j in range(0, touched.size, step):
+            live = touched[j:j + step]
+            if live[-1] - live[0] == live.size - 1:  # a run of blocks: views, not copies
+                live = slice(live[0], live[-1] + 1)
+            yield idx[live], w[live], v[live], z[live], None
+
+
+def _evolve(eig: BlockEigensystem, phi: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i H t) phi at every time, (T, dim), in the basis H was diagonalized in."""
+    pieces = list(_pieces(eig, phi))
+    states = np.zeros((times.size, phi.size), dtype=complex)
+    # one scratch set for every piece: complex amplitudes, a real plane, a real product
+    size = times.size * max(z.size for *_, z, _ in pieces)
+    scratch = np.empty(size, dtype=complex), np.empty(size), np.empty(size)
+    for idx, w, v, z, sector in pieces:
+        k, s = z.shape
+        small = s <= 2 and sector is None
+        shape = (k, s, times.size) if small else (k, times.size, s)
+        amplitudes, plane, out = (a[:z.size * times.size].reshape(shape) for a in scratch)
+        # per block, all times at once: v exp(-i w t) v^dag z; the phases are
+        # cos(-w t) + i sin(-w t), the bits of np.exp(-1j * (w t))
+        if small:
+            np.multiply.outer(-w, times, out=plane)
+        else:
+            np.multiply(-w[:, None, :], times[:, None], out=plane)
+        np.cos(plane, out=amplitudes.real)
+        np.sin(plane, out=amplitudes.imag)
+        coeffs = _times_matrix(z[:, None, :], v.conj())  # a real v's conj() is v itself
+        amplitudes *= coeffs.reshape(k, s, 1) if small else coeffs
+        if np.iscomplexobj(v):
+            _place(states, v @ amplitudes if small else amplitudes @ v.transpose(0, 2, 1),
+                   idx, sector, small)
+            continue
+        # two real products, each reading a contiguous plane
+        for dest, part in ((states.real, amplitudes.real), (states.imag, amplitudes.imag)):
+            plane[...] = part
+            if small:
+                np.matmul(v, plane, out=out)
+            else:
+                np.matmul(plane, v.transpose(0, 2, 1), out=out)
+            _place(dest, out, idx, sector, small)
+    return states
 
 
 def propagate(
@@ -334,34 +450,20 @@ def propagate(
 
     n_osc = dim // 2
     n_diag = np.concatenate([np.arange(n_osc), np.arange(n_osc)])
-    phi = psi0 if eig.gauge is None else eig.gauge * psi0
-    states = np.zeros((times.size, dim), dtype=complex)
-    for idx, w, v in eig.groups:
-        # a block psi0 does not touch stays exactly zero; evolving every JC
-        # block for a Fock start made a suite op about 12% slower
-        live = np.any(phi[idx] != 0, axis=1)
-        if not live.any():
-            continue
-        if not live.all():
-            idx, w, v = idx[live], w[live], v[live]
-        # per block, all times at once: V exp(-i w t) V^dag phi
-        v_conj = v.conj() if np.iscomplexobj(v) else v
-        coeffs = _times_matrix(phi[idx][:, None, :], v_conj)
-        amplitudes = np.exp(-1j * (w[:, None, :] * times[None, :, None])) * coeffs
-        block_states = _times_matrix(amplitudes, v.transpose(0, 2, 1))
-        if idx.shape[1] == dim:
-            states = block_states[0]
-        else:
-            states[:, idx] = block_states.transpose(1, 0, 2)
+    states = _evolve(eig, psi0 if eig.gauge is None else eig.gauge * psi0, times)
     if eig.gauge is not None:
         states *= eig.gauge.conj()
 
-    norms = np.linalg.norm(states, axis=1)
-    norm_residual = np.abs(norms - 1.0)
+    # np.linalg.norm(states, axis=1) bit for bit, with one temporary in place of two
+    squares = states.conj()
+    squares *= states
+    norm_residual = np.abs(np.sqrt(np.add.reduce(squares.real, axis=1)) - 1.0)
+    del squares
     if not np.max(norm_residual) <= _RECORD_NORM_TOL:
         raise ArithmeticError(f"norm drift {np.max(norm_residual):.3e} exceeds tolerance")
 
-    probs = np.abs(states) ** 2
+    probs = np.abs(states)
+    probs *= probs
     p_excited = probs[:, :n_osc].sum(axis=1)
     if not (np.max(p_excited) <= 1.0 + _NORM_TOL and np.min(p_excited) >= -_NORM_TOL):
         raise ArithmeticError("excited-state population outside [0, 1]")

@@ -69,6 +69,21 @@ def _spin_blocks(d_e: np.ndarray, d_g: np.ndarray, b: np.ndarray | None = None) 
     return h
 
 
+def _band(diagonal: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """The n x n complex matrix with the given diagonal and first off-diagonals."""
+    n = len(diagonal)
+    b = np.zeros((n, n), dtype=complex)
+    b.flat[::n + 1] = diagonal
+    b.flat[1::n + 1] = upper
+    b.flat[n::n + 1] = lower
+    return b
+
+
+def _ladder_roots(trunc: TruncationSpec) -> np.ndarray:
+    """sqrt(k), k = 1 .. n_max - 1, as complex: the band of a, where a + a^dag is sqrt(k) + 0j."""
+    return np.sqrt(np.arange(1, trunc.n_max, dtype=float)).astype(complex)
+
+
 def _levels(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     """The Fock diagonal of nu*n as a real vector."""
     return p.nu * np.arange(trunc.n_max, dtype=float)
@@ -107,12 +122,11 @@ def h_lamb_dicke(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     itself is unconditional.
     """
     level = _levels(p, trunc)
-    a = annihilation(trunc)
     phase = np.exp(1j * p.phi_l)
-    coupling = (
-        p.Omega * phase * osc_identity(trunc)
-        + 1j * p.eta * p.Omega * (phase * (a + a.conj().T))
-    )
+    # the band of Omega e^(i phi_l) 1 + i eta Omega e^(i phi_l) (a + a^dag), each entry
+    # by the arithmetic of the dense sum, without its dense temporaries
+    off = 1j * p.eta * p.Omega * (phase * _ladder_roots(trunc))
+    coupling = _band(p.Omega * phase * np.ones(trunc.n_max, dtype=complex), off, off)
     return _spin_blocks(level, level, coupling)
 
 
@@ -240,8 +254,9 @@ def h_qrm(
     """
     constant = transform_offset(p) if include_constant else 0.0
     level = _levels(p, trunc)
-    a = annihilation(trunc)
-    coupling = (1j * qrm_coupling(p)) * (a - a.conj().T)
+    # the band of (i g)(a - a^dag), entry for entry as the dense difference gives it
+    root, scale = _ladder_roots(trunc), 1j * qrm_coupling(p)
+    coupling = _band(scale * np.zeros(trunc.n_max, dtype=complex), scale * root, scale * -root)
     d_e, d_g = level + p.Omega + constant, level - p.Omega + constant
     if not gauged:
         return _spin_blocks(d_e, d_g, coupling)

@@ -743,6 +743,52 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code():
         assert int(code) == expected, argv
 
 
+def test_cli_corpus_compare_shows_how_far_each_column_moved(tmp_path):
+    import importlib.util
+    import shutil
+    from pathlib import Path
+
+    from conftest import SRC
+
+    tool = Path(SRC).parent / "tools" / "cli_corpus.py"
+    spec = importlib.util.spec_from_file_location("cli_corpus", tool)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    assert corpus.changes('{"a": 1.0, "b": [2, 3], "c": "x"}\n',
+                          '{"a": 1.5, "b": [2, 3], "c": "y"}\n') == [
+        "a: 1 of 1 numbers differ, max abs 0.5, max rel 0.5",
+        "c: 1 of 1 other fields differ",
+    ]
+    assert corpus.changes("t,P_e\n0.0,1.0\n1.0,0.5\n", "t,P_e\n0.0,1.0\n1.0,0.25\n") == [
+        "P_e: 1 of 2 numbers differ, max abs 0.25, max rel 0.5",
+    ]
+
+    same = subprocess.run([sys.executable, str(tool), "--compare", SRC, SRC],
+                          capture_output=True, text=True)
+    assert same.returncode == 0, same.stderr
+    assert same.stdout == f"0 of {len(corpus.ENTRIES)} entries differ\n"
+    # a checkout whose CSV numbers are rounded to 12 significant digits
+    rounded = tmp_path / "src"
+    shutil.copytree(SRC, rounded, ignore=shutil.ignore_patterns("__pycache__"))
+    cli_py = rounded / "ionqrm" / "cli.py"
+    text = cli_py.read_text()
+    assert "    return repr(float(x))\n" in text
+    cli_py.write_text(text.replace("    return repr(float(x))\n",
+                                   "    return repr(float(f\"{float(x):.12g}\"))\n"))
+    moved = subprocess.run([sys.executable, str(tool), "--compare", SRC, str(rounded)],
+                           capture_output=True, text=True)
+    assert moved.returncode == 1, moved.stderr
+    lines = moved.stdout.splitlines()
+    entries = [line for line in lines if not line.startswith("    ")][:-1]
+    assert entries and all(line.endswith(": exit 0 -> 0") for line in entries)
+    assert lines[-1] == f"{len(entries)} of {len(corpus.ENTRIES)} entries differ"
+    columns = [line.split() for line in lines if line.startswith("    ")]
+    assert {c[1] for c in columns} >= {"P_e:", "mean_n:", "spectral_distance:"}
+    for column in columns:
+        assert column[0] == "stdout" and column[5:8] == ["numbers", "differ,", "max"]
+        assert float(column[12]) <= 5e-12, column
+
+
 def test_output_is_written_atomically_no_temp_left_behind(tmp_path, capsys):
     out_file = tmp_path / "h.json"
     args = [

@@ -12,6 +12,7 @@ from ionqrm import (
     IonParams,
     TruncationSpec,
     coherent_state,
+    displacement,
     fock_state,
     h_dispersive,
     h_jc,
@@ -41,6 +42,19 @@ def test_fock_state_layout():
 def test_coherent_state_is_normalized():
     psi = coherent_state("e", 0.7 - 0.2j, TruncationSpec(48))
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n_max", [64, 256])
+def test_coherent_state_is_column_zero_of_the_displacement(n_max):
+    trunc = TruncationSpec(n_max)
+    rng = np.random.default_rng(n_max)
+    alphas = [0.0, 0.4j, -0.7j, 1.1] + [complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(60)]
+    for alpha in alphas:
+        psi = coherent_state("g", alpha, trunc)
+        assert not np.any(psi[:n_max])
+        column = displacement(alpha, trunc)[:, 0]
+        assert np.max(np.abs(psi[n_max:] - column)) <= 1e-15, alpha
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-14, alpha
 
 
 def test_zero_hamiltonian_keeps_state_constant():
@@ -269,16 +283,42 @@ def test_propagate_matches_dense_oracle_on_hidden_blocks(seed, kind, vanishing,
     eig = block_eigh(h)
     real = kind in ("real-gauge", "parity-real-gauge")
     assert (eig.gauge is not None) == real
-    found = sorted(idx.shape[1] for idx, _, _ in eig.groups for _ in idx)
+    found = sorted(idx.shape[1] for idx, *_ in eig.groups for _ in idx)
     assert found == ([h.shape[0]] if parity else sorted(_HIDDEN_SIZES))
-    for idx, _, _ in eig.groups:
+    for idx, *_ in eig.groups:
         for members in idx:
             assert np.unique(block[members]).size == 1
-    for idx, _, v in eig.groups:
+    for idx, _, v, sectors in eig.groups:
         assert np.isrealobj(v) == (real or idx.shape[1] == 1)
+        assert sectors == parity
     if parity:  # the spanning block goes as its two Pi sectors
         n = h.shape[0] // 2
         assert _eigh_calls(monkeypatch, h, psi0) == [((2, n, n), "f" if real else "c")]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(name, state) for name in ("resonant", "lamb-dicke") for state in ("fock", "coherent")]
+    + [("hidden", seed, kind) for seed in (3, 11) for kind in ("parity-real-gauge",
+                                                               "parity-complex")],
+    ids=str,
+)
+def test_the_sector_path_matches_the_expm_oracle(case, monkeypatch):
+    from scipy.linalg import expm
+
+    if case[0] == "hidden":
+        h = _hidden_blocks(case[1], case[2])[0]
+        psi0 = _random_state(case[1] + 100, h.shape[0])
+    else:
+        h = HAMILTONIAN_BUILDERS[case[0]](_builder_params(case[0]), T16)
+        psi0 = _start(case[1], T16)
+    n = h.shape[0] // 2
+    kind = "c" if case[-1] == "parity-complex" else "f"
+    assert _eigh_calls(monkeypatch, h, psi0) == [((2, n, n), kind)]
+    times = np.linspace(0.0, 5.0, 9)
+    run = propagate(h, psi0, times, store_states=True)
+    expected = np.array([expm(-1j * t * h) @ psi0 for t in times])
+    np.testing.assert_allclose(run.states, expected, rtol=0, atol=1e-11)
 
 
 def test_blocks_follow_entries_in_either_triangle(dense_states):
@@ -413,8 +453,28 @@ def test_a_nan_in_h_or_psi0_fails_the_gates():
         propagate(h_jc(p, T16), psi0, times)
 
 
+@pytest.mark.parametrize("name", ["resonant", "qrm", "jc"])
+def test_a_nan_pair_fails_the_hermiticity_gate_before_any_eigh(name, monkeypatch):
+    n = 8
+    trunc = TruncationSpec(n)
+    h = HAMILTONIAN_BUILDERS[name](IonParams(Omega=0.5, eta=0.1), trunc)
+    h[0, n + 1] = h[n + 1, 0] = np.nan  # the coupling |e,0> <-> |g,1> and its mirror
+    calls = []
+    for kernel in ("eigh", "eigvalsh"):
+        def counting(a, *args, _kernel=getattr(np.linalg, kernel), **kwargs):
+            calls.append(np.shape(a))
+            return _kernel(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, kernel, counting)
+    for vectors in (True, False):
+        with pytest.raises(ValueError, match="^H is not Hermitian within tolerance$"):
+            block_eigh(h, vectors=vectors)
+    with pytest.raises(ValueError, match="^H is not Hermitian within tolerance$"):
+        propagate(h, fock_state("e", 0, trunc), np.linspace(0.0, 1.0, 2))
+    assert calls == []
+
+
 @pytest.mark.parametrize("state", ["fock", "coherent"])
-@pytest.mark.parametrize("builder", [h_jc, h_dispersive])
+@pytest.mark.parametrize("builder", [h_jc, h_dispersive, h_resonant, h_lamb_dicke, h_qrm])
 def test_propagate_allocates_less_than_one_and_a_half_dense_matrices(builder, state):
     trunc = TruncationSpec(256)
     h = builder(IonParams(Omega=0.35, eta=0.11), trunc)
@@ -492,20 +552,27 @@ def test_eigh_calls_follow_the_structure_of_each_model(monkeypatch):
 
 
 def test_propagate_evolves_only_the_blocks_the_state_touches(monkeypatch):
-    shapes = []
-    times_matrix = dynamics._times_matrix
+    coefficients, placed = [], []
+    times_matrix, place = dynamics._times_matrix, dynamics._place
 
-    def recording(a, b):
-        shapes.append(np.shape(a))
+    def recording_coefficients(a, b):
+        coefficients.append(np.shape(a))
         return times_matrix(a, b)
 
-    monkeypatch.setattr(dynamics, "_times_matrix", recording)
+    def recording_place(dest, out, idx, sector, small):
+        placed.append((np.shape(out), idx.tolist(), sector, small))
+        place(dest, out, idx, sector, small)
+
+    monkeypatch.setattr(dynamics, "_times_matrix", recording_coefficients)
+    monkeypatch.setattr(dynamics, "_place", recording_place)
     trunc = TruncationSpec(16)
     h = h_jc(IonParams(Omega=0.35, eta=0.11), trunc)
     # |e,3> lies in the single excitation block {|e,3>, |g,4>}; the 1x1 blocks
     # |g,0> and |e,15> and the other 14 pairs are left out
     propagate(h, fock_state("e", 3, trunc), np.linspace(0.0, 2.0, 5))
-    assert shapes == [(1, 1, 2), (1, 5, 2)]
+    assert coefficients == [(1, 1, 2)]
+    # the real and imaginary planes of the one block, time innermost
+    assert placed == [((1, 2, 5), [[3, 20]], None, True)] * 2
 
 
 @pytest.mark.parametrize("name", ["resonant", "lamb-dicke"])
@@ -541,13 +608,18 @@ def test_hermiticity_is_checked_on_the_whole_block_in_the_sector_path(monkeypatc
 
 
 def _broken_assembly(flaw: str):
-    """dynamics._from_sectors written out, with one flaw or none ("none")."""
-    def assemble(w, u):
-        n = w.shape[1]
-        s = 1.0 if flaw == "S dropped" else (-1.0) ** np.arange(n)[:, None]
-        plus, minus = (u[1], u[0]) if flaw == "+- swapped" else (u[0], u[1])
-        v = np.block([[plus, minus], [s * plus, -s * minus]]) / np.sqrt(2.0)
-        return w.reshape(1, 2 * n), v[None]
+    """The sector branch of dynamics._place written out, with one flaw or none ("none")."""
+    place = dynamics._place
+
+    def assemble(dest, out, idx, sector, small):
+        if sector is None:
+            return place(dest, out, idx, sector, small)
+        # the states start at zero: e = x + y, g = S (x - y) from sector 0 (x), then 1 (y)
+        n = dest.shape[1] // 2
+        dest[:, :n] += out[0]
+        dest[:, n:] += out[0] if (sector == 0) != (flaw == "+- swapped") else -out[0]
+        if sector == 1 and flaw != "S dropped":
+            dest[:, n + 1::2] *= -1.0
     return assemble
 
 
@@ -570,7 +642,7 @@ def test_oracle_catches_a_broken_sector_assembly(name, stage, flaw, monkeypatch,
     if stage == "sectors":
         monkeypatch.setattr(dynamics, "_parity_sectors", broken_sectors)
     else:
-        monkeypatch.setattr(dynamics, "_from_sectors", _broken_assembly(flaw))
+        monkeypatch.setattr(dynamics, "_place", _broken_assembly(flaw))
     trunc = TruncationSpec(16)
     h = HAMILTONIAN_BUILDERS[name](_builder_params(name), trunc)
     args = (h, _start("coherent", trunc), np.linspace(0.0, 5.0, 9), dense_states)

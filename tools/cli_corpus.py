@@ -3,21 +3,32 @@
 Usage::
 
     python tools/cli_corpus.py SRC_DIR
+    python tools/cli_corpus.py --compare OLD_SRC_DIR NEW_SRC_DIR
 
-imports ``ionqrm`` from SRC_DIR (the ``src`` directory of a checkout) and runs
-every entry of :data:`ENTRIES` through ``ionqrm.cli.main`` in this one
-process. Each entry prints one line, ``sha256 exit-code argv``, where the
-digest covers the entry's stdout, a NUL byte and its stderr. Running it on two
-checkouts and comparing the outputs with ``diff`` shows whether any command's
-bytes or exit code changed. A ``--config`` document is written to a temporary
-file; its argv shows the document's name in place of the file's path.
+The first form imports ``ionqrm`` from SRC_DIR (the ``src`` directory of a
+checkout) and runs every entry of :data:`ENTRIES` through ``ionqrm.cli.main``
+in this one process. Each entry prints one line, ``sha256 exit-code argv``,
+where the digest covers the entry's stdout, a NUL byte and its stderr. Running
+it on two checkouts and comparing the outputs with ``diff`` shows whether any
+command's bytes or exit code changed. A ``--config`` document is written to a
+temporary file; its argv shows the document's name in place of the file's path.
+
+The second form shows how far the outputs moved. It runs the corpus on each
+checkout in its own subprocess (``--dump SRC_DIR``, one JSON line per entry
+with its exit code, stdout and stderr) and prints, for every entry whose bytes
+or exit code differ, one line per CSV column, JSON key or ``key = value`` line
+that changed: how many of its numbers differ and their largest absolute and
+relative change, or how many of its other fields differ. It exits 1 when any
+entry differs, else 0.
 """
 from __future__ import annotations
 
 import contextlib
 import hashlib
 import io
+import json
 import math
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -73,14 +84,15 @@ ENTRIES: list[tuple[list[str], int]] = [
 ]
 
 
-def _run(main, argv: list[str]) -> tuple[int, bytes]:
+def _run(main, argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue().encode() + b"\0" + err.getvalue().encode()
+    return code, out.getvalue(), err.getvalue()
 
 
-def main(src_dir: str) -> int:
+def _outputs(src_dir: str):
+    """(argv, exit code, stdout, stderr) of every entry, with ionqrm imported from src_dir."""
     src = Path(src_dir).resolve()
     sys.path.insert(0, str(src))
     import ionqrm
@@ -95,12 +107,113 @@ def main(src_dir: str) -> int:
             # the argument after --config is a document's name: pass its file
             real = [str(Path(tmp, a)) if i and argv[i - 1] == "--config" else a
                     for i, a in enumerate(argv)]
-            code, data = _run(cli_main, real)
-            print(hashlib.sha256(data).hexdigest(), code, " ".join(argv))
+            yield (" ".join(argv), *_run(cli_main, real))
+
+
+def main(src_dir: str) -> int:
+    for argv, code, out, err in _outputs(src_dir):
+        data = out.encode() + b"\0" + err.encode()
+        print(hashlib.sha256(data).hexdigest(), code, argv)
     return 0
 
 
+def dump(src_dir: str) -> int:
+    for argv, code, out, err in _outputs(src_dir):
+        print(json.dumps({"argv": argv, "code": code, "stdout": out, "stderr": err}))
+    return 0
+
+
+def _flatten(value, path: str, out: dict[str, list[str]]) -> None:
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _flatten(item, f"{path}.{key}" if path else key, out)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _flatten(item, f"{path}[{i}]", out)
+    else:
+        out.setdefault(path, []).append(json.dumps(value))
+
+
+def fields(text: str) -> dict[str, list[str]]:
+    """The fields of one output, by column: JSON leaves by key path, CSV cells by header,
+    ``key = value`` lines by key, and any other line by its number."""
+    if text.lstrip().startswith("{"):
+        out: dict[str, list[str]] = {}
+        _flatten(json.loads(text), "", out)
+        return out
+    lines = text.splitlines()
+    if lines and "," in lines[0]:
+        header = lines[0].split(",")
+        out = {name: [] for name in header}
+        for row in lines[1:]:
+            for name, cell in zip(header, row.split(",")):
+                out[name].append(cell)
+        return out
+    out = {}
+    for i, line in enumerate(lines):
+        key, sep, value = line.partition(" = ")
+        out.setdefault(key if sep else f"line {i + 1}", []).append(value if sep else line)
+    return out
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def changes(old: str, new: str) -> list[str]:
+    """One line per column of old and new that differs: numbers by count, max abs and max
+    relative change; other fields by count."""
+    before, after = fields(old), fields(new)
+    lines = []
+    for column in list(before) + [c for c in after if c not in before]:
+        a, b = before.get(column, []), after.get(column, [])
+        if a == b:
+            continue
+        if len(a) != len(b):
+            lines.append(f"{column}: {len(a)} fields -> {len(b)}")
+            continue
+        moved = [(_number(x), _number(y)) for x, y in zip(a, b) if x != y]
+        numeric = [(x, y) for x, y in moved if x is not None and y is not None]
+        text = len(moved) - len(numeric)
+        if numeric:
+            dev = [abs(y - x) for x, y in numeric]
+            rel = [d / abs(x) if x else math.inf if d else 0.0 for d, (x, _) in zip(dev, numeric)]
+            lines.append(f"{column}: {len(numeric)} of {len(a)} numbers differ, "
+                         f"max abs {max(dev):.3g}, max rel {max(rel):.3g}")
+        if text:
+            lines.append(f"{column}: {text} of {len(a)} other fields differ")
+    return lines
+
+
+def _dumped(src_dir: str) -> list[dict]:
+    proc = subprocess.run([sys.executable, __file__, "--dump", src_dir], capture_output=True,
+                          text=True, check=True)
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def compare(old_src: str, new_src: str) -> int:
+    old, new = _dumped(old_src), _dumped(new_src)
+    differ = 0
+    for a, b in zip(old, new):
+        if a == b:
+            continue
+        differ += 1
+        print(f"{a['argv']}: exit {a['code']} -> {b['code']}")
+        for stream in ("stdout", "stderr"):
+            for line in changes(a[stream], b[stream]):
+                print(f"    {stream} {line}")
+    print(f"{differ} of {len(old)} entries differ")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        raise SystemExit(__doc__)
-    sys.exit(main(sys.argv[1]))
+    if len(sys.argv) == 2:
+        sys.exit(main(sys.argv[1]))
+    if len(sys.argv) == 3 and sys.argv[1] == "--dump":
+        sys.exit(dump(sys.argv[2]))
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
+    raise SystemExit(__doc__)
