@@ -460,6 +460,8 @@ def jc_rabi_experiment(
         raise ValueError("jc_rabi_experiment uses the phi_l = 0 branch")
     if p.eta <= 0 or p.Omega <= 0:
         raise ValueError("eta and Omega must be positive for an oscillation frequency")
+    if n0 < 0:
+        raise ValueError(f"n0={n0} is not a Fock level")
     if n0 >= trunc.n_max - trunc.guard:
         raise ValueError(f"n0={n0} reaches into the guard band")
 

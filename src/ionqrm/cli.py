@@ -1,35 +1,32 @@
-"""Command-line surface.
+"""ionqrm: the single-beam quantum Rabi model as matrices, dynamics and checks.
 
-Usage::
+Usage: ionqrm COMMAND [--config PATH] [--set KEY=VALUE]... [--out PATH] [--format FORMAT]
+       ionqrm -h | --help
 
-    ionqrm <command> [--config PATH] [--set key=value]... [--out PATH] [--format csv|json]
+COMMAND, the one bare word, is build, verify, evolve, scan, regime or all-checks.
+A flag takes its value after "=" (--out=run.csv) or as the next word, unless that
+starts with "-", and is spelled in full: --se is an error, not --set. --config reads
+a key-value document; --set, --out and --format each set one key (KEY, out, format)
+over the document's value. Each flag but --set, and each key, may be given once,
+and --set cannot set command. The whole configuration is validated before any
+computation. Output files are written atomically; without --out results go to stdout.
 
-Commands: build, verify, evolve, scan, regime, all-checks. The positional
-command and every ``--set`` pair override values from the config file (a
-``--set`` of ``command`` is an error: the positional command is the one that
-runs); the combined configuration is validated before any computation.
-Output files are written atomically (temp file then rename); without
-``--out`` results go to stdout. Exit status: 0 on success, 1 on any error
-(with a machine-parsable JSON record on stderr), 2 when ``all-checks``
-finds a failing report.
-
-Each handler imports the layers it needs (numpy, ``analysis``, ``dynamics``,
-``models``) when it runs, so ``regime`` and configuration errors cost only
-the standard library.
+Exit status: 0 on success and for --help; 1 on any error, with one JSON record on
+stderr and nothing on stdout; 2 when all-checks finds a failing report.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import tempfile
 
-from .config import COMMANDS, ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_config
 from .params import SCHEMA_VERSION, classify_regime, qrm_coupling
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECKS_FAILED = 2
+# handlers import numpy and the layers they need as they run: regime needs only the stdlib
 
 
 def _fmt(x: float) -> str:
@@ -150,25 +147,19 @@ def _cmd_scan(config: RunConfig) -> int:
         ]
     else:
         report = analysis.truncation_convergence(s.builder, p, s.n_list, s.k_lowest)
-        rows = ["n_max,max_shift_from_prev"]
-        rows.append(f"{s.n_list[0]},")
+        rows = ["n_max,max_shift_from_prev", f"{s.n_list[0]},"]
         for a, b in zip(s.n_list[:-1], s.n_list[1:]):
             rows.append(f"{b},{_fmt(report.metrics[f'shift_{a}_to_{b}'])}")
-    if config.format == "json":
-        _write_text(config.out, _json_text(report.to_dict()))
-    else:
-        _write_text(config.out, "\n".join(rows) + "\n")
+    text = _json_text(report.to_dict()) if config.format == "json" else "\n".join(rows) + "\n"
+    _write_text(config.out, text)
     return EXIT_OK
 
 
 def _cmd_regime(config: RunConfig) -> int:
     p = config.params
     label = classify_regime(p, config.regime)
-    out = [
-        label.value,
-        f"g_ratio = {_fmt(qrm_coupling(p) / p.nu)}",
-        f"omega_ratio = {_fmt(p.Omega / p.nu)}",
-    ]
+    out = [label.value, f"g_ratio = {_fmt(qrm_coupling(p) / p.nu)}",
+           f"omega_ratio = {_fmt(p.Omega / p.nu)}"]
     _write_text(config.out, "\n".join(out) + "\n")
     return EXIT_OK
 
@@ -210,42 +201,49 @@ def _error_record(exc: Exception) -> str:
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ionqrm",
-        description="Engineered quantum Rabi model: builders, dynamics and checks",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", help="path to a key-value configuration document")
-    parser.add_argument(
-        "--set",
-        dest="sets",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config key (repeatable; applied after the file)",
-    )
-    parser.add_argument("--out", help="output path (stdout when omitted)")
-    parser.add_argument("--format", choices=["csv", "json"], help="output format")
-    args = parser.parse_args(argv)
-
-    try:
-        text = ""
-        if args.config is not None:
-            with open(args.config, "r") as fh:
-                text = fh.read()
-        overrides: list[tuple[str, str]] = [("command", args.command)]
-        for item in args.sets:
-            if "=" not in item:
-                raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-            key, _, value = item.partition("=")
+def _read_argv(argv: list[str]) -> tuple[str | None, list[tuple[str, str]]]:
+    """The --config path and the (key, value) overrides that ``argv`` sets."""
+    path, commands, overrides, words = None, [], [], iter(argv)
+    for word in words:
+        if not word.startswith("-"):
+            commands.append(word)
+            continue
+        flag, eq, value = word.partition("=")
+        if flag not in ("--config", "--set", "--out", "--format"):
+            raise ConfigError(f"unknown flag {flag!r}")
+        if not eq:
+            value = next(words, None)
+            if value is None or value.startswith("-"):
+                raise ConfigError(f"{flag} expects a value")
+        if flag == "--config":
+            if path is not None:
+                raise ConfigError("--config may be given once")
+            path = value
+        elif flag == "--set":
+            key, eq, value = value.partition("=")
+            if not eq:
+                raise ConfigError(f"--set expects KEY=VALUE, got {key!r}")
             if key.strip() == "command":
                 raise ConfigError("the command is the positional argument; --set cannot change it")
             overrides.append((key, value))
-        if args.out is not None:
-            overrides.append(("out", args.out))
-        if args.format is not None:
-            overrides.append(("format", args.format))
+        else:
+            overrides.append((flag[2:], value))
+    if len(commands) != 1:
+        raise ConfigError(f"expected one command, the one bare word; got {commands}")
+    return path, [("command", commands[0]), *overrides]
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__)
+        return EXIT_OK
+    try:
+        path, overrides = _read_argv(argv)
+        text = ""
+        if path is not None:
+            with open(path, "r") as fh:
+                text = fh.read()
         config = parse_config(text, tuple(overrides))
         return _DISPATCH[config.command](config)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -325,11 +325,15 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
 
     ``overrides`` are (key, value-text) pairs applied after the document
     (command-line flags override file values); they go through the same
-    grammar and validation.
+    grammar and validation. A key may appear once among them, as in a document.
     """
-    raw = _scan_document(text)
+    raw, given = _scan_document(text), {}
     for key, value in overrides:
-        raw[key.strip()] = (value.strip(), None)
+        key = key.strip()
+        if key in given:
+            raise ConfigError(f"duplicate key {key!r}")
+        given[key] = (value.strip(), None)
+    raw.update(given)
 
     values: dict[str, object] = {}
     lines: dict[str, int | None] = {}
@@ -490,6 +494,8 @@ def _verify_preconditions(c: RunConfig) -> None:
             raise ConfigError("constraint violation: jc-rabi requires nu = 2*Omega")
         if p.eta <= 0 or p.Omega <= 0:
             raise ConfigError("constraint violation: jc-rabi requires eta > 0 and Omega > 0")
+        if c.verify.fock < 0:
+            raise ConfigError("constraint violation: verify.fock >= 0")
         if c.verify.fock >= c.trunc.n_max - c.trunc.guard:
             raise ConfigError("constraint violation: verify.fock < n_max - guard")
 

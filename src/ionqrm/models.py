@@ -23,7 +23,6 @@ import math
 import numpy as np
 
 from .algebra import (
-    annihilation,
     displacement,
     displacement_gauged,
     gauge_parts,
@@ -62,16 +61,17 @@ def _spin_blocks(d_e: np.ndarray, d_g: np.ndarray, b: np.ndarray | None = None) 
     h = np.zeros((2 * n, 2 * n), dtype=float if real else complex)
     if b is not None:
         h[:n, n:] = b
-        h[n:, :n] = b.conj().T
+        np.conjugate(b.T, out=h[n:, :n])
     np.fill_diagonal(h, np.concatenate([d_e, d_g]))
     # a product leaves -0.0 where an entry vanishes, and build prints every entry
     h += 0.0
     return h
 
 
-def _band(diagonal: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """The n x n complex matrix with the given diagonal and first off-diagonals."""
-    n = len(diagonal)
+def _band(n: int, diagonal, upper, lower) -> np.ndarray:
+    """The n x n complex matrix with the given diagonal and first off-diagonals, each a
+    scalar or a vector: every banded coupling, entry for entry as the dense sum of ladder
+    operators gives it, without that sum's n x n temporaries."""
     b = np.zeros((n, n), dtype=complex)
     b.flat[::n + 1] = diagonal
     b.flat[1::n + 1] = upper
@@ -123,11 +123,9 @@ def h_lamb_dicke(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     """
     level = _levels(p, trunc)
     phase = np.exp(1j * p.phi_l)
-    # the band of Omega e^(i phi_l) 1 + i eta Omega e^(i phi_l) (a + a^dag), each entry
-    # by the arithmetic of the dense sum, without its dense temporaries
+    # the band of Omega e^(i phi_l) 1 + i eta Omega e^(i phi_l) (a + a^dag)
     off = 1j * p.eta * p.Omega * (phase * _ladder_roots(trunc))
-    coupling = _band(p.Omega * phase * np.ones(trunc.n_max, dtype=complex), off, off)
-    return _spin_blocks(level, level, coupling)
+    return _spin_blocks(level, level, _band(trunc.n_max, p.Omega * phase, off, off))
 
 
 def y_rotation(convention: str = "standard") -> np.ndarray:
@@ -162,10 +160,15 @@ def h_rabi_rotated(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     """
     if not phase_is_zero_or_pi(p.phi_l):
         raise ValueError(f"unsupported phase phi_l={p.phi_l!r}; expected 0 or pi")
+    return _rabi_form(p, trunc, -1.0)
+
+
+def _rabi_form(p: IonParams, trunc: TruncationSpec, sign: float) -> np.ndarray:
+    """nu*n + sign*[Omega*sigma_z + i*eta*Omega*(a^dag + a)*(sigma_+ - sigma_-)]."""
     level = _levels(p, trunc)
-    a = annihilation(trunc)
-    coupling = -1j * p.eta * p.Omega * (a + a.conj().T)
-    return _spin_blocks(level - p.Omega, level + p.Omega, coupling)
+    off = sign * 1j * p.eta * p.Omega * _ladder_roots(trunc)
+    coupling = _band(trunc.n_max, 0.0, off, off)
+    return _spin_blocks(level + sign * p.Omega, level - sign * p.Omega, coupling)
 
 
 def h_jc(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
@@ -175,7 +178,8 @@ def h_jc(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     n + (sigma_z + 1)/2.
     """
     zero = np.zeros(trunc.n_max)
-    return _spin_blocks(zero, zero, 1j * p.eta * p.Omega * annihilation(trunc))
+    off = 1j * p.eta * p.Omega * _ladder_roots(trunc)
+    return _spin_blocks(zero, zero, _band(trunc.n_max, 0.0, off, 0.0))
 
 
 def h_ajc(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
@@ -184,7 +188,8 @@ def h_ajc(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     Couples |g,n> with |e,n+1>; conserves n - (sigma_z + 1)/2.
     """
     zero = np.zeros(trunc.n_max)
-    return _spin_blocks(zero, zero, 1j * p.eta * p.Omega * annihilation(trunc).conj().T)
+    off = 1j * p.eta * p.Omega * _ladder_roots(trunc)
+    return _spin_blocks(zero, zero, _band(trunc.n_max, 0.0, 0.0, off))
 
 
 def qrm_transform(eta: float, trunc: TruncationSpec) -> np.ndarray:
@@ -254,9 +259,9 @@ def h_qrm(
     """
     constant = transform_offset(p) if include_constant else 0.0
     level = _levels(p, trunc)
-    # the band of (i g)(a - a^dag), entry for entry as the dense difference gives it
+    # the band of (i g)(a - a^dag)
     root, scale = _ladder_roots(trunc), 1j * qrm_coupling(p)
-    coupling = _band(scale * np.zeros(trunc.n_max, dtype=complex), scale * root, scale * -root)
+    coupling = _band(trunc.n_max, 0.0, scale * root, scale * -root)
     d_e, d_g = level + p.Omega + constant, level - p.Omega + constant
     if not gauged:
         return _spin_blocks(d_e, d_g, coupling)
@@ -275,8 +280,8 @@ def h_qrm_detuned(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     Reduces to ``h_qrm(include_constant=True)`` at delta = 0.
     """
     level = _levels(p, trunc) + transform_offset(p)
-    a = annihilation(trunc)
-    coupling = (1j * qrm_coupling(p)) * (a - a.conj().T) + (p.delta / 2.0) * osc_identity(trunc)
+    root, scale = _ladder_roots(trunc), 1j * qrm_coupling(p)
+    coupling = _band(trunc.n_max, p.delta / 2.0, scale * root, scale * -root)
     return _spin_blocks(level + p.Omega, level - p.Omega, coupling)
 
 
@@ -336,13 +341,8 @@ def rotation_diagnostic(p: IonParams, trunc: TruncationSpec) -> dict[str, float]
     convention makes the derivation chain consistent instead of baking a
     guess into the builders.
     """
-    level = _levels(p, trunc)
-    a = annihilation(trunc)
     eye = osc_identity(trunc)
-    minus_form = h_rabi_rotated(IonParams(Omega=p.Omega, eta=p.eta, nu=p.nu), trunc)
-    plus_form = _spin_blocks(
-        level + p.Omega, level - p.Omega, 1j * p.eta * p.Omega * (a + a.conj().T)
-    )
+    minus_form, plus_form = _rabi_form(p, trunc, -1.0), _rabi_form(p, trunc, 1.0)
     metrics: dict[str, float] = {}
     for convention in ("standard", "alt"):
         rot = y_rotation(convention)

@@ -502,3 +502,61 @@ def test_report_serialization_round_trip_types():
     assert payload["passed"] is True
     assert payload["params"]["Omega"] == 0.7
     assert payload["trunc"]["guard"] == 16
+
+
+def test_jc_rabi_experiment_rejects_a_negative_fock_level_before_computing(monkeypatch):
+    import ionqrm.analysis as analysis
+
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("propagate ran for a negative Fock level")
+
+    monkeypatch.setattr(analysis, "propagate", no_propagation)
+    for n0 in (-1, -3):  # once a ZeroDivisionError, once a math domain error
+        with pytest.raises(ValueError, match=f"n0={n0} is not a Fock level"):
+            jc_rabi_experiment(IonParams(Omega=0.5, eta=0.02), n0=n0)
+
+
+def _jc_scaled(monkeypatch):
+    import ionqrm.analysis as analysis
+
+    good = analysis.h_jc
+    monkeypatch.setattr(analysis, "h_jc", lambda p, trunc: 1.01 * good(p, trunc))
+
+
+def _ajc_replaced_by_jc(monkeypatch):
+    import ionqrm.analysis as analysis
+
+    monkeypatch.setattr(analysis, "h_ajc", h_jc)
+
+
+def _times_warped(monkeypatch):
+    import ionqrm.dynamics as dynamics
+
+    good = dynamics._evolve
+    monkeypatch.setattr(dynamics, "_evolve",
+                        lambda eig, phi, times: good(eig, phi, times**2 / times.max()))
+
+
+def _qrm_omega_grows_with_the_cutoff(monkeypatch):
+    from ionqrm.models import HAMILTONIAN_BUILDERS
+
+    good = HAMILTONIAN_BUILDERS["qrm"]
+    monkeypatch.setitem(HAMILTONIAN_BUILDERS, "qrm", lambda p, trunc: good(
+        p.replace(Omega=p.Omega * trunc.n_max / 64), trunc))
+
+
+# report -> one deliberate defect in the code it names. Evolving with exp(+iHt)
+# instead is not here: every report still passes under it.
+_REPORT_DEFECTS = {
+    "jc-rabi": _jc_scaled,
+    "ajc-dynamics": _ajc_replaced_by_jc,
+    "propagator-conservation": _times_warped,
+    "truncation-convergence-qrm": _qrm_omega_grows_with_the_cutoff,
+}
+
+
+@pytest.mark.parametrize("report", sorted(_REPORT_DEFECTS))
+def test_each_report_fails_on_a_defect_in_what_it_checks(report, monkeypatch):
+    _REPORT_DEFECTS[report](monkeypatch)
+    reports = {r.name: r for r in run_all_checks()}
+    assert not reports[report].passed, reports[report].metrics

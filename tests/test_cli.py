@@ -8,8 +8,9 @@ import pytest
 
 from ionqrm import (HAMILTONIAN_BUILDERS, IonParams, TruncationSpec, coherent_state,
                     fock_state)
+from ionqrm import cli
 from ionqrm.cli import _DISPATCH, EXIT_CHECKS_FAILED, EXIT_ERROR, EXIT_OK, main
-from ionqrm.config import (BUILDER_NAMES, KEYS, RUN_SKIPS, SCAN_KINDS, VERIFY_CHECKS,
+from ionqrm.config import (BUILDER_NAMES, COMMANDS, KEYS, RUN_SKIPS, SCAN_KINDS, VERIFY_CHECKS,
                            parse_config)
 
 
@@ -401,6 +402,79 @@ def test_set_command_is_one_config_error(positional, other, tmp_path, capsys):
     assert code == EXIT_OK and out.startswith("JC-resonant")
 
 
+_RES = ["--set", "Omega=0.5", "--set", "eta=0.02"]
+_ONE_COMMAND = "expected one command, the one bare word; got "
+
+# (argv, message): a command line that is one ConfigError record; a file name after
+# --config or --out is relative to an empty directory
+_BAD_COMMAND_LINES = [
+    (["bogus", *_RES], "command must be one of build, verify, evolve, scan, regime, all-checks; "
+                       "got 'bogus'"),
+    (_RES, _ONE_COMMAND + "[]"),
+    (["regime", "build", *_RES], _ONE_COMMAND + "['regime', 'build']"),
+    (["regime", *_RES, "--sett", "Omega=0.0005"], "unknown flag '--sett'"),
+    (["regime", *_RES, "--se", "Omega=0.0005"], "unknown flag '--se'"),
+    (["regime", *_RES, "--set-", "Omega=0.0005"], "unknown flag '--set-'"),
+    (["regime", *_RES, "-s", "Omega=0.0005"], "unknown flag '-s'"),
+    (["regime", *_RES, "--"], "unknown flag '--'"),
+    (["regime", *_RES, "--set"], "--set expects a value"),
+    (["regime", *_RES, "--out"], "--out expects a value"),
+    (["regime", "--config", *_RES], "--config expects a value"),
+    (["regime", "--out", "--set", "Omega=0.5", "--set", "eta=0.02"], "--out expects a value"),
+    (["regime", *_RES, "--set", "Omega"], "--set expects KEY=VALUE, got 'Omega'"),
+    (["regime", *_RES, "--set=Omega"], "--set expects KEY=VALUE, got 'Omega'"),
+    (["regime", *_RES, "--set", "command=build"],
+     "the command is the positional argument; --set cannot change it"),
+    (["regime", *_RES, "--config", "a.cfg", "--config", "b.cfg"], "--config may be given once"),
+    (["regime", *_RES, "--config=a.cfg", "--config", "a.cfg"], "--config may be given once"),
+    (["regime", *_RES, "--set", "Omega=0.0005"], "duplicate key 'Omega'"),
+    (["regime", *_RES, "--set", " eta =0.3"], "duplicate key 'eta'"),
+    (["regime", *_RES, "--out", "a.txt", "--out", "b.txt"], "duplicate key 'out'"),
+    (["regime", *_RES, "--set", "out=a.txt", "--out", "b.txt"], "duplicate key 'out'"),
+    (["scan", *_RES, "--format", "csv", "--format=json"], "duplicate key 'format'"),
+    (["scan", *_RES, "--set", "format=json", "--format", "csv"], "duplicate key 'format'"),
+    (["all-checks", *_RES, "--format", "xml"], "format must be one of csv, json; got 'xml'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _BAD_COMMAND_LINES,
+                         ids=[" ".join(argv) for argv, _ in _BAD_COMMAND_LINES])
+def test_a_bad_command_line_is_one_config_error_record(argv, message, tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "ConfigError", "message": message, "schema_version": 1}]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["regime", *_RES, "--help"], ["bogus", "-h"]])
+def test_help_prints_the_cli_docstring_and_exits_zero(argv, capsys):
+    assert run_cli(argv, capsys) == (EXIT_OK, cli.__doc__, "")
+    # the help text names every command and flag, and the exit codes
+    for word in (*COMMANDS, "--config", "--set", "--out", "--format", "--se", "Exit status"):
+        assert word in cli.__doc__, word
+
+
+def test_a_flag_takes_its_value_as_the_next_word_or_after_equals(tmp_path, capsys):
+    two_words = ["regime", *_RES, "--out", str(tmp_path / "a.txt")]
+    one_word = ["--set=Omega=0.5", "--set=eta=0.02", f"--out={tmp_path / 'b.txt'}", "regime"]
+    assert run_cli(two_words, capsys) == run_cli(one_word, capsys) == (EXIT_OK, "", "")
+    assert (tmp_path / "a.txt").read_text() == (tmp_path / "b.txt").read_text()
+    assert (tmp_path / "a.txt").read_text().startswith("JC-resonant\n")
+
+
+def test_a_command_line_value_overrides_the_document(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("Omega = 0.0005\neta = 0.02\nout = ignored.txt\n")
+    code, out, _ = run_cli(["regime", "--config", str(config), "--set", "Omega=0.5",
+                            "--out", str(tmp_path / "regime.txt")], capsys)
+    assert (code, out) == (EXIT_OK, "")
+    assert (tmp_path / "regime.txt").read_text().startswith("JC-resonant\n")
+    assert not (tmp_path / "ignored.txt").exists()
+
+
 @pytest.mark.parametrize("state", ["fock", "coherent"])
 @pytest.mark.parametrize("builder", list(HAMILTONIAN_BUILDERS))
 def test_evolve_csv_matches_dense_oracle(builder, state, tmp_path, capsys, dense_states):
@@ -548,9 +622,10 @@ def test_module_entry_point_smoke(src_env):
     assert proc.stdout.splitlines()[0] == "deep-strong"
 
 
-# Runs CLI commands in one fresh interpreter and prints, as JSON, the exit code
-# and the scipy and numpy modules loaded after the import and after each
-# command (by its label).
+# Runs CLI commands in one fresh interpreter and prints, as JSON, the exit code,
+# the scipy and numpy modules and the argument-parsing modules (argparse and the
+# gettext and locale it loads) loaded after the import and after each command
+# (by its label).
 _COLD_CHILD = """
 import contextlib, io, json, sys
 import ionqrm
@@ -560,6 +635,7 @@ def loaded(code=None):
     for family in ("scipy", "numpy"):
         seen[family] = sorted(k for k in sys.modules
                               if k == family or k.startswith(family + "."))
+    seen["argparse"] = [m for m in ("argparse", "gettext", "locale") if m in sys.modules]
     return seen
 
 seen = {"import ionqrm": loaded()}
@@ -667,34 +743,51 @@ def test_import_and_regime_never_load_numpy(src_env, tmp_path):
         ("regime", base),
         ("regime --out", [*base, "--out", str(tmp_path / "regime.txt")]),
         ("regime error record", ["regime", "--set", "Omega=-1", "--set", "eta=0.02"]),
+        ("rejected command line", [*base, "--sett", "eta=0.3"]),
     ]
     seen = _run_cold(commands, src_env)
     assert {label: run["exit"] for label, run in seen.items()} == {
         "import ionqrm": None, "regime": EXIT_OK, "regime --out": EXIT_OK,
-        "regime error record": EXIT_ERROR}
+        "regime error record": EXIT_ERROR, "rejected command line": EXIT_ERROR}
     assert (tmp_path / "regime.txt").read_text().startswith("JC-resonant\n")
     assert {label: run["numpy"] for label, run in seen.items() if run["numpy"]} == {}
+    assert {label: run["argparse"] for label, run in seen.items() if run["argparse"]} == {}
 
 
-def test_module_entry_point_regime_never_loads_numpy(src_env):
-    # what `python -m ionqrm regime ...` runs, with sys.modules visible afterwards;
-    # the records need no dataclasses (nor its inspect), and json only writes errors
+def _module_entry(argv, src_env):
+    """What `python -m ionqrm ARGV` runs, with sys.modules visible afterwards: the exit
+    code and the loaded modules of interest, then the first line it wrote."""
     child = (
         "import contextlib, io, runpy, sys\n"
-        "sys.argv = ['ionqrm', 'regime', '--set', 'Omega=1.0', '--set', 'eta=2.5']\n"
+        f"sys.argv = ['ionqrm', *{argv!r}]\n"
         "out = io.StringIO()\n"
         "try:\n"
-        "    with contextlib.redirect_stdout(out):\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
         "        runpy.run_module('ionqrm', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "loaded = [m for m in ('numpy', 'dataclasses', 'inspect', 'json') if m in sys.modules]\n"
-        "print(code, out.getvalue().splitlines()[0], *loaded)\n"
+        "loaded = [m for m in ('numpy', 'dataclasses', 'inspect', 'json', 'argparse',\n"
+        "                      'gettext', 'locale') if m in sys.modules]\n"
+        "print(code, *loaded)\n"
+        "print(out.getvalue().splitlines()[0])\n"
     )
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                           env=src_env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(EXIT_OK), "deep-strong"]
+    return proc.stdout.splitlines()
+
+
+def test_module_entry_point_regime_never_loads_numpy(src_env):
+    # the records need no dataclasses (nor its inspect), json only writes errors, and
+    # the command line needs no argparse (nor the gettext and locale it loads)
+    argv = ["regime", "--set", "Omega=1.0", "--set", "eta=2.5"]
+    assert _module_entry(argv, src_env) == [str(EXIT_OK), "deep-strong"]
+
+
+def test_module_entry_point_rejects_a_command_line_without_argparse(src_env):
+    argv = ["regime", "--set", "Omega=1.0", "--sett", "eta=2.5"]
+    record = '{"error": "ConfigError", "message": "unknown flag \'--sett\'", "schema_version": 1}'
+    assert _module_entry(argv, src_env) == [f"{EXIT_ERROR} json", record]
 
 
 def test_scipy_users_resolve_their_lazy_imports(src_env):
@@ -737,7 +830,7 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code():
     proc = subprocess.run([sys.executable, str(tool), SRC], capture_output=True, text=True,
                           check=True)
     lines = [line.split(" ", 2) for line in proc.stdout.splitlines()]
-    assert len(lines) == len(corpus.ENTRIES) == 65
+    assert len(lines) == len(corpus.ENTRIES) == 77
     for (digest, code, argv), (entry, expected) in zip(lines, corpus.ENTRIES):
         assert argv == " ".join(entry) and len(digest) == 64
         assert int(code) == expected, argv

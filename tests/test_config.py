@@ -78,6 +78,25 @@ def test_overrides_replace_file_values():
     assert cfg.params.eta == 0.4 and cfg.seed == 7
 
 
+def test_an_override_key_given_twice_is_a_duplicate_key():
+    text = "command = all-checks\nOmega = 0.7\neta = 0.3\n"
+    for overrides in ((("eta", "0.4"), ("eta", "0.5")), (("seed", "7"), (" seed ", "7"))):
+        with pytest.raises(ConfigError, match="^duplicate key '(eta|seed)'$"):
+            parse_config(text, overrides)
+    # once each, an override still replaces the document's value
+    assert parse_config(text, (("eta", "0.4"), ("Omega", "0.5"))).params.eta == 0.4
+
+
+@pytest.mark.parametrize("fock", ["-1", "-3"])
+def test_verify_fock_must_be_a_fock_level(fock):
+    text = "command = verify\nOmega = 0.5\neta = 0.02\nverify.check = jc-rabi\n"
+    with pytest.raises(ConfigError, match="^constraint violation: verify.fock >= 0$"):
+        parse_config(text, (("verify.fock", fock),))
+    # the upper bound is the rule after it
+    with pytest.raises(ConfigError, match="verify.fock < n_max - guard"):
+        parse_config(text, (("verify.fock", "48"),))
+
+
 def test_evolve_rejects_json_format():
     with pytest.raises(ConfigError, match="evolve emits csv"):
         parse_config("command = evolve\nOmega = 0.5\neta = 0.1\nformat = json\n")

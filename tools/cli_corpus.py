@@ -11,7 +11,9 @@ in this one process. Each entry prints one line, ``sha256 exit-code argv``,
 where the digest covers the entry's stdout, a NUL byte and its stderr. Running
 it on two checkouts and comparing the outputs with ``diff`` shows whether any
 command's bytes or exit code changed. A ``--config`` document is written to a
-temporary file; its argv shows the document's name in place of the file's path.
+temporary file, and an ``--out`` file goes to the same temporary directory; an
+entry's argv shows the name in place of the file's path. An entry that raises
+SystemExit (as a command-line parser may) is recorded with its exit code.
 
 The second form shows how far the outputs moved. It runs the corpus on each
 checkout in its own subprocess (``--dump SRC_DIR``, one JSON line per entry
@@ -51,7 +53,8 @@ DOCUMENTS = {
                       "Omega = 0.5\neta = 0.1\nphi_l = 0.3\nbuild.hamiltonian = rabi-rotated\n"),
 }
 
-#: (argv, expected exit code); ``--config NAME`` names an entry of :data:`DOCUMENTS`.
+#: (argv, expected exit code); ``--config NAME`` names an entry of :data:`DOCUMENTS` and
+#: ``--out NAME`` a file in the temporary directory.
 ENTRIES: list[tuple[list[str], int]] = [
     *[(["all-checks", *_REF, "--set", f"seed={seed}"], 0) for seed in (7, 2024, 99)],
     (["all-checks", *_REF, "--set", "trunc.n_max=48", "--set", "trunc.guard=12"], 0),
@@ -81,13 +84,29 @@ ENTRIES: list[tuple[list[str], int]] = [
                            ("jc-rabi", _RES), ("speed", _REF),
                            ("rotation", ["--set", "Omega=0.7", "--set", "eta=0.2"]))],
     *[([command, "--config", name], 1) for name, (command, _) in DOCUMENTS.items()],
+    # rejected command lines: each is one ConfigError record
+    (["bogus", *_RES], 1),
+    (["regime", *_RES, "--sett", "Omega=0.0005"], 1),
+    (["regime", *_RES, "--set"], 1),
+    (["regime", *_RES, "--set", "Omega=0.0005"], 1),
+    (["regime", *_RES, "--set", "out=regime-a.txt", "--out", "regime-b.txt"], 1),
+    (["build", "--config", "unknown-key", "--config", "duplicate-key"], 1),
+    # the banded builders at the other special phase, a negative detuning and one Fock level
+    (["build", *_REF, *_PI, *_T8, "--set", "build.hamiltonian=rabi-rotated"], 0),
+    (["build", *_REF, "--set", "delta=-0.3", *_T8, "--set", "build.hamiltonian=qrm-detuned"], 0),
+    *[(["build", *_REF, "--set", "trunc.n_max=1", "--set", "trunc.guard=0",
+        "--set", f"build.hamiltonian={name}"], 0)
+      for name in ("jc", "ajc", "rabi-rotated", "qrm-detuned")],
 ]
 
 
 def _run(main, argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -104,8 +123,8 @@ def _outputs(src_dir: str):
         for name, (_, text) in DOCUMENTS.items():
             Path(tmp, name).write_text(text)
         for argv, _ in ENTRIES:
-            # the argument after --config is a document's name: pass its file
-            real = [str(Path(tmp, a)) if i and argv[i - 1] == "--config" else a
+            # the argument after --config or --out is a name: pass its file
+            real = [str(Path(tmp, a)) if i and argv[i - 1] in ("--config", "--out") else a
                     for i, a in enumerate(argv)]
             yield (" ".join(argv), *_run(cli_main, real))
 
