@@ -36,7 +36,7 @@ The Fock-parity gauge P = diag(i^n) is defined once, here: :func:`fock_phases`
 is its diagonal, :func:`gauge_is_real` tests from the exact nonzero pattern of
 M whether P M P^dagger is real, and :func:`gauge_parts` is the sign map from
 the real and imaginary parts of M to that real array. ``dynamics.block_eigh``
-applies both to a built complex H; :func:`displacement_gauged` maps D(i*r)'s
+applies both to the blocks of a complex H; :func:`displacement_gauged` maps D(i*r)'s
 cos and sin parts, so the transform identity in ``models`` never forms a
 complex displacement.
 
@@ -338,16 +338,20 @@ def fock_phases(dim: int, n_osc: int) -> np.ndarray:
     return np.array([1.0, 1.0j, -1.0, -1.0j])[np.arange(dim) % n_osc % 4]
 
 
-def gauge_parts(re: np.ndarray, im: np.ndarray, n_osc: int) -> np.ndarray:
+def gauge_parts(re: np.ndarray, im: np.ndarray, n_osc: int, index=None) -> np.ndarray:
     """P (re + i*im) P^dagger as a real array, for parts that make it exactly real.
 
-    It does not test exactness; :func:`gauge_is_real` does, before this is called.
+    re and im are a square matrix's parts, or with ``index`` those of a composite
+    matrix M (dimension 2*n_osc) at ``M[index]``, for an index pair of integer
+    arrays (rows, columns) that broadcast against them: each entry takes the
+    phases of its own row and column. It does not test exactness;
+    :func:`gauge_is_real` does, before this is called.
     """
     # i^(m-n) h_kl = t_k t_l (re h_kl + s_k im h_kl) with s_k = (-1)^m and, from
     # p_k = i^m, t_k = Re p_k + Im p_k = (-1)^(m//2) and t_k s_k = Re p_k - Im p_k
-    p = fock_phases(re.shape[0], n_osc)
-    t = p.real + p.imag
-    real = im * (p.real - p.imag)[:, None]
-    real += re * t[:, None]
-    real *= t
+    p = fock_phases(re.shape[0] if index is None else 2 * n_osc, n_osc)
+    rows, cols = (p[:, None], p) if index is None else (p[index[0]], p[index[1]])
+    real = im * (rows.real - rows.imag)
+    real += re * (rows.real + rows.imag)
+    real *= cols.real + cols.imag
     return real

@@ -108,16 +108,14 @@ def _cmd_evolve(config: RunConfig) -> int:
     from .models import HAMILTONIAN_BUILDERS
 
     e = config.evolve
-    h = HAMILTONIAN_BUILDERS[e.hamiltonian](config.params, config.trunc)
-    if e.state == "fock":
-        psi0 = fock_state(e.spin, e.fock, config.trunc)
-    else:
-        psi0 = coherent_state(e.spin, e.alpha, config.trunc)
     if e.times is not None:
         times = np.asarray(e.times, dtype=float)
     else:
         times = np.linspace(0.0, e.t_max, e.samples)
-    result = propagate(h, psi0, times)
+    # H is an argument bound to no name here, so propagate frees it before the first eigh
+    result = propagate(HAMILTONIAN_BUILDERS[e.hamiltonian](config.params, config.trunc),
+                       fock_state(e.spin, e.fock, config.trunc) if e.state == "fock"
+                       else coherent_state(e.spin, e.alpha, config.trunc), times)
     lines = ["time,P_e,mean_n,fidelity,norm_residual"]
     for i, t in enumerate(result.times):
         fid = "" if result.fidelity is None else _fmt(result.fidelity[i])

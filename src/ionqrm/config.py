@@ -346,12 +346,13 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
             raise ConfigError(f"{key}: {exc}", lineno)
         lines[key] = lineno
 
-    for key in _REQUIRED:
+    for key in _REQUIRED:  # "command" first: an unknown command is named before a missing key
         if key not in values:
             raise ConfigError(f"missing required key {key!r}")
+        if key == "command":
+            _check_value(key, values[key], lines[key])
 
     command = values["command"]
-    _check_value("command", command, lines["command"])
     for key in values:
         scope = _scope(key)
         if scope is not None and scope != command:

@@ -11,16 +11,19 @@ counts as zero only when it is exactly zero, so the result is the dense
 decomposition up to rounding.
 
 * Gauge. When P H P^dagger, P = diag(i^n) on both spin blocks, is exactly
-  real (:func:`~ionqrm.algebra.gauge_is_real`; every builder at phi_l = 0), that
-  real array is read in place of H: its blocks are real symmetric, and the
-  eigenvectors map back with P^dagger.
-* Blocks. The array read splits into the connected components of its exact
+  real (:func:`~ionqrm.algebra.gauge_is_real`; every builder at phi_l = 0),
+  the blocks or sectors that ``eigh`` reads are gauged, each entry with the
+  phases of its own row and column (never the whole of H): they are real
+  symmetric, and the eigenvectors map back with P^dagger.
+* Blocks. H splits into the connected components of its exact
   nonzero pattern: the two parity blocks of the QRM (Braak, PRL 107, 100401
   (2011)), the 2x2 excitation blocks of JC and AJC, the 1x1 blocks of the
   diagonal dispersive model. Same-size blocks share one stacked
-  ``np.linalg.eigh`` call; 1x1 blocks need none.
-* Parity sectors. When the pattern gives one block spanning H and the array
-  read commutes exactly with Pi = sigma_x (x) S, S = diag((-1)^n), that is
+  ``np.linalg.eigh`` call; 1x1 blocks need none. A block of two arithmetic
+  progressions of indices (each QRM parity block) is read from strided views
+  of H, and its states are written by slices.
+* Parity sectors. When the pattern gives one block spanning H and H
+  commutes exactly with Pi = sigma_x (x) S, S = diag((-1)^n), that is
   H_ee = S H_gg S and H_eg = S H_ge S, its two Pi sectors
   H_+- = H_ee +- H_eg S go to one stacked ``eigh`` of shape (2, n, n), and
   the group keeps them as sectors: an eigenvector u of H_+- is
@@ -44,6 +47,10 @@ exactly zero, so this is the residual of the whole matrix; for the parity
 sectors it is summed over H_+ and H_-, whose basis change is orthogonal.
 Hermiticity is checked on the whole spanning block, not on the sectors.
 
+H is read in a first phase and diagonalized in a second; :func:`propagate`
+drops H in between, so an H that its caller does not keep (``ionqrm evolve``)
+is freed before the first ``eigh``, unless ``eigh`` reads a complex H itself.
+
 :func:`propagate` evolves only the blocks on which the initial state is not
 identically zero; the others stay exactly zero. A Fock start on JC or AJC
 touches one 2x2 block. It evolves at most half of H's indices, or one
@@ -58,7 +65,7 @@ terms gives the same bits in either layout.
 """
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import product, repeat
 
 import numpy as np
 
@@ -192,81 +199,86 @@ def _fock_signs(n: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.arange(n) % 2)
 
 
-def _parity_sectors(a: np.ndarray) -> np.ndarray | None:
-    """H_+ and H_- of a composite H as one (2, n, n) stack, or None when H does not
-    commute exactly with Pi = sigma_x (x) S.
+def _parity_sectors(h: np.ndarray, real: bool) -> np.ndarray | None:
+    """H_+ and H_- of a composite H as one (2, n, n) stack, of P H P^dagger when ``real``,
+    or None when H does not commute exactly with Pi = sigma_x (x) S.
 
     With S = diag((-1)^n), H commutes with Pi when H_ee = S H_gg S and
     H_eg = S H_ge S, compared exactly (a sign flip is exact). On the
     eigenvectors (x, +-S x)/sqrt(2) of Pi, H then acts as H_+ (+) H_-,
-    H_+- = H_ee +- H_eg S.
+    H_+- = H_ee +- H_eg S. P commutes with Pi, so the gauged sectors are formed
+    from the gauged H_ee and H_eg alone.
     """
-    n = a.shape[0] // 2
+    n = h.shape[0] // 2
     s = _fock_signs(n)
     signs = s[:, None] * s
-    h_ee, h_eg = a[:n, :n], a[:n, n:]
-    if not (np.array_equal(h_ee, a[n:, n:] * signs) and np.array_equal(h_eg, a[n:, :n] * signs)):
+    h_ee, h_eg = h[:n, :n], h[:n, n:]
+    if not (np.array_equal(h_ee, h[n:, n:] * signs) and np.array_equal(h_eg, h[n:, :n] * signs)):
         return None
+    del signs
+    if real:
+        h_ee, h_eg = (gauge_parts(block.real, block.imag, n) for block in (h_ee, h_eg))
     coupling = h_eg * s
-    sectors = np.empty((2, n, n), dtype=a.dtype)
+    del h_eg
+    sectors = np.empty((2, n, n), dtype=h_ee.dtype)
     np.add(h_ee, coupling, out=sectors[0])
     np.subtract(h_ee, coupling, out=sectors[1])
     return sectors
 
 
+def _runs(idx: np.ndarray) -> list | None:
+    """Each block of idx (k, s), s > 2, as at most two arithmetic progressions of one
+    step, each a ``(lo, hi, slice)``: positions lo:hi in the block, indices in H; None
+    unless every block has that form, as the QRM's parity blocks (e-even with g-odd) do."""
+    steps = np.diff(idx, axis=1)
+    breaks = steps != steps[:, :1]
+    if idx.shape[1] <= 2 or np.any(np.count_nonzero(breaks, axis=1) > 1):
+        return None
+    cuts = np.where(breaks.any(axis=1), np.argmax(breaks, axis=1) + 1, idx.shape[1])
+    return [[(lo, hi, slice(b[lo], b[hi - 1] + 1, step)) for lo, hi in ((0, c), (c, len(b)))
+             if hi > lo] for b, c, step in zip(idx.tolist(), cuts, steps[:, 0])]
+
+
+def _gather(h: np.ndarray, idx: np.ndarray, real: bool) -> np.ndarray:
+    """The blocks idx (k, s) of H as one (k, s, s) stack, of P H P^dagger when ``real``:
+    from strided views of H for blocks of two progressions, else by fancy indexing.
+    Each entry is gauged with the phases of its own row and column."""
+    n, runs = h.shape[0] // 2, _runs(idx)
+    if runs is None:
+        ix = idx[:, :, None], idx[:, None, :]
+        return gauge_parts(h.real[ix], h.imag[ix], n, ix) if real else h[ix]
+    sub = np.empty(idx.shape + idx.shape[-1:], dtype=float if real else complex)
+    for j, parts in enumerate(runs):
+        for (lo, hi, rows), (start, stop, cols) in product(parts, parts):
+            view, ix = h[rows, cols], (idx[j, lo:hi, None], idx[j, start:stop])
+            sub[j, lo:hi, start:stop] = gauge_parts(view.real, view.imag, n, ix) if real else view
+    return sub
+
+
 def _hermiticity(sub: np.ndarray) -> tuple[float, float]:
     """max|B - B^dagger| and max|B| over a stack of blocks B.
 
-    B is compared by tiles above the diagonal and their mirrors, so that no
-    temporary is larger than a tile; a NaN entry makes the deviation NaN. A
-    real scale is max(max B, -min B), without a temporary.
+    B is read by tiles above the diagonal and their mirrors, which cover it, so
+    that no temporary is larger than a tile; a NaN entry makes the deviation NaN.
     """
     s, t = sub.shape[-1], _HERMITIAN_TILE
-    deviations = []
+    deviations, scales = [], []
     for i in range(0, s, t):
         for j in range(i, s, t):
-            diff = sub[:, i:i + t, j:j + t] - sub[:, j:j + t, i:i + t].conj().swapaxes(1, 2)
-            deviations.append(np.max(np.abs(diff)))
-    scale = np.max(np.abs(sub)) if np.iscomplexobj(sub) else max(sub.max(), -sub.min())
-    return np.max(deviations), scale
+            upper, lower = sub[:, i:i + t, j:j + t], sub[:, j:j + t, i:i + t]
+            deviations.append(np.max(np.abs(upper - lower.conj().swapaxes(1, 2))))
+            scales += [np.max(np.abs(upper)), np.max(np.abs(lower))]
+    return np.max(deviations), np.max(scales)
 
 
-def _read_blocks(h: np.ndarray, real: bool,
-                 blocks: list[np.ndarray]) -> tuple[list[np.ndarray], bool]:
-    """The blocks of the array read, P H P^dagger when ``real`` else H, one stack per
-    size, and whether the one block spanning it went as its two Pi sectors.
+def _read_blocks(h: np.ndarray) -> tuple:
+    """The phase of :func:`block_eigh` that reads H: (blocks, the stacks to diagonalize,
+    whether they are the two Pi sectors, the gauge or None, ||H||_F).
 
-    Every block is checked for Hermiticity before any is diagonalized, so that
-    a NaN fails the check and not LAPACK. The gauged array lives only here:
-    what is returned is copies of its blocks, its sectors, or H itself.
-    """
-    dim = h.shape[0]
-    a = gauge_parts(h.real, h.imag, dim // 2) if real else h
-    # one block spanning H is the array read itself: no copy
-    subs = [a[None] if idx.shape[1] == dim else a[idx[:, :, None], idx[:, None, :]]
-            for idx in blocks]
-    # each gate is written "not <=", so that a NaN fails it; np.max keeps a NaN
-    deviation, scale = np.max([_hermiticity(sub) for sub in subs], axis=0)
-    if not deviation <= _HERMITIAN_TOL * max(1.0, scale):
-        raise ValueError("H is not Hermitian within tolerance")
-    sectors = _parity_sectors(a) if blocks[0].shape[1] == dim else None
-    return ([sectors], True) if sectors is not None else (subs, False)
-
-
-def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
-    """Diagonalize a composite Hermitian H block by block, in a real gauge when exact.
-
-    Parameters
-    ----------
-    h : Hermitian matrix on the composite space (dimension 2*n_osc).
-    vectors : compute eigenvectors (``np.linalg.eigh``) or only eigenvalues
-        (``np.linalg.eigvalsh``).
-
-    Every block is checked for Hermiticity (ValueError) before the first
-    ``eigh``, also without vectors; with vectors, the residual
-    ||H V - V W||_F over the blocks must stay below 1e-9 ||H||_F, else
-    ArithmeticError. See the module docstring for the gauge, block,
-    parity-sector and Hermiticity rules.
+    Only blocks or sectors are gauged. Every block is checked for Hermiticity
+    before any ``eigh``, so a NaN fails here and not in LAPACK: a gathered block
+    as gathered (gauged, its deviation and scale are H's), a spanning one on H.
+    Nothing returned refers to H unless ``eigh`` reads a complex H itself.
     """
     h = np.ascontiguousarray(h, dtype=complex)
     dim = h.shape[0]
@@ -278,7 +290,24 @@ def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
     real = gauge_is_real(nonzero, dim // 2)
     blocks = _blocks_by_size(_block_labels(nonzero.view(np.uint16) != 0))
     del nonzero
-    subs, sectors = _read_blocks(h, real, blocks)
+    spanning = blocks[0].shape[1] == dim  # read in place: no copy
+    subs = [h[None]] if spanning else [_gather(h, idx, real) for idx in blocks]
+    # each gate is written "not <=", so that a NaN fails it; np.max keeps a NaN
+    deviation, scale = np.max([_hermiticity(sub) for sub in subs], axis=0)
+    if not deviation <= _HERMITIAN_TOL * max(1.0, scale):
+        raise ValueError("H is not Hermitian within tolerance")
+    sectors = _parity_sectors(h, real) if spanning else None
+    if sectors is not None:
+        subs = [sectors]
+    elif spanning and real:
+        subs = [gauge_parts(h.real, h.imag, dim // 2)[None]]
+    gauge = fock_phases(dim, dim // 2) if real else None
+    return blocks, subs, sectors is not None, gauge, np.linalg.norm(h)
+
+
+def _diagonalize(blocks, subs, sectors, gauge, h_norm, vectors=True) -> BlockEigensystem:
+    """The phase of :func:`block_eigh` after H: ``eigh`` (or ``eigvalsh``) of each stack
+    that :func:`_read_blocks` returned, and the residual bound."""
     groups = []
     residual_sq = 0.0
     for idx, sub in zip(blocks, subs):
@@ -296,13 +325,29 @@ def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
             residual -= v * w[:, None, :]
             residual_sq += float(np.linalg.norm(residual)) ** 2
         groups.append((idx, w, v, sectors))
-    h_norm = np.linalg.norm(h)
     if vectors and h_norm > 0:
         residual = np.sqrt(residual_sq)
         if not residual <= _RESIDUAL_TOL * h_norm:
             raise ArithmeticError(f"eigendecomposition residual {residual:.3e} too large")
-    gauge = fock_phases(dim, dim // 2) if real else None
     return BlockEigensystem(gauge=gauge, groups=tuple(groups))
+
+
+def block_eigh(h: np.ndarray, vectors: bool = True) -> BlockEigensystem:
+    """Diagonalize a composite Hermitian H block by block, in a real gauge when exact.
+
+    Parameters
+    ----------
+    h : Hermitian matrix on the composite space (dimension 2*n_osc).
+    vectors : compute eigenvectors (``np.linalg.eigh``) or only eigenvalues
+        (``np.linalg.eigvalsh``).
+
+    Every block is checked for Hermiticity (ValueError) before the first
+    ``eigh``, also without vectors; with vectors, the residual
+    ||H V - V W||_F over the blocks must stay below 1e-9 ||H||_F, else
+    ArithmeticError. See the module docstring for the gauge, block,
+    parity-sector and Hermiticity rules.
+    """
+    return _diagonalize(*_read_blocks(h), vectors)
 
 
 def _times_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -324,7 +369,13 @@ def _place(dest: np.ndarray, out: np.ndarray, idx: np.ndarray, sector: int | Non
     z carried both 1/sqrt(2) factors.
     """
     if sector is None:
-        dest[:, idx] = out.transpose(2, 0, 1) if small else out.transpose(1, 0, 2)
+        runs = None if small else _runs(idx)
+        if runs is None:
+            dest[:, idx] = out.transpose(2, 0, 1) if small else out.transpose(1, 0, 2)
+            return
+        for block, parts in zip(out, runs):  # two progressions: slices, not a scatter
+            for lo, hi, where in parts:
+                dest[:, where] = block[:, lo:hi]
         return
     n = dest.shape[1] // 2
     if sector == 0:
@@ -416,10 +467,12 @@ def propagate(
         given, per-time fidelities |<ref|psi>|^2 are recorded.
     store_states : keep the full trajectory in the result.
 
-    H is read and diagonalized once, by :func:`block_eigh`: block by block
-    (or by Pi parity sector when one block spans H),
-    in the real gauge P = diag(i^n) when P H P^dagger is exactly real; a
+    H is read and diagonalized once, by the two phases of :func:`block_eigh`:
+    block by block (or by Pi parity sector when one block spans H), in the
+    real gauge P = diag(i^n) when P H P^dagger is exactly real; a
     non-Hermitian H is reported before the other arguments are checked.
+    Between the phases this function drops its reference to H, so an H that
+    the caller does not keep is freed before the first ``eigh``.
     Blocks on which psi0 is identically zero stay exactly zero, so only the
     other blocks are evolved. The eigendecomposition residual keeps the
     dense bound 1e-9 ||H||_F, and the norm of every evolved state is
@@ -433,7 +486,10 @@ def propagate(
         raise ValueError(f"dimension mismatch: H {h.shape} vs state {dim}")
     if dim % 2 != 0:
         raise ValueError("state dimension must be 2*n_osc (spin outer)")
-    eig = block_eigh(h)
+    read = _read_blocks(h)
+    del h  # the blocks or sectors hold what eigh needs: a caller that keeps no H frees it
+    eig = _diagonalize(*read)
+    del read
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-d array")
     if times.size > 1 and not np.all(np.diff(times) > 0):

@@ -410,6 +410,9 @@ _ONE_COMMAND = "expected one command, the one bare word; got "
 _BAD_COMMAND_LINES = [
     (["bogus", *_RES], "command must be one of build, verify, evolve, scan, regime, all-checks; "
                        "got 'bogus'"),
+    # the command is checked before the required keys
+    (["bogus"], "command must be one of build, verify, evolve, scan, regime, all-checks; "
+                "got 'bogus'"),
     (_RES, _ONE_COMMAND + "[]"),
     (["regime", "build", *_RES], _ONE_COMMAND + "['regime', 'build']"),
     (["regime", *_RES, "--sett", "Omega=0.0005"], "unknown flag '--sett'"),
@@ -515,6 +518,65 @@ def test_evolve_csv_matches_dense_oracle(builder, state, tmp_path, capsys, dense
         np.abs(np.sqrt(probs.sum(axis=1)) - 1.0),
     ])
     np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
+
+
+# the builders of the evolve-wide benchmark, at its size: n_max 256, 300 samples
+_WIDE_BUILDERS = ("resonant", "qrm", "lamb-dicke", "jc", "dispersive")
+
+
+def _wide_evolve(builder, out):
+    return ["evolve", "--set", "Omega=0.37", "--set", "eta=0.11", "--set", "trunc.n_max=256",
+            "--set", f"evolve.hamiltonian={builder}", "--set", "evolve.state=coherent",
+            "--set", "evolve.alpha=0.8-0.4j", "--set", "evolve.t_max=40",
+            "--set", "evolve.samples=300", "--out", str(out)]
+
+
+@pytest.mark.parametrize("builder", _WIDE_BUILDERS)
+def test_evolve_frees_h_before_the_first_eigh(builder, tmp_path, monkeypatch):
+    import weakref
+
+    from ionqrm import dynamics, models
+
+    argv = _wide_evolve(builder, tmp_path / "run.csv")
+    assert main(argv) == EXIT_OK  # fills the displacement basis cache, one eigh
+    built, seen = [], []
+    original = models.HAMILTONIAN_BUILDERS[builder]
+
+    def keep_a_weakref(p, trunc):
+        h = original(p, trunc)
+        built.append(weakref.ref(h))
+        return h
+
+    def checked(function, stage):
+        def run(*args, **kwargs):
+            seen.append((stage, built[0]() is None))
+            return function(*args, **kwargs)
+        return run
+
+    monkeypatch.setitem(models.HAMILTONIAN_BUILDERS, builder, keep_a_weakref)
+    monkeypatch.setattr(np.linalg, "eigh", checked(np.linalg.eigh, "eigh"))
+    # the dispersive model's 1x1 blocks need no eigh: every builder reaches _evolve
+    monkeypatch.setattr(dynamics, "_evolve", checked(dynamics._evolve, "evolve"))
+    assert main(argv) == EXIT_OK
+    stages = ["evolve"] if builder == "dispersive" else ["eigh", "evolve"]
+    assert seen == [(stage, True) for stage in stages]
+
+
+@pytest.mark.parametrize("builder", _WIDE_BUILDERS)
+def test_an_evolve_op_peaks_below_seven_mib(builder, tmp_path):
+    import tracemalloc
+
+    argv = _wide_evolve(builder, tmp_path / "run.csv")
+    assert main(argv) == EXIT_OK  # fills the caches of the displacement basis
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 1.75 times H's 4 MiB: H goes before the first eigh, and only blocks or sectors
+    # are gauged, so that an op stays within the heap the allocator keeps between ops
+    assert peak < 7 * 2**20, peak / 2**20
 
 
 def test_runtime_error_yields_record(capsys):
@@ -830,7 +892,7 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code():
     proc = subprocess.run([sys.executable, str(tool), SRC], capture_output=True, text=True,
                           check=True)
     lines = [line.split(" ", 2) for line in proc.stdout.splitlines()]
-    assert len(lines) == len(corpus.ENTRIES) == 77
+    assert len(lines) == len(corpus.ENTRIES) == 85
     for (digest, code, argv), (entry, expected) in zip(lines, corpus.ENTRIES):
         assert argv == " ".join(entry) and len(digest) == 64
         assert int(code) == expected, argv

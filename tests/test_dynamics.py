@@ -575,6 +575,32 @@ def test_propagate_evolves_only_the_blocks_the_state_touches(monkeypatch):
     assert placed == [((1, 2, 5), [[3, 20]], None, True)] * 2
 
 
+@pytest.mark.parametrize("n_max", [16, 17])
+def test_qrm_parity_blocks_move_by_slices(n_max):
+    n = n_max
+    h = h_qrm(IonParams(Omega=0.35, eta=0.11), TruncationSpec(n))
+    (idx, *_), = block_eigh(h).groups
+    runs = dynamics._runs(idx)
+    # each block is e-even with g-odd or e-odd with g-even: two progressions of step 2,
+    # which join into one at an odd n_max
+    for block, parts in zip(idx, runs):
+        assert [where.step for *_, where in parts] == [2] * (2 if n % 2 == 0 else 1)
+        np.testing.assert_array_equal(
+            np.concatenate([np.arange(2 * n)[where] for *_, where in parts]), block)
+    # the strided views give the fancy-indexed blocks bit for bit, gauged or not
+    ix = idx[:, :, None], idx[:, None, :]
+    np.testing.assert_array_equal(dynamics._gather(h, idx, True), fock_gauge(h, n)[ix])
+    np.testing.assert_array_equal(dynamics._gather(h, idx, False), h[ix])
+    # and the slices place what the scatter placed
+    out = np.random.default_rng(n).normal(size=(len(idx), 5, idx.shape[1]))
+    placed, scattered = np.zeros((2, 5, 2 * n))
+    dynamics._place(placed, out, idx, None, False)
+    scattered[:, idx] = out.transpose(1, 0, 2)
+    np.testing.assert_array_equal(placed, scattered)
+    # blocks of other forms keep the scatter
+    assert dynamics._runs(block_eigh(h_jc(IonParams(Omega=0.35, eta=0.11), T16)).groups[-1][0]) is None
+
+
 @pytest.mark.parametrize("name", ["resonant", "lamb-dicke"])
 def test_one_ulp_off_the_parity_takes_the_dense_path(name, monkeypatch, dense_states):
     trunc = TruncationSpec(16)
@@ -630,13 +656,14 @@ def test_oracle_catches_a_broken_sector_assembly(name, stage, flaw, monkeypatch,
                                                  dense_states):
     parity_sectors = dynamics._parity_sectors
 
-    def broken_sectors(a):
-        good = parity_sectors(a)
+    def broken_sectors(h, real):
+        good = parity_sectors(h, real)
         if good is None or flaw == "none":
             return good
         if flaw == "+- swapped":
             return good[::-1].copy()
-        n = a.shape[0] // 2
+        n = h.shape[0] // 2
+        a = fock_gauge(h, n) if real else h
         return np.stack([a[:n, :n] + a[:n, n:], a[:n, :n] - a[:n, n:]])
 
     if stage == "sectors":

@@ -40,6 +40,8 @@ _RES = ["--set", "Omega=0.5", "--set", "eta=0.02"]  # the sideband resonance nu 
 _DISP = ["--set", "Omega=1.0", "--set", "eta=0.08"]  # the dispersive scans' point
 _PI = ["--set", f"phi_l={math.pi!r}"]
 _T8 = ["--set", "trunc.n_max=8", "--set", "trunc.guard=2"]
+_COHERENT = ["--set", "evolve.state=coherent", "--set", "evolve.alpha=0.5+0.3j",
+             "--set", "evolve.spin=g"]
 _BUILDERS = ("resonant", "lamb-dicke", "rabi-rotated", "jc", "ajc", "qrm", "qrm-detuned",
              "dispersive", "zero")
 
@@ -70,9 +72,7 @@ ENTRIES: list[tuple[list[str], int]] = [
     *[(["evolve", "--set", "Omega=0.7", "--set", "eta=0.1", "--set", "trunc.n_max=32",
         "--set", f"evolve.hamiltonian={name}", *state], 0)
       for name in _BUILDERS
-      for state in (["--set", "evolve.fock=1"],
-                    ["--set", "evolve.state=coherent", "--set", "evolve.alpha=0.5+0.3j",
-                     "--set", "evolve.spin=g"])],
+      for state in (["--set", "evolve.fock=1"], _COHERENT)],
     (["evolve", *_RES, "--set", "trunc.n_max=32", "--set", "evolve.times=0.0,0.5,2.0,7.25"], 0),
     *[(["scan", *_REF, "--set", "scan.kind=truncation", "--set", f"scan.builder={name}"], 0)
       for name in _BUILDERS],
@@ -97,6 +97,17 @@ ENTRIES: list[tuple[list[str], int]] = [
     *[(["build", *_REF, "--set", "trunc.n_max=1", "--set", "trunc.guard=0",
         "--set", f"build.hamiltonian={name}"], 0)
       for name in ("jc", "ajc", "rabi-rotated", "qrm-detuned")],
+    # evolve off phi_l in {0, pi} (one dense complex block) and at phi_l = pi
+    *[(["evolve", "--set", "Omega=0.7", "--set", "eta=0.1", *phase, "--set", "trunc.n_max=32",
+        "--set", f"evolve.hamiltonian={name}", *_COHERENT], 0)
+      for phase, names in ((["--set", "phi_l=0.4"], ("resonant", "lamb-dicke")),
+                           (_PI, ("resonant", "lamb-dicke", "rabi-rotated")))
+      for name in names],
+    # evolve at the evolve-wide size: the QRM parity blocks and the Pi sectors at dim 512
+    *[(["evolve", *_RES, "--set", "trunc.n_max=256", "--set", f"evolve.hamiltonian={name}",
+        *_COHERENT, "--set", "evolve.t_max=30", "--set", "evolve.samples=300"], 0)
+      for name in ("qrm", "resonant")],
+    (["bogus"], 1),
 ]
 
 
