@@ -5,7 +5,9 @@ Conventions used throughout the package:
 * Fock states are indexed from 0; an oscillator space with cutoff ``n_max``
   has dimension ``n_max``.
 * The two-level (spin) basis is (|e>, |g>) = (index 0, index 1), so
-  sigma_z = diag(1, -1), sigma_+ = |e><g|, sigma_- = |g><e|.
+  sigma_z = diag(1, -1), sigma_+ = |e><g|, sigma_- = |g><e|, and
+  sigma_y = i*(sigma_- - sigma_+) is the Hermitian Pauli-Y (the one
+  convention: ``models.y_rotation`` exponentiates it).
 * Composite operators put the spin factor on the outer (slow) index:
   block (i, j) of ``spin_tensor_osc(s, m)`` equals ``s[i, j] * m``, so a
   2x2 block matrix written over the spin states is literally the block
@@ -71,24 +73,9 @@ def osc_identity(trunc: TruncationSpec) -> np.ndarray:
     return np.eye(trunc.n_max, dtype=complex)
 
 
-_SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
-_SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
-_SIGMA_Y_STANDARD = 1j * (_SIGMA_MINUS - _SIGMA_PLUS)
-_SIGMA_Y_ALT = 1j * _SIGMA_MINUS - _SIGMA_PLUS
-
-
-def sigma_y(convention: str = "standard") -> np.ndarray:
-    """Pauli-Y under the chosen convention.
-
-    "standard": i*(sigma_- - sigma_+), the Hermitian Pauli matrix.
-    "alt":      i*sigma_- - sigma_+, the non-Hermitian variant; kept so the
-                rotation diagnostics can arbitrate between the two.
-    """
-    if convention == "standard":
-        return _SIGMA_Y_STANDARD.copy()
-    if convention == "alt":
-        return _SIGMA_Y_ALT.copy()
-    raise ValueError(f"unknown sigma_y convention: {convention!r}")
+def sigma_y() -> np.ndarray:
+    """The Hermitian Pauli-Y, i*(sigma_- - sigma_+) = [[0, -i], [i, 0]] in the (|e>, |g>) basis."""
+    return np.array([[0, -1j], [1j, 0]])
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -200,8 +187,8 @@ def displacement(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     exp(i*sqrt(2)*r*X) is for the real symmetric X: the upper triangle is
     the mirror of the lower one, whose column 0 (the coherent state) is the
     product as computed. So P D(i*r) P = D(i*r)^dagger holds exactly for
-    P = diag((-1)^n), and H of ``h_resonant`` at phi_l = 0 commutes exactly
-    with sigma_x (x) P, the symmetry ``dynamics.block_eigh`` splits by.
+    P = diag((-1)^n), and H of ``h_resonant`` at phi_l in {0, pi} commutes
+    exactly with sigma_x (x) P, the symmetry ``dynamics.block_eigh`` splits by.
     """
     r, phase = _radius_and_phase(alpha, trunc.n_max)
     cos_part, sin_part = _displacement_parts(r, trunc.n_max)

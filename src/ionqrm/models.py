@@ -40,7 +40,7 @@ from .params import (  # noqa: F401 - the scalar definitions are re-exported fro
     classify_regime,
     derived_couplings,
     is_sideband_resonant,
-    phase_is_zero_or_pi,
+    laser_phase_sign,
     qrm_coupling,
     transform_offset,
 )
@@ -89,6 +89,12 @@ def _levels(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     return p.nu * np.arange(trunc.n_max, dtype=float)
 
 
+def _phase_factor(phi_l: float) -> complex:
+    """e^(i*phi_l), exactly +1 or -1 at the phases :func:`laser_phase_sign` names."""
+    sign = laser_phase_sign(phi_l)
+    return np.exp(1j * phi_l) if sign is None else complex(sign)
+
+
 def h_resonant(p: IonParams, trunc: TruncationSpec, *, gauged: bool = False) -> np.ndarray:
     """Resonant ion-laser Hamiltonian in the laser-rotating frame.
 
@@ -96,13 +102,13 @@ def h_resonant(p: IonParams, trunc: TruncationSpec, *, gauged: bool = False) -> 
 
     Exact in the Lamb-Dicke parameter; requires delta = 0. The real form
     (``gauged``) needs a real drive factor Omega*e^(i*phi_l), else
-    ValueError: every phi_l but 0 at a nonzero Omega, pi included, whose
-    float e^(i*pi) has an imaginary part of 1.2e-16.
+    ValueError: it exists at phi_l in {0, pi}, where the factor is exactly
+    +-Omega, and at Omega = 0.
     """
     if p.delta != 0.0:
         raise ValueError("h_resonant requires delta = 0 (resonant condition)")
     level = _levels(p, trunc)
-    drive = p.Omega * np.exp(1j * p.phi_l)
+    drive = p.Omega * _phase_factor(p.phi_l)
     if gauged:
         if drive.imag != 0.0:
             raise ValueError("H is not exactly real in the Fock-parity gauge diag(i^n)")
@@ -122,28 +128,25 @@ def h_lamb_dicke(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     itself is unconditional.
     """
     level = _levels(p, trunc)
-    phase = np.exp(1j * p.phi_l)
+    phase = _phase_factor(p.phi_l)
     # the band of Omega e^(i phi_l) 1 + i eta Omega e^(i phi_l) (a + a^dag)
     off = 1j * p.eta * p.Omega * (phase * _ladder_roots(trunc))
     return _spin_blocks(level, level, _band(trunc.n_max, p.Omega * phase, off, off))
 
 
-def y_rotation(convention: str = "standard") -> np.ndarray:
-    """The 2x2 spin rotation exp(i*(pi/4)*sigma_y) under the chosen convention.
+def y_rotation() -> np.ndarray:
+    """The 2x2 spin rotation R = exp(i*(pi/4)*sigma_y).
 
-    With the standard (Hermitian) sigma_y this is the real rotation
-    [[c, s], [-s, c]] with c = s = 1/sqrt(2), and it maps sigma_x -> sigma_z
-    while leaving sigma_+ - sigma_- invariant. The "alt" convention
-    exponentiates the non-Hermitian i*sigma_- - sigma_+ literally, which is
-    not unitary; it is kept for the rotation diagnostics.
+    The real rotation [[c, s], [-s, c]] with c = s = 1/sqrt(2): it maps
+    sigma_x -> sigma_z and leaves sigma_+ - sigma_- invariant, so it turns
+    :func:`h_lamb_dicke` into :func:`h_rabi_rotated` at phi_l in {0, pi}.
 
-    Closed form, no matrix exponential: under both conventions the exponent
-    x = i*(pi/4)*sigma_y has a zero diagonal, so x @ x = c*1 with
-    c = x_01 x_10, and exp(x) = cosh(sqrt(c))*1 + (sinh(sqrt(c))/sqrt(c))*x.
-    The standard result equals ``scipy.linalg.expm`` bit for bit; "alt"
-    agrees with it to within 3e-16.
+    Closed form, no matrix exponential: the exponent x = i*(pi/4)*sigma_y has
+    a zero diagonal, so x @ x = c*1 with c = x_01 x_10, and
+    exp(x) = cosh(sqrt(c))*1 + (sinh(sqrt(c))/sqrt(c))*x. The result equals
+    ``scipy.linalg.expm`` bit for bit.
     """
-    x = 1j * (np.pi / 4.0) * sigma_y(convention)
+    x = 1j * (np.pi / 4.0) * sigma_y()
     root = cmath.sqrt(x[0, 1] * x[1, 0])
     return cmath.cosh(root) * np.eye(2) + (cmath.sinh(root) / root) * x
 
@@ -151,20 +154,16 @@ def y_rotation(convention: str = "standard") -> np.ndarray:
 def h_rabi_rotated(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
     """Rabi-form Hamiltonian after the spin Y rotation, assembled directly.
 
-    H = nu*n - Omega*sigma_z - i*eta*Omega*(a^dag + a)*(sigma_+ - sigma_-)
+    H = nu*n + s*[Omega*sigma_z + i*eta*Omega*(a^dag + a)*(sigma_+ - sigma_-)]
 
-    Only the phases phi_l in {0, pi} are supported. The same expression is
-    returned for both; see :func:`rotation_diagnostic` for the numerically
-    determined conjugation relation between this form and
-    :func:`h_lamb_dicke` under each sigma_y convention.
+    with s = e^(i*phi_l) = :func:`laser_phase_sign`: +1 at phi_l = 0 and -1 at
+    pi, the only phases supported (ValueError otherwise). It is
+    R h_lamb_dicke R^dag, R = :func:`y_rotation`, which
+    :func:`rotation_diagnostic` measures at both phases.
     """
-    if not phase_is_zero_or_pi(p.phi_l):
+    sign = laser_phase_sign(p.phi_l)
+    if sign is None:
         raise ValueError(f"unsupported phase phi_l={p.phi_l!r}; expected 0 or pi")
-    return _rabi_form(p, trunc, -1.0)
-
-
-def _rabi_form(p: IonParams, trunc: TruncationSpec, sign: float) -> np.ndarray:
-    """nu*n + sign*[Omega*sigma_z + i*eta*Omega*(a^dag + a)*(sigma_+ - sigma_-)]."""
     level = _levels(p, trunc)
     off = sign * 1j * p.eta * p.Omega * _ladder_roots(trunc)
     coupling = _band(trunc.n_max, 0.0, off, off)
@@ -328,35 +327,26 @@ def h_dispersive(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
 
 
 def rotation_diagnostic(p: IonParams, trunc: TruncationSpec) -> dict[str, float]:
-    """Measure what conjugating the Lamb-Dicke Hamiltonian by the Y rotation yields.
+    """Measure R h_lamb_dicke(phi_l) R^dag against h_rabi_rotated(phi_l) at phi_l in {0, pi}.
 
-    For each sigma_y convention and each phase phi_l in {0, pi}, reports the
-    max-entry distance of R H R^dag from the two candidate Rabi forms:
-
-    * "minus": nu*n - Omega*sigma_z - i*eta*Omega*(a^dag+a)(sigma_+ - sigma_-),
-      which is :func:`h_rabi_rotated`
-    * "plus": the same with both spin-dependent signs reversed
-
-    plus a unitarity defect for each rotation. The numbers arbitrate which
-    convention makes the derivation chain consistent instead of baking a
-    guess into the builders.
+    R = :func:`y_rotation` on the spin. For each phase ("phi0", "phipi") it
+    reports the max-entry distance of the conjugated Lamb-Dicke model from
+    :func:`h_rabi_rotated` at that phase ("_to_rabi_rotated", zero to rounding)
+    and from the form of the other phase ("_to_other_form", of order Omega,
+    so each comparison tells the two forms apart), plus the unitarity defect
+    of R. Omega, eta and nu come from p; the phase is set to each of the two.
     """
-    eye = osc_identity(trunc)
-    minus_form, plus_form = _rabi_form(p, trunc, -1.0), _rabi_form(p, trunc, 1.0)
-    metrics: dict[str, float] = {}
-    for convention in ("standard", "alt"):
-        rot = y_rotation(convention)
-        metrics[f"{convention}_unitarity_defect"] = float(
-            np.max(np.abs(rot @ rot.conj().T - np.eye(2)))
-        )
-        full_rot = spin_tensor_osc(rot, eye)
-        for tag, phase in (("phi0", 0.0), ("phipi", math.pi)):
-            h_ld = h_lamb_dicke(
-                IonParams(Omega=p.Omega, eta=p.eta, nu=p.nu, phi_l=phase), trunc
-            )
-            conj = full_rot @ h_ld @ full_rot.conj().T
-            metrics[f"{convention}_{tag}_to_minus"] = float(np.max(np.abs(conj - minus_form)))
-            metrics[f"{convention}_{tag}_to_plus"] = float(np.max(np.abs(conj - plus_form)))
+    rot = y_rotation()
+    full_rot = spin_tensor_osc(rot, osc_identity(trunc))
+    phases = {tag: p.replace(phi_l=phase, delta=0.0)
+              for tag, phase in (("phi0", 0.0), ("phipi", math.pi))}
+    forms = {tag: h_rabi_rotated(q, trunc) for tag, q in phases.items()}
+    metrics = {}
+    for tag, other in (("phi0", "phipi"), ("phipi", "phi0")):
+        conj = full_rot @ h_lamb_dicke(phases[tag], trunc) @ full_rot.conj().T
+        metrics[f"{tag}_to_rabi_rotated"] = float(np.max(np.abs(conj - forms[tag])))
+        metrics[f"{tag}_to_other_form"] = float(np.max(np.abs(conj - forms[other])))
+    metrics["unitarity_defect"] = float(np.max(np.abs(rot @ rot.conj().T - np.eye(2))))
     return metrics
 
 

@@ -4,9 +4,10 @@ Everything here is plain Python on floats and imports only the standard
 library, so configuration parsing and the ``regime`` command never load
 numpy. :mod:`ionqrm.models`, :mod:`ionqrm.algebra` and
 :mod:`ionqrm.analysis` import these names back, and each is defined only
-here. So are the scheme's two conventions every layer reads: the engineered
-coupling g = eta*nu/2 (:func:`qrm_coupling`) and the diagonal offset
-nu*eta^2/4 of the transformed resonant model (:func:`transform_offset`).
+here. So are the scheme's conventions every layer reads: the engineered
+coupling g = eta*nu/2 (:func:`qrm_coupling`), the diagonal offset
+nu*eta^2/4 of the transformed resonant model (:func:`transform_offset`) and
+the one test of the laser phases 0 and pi (:func:`laser_phase_sign`).
 """
 from __future__ import annotations
 
@@ -263,10 +264,25 @@ def is_sideband_resonant(p: IonParams) -> bool:
     return abs(p.nu - 2.0 * p.Omega) <= 1e-9 * (p.nu + 2.0 * p.Omega)
 
 
-def phase_is_zero_or_pi(phi_l: float) -> bool:
-    """True when the laser phase is 0 or pi modulo 2*pi, to _PHASE_ATOL."""
+def laser_phase_sign(phi_l: float) -> float | None:
+    """e^(i*phi_l) where it is real: +1.0 at phi_l = 0 and -1.0 at pi, modulo 2*pi
+    within _PHASE_ATOL; None at every other phase.
+
+    The one test of phi_l in {0, pi}. The builders take this sign as the drive's
+    phase factor, so H is exactly real in the Fock-parity gauge there; -1.0 selects
+    the AJC branch of the sideband resonance and the sign of the rotated Rabi form.
+    """
     phase = math.remainder(phi_l, 2.0 * math.pi)
-    return abs(phase) <= _PHASE_ATOL or abs(abs(phase) - math.pi) <= _PHASE_ATOL
+    if abs(phase) <= _PHASE_ATOL:
+        return 1.0
+    if abs(abs(phase) - math.pi) <= _PHASE_ATOL:
+        return -1.0
+    return None
+
+
+def phase_is_zero_or_pi(phi_l: float) -> bool:
+    """True when :func:`laser_phase_sign` names the phase."""
+    return laser_phase_sign(phi_l) is not None
 
 
 def classify_regime(p: IonParams, thresholds: RegimeThresholds | None = None) -> Regime:
@@ -275,8 +291,8 @@ def classify_regime(p: IonParams, thresholds: RegimeThresholds | None = None) ->
     Uses g = eta*nu/2 and ratio thresholds only, so the label is invariant
     under a common rescaling of nu and Omega. Precedence: deep-strong,
     decoupling (nu >> g >> 2*Omega, which can sit exactly on the
-    ultrastrong onset), ultrastrong, sideband resonance (nu = 2*Omega; the
-    laser phase selects the JC or AJC branch), dispersive, unclassified.
+    ultrastrong onset), ultrastrong, sideband resonance (nu = 2*Omega; AJC
+    where :func:`laser_phase_sign` is -1, else JC), dispersive, unclassified.
     """
     t = thresholds or RegimeThresholds()
     g = qrm_coupling(p)
@@ -288,8 +304,7 @@ def classify_regime(p: IonParams, thresholds: RegimeThresholds | None = None) ->
         return Regime.ULTRASTRONG
     if is_sideband_resonant(p):
         if g / p.nu < t.resonant_max_g_ratio:
-            phase = math.remainder(p.phi_l, 2.0 * math.pi)
-            if abs(abs(phase) - math.pi) <= 1e-9:
+            if laser_phase_sign(p.phi_l) == -1.0:
                 return Regime.AJC_RESONANT
             return Regime.JC_RESONANT
     scales = min(p.nu, 2.0 * p.Omega, abs(2.0 * p.Omega - p.nu), 2.0 * p.Omega + p.nu)

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from ionqrm.algebra import _require_square, annihilation, gauge_is_real, gauge_parts, sigma_y
+from ionqrm.algebra import _require_square, annihilation, gauge_is_real, gauge_parts
 from ionqrm.params import TruncationSpec
 
 
@@ -34,7 +34,7 @@ _SPIN_TABLE = {
     Spin.PLUS: _SIGMA_PLUS,
     Spin.MINUS: _SIGMA_MINUS,
     Spin.X: _SIGMA_PLUS + _SIGMA_MINUS,
-    Spin.Y: sigma_y("alt"),
+    Spin.Y: 1j * _SIGMA_MINUS - _SIGMA_PLUS,
     Spin.IDENTITY: np.eye(2, dtype=complex),
 }
 
@@ -42,9 +42,9 @@ _SPIN_TABLE = {
 def pauli(s: Spin) -> np.ndarray:
     """Two-level operator in the (|e>, |g>) basis.
 
-    ``Spin.Y`` returns the ``i*sigma_- - sigma_+`` variant that appears in
-    some trapped-ion derivations; note it is NOT Hermitian and differs from
-    the conventional Pauli-Y (``sigma_y("standard")``).
+    ``Spin.Y`` is the literal ``i*sigma_- - sigma_+``, test data for the
+    embedding tests; it is NOT Hermitian and differs from the package's
+    Pauli-Y (``algebra.sigma_y()``).
     """
     return _SPIN_TABLE[s].copy()
 

@@ -81,13 +81,13 @@ def test_pauli_y_variant_is_recorded_literally():
     # i*sigma_- - sigma_+ assembled from the sigma matrices above
     expected = np.array([[0, -1], [1j, 0]], dtype=complex)
     np.testing.assert_array_equal(pauli(Spin.Y), expected)
-    np.testing.assert_array_equal(sigma_y("alt"), expected)
     assert not is_hermitian(pauli(Spin.Y))
     # the conventional Pauli-Y differs and is Hermitian
-    np.testing.assert_array_equal(sigma_y("standard"), np.array([[0, -1j], [1j, 0]]))
-    assert is_hermitian(sigma_y("standard"))
-    with pytest.raises(ValueError):
-        sigma_y("bogus")
+    np.testing.assert_array_equal(sigma_y(), np.array([[0, -1j], [1j, 0]]))
+    assert is_hermitian(sigma_y())
+    # one convention: sigma_y takes no argument
+    with pytest.raises(TypeError):
+        sigma_y("alt")
 
 
 def test_displacement_generator_zero_is_identity():

@@ -1,5 +1,6 @@
 """Tests for the verification experiments."""
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ def test_rwa_fidelity_stays_high_over_one_rabi_period():
     # both in the rotated frame with the diagonal terms kept
     p = IonParams(Omega=0.5, eta=0.02)
     trunc = TruncationSpec(32, 8)
-    rot = spin_tensor_osc(y_rotation("standard"), osc_identity(trunc))
+    rot = spin_tensor_osc(y_rotation(), osc_identity(trunc))
     h_full = rot @ h_lamb_dicke(p, trunc) @ dagger(rot)
     diag = spin_tensor_osc(pauli(Spin.IDENTITY), number_op(trunc)) + p.Omega * spin_tensor_osc(
         pauli(Spin.Z), osc_identity(trunc)
@@ -244,11 +245,24 @@ def test_speed_comparison_examples():
     assert weak.metrics["g_ratio"] == pytest.approx(5e-3)
 
 
+def test_the_phi_l_zero_checks_read_the_one_phase_rule():
+    # 2*pi is the phase 0 of params.laser_phase_sign; 0.3 is neither 0 nor pi
+    zero, off = (IonParams(Omega=0.5, eta=0.02, phi_l=phase) for phase in (2 * math.pi, 0.3))
+    assert qrm_transform_check(zero, T64).passed
+    assert jc_rabi_experiment(zero, 0).passed
+    with pytest.raises(ValueError, match="requires phi_l = 0"):
+        qrm_transform_check(off, T64)
+    with pytest.raises(ValueError, match="phi_l = 0 branch"):
+        jc_rabi_experiment(off, 0)
+
+
 def test_regime_check_and_rotation_diagnostic():
     assert regime_check().passed
     rep = rotation_diagnostic_check()
     assert rep.passed
-    assert rep.metrics["standard_phipi_to_minus"] < 1e-12
+    for tag in ("phi0", "phipi"):
+        assert rep.metrics[f"{tag}_to_rabi_rotated"] <= 1e-13
+        assert rep.metrics[f"{tag}_to_other_form"] > 1.0
 
 
 def test_propagator_conservation_check():
@@ -545,18 +559,36 @@ def _qrm_omega_grows_with_the_cutoff(monkeypatch):
         p.replace(Omega=p.Omega * trunc.n_max / 64), trunc))
 
 
-# report -> one deliberate defect in the code it names. Evolving with exp(+iHt)
+def _lamb_dicke_ignores_the_phase(monkeypatch):
+    import ionqrm.models as models
+
+    good = models.h_lamb_dicke
+    monkeypatch.setattr(models, "h_lamb_dicke", lambda p, trunc: good(p.replace(phi_l=0.0), trunc))
+
+
+def _lamb_dicke_swaps_0_and_pi(monkeypatch):
+    import ionqrm.models as models
+
+    good = models.h_lamb_dicke
+    monkeypatch.setattr(models, "h_lamb_dicke",
+                        lambda p, trunc: good(p.replace(phi_l=math.pi - p.phi_l), trunc))
+
+
+# row -> (report, one deliberate defect in the code it names). Evolving with exp(+iHt)
 # instead is not here: every report still passes under it.
 _REPORT_DEFECTS = {
-    "jc-rabi": _jc_scaled,
-    "ajc-dynamics": _ajc_replaced_by_jc,
-    "propagator-conservation": _times_warped,
-    "truncation-convergence-qrm": _qrm_omega_grows_with_the_cutoff,
+    "jc-rabi": ("jc-rabi", _jc_scaled),
+    "ajc-dynamics": ("ajc-dynamics", _ajc_replaced_by_jc),
+    "propagator-conservation": ("propagator-conservation", _times_warped),
+    "truncation-convergence-qrm": ("truncation-convergence-qrm", _qrm_omega_grows_with_the_cutoff),
+    "rotation-diagnostic-phase-ignored": ("rotation-diagnostic", _lamb_dicke_ignores_the_phase),
+    "rotation-diagnostic-phases-swapped": ("rotation-diagnostic", _lamb_dicke_swaps_0_and_pi),
 }
 
 
-@pytest.mark.parametrize("report", sorted(_REPORT_DEFECTS))
-def test_each_report_fails_on_a_defect_in_what_it_checks(report, monkeypatch):
-    _REPORT_DEFECTS[report](monkeypatch)
+@pytest.mark.parametrize("row", sorted(_REPORT_DEFECTS))
+def test_each_report_fails_on_a_defect_in_what_it_checks(row, monkeypatch):
+    report, defect = _REPORT_DEFECTS[row]
+    defect(monkeypatch)
     reports = {r.name: r for r in run_all_checks()}
     assert not reports[report].passed, reports[report].metrics

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 import json
+import math
 import subprocess
 import sys
 
@@ -639,6 +640,42 @@ def test_a_nan_oracle_deviation_is_one_error_record_not_a_nan_token(capsys, monk
     assert json.loads(lines[0])["error"] == "ValueError"
 
 
+def _build_entries(capsys, *sets):
+    args = ["build", "--set", "Omega=0.7", "--set", "eta=0.3", "--set", "trunc.n_max=8",
+            "--set", "trunc.guard=2"]
+    for setting in sets:
+        args += ["--set", setting]
+    code, out, err = run_cli(args, capsys)
+    return code, json.loads(out)["entries"] if code == EXIT_OK else err
+
+
+def test_every_builder_that_accepts_phi_l_reads_it(capsys):
+    readers = [name for name in BUILDER_NAMES if "phi_l" not in RUN_SKIPS[name]]
+    assert readers == ["lamb-dicke", "rabi-rotated", "resonant"]
+    for name in readers:
+        at_zero, at_pi = (_build_entries(capsys, f"build.hamiltonian={name}", f"phi_l={phase!r}")
+                          for phase in (0.0, math.pi))
+        assert at_zero[0] == at_pi[0] == EXIT_OK
+        assert at_zero[1] != at_pi[1], name
+
+
+@pytest.mark.parametrize("phase", [math.pi, -math.pi, 3 * math.pi, math.pi + 5e-13,
+                                   math.pi - 5e-13, math.pi + 5e-10, math.pi - 5e-10])
+def test_regime_and_rabi_rotated_follow_the_one_phase_rule(phase, capsys):
+    from ionqrm.params import laser_phase_sign
+
+    sign = laser_phase_sign(phase)
+    code, out, _ = run_cli(["regime", "--set", "Omega=0.5", "--set", "eta=0.02",
+                            "--set", f"phi_l={phase!r}"], capsys)
+    assert code == EXIT_OK
+    assert (out.splitlines()[0] == "AJC-resonant") == (sign == -1.0)
+    code, entries = _build_entries(capsys, "build.hamiltonian=rabi-rotated", f"phi_l={phase!r}")
+    assert (code == EXIT_OK) == (sign is not None)
+    if sign is not None:
+        # entry (|e,0>, |e,0>) is nu*0 + sign*Omega
+        assert entries[0] == [sign * 0.7, 0.0]
+
+
 def test_all_checks_applies_tol_identity_to_the_rotation_diagnostic(capsys):
     args = ["all-checks", "--set", "Omega=0.7", "--set", "eta=0.3", "--set", "tol.identity=1e-30"]
     code, out, _ = run_cli(args, capsys)
@@ -879,7 +916,7 @@ def test_scipy_users_resolve_their_lazy_imports(src_env):
     assert loaded == "False"
 
 
-def test_cli_corpus_runs_every_entry_to_its_exit_code():
+def test_cli_corpus_runs_every_entry_to_its_exit_code(tmp_path):
     import importlib.util
     from pathlib import Path
 
@@ -889,13 +926,29 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code():
     spec = importlib.util.spec_from_file_location("cli_corpus", tool)
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
-    proc = subprocess.run([sys.executable, str(tool), SRC], capture_output=True, text=True,
-                          check=True)
-    lines = [line.split(" ", 2) for line in proc.stdout.splitlines()]
-    assert len(lines) == len(corpus.ENTRIES) == 85
-    for (digest, code, argv), (entry, expected) in zip(lines, corpus.ENTRIES):
-        assert argv == " ".join(entry) and len(digest) == 64
+    fresh = tmp_path / "cli_corpus.txt"
+    subprocess.run([sys.executable, str(tool), "--pin", SRC, str(fresh)], capture_output=True,
+                   text=True, check=True)
+    pinned = (Path(__file__).parent / "cli_corpus.txt").read_text().splitlines()
+    got = fresh.read_text().splitlines()
+    assert got[0] == pinned[0] and len(got) == len(pinned)
+    # the full digests hold in the environment that wrote them; elsewhere the exit codes
+    # and the digests with every number masked still check every other field
+    same_environment = got[1] == pinned[1]
+    rows = [line.split(" ", 3) for line in got[2:]]
+    assert len(rows) == len(corpus.ENTRIES) == 97
+    moved = []
+    for row, want, (entry, expected) in zip(rows, pinned[2:], corpus.ENTRIES):
+        digest, masked, code, argv = row
+        assert argv == " ".join(entry) and len(digest) == len(masked) == 64
         assert int(code) == expected, argv
+        want = want.split(" ", 3)
+        if row[1:] != want[1:] or same_environment and digest != want[0]:
+            moved.append(argv)
+    assert moved == [], ("outputs moved; if on purpose, list them from --compare in "
+                         "CHANGES.md and rewrite the file with --pin")
+    assert corpus._NUMBER.sub("#", '{"x": [-1.5e-17, 0.25], "n_max": 8, "k": "ajc"}') == (
+        '{"x": [#, #], "n_max": #, "k": "ajc"}')
 
 
 def test_cli_corpus_compare_shows_how_far_each_column_moved(tmp_path):

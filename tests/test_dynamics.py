@@ -1,4 +1,5 @@
 """Tests for the eigendecomposition propagator and observables."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -549,6 +550,21 @@ def test_eigh_calls_follow_the_structure_of_each_model(monkeypatch):
     # off the phases 0 and pi no real gauge exists, and H does not commute with Pi
     h = h_resonant(IonParams(Omega=0.35, eta=0.11, phi_l=0.4), trunc)
     assert _eigh_calls(monkeypatch, h, psi0) == [((1, 2 * n, 2 * n), "c")]
+
+
+def test_the_single_beam_models_at_phi_l_pi_are_pi_sectors_in_the_real_gauge():
+    n = 16
+    trunc = TruncationSpec(n)
+    p = IonParams(Omega=0.35, eta=0.11, phi_l=math.pi)
+    for h in (h_resonant(p, trunc), h_lamb_dicke(p, trunc)):
+        eig = block_eigh(h)
+        assert eig.gauge is not None
+        assert [(w.shape, v.dtype.kind, sectors) for _, w, v, sectors in eig.groups] == [
+            ((2, n), "f", True)]
+    # the real form exists at pi and is the gauge of the complex form
+    got = h_resonant(p, trunc, gauged=True)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, fock_gauge(h_resonant(p, trunc), n))
 
 
 def test_propagate_evolves_only_the_blocks_the_state_touches(monkeypatch):

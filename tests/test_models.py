@@ -36,7 +36,7 @@ from ionqrm import (
 )
 from ionqrm import models
 from ionqrm.algebra import displacement_gauged
-from ionqrm.params import phase_is_zero_or_pi, qrm_coupling, transform_offset
+from ionqrm.params import laser_phase_sign, phase_is_zero_or_pi, qrm_coupling, transform_offset
 from oracles import Spin, fock_gauge, is_hermitian, is_unitary, number_op, pauli
 
 T64 = TruncationSpec(n_max=64, guard=16)
@@ -144,10 +144,8 @@ def test_lamb_dicke_hand_assembled_two_level_case():
 
 def test_y_rotation_standard():
     c = np.cos(np.pi / 4)
-    np.testing.assert_allclose(
-        y_rotation("standard"), np.array([[c, c], [-c, c]]), rtol=0, atol=1e-15
-    )
-    assert is_unitary(y_rotation("standard"), 1e-12)
+    np.testing.assert_allclose(y_rotation(), np.array([[c, c], [-c, c]]), rtol=0, atol=1e-15)
+    assert is_unitary(y_rotation(), 1e-12)
 
 
 def test_y_rotation_closed_form_matches_expm():
@@ -155,32 +153,16 @@ def test_y_rotation_closed_form_matches_expm():
 
     from ionqrm.algebra import sigma_y
 
-    standard = expm(1j * (np.pi / 4.0) * sigma_y("standard"))
-    assert y_rotation("standard").tobytes() == standard.tobytes()
-    alt = expm(1j * (np.pi / 4.0) * sigma_y("alt"))
-    assert np.max(np.abs(y_rotation("alt") - alt)) < 1e-15
-
-
-def test_y_rotation_alt_fixture():
-    # exponential of the literal i*sigma_- - sigma_+ variant; not unitary
-    r = y_rotation("alt")
-    expected = np.array(
-        [
-            [0.984149246502 + 0.308099170258j, 0.080708937741 - 0.782908082182j],
-            [-0.782908082182 - 0.080708937741j, 0.984149246502 + 0.308099170258j],
-        ]
-    )
-    np.testing.assert_allclose(r, expected, rtol=0, atol=1e-9)
-    assert not is_unitary(r, 1e-10)
+    assert y_rotation().tobytes() == expm(1j * (np.pi / 4.0) * sigma_y()).tobytes()
 
 
 def test_h_rabi_rotated_eta_zero_diagonal():
-    p = IonParams(Omega=0.5, eta=0.0)
-    h = h_rabi_rotated(p, TruncationSpec(4))
-    assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
-    np.testing.assert_allclose(
-        np.diag(h).real, [-0.5, 0.5, 1.5, 2.5, 0.5, 1.5, 2.5, 3.5], atol=1e-14
-    )
+    # nu*n + e^(i*phi_l)*Omega*sigma_z: +Omega on |e> at phi_l = 0, -Omega at pi
+    for phase, diagonal in ((0.0, [0.5, 1.5, 2.5, 3.5, -0.5, 0.5, 1.5, 2.5]),
+                            (math.pi, [-0.5, 0.5, 1.5, 2.5, 0.5, 1.5, 2.5, 3.5])):
+        h = h_rabi_rotated(IonParams(Omega=0.5, eta=0.0, phi_l=phase), TruncationSpec(4))
+        assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
+        np.testing.assert_allclose(np.diag(h).real, diagonal, atol=1e-14)
 
 
 def test_h_rabi_rotated_spectrum_fixture():
@@ -289,13 +271,13 @@ def test_conjugation_rejects_h_not_real_in_the_gauge():
     for h in (m + dagger(m), h_resonant(IonParams(Omega=0.7, eta=0.3), T64)):
         with pytest.raises(ValueError, match="must be a real 128x128 array"):
             qrm_conjugate(h, 0.3, T64)
-    # off the phase 0 the resonant model has no real gauge, so it has no real form
-    for phase in (0.4, math.pi):
-        with pytest.raises(ValueError, match="not exactly real in the Fock-parity gauge"):
-            h_resonant(IonParams(Omega=0.7, eta=0.3, phi_l=phase), T64, gauged=True)
-    # a phase of rounding size is enough
-    with pytest.raises(ValueError, match="not exactly real"):
-        h_resonant(IonParams(Omega=0.7, eta=0.3, phi_l=1e-300), T64, gauged=True)
+    # off the phases 0 and pi the resonant model has no real gauge, so it has no real form
+    with pytest.raises(ValueError, match="not exactly real in the Fock-parity gauge"):
+        h_resonant(IonParams(Omega=0.7, eta=0.3, phi_l=0.4), T64, gauged=True)
+    # pi, and a phase of rounding size, are the phases 0 and pi of the one phase rule
+    for phase in (math.pi, 1e-300):
+        got = h_resonant(IonParams(Omega=0.7, eta=0.3, phi_l=phase), T64, gauged=True)
+        assert got.dtype == np.float64
 
 
 def test_blockwise_conjugation_rejects_wrong_dimension():
@@ -505,25 +487,34 @@ def test_classify_regime_threshold_validation():
 
 def test_rotation_diagnostic_identifies_standard_convention():
     metrics = rotation_diagnostic(IonParams(Omega=0.7, eta=0.2), T32)
-    # standard convention: phi_l=pi lands exactly on the minus-sign Rabi form
-    # (the one h_rabi_rotated assembles), phi_l=0 on the plus-sign form;
-    # the alt convention matches neither
-    assert metrics["standard_phipi_to_minus"] < 1e-12
-    assert metrics["standard_phi0_to_plus"] < 1e-12
-    assert metrics["standard_phi0_to_minus"] > 0.1
-    assert metrics["alt_phi0_to_minus"] > 0.01
-    assert metrics["alt_phipi_to_minus"] > 0.01
-    assert metrics["standard_unitarity_defect"] < 1e-14
-    assert metrics["alt_unitarity_defect"] > 0.1
+    # R h_lamb_dicke R^dag is h_rabi_rotated at its own phase, plus form at 0 and
+    # minus form at pi, and far from the other phase's form
+    assert sorted(metrics) == ["phi0_to_other_form", "phi0_to_rabi_rotated",
+                               "phipi_to_other_form", "phipi_to_rabi_rotated",
+                               "unitarity_defect"]
+    assert metrics["phi0_to_rabi_rotated"] < 1e-13
+    assert metrics["phipi_to_rabi_rotated"] < 1e-13
+    assert metrics["phi0_to_other_form"] > 1.0
+    assert metrics["phipi_to_other_form"] > 1.0
+    assert metrics["unitarity_defect"] < 1e-14
+
+
+def _phase_factors(phi_l):
+    """(e^(i*phi_l), e^(-i*phi_l)), both exactly laser_phase_sign(phi_l) where it is set."""
+    sign = laser_phase_sign(phi_l)
+    if sign is None:
+        return np.exp(1j * phi_l), np.exp(-1j * phi_l)
+    return complex(sign), complex(sign)
 
 
 def _h_resonant_by_terms(p, trunc):
     """h_resonant as the sum of three dense spin_tensor_osc terms it once was."""
     disp = displacement(1j * p.eta, trunc)
+    up, down = _phase_factors(p.phi_l)
     return (
         p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), number_op(trunc))
-        + p.Omega * np.exp(1j * p.phi_l) * spin_tensor_osc(pauli(Spin.PLUS), disp)
-        + p.Omega * np.exp(-1j * p.phi_l) * spin_tensor_osc(pauli(Spin.MINUS), disp.conj().T)
+        + p.Omega * up * spin_tensor_osc(pauli(Spin.PLUS), disp)
+        + p.Omega * down * spin_tensor_osc(pauli(Spin.MINUS), disp.conj().T)
     )
 
 
@@ -543,8 +534,9 @@ def _h_qrm_by_terms(p, trunc, include_constant):
 def _h_lamb_dicke_by_terms(p, trunc):
     a = annihilation(trunc)
     x = a + a.conj().T
-    drive = np.exp(1j * p.phi_l) * pauli(Spin.PLUS) + np.exp(-1j * p.phi_l) * pauli(Spin.MINUS)
-    chiral = np.exp(1j * p.phi_l) * pauli(Spin.PLUS) - np.exp(-1j * p.phi_l) * pauli(Spin.MINUS)
+    up, down = _phase_factors(p.phi_l)
+    drive = up * pauli(Spin.PLUS) + down * pauli(Spin.MINUS)
+    chiral = up * pauli(Spin.PLUS) - down * pauli(Spin.MINUS)
     return (
         p.nu * spin_tensor_osc(pauli(Spin.IDENTITY), number_op(trunc))
         + p.Omega * spin_tensor_osc(drive, osc_identity(trunc))
@@ -552,11 +544,10 @@ def _h_lamb_dicke_by_terms(p, trunc):
     )
 
 
-def _h_rabi_rotated_by_terms(p, trunc, sign=-1.0):
-    """nu*n + sign*[Omega*sigma_z + i*eta*Omega*(a^dag + a)(sigma_+ - sigma_-)] as dense terms.
-
-    sign = -1 is h_rabi_rotated, +1 the plus form of rotation_diagnostic.
-    """
+def _h_rabi_rotated_by_terms(p, trunc):
+    """nu*n + sign*[Omega*sigma_z + i*eta*Omega*(a^dag + a)(sigma_+ - sigma_-)] as dense terms,
+    sign = e^(i*phi_l) = laser_phase_sign(phi_l): the plus form at 0, the minus form at pi."""
+    sign = laser_phase_sign(p.phi_l)
     a = annihilation(trunc)
     x = a + a.conj().T
     flip = pauli(Spin.PLUS) - pauli(Spin.MINUS)
@@ -646,7 +637,7 @@ def _assert_bit_identical(got, oracle, p):
 
 
 def test_block_written_builders_are_bit_identical_to_term_sums(monkeypatch):
-    assembled = []  # every matrix the block assembler returns, to find the plus form
+    assembled = []  # every matrix the block assembler returns, to find both Rabi forms
     spin_blocks = models._spin_blocks
 
     def recording(*args):
@@ -667,10 +658,10 @@ def test_block_written_builders_are_bit_identical_to_term_sums(monkeypatch):
             _assert_bit_identical(HAMILTONIAN_BUILDERS[name](p, trunc), oracle(p, trunc), p)
         assembled.clear()
         rotation_diagnostic(p, trunc)
-        plus = _h_rabi_rotated_by_terms(p, trunc, sign=1.0)
-        assert any(
-            np.array_equal(h, plus) and h.tobytes() == (plus + 0.0).tobytes() for h in assembled
-        ), p
+        for phase in (0.0, math.pi):
+            form = _h_rabi_rotated_by_terms(p.replace(phi_l=phase), trunc)
+            assert any(np.array_equal(h, form) and h.tobytes() == (form + 0.0).tobytes()
+                       for h in assembled), (p, phase)
 
 
 @pytest.mark.parametrize("name", sorted(HAMILTONIAN_BUILDERS))
@@ -702,14 +693,15 @@ def test_gauged_form_of_resonant_and_qrm_is_fock_gauge_of_the_complex_form():
             for name, build in builds.items():
                 oracle = fock_gauge(build(q, trunc), n)
                 if oracle is None:
-                    # only a drive whose float phase factor Omega*e^(i*phi_l) is not real
-                    assert name == "resonant" and phase != 0.0 and p.Omega != 0.0, q
+                    # only a drive whose phase factor Omega*e^(i*phi_l) is not real
+                    assert name == "resonant" and laser_phase_sign(phase) is None, q
+                    assert p.Omega != 0.0, q
                     with pytest.raises(ValueError, match="not exactly real in the Fock-parity"):
                         build(q, trunc, gauged=True)
                     continue
                 got = build(q, trunc, gauged=True)
                 assert got.dtype == np.float64 and np.array_equal(got, oracle), (name, q)
-            # a drive at any phase but 0 (pi included, in floats) has no real form
+            # a drive off the phases 0 and pi has no real form
             assert (fock_gauge(builds["resonant"](q, trunc), n) is None) == (
-                phase != 0.0 and p.Omega != 0.0
+                laser_phase_sign(phase) is None and p.Omega != 0.0
             ), q

@@ -3,6 +3,7 @@
 Usage::
 
     python tools/cli_corpus.py SRC_DIR
+    python tools/cli_corpus.py --pin SRC_DIR FILE
     python tools/cli_corpus.py --compare OLD_SRC_DIR NEW_SRC_DIR
 
 The first form imports ``ionqrm`` from SRC_DIR (the ``src`` directory of a
@@ -14,6 +15,12 @@ command's bytes or exit code changed. A ``--config`` document is written to a
 temporary file, and an ``--out`` file goes to the same temporary directory; an
 entry's argv shows the name in place of the file's path. An entry that raises
 SystemExit (as a command-line parser may) is recorded with its exit code.
+
+``--pin`` writes the digests that ``tests/cli_corpus.txt`` keeps: two header
+lines, the format and the environment that produced them (:func:`environment`),
+then one line per entry, ``sha256 masked-sha256 exit-code argv``. The second digest is
+taken with every number of the output replaced by ``#``, so it still checks
+every other field where numpy or BLAS round differently.
 
 The second form shows how far the outputs moved. It runs the corpus on each
 checkout in its own subprocess (``--dump SRC_DIR``, one JSON line per entry
@@ -30,6 +37,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -39,6 +47,7 @@ _REF = ["--set", "Omega=0.7", "--set", "eta=0.3"]  # the all-checks reference po
 _RES = ["--set", "Omega=0.5", "--set", "eta=0.02"]  # the sideband resonance nu = 2*Omega
 _DISP = ["--set", "Omega=1.0", "--set", "eta=0.08"]  # the dispersive scans' point
 _PI = ["--set", f"phi_l={math.pi!r}"]
+_NEAR_PI = [["--set", f"phi_l={math.pi + d!r}"] for d in (5e-10, -5e-10)]
 _T8 = ["--set", "trunc.n_max=8", "--set", "trunc.guard=2"]
 _COHERENT = ["--set", "evolve.state=coherent", "--set", "evolve.alpha=0.5+0.3j",
              "--set", "evolve.spin=g"]
@@ -108,6 +117,19 @@ ENTRIES: list[tuple[list[str], int]] = [
         *_COHERENT, "--set", "evolve.t_max=30", "--set", "evolve.samples=300"], 0)
       for name in ("qrm", "resonant")],
     (["bogus"], 1),
+    # the one laser-phase rule: 5e-10 off pi is neither 0 nor pi for regime and build
+    *[(["regime", *_RES, *phase], 0) for phase in _NEAR_PI],
+    *[(["build", *_RES, *phase, *_T8, "--set", "build.hamiltonian=rabi-rotated"], 1)
+      for phase in _NEAR_PI],
+    (["build", *_REF, *_PI, *_T8, "--set", "build.hamiltonian=resonant"], 0),
+    (["scan", *_REF, *_PI, "--set", "scan.kind=truncation", "--set", "scan.builder=rabi-rotated"],
+     0),
+    # each check at a second point; speed's flag is false there (Omega/nu < 0.1)
+    *[(["verify", "--set", f"Omega={omega}", "--set", f"eta={eta}",
+        "--set", f"verify.check={check}"], 0)
+      for check, omega, eta in (("qrm-transform", 0.4, 0.15), ("guard", 0.4, 0.35),
+                                ("dispersive", 1.5, 0.05), ("jc-rabi", 0.5, 0.05),
+                                ("speed", 0.05, 0.02), ("rotation", 0.3, 0.1))],
 ]
 
 
@@ -140,10 +162,43 @@ def _outputs(src_dir: str):
             yield (" ".join(argv), *_run(cli_main, real))
 
 
+def _digest(out: str, err: str) -> str:
+    return hashlib.sha256(out.encode() + b"\0" + err.encode()).hexdigest()
+
+
 def main(src_dir: str) -> int:
     for argv, code, out, err in _outputs(src_dir):
-        data = out.encode() + b"\0" + err.encode()
-        print(hashlib.sha256(data).hexdigest(), code, argv)
+        print(_digest(out, err), code, argv)
+    return 0
+
+
+def environment() -> dict:
+    """What the digests depend on: Python, numpy, its BLAS, the machine, numpy's SIMD set
+    and what sets the BLAS thread count (the CPU count and the thread variables): the
+    n_max 256 ``evolve`` entries differ in the last bit at 1 and 2 OpenBLAS threads."""
+    import os
+    import platform
+
+    import numpy as np
+
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    threads = {var: os.environ.get(var)
+               for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}", "machine": platform.machine(),
+            "simd": config["SIMD Extensions"], "cpus": os.cpu_count(), "threads": threads}
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def pin(src_dir: str, path: str) -> int:
+    lines = [f"{_digest(out, err)} {_digest(_NUMBER.sub('#', out), _NUMBER.sub('#', err))} "
+             f"{code} {argv}" for argv, code, out, err in _outputs(src_dir)]
+    header = ["# sha256 masked-sha256 exit argv of each entry of tools/cli_corpus.py (--pin)",
+              f"# environment {json.dumps(environment(), sort_keys=True)}"]
+    Path(path).write_text("\n".join([*header, *lines]) + "\n")
     return 0
 
 
@@ -244,6 +299,8 @@ if __name__ == "__main__":
         sys.exit(main(sys.argv[1]))
     if len(sys.argv) == 3 and sys.argv[1] == "--dump":
         sys.exit(dump(sys.argv[2]))
+    if len(sys.argv) == 4 and sys.argv[1] == "--pin":
+        sys.exit(pin(sys.argv[2], sys.argv[3]))
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
         sys.exit(compare(sys.argv[2], sys.argv[3]))
     raise SystemExit(__doc__)
