@@ -47,7 +47,7 @@ from types import SimpleNamespace
 from collections.abc import Callable
 
 from .params import (DEFAULT_SEED, DEFAULT_TRUNC, IonParams, Record, RegimeThresholds,
-                     Tolerances, TruncationSpec, is_sideband_resonant, phase_is_zero_or_pi)
+                     Tolerances, TruncationSpec, is_sideband_resonant, laser_phase_sign)
 
 COMMANDS = ("build", "verify", "evolve", "scan", "regime", "all-checks")
 VERIFY_CHECKS = ("qrm-transform", "guard", "dispersive", "jc-rabi", "speed", "rotation")
@@ -481,7 +481,7 @@ def _run_preconditions(c: RunConfig, runs: tuple[str, ...],
         run = _skipping_run(runs, key)
         if run is not None:
             raise ConfigError(f"{key} is not read by {run}", line)
-    if runs[0] == "rabi-rotated" and not phase_is_zero_or_pi(c.params.phi_l):
+    if runs[0] == "rabi-rotated" and laser_phase_sign(c.params.phi_l) is None:
         raise ConfigError("constraint violation: rabi-rotated requires phi_l in {0, pi}")
 
 

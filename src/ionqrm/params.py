@@ -280,11 +280,6 @@ def laser_phase_sign(phi_l: float) -> float | None:
     return None
 
 
-def phase_is_zero_or_pi(phi_l: float) -> bool:
-    """True when :func:`laser_phase_sign` names the phase."""
-    return laser_phase_sign(phi_l) is not None
-
-
 def classify_regime(p: IonParams, thresholds: RegimeThresholds | None = None) -> Regime:
     """Classify the coupling regime of the engineered Rabi model.
 

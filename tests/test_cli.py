@@ -926,11 +926,10 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code(tmp_path):
     spec = importlib.util.spec_from_file_location("cli_corpus", tool)
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
-    fresh = tmp_path / "cli_corpus.txt"
-    subprocess.run([sys.executable, str(tool), "--pin", SRC, str(fresh)], capture_output=True,
-                   text=True, check=True)
+    proc = subprocess.run([sys.executable, str(tool), SRC], capture_output=True, text=True,
+                          check=True)
     pinned = (Path(__file__).parent / "cli_corpus.txt").read_text().splitlines()
-    got = fresh.read_text().splitlines()
+    got = proc.stdout.splitlines()
     assert got[0] == pinned[0] and len(got) == len(pinned)
     # the full digests hold in the environment that wrote them; elsewhere the exit codes
     # and the digests with every number masked still check every other field
@@ -946,7 +945,7 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code(tmp_path):
         if row[1:] != want[1:] or same_environment and digest != want[0]:
             moved.append(argv)
     assert moved == [], ("outputs moved; if on purpose, list them from --compare in "
-                         "CHANGES.md and rewrite the file with --pin")
+                         "CHANGES.md and rewrite the file from tools/cli_corpus.py src")
     assert corpus._NUMBER.sub("#", '{"x": [-1.5e-17, 0.25], "n_max": 8, "k": "ajc"}') == (
         '{"x": [#, #], "n_max": #, "k": "ajc"}')
 

@@ -3,24 +3,21 @@
 Usage::
 
     python tools/cli_corpus.py SRC_DIR
-    python tools/cli_corpus.py --pin SRC_DIR FILE
     python tools/cli_corpus.py --compare OLD_SRC_DIR NEW_SRC_DIR
 
 The first form imports ``ionqrm`` from SRC_DIR (the ``src`` directory of a
 checkout) and runs every entry of :data:`ENTRIES` through ``ionqrm.cli.main``
-in this one process. Each entry prints one line, ``sha256 exit-code argv``,
-where the digest covers the entry's stdout, a NUL byte and its stderr. Running
-it on two checkouts and comparing the outputs with ``diff`` shows whether any
-command's bytes or exit code changed. A ``--config`` document is written to a
-temporary file, and an ``--out`` file goes to the same temporary directory; an
-entry's argv shows the name in place of the file's path. An entry that raises
-SystemExit (as a command-line parser may) is recorded with its exit code.
-
-``--pin`` writes the digests that ``tests/cli_corpus.txt`` keeps: two header
-lines, the format and the environment that produced them (:func:`environment`),
-then one line per entry, ``sha256 masked-sha256 exit-code argv``. The second digest is
-taken with every number of the output replaced by ``#``, so it still checks
-every other field where numpy or BLAS round differently.
+in this one process. It prints two header lines, the format and the
+environment that produced the digests (:func:`environment`), then one line per
+entry, ``sha256 masked-sha256 exit-code argv``. The first digest covers the
+entry's stdout, a NUL byte and its stderr; the second is taken the same way
+with every number replaced by ``#``, so it still checks every other field where
+numpy or BLAS round differently. ``tests/cli_corpus.txt`` keeps this output:
+``python tools/cli_corpus.py src > tests/cli_corpus.txt`` rewrites it. A
+``--config`` document is written to a temporary file, and an ``--out`` file
+goes to the same temporary directory; an entry's argv shows the name in place
+of the file's path. An entry that raises SystemExit (as a command-line parser
+may) is recorded with its exit code.
 
 The second form shows how far the outputs moved. It runs the corpus on each
 checkout in its own subprocess (``--dump SRC_DIR``, one JSON line per entry
@@ -166,16 +163,35 @@ def _digest(out: str, err: str) -> str:
     return hashlib.sha256(out.encode() + b"\0" + err.encode()).hexdigest()
 
 
-def main(src_dir: str) -> int:
-    for argv, code, out, err in _outputs(src_dir):
-        print(_digest(out, err), code, argv)
-    return 0
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _openblas() -> dict | None:
+    """The thread count and kernel (core type) that the OpenBLAS numpy ships with picked
+    when it loaded, or None when there is no such library to ask."""
+    import ctypes
+    import glob
+    import os
+
+    import numpy as np
+
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                       "*openblas*")):
+        lib = ctypes.CDLL(path)  # the copy numpy already loaded
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+            threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            core = getattr(lib, f"{prefix}openblas_get_corename{suffix}", None)
+            if threads is not None and core is not None:
+                threads.restype, core.restype = ctypes.c_int, ctypes.c_char_p
+                return {"threads": threads(), "core": core().decode()}
+    return None
 
 
 def environment() -> dict:
-    """What the digests depend on: Python, numpy, its BLAS, the machine, numpy's SIMD set
-    and what sets the BLAS thread count (the CPU count and the thread variables): the
-    n_max 256 ``evolve`` entries differ in the last bit at 1 and 2 OpenBLAS threads."""
+    """What the digests depend on: Python, numpy, its BLAS, the machine, numpy's SIMD set,
+    the CPUs this process may run on, the thread variables and, where numpy ships
+    OpenBLAS, the thread count and kernel it picked: the n_max 256 ``evolve`` entries
+    differ in the last bit at 1 and 2 OpenBLAS threads."""
     import os
     import platform
 
@@ -185,20 +201,19 @@ def environment() -> dict:
     blas = config["Build Dependencies"]["blas"]
     threads = {var: os.environ.get(var)
                for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas['name']} {blas['version']}", "machine": platform.machine(),
-            "simd": config["SIMD Extensions"], "cpus": os.cpu_count(), "threads": threads}
+            "simd": config["SIMD Extensions"], "cpus": cpus, "threads": threads,
+            "openblas": _openblas()}
 
 
-_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-
-
-def pin(src_dir: str, path: str) -> int:
-    lines = [f"{_digest(out, err)} {_digest(_NUMBER.sub('#', out), _NUMBER.sub('#', err))} "
-             f"{code} {argv}" for argv, code, out, err in _outputs(src_dir)]
-    header = ["# sha256 masked-sha256 exit argv of each entry of tools/cli_corpus.py (--pin)",
-              f"# environment {json.dumps(environment(), sort_keys=True)}"]
-    Path(path).write_text("\n".join([*header, *lines]) + "\n")
+def main(src_dir: str) -> int:
+    print("# sha256 masked-sha256 exit argv of each entry of tools/cli_corpus.py")
+    print(f"# environment {json.dumps(environment(), sort_keys=True)}")
+    for argv, code, out, err in _outputs(src_dir):
+        print(_digest(out, err), _digest(_NUMBER.sub("#", out), _NUMBER.sub("#", err)), code,
+              argv)
     return 0
 
 
@@ -299,8 +314,6 @@ if __name__ == "__main__":
         sys.exit(main(sys.argv[1]))
     if len(sys.argv) == 3 and sys.argv[1] == "--dump":
         sys.exit(dump(sys.argv[2]))
-    if len(sys.argv) == 4 and sys.argv[1] == "--pin":
-        sys.exit(pin(sys.argv[2], sys.argv[3]))
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
         sys.exit(compare(sys.argv[2], sys.argv[3]))
     raise SystemExit(__doc__)
