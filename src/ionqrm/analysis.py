@@ -1,13 +1,14 @@
 """Executable verification experiments for the engineered Rabi model.
 
 Each experiment returns a :class:`VerificationReport` whose pass flag is
-determined solely by the stated tolerance, with every measured quantity in
+derived from its declared gate rows, with every measured quantity in
 ``metrics``. Random draws always come from a seeded generator recorded in
 the report, so reports are deterministic given (params, trunc, seed).
 """
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -54,19 +55,36 @@ from .params import (
 )
 
 DEFAULT_TOLERANCES = Tolerances()
+_COMPARISONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
+
+
+def gates_hold(metrics: dict[str, float], gates) -> bool:
+    """True iff every ``(metric, comparison, bound)`` row holds over ``metrics``.
+
+    A row holds only when its comparison is True, so a NaN fails every row. Every row
+    is read: one naming an absent metric raises KeyError, and no rows raise ValueError.
+    """
+    if not gates:
+        raise ValueError("no gate rows: the report has no verdict")
+    return all([_COMPARISONS[op](metrics[name], bound) for name, op, bound in gates])
 
 
 class VerificationReport(Record):
-    """Outcome of one experiment: metrics, the tolerance used, and a pass flag."""
+    """Outcome of one experiment: metrics, the tolerance used, and the gate rows
+    ``(metric, comparison, bound)`` that derive its pass flag (not serialized)."""
 
     name: str
-    passed: bool
     tolerance: float
+    gates: tuple[tuple[str, str, float], ...] = ()
     metrics: dict[str, float] = {}
     params: IonParams | None = None
     trunc: TruncationSpec | None = None
     seed: int | None = None
     notes: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return gates_hold(self.metrics, self.gates)
 
     def to_dict(self) -> dict:
         params = None
@@ -158,25 +176,19 @@ def operator_algebra_check(
         unit_devs.append(np.max(np.abs(disp @ dagger(disp) - eye)))
         oracle_devs.append(np.max(np.abs(interior_block(disp, trunc) - interior_block(lag, trunc))))
         gen_devs.append(np.max(np.abs(disp - displacement_generator(alpha, trunc))))
-    # np.max keeps a NaN, which then fails every "<=" below
-    unit_dev = float(np.max(unit_devs))
-    oracle_dev = float(np.max(oracle_devs))
-    gen_dev = float(np.max(gen_devs))
-    passed = (
-        comm_dev <= 1e-13
-        and unit_dev <= tol.identity
-        and gen_dev <= tol.identity
-        and oracle_dev <= tol.oracle
-    )
+    # np.max keeps a NaN, which then fails every gate row
     return VerificationReport(
         name="operator-algebra",
-        passed=passed,
+        gates=(("commutator_interior_dev", "<=", 1e-13),
+               ("displacement_unitarity_dev", "<=", tol.identity),
+               ("displacement_generator_dev", "<=", tol.identity),
+               ("displacement_oracle_dev", "<=", tol.oracle)),
         tolerance=tol.oracle,
         metrics={
             "commutator_interior_dev": comm_dev,
-            "displacement_unitarity_dev": unit_dev,
-            "displacement_oracle_dev": oracle_dev,
-            "displacement_generator_dev": gen_dev,
+            "displacement_unitarity_dev": float(np.max(unit_devs)),
+            "displacement_oracle_dev": float(np.max(oracle_devs)),
+            "displacement_generator_dev": float(np.max(gen_devs)),
         },
         trunc=trunc,
         notes="commutator compared at 1e-13 (rounding of sqrt products); "
@@ -219,7 +231,7 @@ def qrm_transform_check(
     threshold = tol.spectral * trunc.interior_dim
     return VerificationReport(
         name="qrm-transform",
-        passed=norm < threshold,
+        gates=(("frobenius_norm", "<", threshold),),
         tolerance=tol.spectral,
         metrics={
             "frobenius_norm": norm,
@@ -257,19 +269,17 @@ def qrm_transform_property(
         rep = qrm_transform_check(p, trunc, tol)
         norms.append(rep.metrics["frobenius_norm"])
         diags.append(rep.metrics["diag_offset_dev"])
-        if not (rep.passed and diags[-1] <= tol.spectral):
+        if not gates_hold(rep.metrics, (*rep.gates, ("diag_offset_dev", "<=", tol.spectral))):
             n_failed += 1
-    worst_norm = float(np.max(norms, initial=0.0))
-    worst_diag = float(np.max(diags, initial=0.0))
     return VerificationReport(
         name="qrm-transform-draws",
-        passed=n_failed == 0,
+        gates=(("failed", "<=", 0.0),),
         tolerance=tol.spectral,
         metrics={
             "draws": float(n_draws),
             "failed": float(n_failed),
-            "worst_frobenius_norm": worst_norm,
-            "worst_diag_offset_dev": worst_diag,
+            "worst_frobenius_norm": float(np.max(norms, initial=0.0)),
+            "worst_diag_offset_dev": float(np.max(diags, initial=0.0)),
             "threshold": tol.spectral * trunc.interior_dim,
         },
         trunc=trunc,
@@ -292,12 +302,11 @@ def guard_necessity_check(
     if p.eta < 0.3:
         raise ValueError("guard demonstration needs eta >= 0.3")
     bare = TruncationSpec(n_max=n_max, guard=0)
-    rep = qrm_transform_check(p, bare, tol)
-    edge_norm = rep.metrics["frobenius_norm"]
+    edge_norm = qrm_transform_check(p, bare, tol).metrics["frobenius_norm"]
     threshold = tol.spectral * n_max
     return VerificationReport(
         name="guard-necessity",
-        passed=edge_norm >= threshold,
+        gates=(("edge_norm", ">=", threshold),),
         tolerance=tol.spectral,
         metrics={"edge_norm": edge_norm, "threshold": threshold},
         params=p,
@@ -335,7 +344,7 @@ def lamb_dicke_remainder_scan(
     metrics["relative_order"] = _fit_order(list(etas), rel_norms)
     return VerificationReport(
         name="lamb-dicke-remainder",
-        passed=order >= tol.min_scaling_order,
+        gates=(("order", ">=", tol.min_scaling_order),),
         tolerance=tol.min_scaling_order,
         metrics=metrics,
         params=p_base,
@@ -393,7 +402,7 @@ def dispersive_error_scan(
     metrics["k_lowest"] = float(k_lowest)
     return VerificationReport(
         name="dispersive-error-scan",
-        passed=order >= tol.min_scaling_order,
+        gates=(("order", ">=", tol.min_scaling_order),),
         tolerance=tol.min_scaling_order,
         metrics=metrics,
         params=p_base,
@@ -421,12 +430,11 @@ def chi_identity_check(n_draws: int = 100, seed: int = DEFAULT_SEED) -> Verifica
         lhs = cpl.chi
         rhs = nu * eta * (cpl.eps_counter + cpl.eps_co)
         devs.append(abs(lhs - rhs) / abs(lhs))
-    worst = float(np.max(devs, initial=0.0))
     return VerificationReport(
         name="chi-identity",
-        passed=worst <= 1e-12,
+        gates=(("worst_relative_dev", "<=", 1e-12),),
         tolerance=1e-12,
-        metrics={"draws": float(n_draws), "worst_relative_dev": worst},
+        metrics={"draws": float(n_draws), "worst_relative_dev": float(np.max(devs, initial=0.0))},
         seed=seed,
         notes="chi = nu*eta*(eps_counter+eps_co) = 2*g*(eps_counter+eps_co)",
     )
@@ -482,19 +490,16 @@ def jc_rabi_experiment(
     run_full = propagate(h_full, psi0, times)
     freq_full = dominant_frequency(times, run_full.p_excited)
 
-    rel_dev_full = abs(freq_full - freq_analytic) / freq_analytic
-    rel_dev_jc = abs(freq_jc - freq_analytic) / freq_analytic
-    passed = rel_dev_full <= _JC_FREQ_RTOL and pointwise_dev <= 1e-8
     return VerificationReport(
         name="jc-rabi",
-        passed=passed,
+        gates=(("rel_dev_full", "<=", _JC_FREQ_RTOL), ("jc_pointwise_dev", "<=", 1e-8)),
         tolerance=_JC_FREQ_RTOL,
         metrics={
             "freq_analytic": freq_analytic,
             "freq_jc": freq_jc,
             "freq_full": freq_full,
-            "rel_dev_jc": rel_dev_jc,
-            "rel_dev_full": rel_dev_full,
+            "rel_dev_jc": abs(freq_jc - freq_analytic) / freq_analytic,
+            "rel_dev_full": abs(freq_full - freq_analytic) / freq_analytic,
             "jc_pointwise_dev": pointwise_dev,
             "lamb_dicke_warning": float(p.eta > 0.1),
         },
@@ -524,7 +529,7 @@ def ajc_dynamics_check(p: IonParams) -> VerificationReport:
     dark_dev = float(np.max(dark.p_excited))
     return VerificationReport(
         name="ajc-dynamics",
-        passed=dev <= 1e-8 and dark_dev <= 1e-12,
+        gates=(("pointwise_dev", "<=", 1e-8), ("jc_dark_state_dev", "<=", 1e-12)),
         tolerance=1e-8,
         metrics={"pointwise_dev": dev, "jc_dark_state_dev": dark_dev},
         params=p,
@@ -569,7 +574,7 @@ def truncation_convergence(
     metrics["k_lowest"] = float(k_lowest)
     return VerificationReport(
         name=f"truncation-convergence-{builder}",
-        passed=shifts[-1] < _CONVERGENCE_TOL,
+        gates=(("final_shift", "<", _CONVERGENCE_TOL),),
         tolerance=_CONVERGENCE_TOL,
         metrics=metrics,
         params=p,
@@ -593,13 +598,10 @@ def speed_comparison(p: IonParams) -> VerificationReport:
     metrics = {"g_ratio": g / p.nu, "omega_ratio": p.Omega / p.nu}
     if g > 0:
         metrics["gate_time"] = 2.0 * math.pi / g * p.nu  # in units of 1/nu
-    fast = (
-        metrics["g_ratio"] >= _FAST_MIN_G_RATIO
-        and metrics["omega_ratio"] >= _FAST_MIN_OMEGA_RATIO
-    )
     return VerificationReport(
         name="speed-comparison",
-        passed=fast,
+        gates=(("g_ratio", ">=", _FAST_MIN_G_RATIO),
+               ("omega_ratio", ">=", _FAST_MIN_OMEGA_RATIO)),
         tolerance=_FAST_MIN_G_RATIO,
         metrics=metrics,
         params=p,
@@ -620,9 +622,7 @@ def regime_check(n_draws: int = 100, seed: int = DEFAULT_SEED) -> VerificationRe
         (IonParams(Omega=0.0005, eta=0.2, nu=1.0), Regime.DECOUPLING),
         (IonParams(Omega=1.0, eta=2.5, nu=1.0), Regime.DEEP_STRONG),
     ]
-    fixture_failures = sum(
-        1 for p, expected in fixtures if classify_regime(p) is not expected
-    )
+    fixture_failures = sum(1 for p, expected in fixtures if classify_regime(p) is not expected)
     rng = np.random.default_rng(seed)
     invariance_failures = 0
     for _ in range(n_draws):
@@ -638,10 +638,9 @@ def regime_check(n_draws: int = 100, seed: int = DEFAULT_SEED) -> VerificationRe
         )
         if classify_regime(p) is not classify_regime(scaled):
             invariance_failures += 1
-    passed = fixture_failures == 0 and invariance_failures == 0
     return VerificationReport(
         name="regime-classifier",
-        passed=passed,
+        gates=(("fixture_failures", "<=", 0.0), ("invariance_failures", "<=", 0.0)),
         tolerance=0.0,
         metrics={
             "fixture_failures": float(fixture_failures),
@@ -665,14 +664,12 @@ def rotation_diagnostic_check(
     Its "_to_other_form" metrics show that each gate tells the two forms apart.
     """
     p = p or IonParams(Omega=0.7, eta=0.2)
-    metrics = rotation_diagnostic(p, trunc)
-    passed = (metrics["phi0_to_rabi_rotated"] <= tol.identity
-              and metrics["phipi_to_rabi_rotated"] <= tol.identity)
     return VerificationReport(
         name="rotation-diagnostic",
-        passed=passed,
+        gates=(("phi0_to_rabi_rotated", "<=", tol.identity),
+               ("phipi_to_rabi_rotated", "<=", tol.identity)),
         tolerance=tol.identity,
-        metrics=metrics,
+        metrics=rotation_diagnostic(p, trunc),
         params=p,
         trunc=trunc,
         notes="exp(i*pi/4*sigma_y) maps h_lamb_dicke onto h_rabi_rotated at phi_l = 0 "
@@ -706,8 +703,6 @@ def propagator_conservation_check(
         energies = np.einsum("td,td->t", run.states.conj(), run.states @ h.T).real
         h_scale = float(np.linalg.norm(h))
         energy_devs.append(float(np.max(np.abs(energies - energies[0]))) / h_scale)
-    worst_norm = float(np.max(norm_devs))
-    worst_energy = float(np.max(energy_devs))
     # composition across a random split point, against the JC run above
     h, psi0, direct = runs[0]
     split = int(rng.integers(1, times.size - 1))
@@ -715,16 +710,15 @@ def propagator_conservation_check(
     resumed = propagate(
         h, first[-1], times[split:] - times[split], store_states=True
     ).states
-    comp_dev = float(np.max(np.abs(resumed - direct[split:])))
-    passed = worst_norm < 1e-10 and worst_energy < 1e-9 and comp_dev < 1e-10
     return VerificationReport(
         name="propagator-conservation",
-        passed=passed,
+        gates=(("worst_norm_residual", "<", 1e-10), ("worst_energy_drift_rel", "<", 1e-9),
+               ("composition_dev", "<", 1e-10)),
         tolerance=1e-10,
         metrics={
-            "worst_norm_residual": worst_norm,
-            "worst_energy_drift_rel": worst_energy,
-            "composition_dev": comp_dev,
+            "worst_norm_residual": float(np.max(norm_devs)),
+            "worst_energy_drift_rel": float(np.max(energy_devs)),
+            "composition_dev": float(np.max(np.abs(resumed - direct[split:]))),
             "split_index": float(split),
         },
         params=p,

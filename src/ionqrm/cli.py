@@ -12,7 +12,8 @@ and --set cannot set command. The whole configuration is validated before any
 computation. Output files are written atomically; without --out results go to stdout.
 
 Exit status: 0 on success and for --help; 1 on any error, with one JSON record on
-stderr and nothing on stdout; 2 when all-checks finds a failing report.
+stderr and nothing on stdout; 2 when a report that verify, scan --format json or
+all-checks writes fails.
 """
 from __future__ import annotations
 
@@ -59,6 +60,11 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _exit_status(reports: list) -> int:
+    """EXIT_CHECKS_FAILED when any report a command wrote fails, else EXIT_OK."""
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECKS_FAILED
+
+
 def _cmd_build(config: RunConfig) -> int:
     from .models import HAMILTONIAN_BUILDERS, h_qrm
 
@@ -98,7 +104,7 @@ def _cmd_verify(config: RunConfig) -> int:
     else:
         report = analysis.rotation_diagnostic_check(p, trunc, tol=tol)
     _write_text(config.out, _json_text(report.to_dict()))
-    return EXIT_OK
+    return _exit_status([report])
 
 
 def _cmd_evolve(config: RunConfig) -> int:
@@ -150,7 +156,7 @@ def _cmd_scan(config: RunConfig) -> int:
             rows.append(f"{b},{_fmt(report.metrics[f'shift_{a}_to_{b}'])}")
     text = _json_text(report.to_dict()) if config.format == "json" else "\n".join(rows) + "\n"
     _write_text(config.out, text)
-    return EXIT_OK
+    return _exit_status([report]) if config.format == "json" else EXIT_OK  # CSV: no flag
 
 
 def _cmd_regime(config: RunConfig) -> int:
@@ -166,14 +172,14 @@ def _cmd_all_checks(config: RunConfig) -> int:
     from . import analysis
 
     reports = analysis.run_all_checks(trunc=config.trunc, seed=config.seed, tol=config.tol)
-    passed = all(r.passed for r in reports)
+    status = _exit_status(reports)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "passed": passed,
+        "passed": status == EXIT_OK,
         "reports": [r.to_dict() for r in reports],
     }
     _write_text(config.out, _json_text(payload))
-    return EXIT_OK if passed else EXIT_CHECKS_FAILED
+    return status
 
 
 _DISPATCH = {

@@ -6,7 +6,7 @@ The tests still write the models' docstring formulas as dense sums of
 ``spin_tensor_osc`` terms and check Hermiticity, unitarity and expectation
 values; those helpers live here. So do the dense Fock-parity gauge of a whole
 matrix, which the package applies only inside ``dynamics.block_eigh``, and
-the fidelity of two states.
+the fidelity of two states, and the pass rule of a report's gate rows.
 """
 from enum import Enum
 
@@ -114,3 +114,10 @@ def fock_gauge(h: np.ndarray, n_osc: int) -> np.ndarray | None:
     if not gauge_is_real(h.view(np.float64) != 0, n_osc):
         return None
     return gauge_parts(h.real, h.imag, n_osc)
+
+
+def rows_hold(report) -> bool:
+    """Every ``(metric, comparison, bound)`` row of ``report`` holds, written out here
+    apart from ``analysis.gates_hold``: a comparison with a NaN is False."""
+    holds = {"<=": lambda x, b: x <= b, "<": lambda x, b: x < b, ">=": lambda x, b: x >= b}
+    return all(holds[op](report.metrics[metric], bound) for metric, op, bound in report.gates)

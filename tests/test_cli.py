@@ -287,9 +287,9 @@ def test_a_csv_scan_rejects_the_tolerance_its_json_report_reads(kind, capsys):
         assert [json.loads(line) for line in err.splitlines()] == [
             {"error": "ConfigError", "message": "tol.min_order is not read by format = csv",
              "schema_version": 1}]
-    # the JSON report still takes it: the order ~2 fails 2.5 and passes the default 1.8
+    # the JSON report still takes it: the order ~2 fails 2.5 (exit 2) and passes the default 1.8
     code, out, _ = run_cli([*args, "--format", "json", *strict], capsys)
-    assert code == EXIT_OK
+    assert code == EXIT_CHECKS_FAILED
     report = json.loads(out)
     assert (report["tolerance"], report["passed"]) == (2.5, False)
     code, out, _ = run_cli([*args, "--format", "json"], capsys)
@@ -613,12 +613,46 @@ def test_all_checks_nonzero_when_a_check_fails(tmp_path, capsys, monkeypatch):
     from ionqrm.analysis import VerificationReport
 
     def fake_checks(trunc, seed, tol):
-        return [VerificationReport(name="stub", passed=False, tolerance=0.0)]
+        return [VerificationReport(name="stub", gates=(("x", "<=", 0.0),), tolerance=0.0,
+                                   metrics={"x": 1.0})]
 
     monkeypatch.setattr(analysis, "run_all_checks", fake_checks)
     code, out, _ = run_cli(["all-checks", "--set", "Omega=0.7", "--set", "eta=0.3"], capsys)
     assert code == EXIT_CHECKS_FAILED
     assert json.loads(out)["passed"] is False
+
+
+def test_verify_and_a_json_scan_exit_2_exactly_when_their_report_fails(capsys, monkeypatch):
+    # every verify and JSON scan of the corpus: the report written has rows, each naming
+    # one of its metrics, and the exit status is read from its pass flag
+    from ionqrm.analysis import VerificationReport
+    from oracles import rows_hold
+
+    written = []
+    to_dict = VerificationReport.to_dict
+
+    def recording(report):
+        written.append(report)
+        return to_dict(report)
+
+    monkeypatch.setattr(VerificationReport, "to_dict", recording)
+    entries = [(argv, code) for argv, code in _corpus_tool()[0].ENTRIES
+               if argv[0] == "verify" or argv[0] == "scan" and "json" in argv]
+    failed = []
+    for argv, expected in entries:
+        written.clear()
+        code, out, _ = run_cli(argv, capsys)
+        (report,) = written
+        assert report.gates and all(m in report.metrics for m, _, _ in report.gates), argv
+        assert json.loads(out)["passed"] is report.passed is rows_hold(report), argv
+        assert code == expected == (EXIT_OK if report.passed else EXIT_CHECKS_FAILED), argv
+        if not report.passed:
+            failed.append(report.name)
+    assert len(entries) == 15 and failed == ["speed-comparison", "truncation-convergence-qrm"]
+    # the same failing scan as CSV carries no pass flag and exits 0
+    code, out, _ = run_cli(["scan", "--set", "Omega=0.7", "--set", "eta=0.3", "--set",
+                            "scan.kind=truncation", "--set", "scan.n_list=4,8"], capsys)
+    assert code == EXIT_OK and out.startswith("n_max,max_shift_from_prev\n")
 
 
 def test_a_nan_oracle_deviation_is_one_error_record_not_a_nan_token(capsys, monkeypatch):
@@ -800,8 +834,10 @@ def test_import_and_cheap_commands_never_load_scipy(src_env):
                                              "--set", f"verify.check={check}"]))
     seen = _run_cold(commands, src_env)
     assert list(seen) == ["import ionqrm"] + [label for label, _ in commands]
+    # the qrm-transform report fails at this small cutoff, so that verify exits 2
     assert {label: run["exit"] for label, run in seen.items()} == {
-        "import ionqrm": None, **{label: EXIT_OK for label, _ in commands}}
+        "import ionqrm": None, **{label: EXIT_OK for label, _ in commands},
+        "verify qrm-transform": EXIT_CHECKS_FAILED}
     assert {label: run["scipy"] for label, run in seen.items() if run["scipy"]} == {}
 
 
@@ -916,7 +952,8 @@ def test_scipy_users_resolve_their_lazy_imports(src_env):
     assert loaded == "False"
 
 
-def test_cli_corpus_runs_every_entry_to_its_exit_code(tmp_path):
+def _corpus_tool():
+    """tools/cli_corpus.py of this checkout, as a module."""
     import importlib.util
     from pathlib import Path
 
@@ -926,7 +963,16 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code(tmp_path):
     spec = importlib.util.spec_from_file_location("cli_corpus", tool)
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
-    proc = subprocess.run([sys.executable, str(tool), SRC], capture_output=True, text=True,
+    return corpus, str(tool)
+
+
+def test_cli_corpus_runs_every_entry_to_its_exit_code(tmp_path):
+    from pathlib import Path
+
+    from conftest import SRC
+
+    corpus, tool = _corpus_tool()
+    proc = subprocess.run([sys.executable, tool, SRC], capture_output=True, text=True,
                           check=True)
     pinned = (Path(__file__).parent / "cli_corpus.txt").read_text().splitlines()
     got = proc.stdout.splitlines()
@@ -935,7 +981,7 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code(tmp_path):
     # and the digests with every number masked still check every other field
     same_environment = got[1] == pinned[1]
     rows = [line.split(" ", 3) for line in got[2:]]
-    assert len(rows) == len(corpus.ENTRIES) == 97
+    assert len(rows) == len(corpus.ENTRIES) == 98
     moved = []
     for row, want, (entry, expected) in zip(rows, pinned[2:], corpus.ENTRIES):
         digest, masked, code, argv = row
@@ -951,16 +997,11 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code(tmp_path):
 
 
 def test_cli_corpus_compare_shows_how_far_each_column_moved(tmp_path):
-    import importlib.util
     import shutil
-    from pathlib import Path
 
     from conftest import SRC
 
-    tool = Path(SRC).parent / "tools" / "cli_corpus.py"
-    spec = importlib.util.spec_from_file_location("cli_corpus", tool)
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
+    corpus, tool = _corpus_tool()
     assert corpus.changes('{"a": 1.0, "b": [2, 3], "c": "x"}\n',
                           '{"a": 1.5, "b": [2, 3], "c": "y"}\n') == [
         "a: 1 of 1 numbers differ, max abs 0.5, max rel 0.5",
@@ -970,7 +1011,7 @@ def test_cli_corpus_compare_shows_how_far_each_column_moved(tmp_path):
         "P_e: 1 of 2 numbers differ, max abs 0.25, max rel 0.5",
     ]
 
-    same = subprocess.run([sys.executable, str(tool), "--compare", SRC, SRC],
+    same = subprocess.run([sys.executable, tool, "--compare", SRC, SRC],
                           capture_output=True, text=True)
     assert same.returncode == 0, same.stderr
     assert same.stdout == f"0 of {len(corpus.ENTRIES)} entries differ\n"
@@ -982,7 +1023,7 @@ def test_cli_corpus_compare_shows_how_far_each_column_moved(tmp_path):
     assert "    return repr(float(x))\n" in text
     cli_py.write_text(text.replace("    return repr(float(x))\n",
                                    "    return repr(float(f\"{float(x):.12g}\"))\n"))
-    moved = subprocess.run([sys.executable, str(tool), "--compare", SRC, str(rounded)],
+    moved = subprocess.run([sys.executable, tool, "--compare", SRC, str(rounded)],
                            capture_output=True, text=True)
     assert moved.returncode == 1, moved.stderr
     lines = moved.stdout.splitlines()

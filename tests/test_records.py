@@ -43,8 +43,8 @@ _SAMPLES = {
     "EvolutionResult": [((0.0, 1.0), (1.0, 0.5), (0.0, 0.1), (0.0, 1e-16)),
                         ((0.0,), (1.0,), (0.0,), (0.0,), (1.0,), ((1.0, 0.0),))],
     "BlockEigensystem": [(None, ()), ((1, -1j), (((0, 1), (0.5, 1.5), None),))],
-    "VerificationReport": [("stub", False, 0.0),
-                           ("x", True, 1e-9, {"a": 1.0}, IonParams(0.3, 0.1),
+    "VerificationReport": [("stub", 0.0),
+                           ("x", 1e-9, (("a", "<=", 2.0),), {"a": 1.0}, IonParams(0.3, 0.1),
                             TruncationSpec(8, 2), 7, "note")],
     "_Key": [(None, "command", str), ("params", "nu", float, ("a", "b"), ("kind", (None,)))],
 }
@@ -146,11 +146,11 @@ def test_replace_validates_like_construction(record, change):
 
 
 def test_verification_reports_share_no_metrics_default():
-    a = VerificationReport(name="a", passed=True, tolerance=0.0)
-    b = VerificationReport(name="b", passed=True, tolerance=0.0)
+    a = VerificationReport(name="a", tolerance=0.0)
+    b = VerificationReport(name="b", tolerance=0.0)
     assert a.metrics == {} and a.metrics is not b.metrics
     a.metrics["x"] = 1.0
     assert b.metrics == {}
-    assert VerificationReport(name="c", passed=True, tolerance=0.0).metrics == {}
+    assert VerificationReport(name="c", tolerance=0.0).metrics == {}
     given = {"y": 2.0}
-    assert VerificationReport("d", True, 0.0, given).metrics is given
+    assert VerificationReport("d", 0.0, (), given).metrics is given

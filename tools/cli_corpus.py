@@ -121,12 +121,15 @@ ENTRIES: list[tuple[list[str], int]] = [
     (["build", *_REF, *_PI, *_T8, "--set", "build.hamiltonian=resonant"], 0),
     (["scan", *_REF, *_PI, "--set", "scan.kind=truncation", "--set", "scan.builder=rabi-rotated"],
      0),
-    # each check at a second point; speed's flag is false there (Omega/nu < 0.1)
+    # each check at a second point; speed's flag is false there (Omega/nu < 0.1): exit 2
     *[(["verify", "--set", f"Omega={omega}", "--set", f"eta={eta}",
-        "--set", f"verify.check={check}"], 0)
+        "--set", f"verify.check={check}"], 2 if check == "speed" else 0)
       for check, omega, eta in (("qrm-transform", 0.4, 0.15), ("guard", 0.4, 0.35),
                                 ("dispersive", 1.5, 0.05), ("jc-rabi", 0.5, 0.05),
                                 ("speed", 0.05, 0.02), ("rotation", 0.3, 0.1))],
+    # a JSON scan exits 2 when its report fails: the QRM is far from converged at n_max = 8
+    (["scan", *_REF, "--set", "scan.kind=truncation", "--set", "scan.n_list=4,8",
+      "--format", "json"], 2),
 ]
 
 
