@@ -46,6 +46,9 @@ complex displacement.
 on first use, and the ``regime`` command never loads numpy. The package
 needs numpy and the standard library only; the Laguerre oracle computes its
 polynomials by recurrence, so no command, ``all-checks`` included, loads scipy.
+A run loads numpy's core, ``numpy.linalg`` and, for the frequency checks,
+``numpy.fft``; never ``numpy.random`` or ``numpy.ma``. The seeded checks draw
+from ``analysis``'s own PCG64 stream, equal to ``np.random.default_rng(seed)``.
 """
 from __future__ import annotations
 

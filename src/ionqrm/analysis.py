@@ -2,8 +2,9 @@
 
 Each experiment returns a :class:`VerificationReport` whose pass flag is
 derived from its declared gate rows, with every measured quantity in
-``metrics``. Random draws always come from a seeded generator recorded in
-the report, so reports are deterministic given (params, trunc, seed).
+``metrics``. Random draws always come from a seeded stream recorded in the
+report, so reports are deterministic given (params, trunc, seed); the stream is
+``np.random.default_rng(seed)``'s, drawn without loading ``numpy.random``.
 """
 from __future__ import annotations
 
@@ -56,6 +57,91 @@ from .params import (
 
 DEFAULT_TOLERANCES = Tolerances()
 _COMPARISONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
+
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _SeededStream:
+    """The draws of ``np.random.default_rng(seed)`` that the checks make, bit for bit,
+    without loading ``numpy.random``.
+
+    numpy's SeedSequence mixes the seed's 32-bit words (least significant first) into
+    a pool of four and hashes that pool into PCG64's 128-bit state and increment; each
+    64-bit draw steps the state and outputs its XSL-RR value (O'Neill,
+    HMC-CS-2014-0905, 2014). NEP 19 keeps these bit streams stable across numpy
+    releases; the three call forms below follow numpy 2's ``Generator``.
+    """
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+        hash_const = 0x43B0D7E5
+
+        def hashmix(value: int) -> int:
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = hash_const * 0x931E8875 & _MASK32
+            value = value * hash_const & _MASK32
+            return value ^ value >> 16
+
+        def mix(x: int, y: int) -> int:
+            result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+            return result ^ result >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # generate_state(4, uint64): eight 32-bit words, paired low word first
+        hash_const, state = 0x8B51F9DD, 0
+        for i in range(8):
+            value = pool[i % 4] ^ hash_const
+            hash_const = hash_const * 0x58F38DED & _MASK32
+            value = value * hash_const & _MASK32
+            state |= (value ^ value >> 16) << (32 * (i & 1) + 64 * (3 - i // 2))
+        # PCG's srandom: the high 128 bits of state are the initial state, the low
+        # 128 the sequence that sets the increment
+        self._inc = (state << 1 | 1) & _MASK128
+        self._state = (self._inc + (state >> 128)) * _PCG64_MULT + self._inc & _MASK128
+        self._half: int | None = None  # the high half of a 64-bit draw split by _next32
+
+    def _next64(self) -> int:
+        self._state = self._state * _PCG64_MULT + self._inc & _MASK128
+        x, rot = (self._state >> 64 ^ self._state) & _MASK64, self._state >> 122
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        x = self._next64()
+        self._half = x >> 32
+        return x & _MASK32
+
+    def uniform(self, lo: float, hi: float) -> float:
+        """``Generator.uniform(lo, hi)``: lo + (hi - lo) times a 53-bit fraction."""
+        return lo + (hi - lo) * ((self._next64() >> 11) * 2.0**-53)
+
+    def integers(self, lo: int, hi: int) -> int:
+        """``Generator.integers(lo, hi)`` (hi excluded) for 1 <= hi - lo < 2**32: Lemire's
+        bounded method (arXiv:1805.10941) on 32-bit draws."""
+        n = hi - lo
+        if not 1 <= n < 1 << 32:
+            raise ValueError(f"integers({lo}, {hi}) needs 1 <= hi - lo < 2**32")
+        if n == 1:
+            return lo
+        m = self._next32() * n
+        if m & _MASK32 < n:
+            threshold = (1 << 32) % n
+            while m & _MASK32 < threshold:
+                m = self._next32() * n
+        return lo + (m >> 32)
 
 
 def gates_hold(metrics: dict[str, float], gates) -> bool:
@@ -257,14 +343,14 @@ def qrm_transform_property(
     draw must pass the interior Frobenius check and reproduce the diagonal
     offset nu*eta^2/4 within the spectral tolerance.
     """
-    rng = np.random.default_rng(seed)
+    rng = _SeededStream(seed)
     norms, diags = [], []
     n_failed = 0
     for _ in range(n_draws):
         p = IonParams(
-            nu=float(rng.uniform(0.5, 2.0)),
-            Omega=float(rng.uniform(0.0, 2.0)),
-            eta=float(rng.uniform(0.0, 0.6)),
+            nu=rng.uniform(0.5, 2.0),
+            Omega=rng.uniform(0.0, 2.0),
+            eta=rng.uniform(0.0, 0.6),
         )
         rep = qrm_transform_check(p, trunc, tol)
         norms.append(rep.metrics["frobenius_norm"])
@@ -418,14 +504,14 @@ def chi_identity_check(n_draws: int = 100, seed: int = DEFAULT_SEED) -> Verifica
     exactly for every parameter set away from the sideband pole, so every
     draw must agree to 1e-12 relative (rounding).
     """
-    rng = np.random.default_rng(seed)
+    rng = _SeededStream(seed)
     devs = []
     while len(devs) < n_draws:
-        nu = float(rng.uniform(0.5, 2.0))
-        omega = float(rng.uniform(0.05, 2.0))
+        nu = rng.uniform(0.5, 2.0)
+        omega = rng.uniform(0.05, 2.0)
         if abs(2 * omega - nu) < 0.05:
             continue
-        eta = float(rng.uniform(0.01, 1.0))
+        eta = rng.uniform(0.01, 1.0)
         cpl = derived_couplings(IonParams(Omega=omega, eta=eta, nu=nu))
         lhs = cpl.chi
         rhs = nu * eta * (cpl.eps_counter + cpl.eps_co)
@@ -623,14 +709,14 @@ def regime_check(n_draws: int = 100, seed: int = DEFAULT_SEED) -> VerificationRe
         (IonParams(Omega=1.0, eta=2.5, nu=1.0), Regime.DEEP_STRONG),
     ]
     fixture_failures = sum(1 for p, expected in fixtures if classify_regime(p) is not expected)
-    rng = np.random.default_rng(seed)
+    rng = _SeededStream(seed)
     invariance_failures = 0
     for _ in range(n_draws):
         p = IonParams(
-            nu=float(rng.uniform(0.1, 10.0)),
-            Omega=float(rng.uniform(0.0, 3.0)),
-            eta=float(rng.uniform(0.0, 3.0)),
-            phi_l=float(rng.choice([0.0, math.pi])),
+            nu=rng.uniform(0.1, 10.0),
+            Omega=rng.uniform(0.0, 3.0),
+            eta=rng.uniform(0.0, 3.0),
+            phi_l=(0.0, math.pi)[rng.integers(0, 2)],
         )
         scale = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
         scaled = IonParams(
@@ -690,7 +776,7 @@ def propagator_conservation_check(
     the direct evolution within 1e-10.
     """
     p, trunc = p or IonParams(Omega=0.5, eta=0.02), _DYNAMICS_TRUNC
-    rng = np.random.default_rng(seed)
+    rng = _SeededStream(seed)
     rate = p.eta * p.Omega
     times = np.linspace(0.0, 4.0 * math.pi / rate, 512)
     norm_devs, energy_devs = [], []
@@ -705,7 +791,7 @@ def propagator_conservation_check(
         energy_devs.append(float(np.max(np.abs(energies - energies[0]))) / h_scale)
     # composition across a random split point, against the JC run above
     h, psi0, direct = runs[0]
-    split = int(rng.integers(1, times.size - 1))
+    split = rng.integers(1, times.size - 1)
     first = propagate(h, psi0, times[: split + 1], store_states=True).states
     resumed = propagate(
         h, first[-1], times[split:] - times[split], store_states=True

@@ -191,7 +191,9 @@ def _blocks_by_size(labels: np.ndarray) -> list[np.ndarray]:
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     starts = np.cumsum(sizes) - sizes
-    return [order[starts[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
+    # the distinct sizes, ascending, from a count: np.unique would load numpy.ma
+    distinct = np.flatnonzero(np.bincount(sizes))
+    return [order[starts[sizes == s][:, None] + np.arange(s)] for s in distinct]
 
 
 def _fock_signs(n: int) -> np.ndarray:

@@ -35,7 +35,8 @@ from ionqrm import (
     truncation_convergence,
     y_rotation,
 )
-from ionqrm.analysis import VerificationReport, gates_hold
+from ionqrm import analysis
+from ionqrm.analysis import VerificationReport, _SeededStream, gates_hold
 from oracles import Spin, number_op, pauli, rows_hold
 
 T64 = TruncationSpec(n_max=64, guard=16)
@@ -273,6 +274,87 @@ def test_propagator_conservation_check():
     assert rep.metrics["worst_norm_residual"] < 1e-10
     assert rep.metrics["worst_energy_drift_rel"] < 1e-9
     assert rep.metrics["composition_dev"] < 1e-10
+
+
+_STREAM_SEEDS = (0, 2024, 2**32, 2**64 + 5, 2**200 + 12345)
+
+# the first draw of a fresh stream: uniform(0.5, 2.0), integers(1, 511), integers(0, 2)
+# (the choice of phi_l), and the first three 64-bit outputs; written from numpy 2.4
+_FIRST_DRAWS = {
+    0: (1.4554425309821815, 434, 1,
+        (0xA30FEBCFD9C2825F, 0x4510BDF882D9D721, 0x0A7D3DA94ECDE8B8)),
+    2024: (1.5137470069719228, 124, 0,
+           (0xAD0348563DD4CAE8, 0x36DDE2A417A3D0D9, 0x4F383F90515160E1)),
+    2**32: (1.8346081869172015, 267, 1,
+            (0xE3C5EBE285AC1625, 0x8EA09968FE31DBCC, 0xCD084FF84D8DE9BE)),
+    2**64 + 5: (1.6139871731481925, 454, 1,
+                (0xBE1ED79DE3D6074E, 0x64197D17923F1721, 0xAF69FCFEDB7A76BA)),
+    2**200 + 12345: (1.196825549040789, 221, 0,
+                     (0x76ECC5D56E7ECFE6, 0x8C7E605A14614D97, 0x95B36FBAFA2EE21E)),
+}
+
+# every (lo, hi) the checks draw a uniform from, the regime check's log scale included
+_UNIFORM_BOUNDS = ((0.5, 2.0), (0.0, 2.0), (0.0, 0.6), (0.05, 2.0), (0.01, 1.0),
+                   (0.1, 10.0), (0.0, 3.0), (np.log(0.01), np.log(100.0)))
+
+
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_seeded_stream_known_answers(seed):
+    uniform, index, coin, raw = _FIRST_DRAWS[seed]
+    assert _SeededStream(seed).uniform(0.5, 2.0) == uniform
+    assert _SeededStream(seed).integers(1, 511) == index
+    assert _SeededStream(seed).integers(0, 2) == coin
+    stream = _SeededStream(seed)
+    assert tuple(stream._next64() for _ in range(3)) == raw
+
+
+@pytest.mark.parametrize("seed", (*_STREAM_SEEDS, 7, 99, 2**32 - 1, 2**128 + 3))
+def test_seeded_stream_outputs_the_pcg64_bit_stream(seed):
+    # NEP 19 keeps a bit generator's stream fixed across numpy releases
+    stream = _SeededStream(seed)
+    assert [stream._next64() for _ in range(64)] == np.random.PCG64(seed).random_raw(64).tolist()
+
+
+@pytest.mark.parametrize("seed", (*_STREAM_SEEDS, 7, 99))
+def test_seeded_stream_draws_equal_default_rng(seed):
+    stream, rng = _SeededStream(seed), np.random.default_rng(seed)
+    for lo, hi in _UNIFORM_BOUNDS * 25:
+        assert stream.uniform(lo, hi) == rng.uniform(lo, hi)
+    for _ in range(200):
+        assert stream.integers(1, 511) == rng.integers(1, 511)
+        assert (0.0, math.pi)[stream.integers(0, 2)] == rng.choice([0.0, math.pi])
+    # an integers draw splits a 64-bit output and keeps its high half, which the next
+    # integers draw reads after the uniform in between has taken a whole output
+    for lo, hi in _UNIFORM_BOUNDS * 25:
+        assert stream.integers(1, 511) == rng.integers(1, 511)
+        assert stream.uniform(lo, hi) == rng.uniform(lo, hi)
+    # a width whose Lemire rejection (2**32 % n = 2**30) takes one draw in four
+    for _ in range(200):
+        assert stream.integers(5, 5 + 3 * 2**30) == rng.integers(5, 5 + 3 * 2**30)
+    assert stream.integers(4, 5) == rng.integers(4, 5) == 4  # draws nothing
+    assert stream.uniform(0.5, 2.0) == rng.uniform(0.5, 2.0)
+
+
+def test_seeded_stream_rejects_a_negative_seed_as_default_rng_does():
+    for make in (_SeededStream, np.random.default_rng):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            make(-1)
+    for lo, hi in ((0, 0), (3, 2), (0, 2**32)):
+        with pytest.raises(ValueError, match="hi - lo"):
+            _SeededStream(0).integers(lo, hi)
+
+
+@pytest.mark.parametrize("seed", (7, 2024, 2**64 + 5))
+def test_seeded_reports_equal_their_default_rng_form(seed, monkeypatch):
+    def seeded_reports():
+        return [qrm_transform_property(10, T64, seed=seed).to_dict(),
+                chi_identity_check(100, seed=seed).to_dict(),
+                regime_check(100, seed=seed).to_dict(),
+                propagator_conservation_check(seed=seed).to_dict()]
+
+    ours = seeded_reports()
+    monkeypatch.setattr(analysis, "_SeededStream", np.random.default_rng)
+    assert seeded_reports() == ours
 
 
 def test_run_all_checks_green_and_deterministic():

@@ -850,26 +850,84 @@ def test_all_checks_runs_on_numpy_blas_only(src_env):
     assert seen["all-checks"]["scipy"] == []
 
 
-def test_every_command_runs_without_scipy(src_env):
+_ALL_CHECKS_SEEDS = (2024, 2**64 + 5)  # the second seeds the draws from three 32-bit words
+
+
+def _every_command(out_dir):
+    """(label, argv) of regime, build and evolve of each builder at a small n_max, each
+    scan kind, each verify check, and all-checks at each of _ALL_CHECKS_SEEDS writing
+    ``out_dir / f"all-checks-{seed}.json"``."""
     base = ["--set", "Omega=0.7", "--set", "eta=0.3"]
     small = ["--set", "trunc.n_max=16", "--set", "trunc.guard=4"]
-    commands = [
-        ("regime", ["regime", *base]),
-        ("build", ["build", *base, *small, "--set", "build.hamiltonian=resonant"]),
-        ("evolve", ["evolve", *base, "--set", "trunc.n_max=16",
-                    "--set", "evolve.hamiltonian=resonant", "--set", "evolve.samples=11"]),
-        *((f"scan {kind}", ["scan", *base, "--set", f"scan.kind={kind}"])
-          for kind in SCAN_KINDS),
-        ("all-checks", ["all-checks", *base]),
-    ]
+    commands = [("regime", ["regime", *base])]
+    for name in BUILDER_NAMES:
+        commands.append((f"build {name}", ["build", *base, *small,
+                                           "--set", f"build.hamiltonian={name}"]))
+        # evolve reads no trunc.guard
+        commands.append((f"evolve {name}", ["evolve", *base, *small[:2],
+                                            "--set", f"evolve.hamiltonian={name}",
+                                            "--set", "evolve.samples=11"]))
+    commands += [(f"scan {kind}", ["scan", *base, "--set", f"scan.kind={kind}"])
+                 for kind in SCAN_KINDS]
     for check in VERIFY_CHECKS:
         ion = base
         if check == "jc-rabi":  # its sideband resonance nu = 2*Omega
             ion = ["--set", "Omega=0.5", "--set", "eta=0.05"]
         commands.append((f"verify {check}", ["verify", *ion, "--set", f"verify.check={check}"]))
+    commands += [(f"all-checks seed={seed}",
+                  ["all-checks", *base, "--set", f"seed={seed}",
+                   "--out", str(out_dir / f"all-checks-{seed}.json")])
+                 for seed in _ALL_CHECKS_SEEDS]
+    return commands
+
+
+def test_every_command_runs_without_scipy(src_env, tmp_path):
+    commands = _every_command(tmp_path)
     seen = _run_cold(commands, src_env, prelude=_NO_SCIPY)
     assert {label: run["exit"] for label, run in seen.items()} == {
         "import ionqrm": None, **{label: EXIT_OK for label, _ in commands}}
+
+
+# Run before _COLD_CHILD, it makes every import of numpy.random or numpy.ma (or a module
+# in either) fail, and checks that it does.
+_NO_RANDOM_NO_MA = """
+import sys
+
+class _NoRandomNoMa:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"]):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, _NoRandomNoMa())
+for blocked in ("numpy.random", "numpy.ma"):
+    try:
+        __import__(blocked)
+    except ImportError:
+        pass
+    else:
+        raise SystemExit(f"{blocked} was not blocked")
+"""
+
+
+def test_no_command_loads_numpy_random_or_numpy_ma(src_env, tmp_path):
+    # the seeded draws come from analysis's own PCG64 stream and the block sizes from a
+    # bincount, so a run needs numpy's core, linalg and fft only
+    free, blocked = tmp_path / "free", tmp_path / "blocked"
+    free.mkdir()
+    blocked.mkdir()
+    commands = _every_command(free)
+    seen = _run_cold(commands, src_env)
+    exits = {label: run["exit"] for label, run in seen.items()}
+    assert exits == {"import ionqrm": None, **{label: EXIT_OK for label, _ in commands}}
+    assert {label: loaded for label, run in seen.items()
+            if (loaded := [m for m in run["numpy"]
+                           if m.split(".")[:2] in (["numpy", "random"], ["numpy", "ma"])])} == {}
+    seen = _run_cold(_every_command(blocked), src_env, prelude=_NO_RANDOM_NO_MA)
+    assert {label: run["exit"] for label, run in seen.items()} == exits
+    for seed in _ALL_CHECKS_SEEDS:
+        name = f"all-checks-{seed}.json"
+        assert (blocked / name).read_bytes() == (free / name).read_bytes()
 
 
 def test_import_and_regime_never_load_numpy(src_env, tmp_path):
@@ -981,7 +1039,7 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code(tmp_path):
     # and the digests with every number masked still check every other field
     same_environment = got[1] == pinned[1]
     rows = [line.split(" ", 3) for line in got[2:]]
-    assert len(rows) == len(corpus.ENTRIES) == 98
+    assert len(rows) == len(corpus.ENTRIES) == 100
     moved = []
     for row, want, (entry, expected) in zip(rows, pinned[2:], corpus.ENTRIES):
         digest, masked, code, argv = row

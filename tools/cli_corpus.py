@@ -64,7 +64,10 @@ DOCUMENTS = {
 #: (argv, expected exit code); ``--config NAME`` names an entry of :data:`DOCUMENTS` and
 #: ``--out NAME`` a file in the temporary directory.
 ENTRIES: list[tuple[list[str], int]] = [
-    *[(["all-checks", *_REF, "--set", f"seed={seed}"], 0) for seed in (7, 2024, 99)],
+    # 2**64 + 5 seeds the draws from three 32-bit words; a negative seed is an error record
+    *[(["all-checks", *_REF, "--set", f"seed={seed}"], 0)
+      for seed in (7, 2024, 99, 18446744073709551621)],
+    (["all-checks", *_REF, "--set", "seed=-1"], 1),
     (["all-checks", *_REF, "--set", "trunc.n_max=48", "--set", "trunc.guard=12"], 0),
     *[(["regime", "--set", f"Omega={omega}", "--set", f"eta={eta}", *extra], 0)
       for omega, eta, extra in ((0.5, 0.02, []), (0.5, 0.02, _PI), (0.0005, 0.2, []),
