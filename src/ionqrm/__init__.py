@@ -36,7 +36,7 @@ _HOMES = {
         "EvolutionResult", "coherent_state", "fock_state", "propagate",
     ),
     "analysis": (
-        "DEFAULT_TOLERANCES", "VerificationReport", "ajc_dynamics_check",
+        "VerificationReport", "ajc_dynamics_check",
         "chi_identity_check", "dispersive_error_scan", "dominant_frequency",
         "guard_necessity_check", "jc_rabi_experiment", "lamb_dicke_remainder_scan",
         "operator_algebra_check", "propagator_conservation_check", "qrm_transform_check",

@@ -57,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import DEFAULT_TRUNC, TruncationSpec  # noqa: F401 - re-exported from here
+from .params import TruncationSpec
 
 
 def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -55,8 +55,11 @@ from .params import (
     transform_offset,
 )
 
-DEFAULT_TOLERANCES = Tolerances()
 _COMPARISONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
+# the parameter points run_all_checks reads: the reference point of the guard, speed and
+# truncation checks, and the sideband resonance nu = 2*Omega of the dynamics checks
+_REFERENCE_POINT = IonParams(Omega=0.7, eta=0.3)
+_RESONANT_POINT = IonParams(Omega=0.5, eta=0.02)
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -239,7 +242,7 @@ def dominant_frequency(times: np.ndarray, signal: np.ndarray) -> float:
 
 def operator_algebra_check(
     trunc: TruncationSpec = DEFAULT_TRUNC,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    tol: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Ladder commutator on the interior plus both displacement oracles.
 
@@ -285,7 +288,7 @@ def operator_algebra_check(
 def qrm_transform_check(
     p: IonParams,
     trunc: TruncationSpec = DEFAULT_TRUNC,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    tol: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Interior agreement of the transformed resonant model with the Rabi form.
 
@@ -335,7 +338,7 @@ def qrm_transform_property(
     n_draws: int = 50,
     trunc: TruncationSpec = DEFAULT_TRUNC,
     seed: int = DEFAULT_SEED,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    tol: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Transform identity over seeded random draws of (nu, Omega, eta).
 
@@ -375,16 +378,15 @@ def qrm_transform_property(
 
 
 def guard_necessity_check(
-    p: IonParams | None = None,
+    p: IonParams = _REFERENCE_POINT,
     n_max: int = 64,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    tol: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Demonstrate that the transform identity breaks without a guard band.
 
     Runs the same comparison at guard = 0 and passes iff the identity FAILS
     there, i.e. the truncation edge pollutes the full-matrix comparison.
     """
-    p = p or IonParams(Omega=0.7, eta=0.3)
     if p.eta < 0.3:
         raise ValueError("guard demonstration needs eta >= 0.3")
     bare = TruncationSpec(n_max=n_max, guard=0)
@@ -402,9 +404,9 @@ def guard_necessity_check(
 
 
 def lamb_dicke_remainder_scan(
-    p_base: IonParams | None = None,
+    p_base: IonParams = IonParams(Omega=0.7, eta=0.0),
     etas: tuple[float, ...] = (0.04, 0.02, 0.01),
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    tol: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Scaling of the first-order expansion remainder with the Lamb-Dicke parameter.
 
@@ -413,7 +415,6 @@ def lamb_dicke_remainder_scan(
     measured order >= min_scaling_order in eta (the remainder is second
     order in the displacement expansion).
     """
-    p_base = p_base or IonParams(Omega=0.7, eta=0.0)
     trunc = TruncationSpec(n_max=64, guard=56)
     if len(etas) < 2 or any(e <= 0 for e in etas) or any(np.diff(etas) >= 0):
         raise ValueError("etas must be positive and strictly decreasing")
@@ -447,7 +448,7 @@ def dispersive_error_scan(
     etas: tuple[float, ...] = (0.08, 0.04, 0.02),
     trunc: TruncationSpec = DEFAULT_TRUNC,
     k_lowest: int = 10,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    tol: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Spectral error of the dispersive reduction against the conjugated Rabi model.
 
@@ -462,19 +463,19 @@ def dispersive_error_scan(
         raise ValueError("etas must be positive and strictly decreasing")
     if k_lowest < 1 or k_lowest > 2 * trunc.interior_dim:
         raise ValueError("k_lowest outside the interior spectrum")
+    points = []
     for eta in etas:
         p = IonParams(Omega=p_base.Omega, eta=eta, nu=p_base.nu)
         cpl = derived_couplings(p)
-        if max(abs(cpl.eps_counter), abs(cpl.eps_co)) > _MAX_SMALL_ROTATION:
+        angle = max(abs(cpl.eps_counter), abs(cpl.eps_co))
+        if angle > _MAX_SMALL_ROTATION:
             raise ValueError(
-                f"small-rotation angle {max(abs(cpl.eps_counter), abs(cpl.eps_co)):.3g} "
-                f"exceeds {_MAX_SMALL_ROTATION} at eta={eta}; too close to the "
-                "2*Omega = nu pole"
+                f"small-rotation angle {angle:.3g} exceeds {_MAX_SMALL_ROTATION} at "
+                f"eta={eta}; too close to the 2*Omega = nu pole"
             )
+        points.append((p, cpl))
     distances = []
-    for eta in etas:
-        p = IonParams(Omega=p_base.Omega, eta=eta, nu=p_base.nu)
-        cpl = derived_couplings(p)
+    for p, cpl in points:
         u_counter = small_rotation("counter", cpl.eps_counter, trunc)
         u_co = small_rotation("co", cpl.eps_co, trunc)
         h = h_qrm(p, trunc, include_constant=True)
@@ -738,9 +739,9 @@ def regime_check(n_draws: int = 100, seed: int = DEFAULT_SEED) -> VerificationRe
 
 
 def rotation_diagnostic_check(
-    p: IonParams | None = None,
+    p: IonParams = IonParams(Omega=0.7, eta=0.2),
     trunc: TruncationSpec = _DYNAMICS_TRUNC,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    tol: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """The spin Y rotation turns the Lamb-Dicke model into the Rabi form of its phase.
 
@@ -749,7 +750,6 @@ def rotation_diagnostic_check(
     "_to_rabi_rotated" metrics of :func:`~ionqrm.models.rotation_diagnostic`).
     Its "_to_other_form" metrics show that each gate tells the two forms apart.
     """
-    p = p or IonParams(Omega=0.7, eta=0.2)
     return VerificationReport(
         name="rotation-diagnostic",
         gates=(("phi0_to_rabi_rotated", "<=", tol.identity),
@@ -764,7 +764,7 @@ def rotation_diagnostic_check(
 
 
 def propagator_conservation_check(
-    p: IonParams | None = None,
+    p: IonParams = _RESONANT_POINT,
     seed: int = DEFAULT_SEED,
 ) -> VerificationReport:
     """Norm and energy conservation plus the composition property.
@@ -775,7 +775,7 @@ def propagator_conservation_check(
     that splitting the evolution at a random intermediate time reproduces
     the direct evolution within 1e-10.
     """
-    p, trunc = p or IonParams(Omega=0.5, eta=0.02), _DYNAMICS_TRUNC
+    trunc = _DYNAMICS_TRUNC
     rng = _SeededStream(seed)
     rate = p.eta * p.Omega
     times = np.linspace(0.0, 4.0 * math.pi / rate, 512)
@@ -816,23 +816,21 @@ def propagator_conservation_check(
 def run_all_checks(
     trunc: TruncationSpec = DEFAULT_TRUNC,
     seed: int = DEFAULT_SEED,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    tol: Tolerances = Tolerances(),
 ) -> list[VerificationReport]:
     """Run the full verification suite in order and return every report."""
-    p_ref = IonParams(Omega=0.7, eta=0.3)
-    p_res = IonParams(Omega=0.5, eta=0.02)
     return [
         operator_algebra_check(trunc, tol=tol),
         qrm_transform_property(50, trunc, seed=seed, tol=tol),
-        guard_necessity_check(p_ref, n_max=trunc.n_max, tol=tol),
-        lamb_dicke_remainder_scan(IonParams(Omega=0.7, eta=0.0), tol=tol),
-        jc_rabi_experiment(p_res, 0),
-        ajc_dynamics_check(p_res),
+        guard_necessity_check(_REFERENCE_POINT, n_max=trunc.n_max, tol=tol),
+        lamb_dicke_remainder_scan(tol=tol),
+        jc_rabi_experiment(_RESONANT_POINT, 0),
+        ajc_dynamics_check(_RESONANT_POINT),
         dispersive_error_scan(IonParams(Omega=1.0, eta=0.08), trunc=trunc, tol=tol),
         chi_identity_check(100, seed=seed),
         regime_check(100, seed=seed),
-        propagator_conservation_check(p_res, seed=seed),
+        propagator_conservation_check(_RESONANT_POINT, seed=seed),
         rotation_diagnostic_check(tol=tol),
-        speed_comparison(p_ref),
-        truncation_convergence("qrm", p_ref),
+        speed_comparison(_REFERENCE_POINT),
+        truncation_convergence("qrm", _REFERENCE_POINT),
     ]

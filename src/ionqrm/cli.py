@@ -122,12 +122,12 @@ def _cmd_evolve(config: RunConfig) -> int:
     result = propagate(HAMILTONIAN_BUILDERS[e.hamiltonian](config.params, config.trunc),
                        fock_state(e.spin, e.fock, config.trunc) if e.state == "fock"
                        else coherent_state(e.spin, e.alpha, config.trunc), times)
+    # the fidelity column stays in the schema and is always empty
     lines = ["time,P_e,mean_n,fidelity,norm_residual"]
     for i, t in enumerate(result.times):
-        fid = "" if result.fidelity is None else _fmt(result.fidelity[i])
         lines.append(
-            f"{_fmt(t)},{_fmt(result.p_excited[i])},{_fmt(result.mean_n[i])},"
-            f"{fid},{_fmt(result.norm_residual[i])}"
+            f"{_fmt(t)},{_fmt(result.p_excited[i])},{_fmt(result.mean_n[i])},,"
+            f"{_fmt(result.norm_residual[i])}"
         )
     _write_text(config.out, "\n".join(lines) + "\n")
     return EXIT_OK

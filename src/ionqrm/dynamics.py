@@ -69,9 +69,8 @@ from itertools import product, repeat
 
 import numpy as np
 
-from .algebra import (TruncationSpec, displacement_column, fock_phases, gauge_is_real,
-                      gauge_parts)
-from .params import Record
+from .algebra import displacement_column, fock_phases, gauge_is_real, gauge_parts
+from .params import Record, TruncationSpec
 
 _HERMITIAN_TOL = 1e-10
 # tiles of |B - B^T| small enough that the transposed read stays in cache
@@ -82,17 +81,12 @@ _RESIDUAL_TOL = 1e-9
 
 
 class EvolutionResult(Record):
-    """Per-time observable records of one trajectory.
-
-    fidelity is populated only when a reference trajectory was supplied;
-    states only when requested.
-    """
+    """Per-time observable records of one trajectory; states only when requested."""
 
     times: np.ndarray
     p_excited: np.ndarray
     mean_n: np.ndarray
     norm_residual: np.ndarray
-    fidelity: np.ndarray | None = None
     states: np.ndarray | None = None
 
 
@@ -455,7 +449,6 @@ def propagate(
     h: np.ndarray,
     psi0: np.ndarray,
     times: np.ndarray,
-    reference: np.ndarray | None = None,
     store_states: bool = False,
 ) -> EvolutionResult:
     """Evolve psi0 under exp(-i*H*t) and record observables at each time.
@@ -465,8 +458,6 @@ def propagate(
     h : Hermitian matrix on the composite space (dimension 2*n_osc).
     psi0 : normalized initial state.
     times : strictly increasing time points.
-    reference : optional array of states, shape (len(times), dim); when
-        given, per-time fidelities |<ref|psi>|^2 are recorded.
     store_states : keep the full trajectory in the result.
 
     H is read and diagonalized once, by the two phases of :func:`block_eigh`:
@@ -499,12 +490,6 @@ def propagate(
     # each gate is written "not <=", so that a NaN fails it
     if not abs(np.linalg.norm(psi0) - 1.0) <= _NORM_TOL:
         raise ValueError("initial state is not normalized")
-    if reference is not None:
-        reference = np.asarray(reference, dtype=complex)
-        if reference.shape != (times.size, dim):
-            raise ValueError(
-                f"reference trajectory shape {reference.shape} != {(times.size, dim)}"
-            )
 
     n_osc = dim // 2
     n_diag = np.concatenate([np.arange(n_osc), np.arange(n_osc)])
@@ -527,15 +512,10 @@ def propagate(
         raise ArithmeticError("excited-state population outside [0, 1]")
     mean_n = probs @ n_diag
 
-    fid = None
-    if reference is not None:
-        fid = np.abs(np.einsum("td,td->t", reference.conj(), states)) ** 2
-
     return EvolutionResult(
         times=times,
         p_excited=p_excited,
         mean_n=mean_n,
         norm_residual=norm_residual,
-        fidelity=fid,
         states=states if store_states else None,
     )

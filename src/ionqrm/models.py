@@ -30,16 +30,10 @@ from .algebra import (
     sigma_y,
     spin_tensor_osc,
 )
-from .params import (  # noqa: F401 - the scalar definitions are re-exported from here
-    DerivedCouplings,
+from .params import (
     IonParams,
-    Regime,
-    RegimeThresholds,
-    ResonancePoleError,
     TruncationSpec,
-    classify_regime,
     derived_couplings,
-    is_sideband_resonant,
     laser_phase_sign,
     qrm_coupling,
     transform_offset,

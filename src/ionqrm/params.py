@@ -3,9 +3,9 @@
 Everything here is plain Python on floats and imports only the standard
 library, so configuration parsing and the ``regime`` command never load
 numpy. :mod:`ionqrm.models`, :mod:`ionqrm.algebra` and
-:mod:`ionqrm.analysis` import these names back, and each is defined only
-here. So are the scheme's conventions every layer reads: the engineered
-coupling g = eta*nu/2 (:func:`qrm_coupling`), the diagonal offset
+:mod:`ionqrm.analysis` import the names they read from here, and each is
+defined only here. So are the scheme's conventions every layer reads: the
+engineered coupling g = eta*nu/2 (:func:`qrm_coupling`), the diagonal offset
 nu*eta^2/4 of the transformed resonant model (:func:`transform_offset`) and
 the one test of the laser phases 0 and pi (:func:`laser_phase_sign`).
 """
@@ -142,12 +142,11 @@ class IonParams(Record):
 class DerivedCouplings(Record):
     """Coupling constants derived from :class:`IonParams`.
 
-    g_qrm is the Rabi-model coupling eta*nu/2; eps_counter and eps_co are
-    the small-rotation angles multiplying the counter-rotating and
-    co-rotating pair generators; chi is the dispersive interaction constant.
+    eps_counter and eps_co are the small-rotation angles multiplying the
+    counter-rotating and co-rotating pair generators; chi is the dispersive
+    interaction constant. The Rabi coupling g is :func:`qrm_coupling`.
     """
 
-    g_qrm: float
     eps_counter: float
     eps_co: float
     chi: float
@@ -237,7 +236,7 @@ def transform_offset(p: IonParams) -> float:
 
 
 def derived_couplings(p: IonParams) -> DerivedCouplings:
-    """Evaluate g = eta*nu/2, the small-rotation angles and the chi shift.
+    """Evaluate the small-rotation angles and the chi shift.
 
     eps_counter = eta*nu / (2*(nu + 2*Omega))
     eps_co      = eta*nu / (2*(2*Omega - nu))
@@ -252,11 +251,10 @@ def derived_couplings(p: IonParams) -> DerivedCouplings:
             f"2*Omega = nu pole (nu={p.nu}, Omega={p.Omega}); "
             "small-rotation angles are undefined at the sideband resonance"
         )
-    g = qrm_coupling(p)
     eps_counter = p.eta * p.nu / (2.0 * (p.nu + 2.0 * p.Omega))
     eps_co = p.eta * p.nu / (2.0 * (2.0 * p.Omega - p.nu))
     chi = 2.0 * p.eta**2 * p.nu**2 * p.Omega / (4.0 * p.Omega**2 - p.nu**2)
-    return DerivedCouplings(g_qrm=g, eps_counter=eps_counter, eps_co=eps_co, chi=chi)
+    return DerivedCouplings(eps_counter=eps_counter, eps_co=eps_co, chi=chi)
 
 
 def is_sideband_resonant(p: IonParams) -> bool:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from ionqrm import (
-    DEFAULT_TOLERANCES,
     IonParams,
+    Tolerances,
     TruncationSpec,
     ajc_dynamics_check,
     chi_identity_check,
@@ -37,7 +37,7 @@ from ionqrm import (
 )
 from ionqrm import analysis
 from ionqrm.analysis import VerificationReport, _SeededStream, gates_hold
-from oracles import Spin, number_op, pauli, rows_hold
+from oracles import Spin, fidelity, number_op, pauli, rows_hold
 
 T64 = TruncationSpec(n_max=64, guard=16)
 
@@ -180,9 +180,9 @@ def test_rwa_fidelity_stays_high_over_one_rabi_period():
     h_rwa = diag + h_jc(p, trunc)
     psi0 = fock_state("e", 0, trunc)
     times = np.linspace(0, 2 * np.pi / (p.eta * p.Omega), 400)
-    ref = propagate(h_rwa, psi0, times, store_states=True)
-    run = propagate(h_full, psi0, times, reference=ref.states)
-    assert np.min(run.fidelity) > 0.99
+    ref = propagate(h_rwa, psi0, times, store_states=True).states
+    run = propagate(h_full, psi0, times, store_states=True).states
+    assert min(fidelity(a, b) for a, b in zip(ref, run)) > 0.99
 
 
 def test_truncation_convergence_standard_point():
@@ -412,7 +412,7 @@ def test_operator_algebra_check_fails_on_a_broken_laguerre_oracle(monkeypatch):
     exec(source.replace("(j + k)", "(j + k + 1)"), namespace)
     monkeypatch.setattr(analysis, "displacement_laguerre", namespace["displacement_laguerre"])
     rep = operator_algebra_check()
-    tol = DEFAULT_TOLERANCES
+    tol = Tolerances()
     assert not rep.passed
     # the production displacement is untouched: only the oracle comparison fails
     assert rep.metrics["displacement_oracle_dev"] > tol.oracle
@@ -478,7 +478,7 @@ def test_operator_algebra_note_names_the_identity_tolerance_used():
     default = operator_algebra_check(trunc)
     assert default.notes == ("commutator compared at 1e-13 (rounding of sqrt products); "
                              "unitarity at the identity tolerance 1e-10")
-    looser = operator_algebra_check(trunc, DEFAULT_TOLERANCES.replace(identity=1e-9))
+    looser = operator_algebra_check(trunc, Tolerances(identity=1e-9))
     assert looser.notes.endswith("unitarity at the identity tolerance 1e-09")
 
 
@@ -614,7 +614,7 @@ def test_jc_rabi_experiment_rejects_a_negative_fock_level_before_computing(monke
             jc_rabi_experiment(IonParams(Omega=0.5, eta=0.02), n0=n0)
 
 
-_TOL = DEFAULT_TOLERANCES
+_TOL = Tolerances()
 # the (metric, comparison, bound) rows of each report of run_all_checks() and of
 # qrm-transform at T64, exactly as declared: a bound moved or a "<" turned "<=" shows here
 _GATES = {

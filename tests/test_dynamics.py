@@ -130,9 +130,10 @@ def test_reference_trajectory_fidelity():
     h = h_jc(p, trunc)
     psi0 = fock_state("e", 0, trunc)
     times = np.linspace(0, 50, 21)
-    ref = propagate(h, psi0, times, store_states=True)
-    run = propagate(h, psi0, times, reference=ref.states)
-    np.testing.assert_allclose(run.fidelity, 1.0, rtol=0, atol=1e-12)
+    ref = propagate(h, psi0, times, store_states=True).states
+    run = propagate(h, psi0, times, store_states=True).states
+    fidelities = [fidelity(a, b) for a, b in zip(ref, run)]
+    np.testing.assert_allclose(fidelities, 1.0, rtol=0, atol=1e-12)
 
 
 def test_expectation_examples():

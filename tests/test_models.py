@@ -321,7 +321,6 @@ def test_every_reader_of_g_and_the_offset_agrees_with_their_one_home(capsys):
         printed = capsys.readouterr().out.splitlines()[1]
         assert printed == f"g_ratio = {g / p.nu!r}"
         assert speed_comparison(p).metrics["g_ratio"] == g / p.nu
-        assert derived_couplings(p).g_qrm == g
         h = h_qrm(p, trunc)
         coupling = h[0, n + 1]
         assert (coupling.real, coupling.imag) == (0.0, g) and coupling == 1j * g
@@ -363,7 +362,6 @@ def test_h_qrm_detuned_reduces_and_places_delta():
 
 def test_derived_couplings_worked_example():
     c = derived_couplings(IonParams(Omega=1.0, eta=0.1))
-    assert c.g_qrm == pytest.approx(0.05)
     assert c.eps_counter == pytest.approx(0.1 / 6, abs=1e-12)
     assert c.eps_co == pytest.approx(0.05, abs=1e-12)
     assert c.chi == pytest.approx(0.02 / 3, abs=1e-12)
@@ -371,7 +369,7 @@ def test_derived_couplings_worked_example():
 
 def test_derived_couplings_zero_eta():
     c = derived_couplings(IonParams(Omega=1.0, eta=0.0))
-    assert (c.g_qrm, c.eps_counter, c.eps_co, c.chi) == (0.0, 0.0, 0.0, 0.0)
+    assert (c.eps_counter, c.eps_co, c.chi) == (0.0, 0.0, 0.0)
 
 
 def test_derived_couplings_pole():

@@ -30,7 +30,7 @@ def _record_classes():
 # for each record class, two full sets of field values (the first the smallest)
 _SAMPLES = {
     "IonParams": [(0.3, 0.1), (0.3, 0.1, 1.2, 0.7, -0.2)],
-    "DerivedCouplings": [(0.05, 0.01, 0.02, -0.003), (0.1, 0.2, 0.3, 0.4)],
+    "DerivedCouplings": [(0.01, 0.02, -0.003), (0.2, 0.3, 0.4)],
     "RegimeThresholds": [(), (5.0, 0.2, 0.05, 0.2)],
     "TruncationSpec": [(8,), (8, 2)],
     "Tolerances": [(), (1e-11, 1e-8, 1e-7, 2.5)],
@@ -41,7 +41,7 @@ _SAMPLES = {
     "RunConfig": [("regime", IonParams(0.5, 0.02), TruncationSpec(8)),
                   ("build", IonParams(0.5, 0.02), TruncationSpec(8, 2), 7, "out.json", "csv")],
     "EvolutionResult": [((0.0, 1.0), (1.0, 0.5), (0.0, 0.1), (0.0, 1e-16)),
-                        ((0.0,), (1.0,), (0.0,), (0.0,), (1.0,), ((1.0, 0.0),))],
+                        ((0.0,), (1.0,), (0.0,), (0.0,), ((1.0, 0.0),))],
     "BlockEigensystem": [(None, ()), ((1, -1j), (((0, 1), (0.5, 1.5), None),))],
     "VerificationReport": [("stub", 0.0),
                            ("x", 1e-9, (("a", "<=", 2.0),), {"a": 1.0}, IonParams(0.3, 0.1),
