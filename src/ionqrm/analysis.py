@@ -4,7 +4,9 @@ Each experiment returns a :class:`VerificationReport` whose pass flag is
 derived from its declared gate rows, with every measured quantity in
 ``metrics``. Random draws always come from a seeded stream recorded in the
 report, so reports are deterministic given (params, trunc, seed); the stream is
-``np.random.default_rng(seed)``'s, drawn without loading ``numpy.random``.
+``np.random.default_rng(seed)``'s, drawn without loading ``numpy.random``. A
+new report is one function here, one ``config.CHECKS`` row if ``verify`` or
+``scan`` runs it, and one ``run_all_checks`` line if the suite runs it.
 """
 from __future__ import annotations
 

@@ -21,7 +21,7 @@ import os
 import sys
 import tempfile
 
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_config, selected_check
 from .params import SCHEMA_VERSION, classify_regime, qrm_coupling
 
 EXIT_OK = 0
@@ -86,25 +86,22 @@ def _cmd_build(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_check(config: RunConfig) -> int:  # verify and scan: the config.CHECKS row selected
     from . import analysis
 
-    p, trunc, tol = config.params, config.trunc, config.tol
-    check = config.verify.check
-    if check == "qrm-transform":
-        report = analysis.qrm_transform_check(p, trunc, tol)
-    elif check == "guard":
-        report = analysis.guard_necessity_check(p, n_max=trunc.n_max, tol=tol)
-    elif check == "dispersive":
-        report = analysis.dispersive_error_scan(p, trunc=trunc, tol=tol)
-    elif check == "jc-rabi":
-        report = analysis.jc_rabi_experiment(p, config.verify.fock, trunc)
-    elif check == "speed":
-        report = analysis.speed_comparison(p)
-    else:
-        report = analysis.rotation_diagnostic_check(p, trunc, tol=tol)
-    _write_text(config.out, _json_text(report.to_dict()))
-    return _exit_status([report])
+    check, settings = selected_check(config)
+    report = getattr(analysis, check.function)(*settings.values())
+    if config.format == "json":
+        _write_text(config.out, _json_text(report.to_dict()))
+        return _exit_status([report])
+    swept, header, metric = check.csv
+    lines, values = [header], settings[swept]
+    for prev, x in zip((None, *values), values):
+        # a metric of the step from the line before leaves the first line's cell empty
+        name = None if prev is None and "{1}" in metric else metric.format(x, prev)
+        lines.append(f"{x},{'' if name is None else _fmt(report.metrics[name])}")
+    _write_text(config.out, "\n".join(lines) + "\n")
+    return EXIT_OK  # a CSV has no pass flag
 
 
 def _cmd_evolve(config: RunConfig) -> int:
@@ -133,32 +130,6 @@ def _cmd_evolve(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_scan(config: RunConfig) -> int:
-    from . import analysis
-
-    p, s = config.params, config.scan
-    if s.kind == "dispersive":
-        report = analysis.dispersive_error_scan(
-            p, etas=s.etas, trunc=config.trunc, k_lowest=s.k_lowest, tol=config.tol
-        )
-        rows = [("eta,spectral_distance")] + [
-            f"{_fmt(eta)},{_fmt(report.metrics[f'distance_eta_{eta}'])}" for eta in s.etas
-        ]
-    elif s.kind == "lamb-dicke":
-        report = analysis.lamb_dicke_remainder_scan(p, etas=s.etas, tol=config.tol)
-        rows = [("eta,remainder_norm")] + [
-            f"{_fmt(eta)},{_fmt(report.metrics[f'norm_eta_{eta}'])}" for eta in s.etas
-        ]
-    else:
-        report = analysis.truncation_convergence(s.builder, p, s.n_list, s.k_lowest)
-        rows = ["n_max,max_shift_from_prev", f"{s.n_list[0]},"]
-        for a, b in zip(s.n_list[:-1], s.n_list[1:]):
-            rows.append(f"{b},{_fmt(report.metrics[f'shift_{a}_to_{b}'])}")
-    text = _json_text(report.to_dict()) if config.format == "json" else "\n".join(rows) + "\n"
-    _write_text(config.out, text)
-    return _exit_status([report]) if config.format == "json" else EXIT_OK  # CSV: no flag
-
-
 def _cmd_regime(config: RunConfig) -> int:
     p = config.params
     label = classify_regime(p, config.regime)
@@ -184,9 +155,9 @@ def _cmd_all_checks(config: RunConfig) -> int:
 
 _DISPATCH = {
     "build": _cmd_build,
-    "verify": _cmd_verify,
+    "verify": _cmd_check,
     "evolve": _cmd_evolve,
-    "scan": _cmd_scan,
+    "scan": _cmd_check,
     "regime": _cmd_regime,
     "all-checks": _cmd_all_checks,
 }

@@ -16,13 +16,8 @@ says so (``evolve.alpha`` needs ``evolve.state = coherent``, ``format`` a
 command other than ``regime``, ``seed`` the command ``all-checks``,
 ``evolve.t_max`` and ``evolve.samples`` an unset ``evolve.times``).
 A key set that what the command runs never reads is an error, and so is a
-nonzero ``delta`` or ``phi_l`` it never reads. :data:`RUN_SKIPS` has one row
-per Hamiltonian builder and per setting that selects a run (``verify.check``,
-``scan.kind``, ``command``, ``format``), such as ``tol.*`` for every builder,
-``trunc.guard`` for ``command = evolve``, every tolerance but
-``tol.spectral`` for ``verify.check = guard`` and ``tol.*`` for
-``format = csv`` (a CSV has no pass flag). A command emits one of the formats
-:data:`FORMATS` lists for it, the first by default.
+nonzero ``delta`` or ``phi_l`` it never reads (:data:`RUN_SKIPS`). A command
+emits one of the formats :data:`FORMATS` lists for it, the first by default.
 Values use the shortest round-trip decimal form for floats,
 ``true``/``false`` for booleans, ``re+imj`` for complex numbers and
 comma-separated items for lists.
@@ -32,8 +27,10 @@ parser and rule), in the order :func:`emit_config` writes, and each field has
 exactly one key: a setting no key reaches, such as a check's fixed threshold,
 is a constant of :mod:`ionqrm.analysis`. Defaults come only from the record
 classes (``IonParams``, ``DEFAULT_TRUNC``, ``Tolerances``, ``RegimeThresholds``,
-the ``*Spec`` classes), except that ``format`` follows :data:`FORMATS` and
-``scan.k_lowest`` is 8 for ``scan.kind = truncation``.
+the ``*Spec`` classes), except that ``format`` follows :data:`FORMATS` and a
+:data:`CHECKS` row may set its own. Each ``verify.check`` and ``scan.kind`` is a
+:data:`CHECKS` row; the keys' choices, the ``only_if`` rules of the keys the rows
+take and the rows' :data:`RUN_SKIPS` entries are all read from :data:`CHECKS`.
 
 :func:`parse_config` and :func:`emit_config` are inverses on valid
 configurations.
@@ -43,6 +40,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import groupby
+from operator import gt, lt
 from types import SimpleNamespace
 from collections.abc import Callable
 
@@ -50,29 +48,68 @@ from .params import (DEFAULT_SEED, DEFAULT_TRUNC, IonParams, Record, RegimeThres
                      Tolerances, TruncationSpec, is_sideband_resonant, laser_phase_sign)
 
 COMMANDS = ("build", "verify", "evolve", "scan", "regime", "all-checks")
-VERIFY_CHECKS = ("qrm-transform", "guard", "dispersive", "jc-rabi", "speed", "rotation")
-SCAN_KINDS = ("dispersive", "truncation", "lamb-dicke")
 #: The formats each command emits, its default first; ``regime`` prints text.
 FORMATS: dict[str, tuple[str, ...]] = {
     "build": ("json",), "verify": ("json",), "evolve": ("csv",), "scan": ("csv", "json"),
     "all-checks": ("json",),
 }
+#: The key that selects what a command runs, for the commands that run a :data:`CHECKS` row.
+SELECTORS = {"verify": "verify.check", "scan": "scan.kind"}
 _DELTA_PHI = ("delta", "phi_l")
 _ONLY_SPECTRAL = ("tol.identity", "tol.oracle", "tol.min_order")
 _ONLY_MIN_ORDER = ("tol.identity", "tol.oracle", "tol.spectral")
-#: What each run never reads. A run is keyed by its Hamiltonian builder (the keys of
-#: ``models.HAMILTONIAN_BUILDERS``), by the setting that selects it and by its format;
-#: :func:`_runs` gives all three, so the truncation scan is its ``scan.builder``,
-#: ``scan.kind = truncation`` and ``format = csv`` (``json`` has no row). An entry is
-#: a :class:`RunConfig` section (every key of one) or one key, and setting it is a
-#: ConfigError; ``delta`` and ``phi_l`` always hold a value, so for them a nonzero
-#: value is. No builder reads a tolerance, ``jc-rabi`` and
-#: ``speed`` have fixed thresholds and the other checks and scans read the one they
-#: compare against, ``speed``, ``regime`` and the lamb-dicke scan never use ``trunc``,
-#: the truncation scan builds its own cutoffs from ``scan.n_list``, ``guard`` and
-#: ``evolve`` read only ``trunc.n_max`` (a run that skips ``trunc.guard`` holds guard 0
-#: in its section, so ``trunc.n_max`` is not checked against the default guard), and a
-#: CSV table holds only the scanned or sampled values, never a report's pass flag.
+
+
+class _Check(Record):
+    function: str  # the ionqrm.analysis function, looked up by name when the command runs
+    settings: tuple[str, ...]  # what it is passed, in order: keys or RunConfig sections
+    skips: tuple[str, ...]  # its RUN_SKIPS row
+    requires: tuple[tuple[Callable[[IonParams], bool], str], ...] = ()  # (params test, rule)
+    defaults: tuple[tuple[str, object], ...] = ()  # (key, its value when unset)
+    # a scan's CSV: the setting with a line per value, header, metric ({0} value, {1} previous)
+    csv: tuple[str, str, str] | None = None
+
+
+_DISPERSIVE = _Check(
+    "dispersive_error_scan", ("params", "scan.etas", "trunc", "scan.k_lowest", "tol"),
+    (*_DELTA_PHI, *_ONLY_MIN_ORDER), csv=("scan.etas", "eta,spectral_distance", "distance_eta_{0}"))
+#: One row per ``verify.check`` and ``scan.kind``, keyed by (command, name), in the order
+#: of each one's choices. ``verify dispersive`` is the JSON ``scan dispersive``.
+CHECKS: dict[tuple[str, str], _Check] = {
+    ("verify", "qrm-transform"): _Check("qrm_transform_check", ("params", "trunc", "tol"),
+                                        (*_DELTA_PHI, *_ONLY_SPECTRAL)),
+    ("verify", "guard"): _Check(
+        "guard_necessity_check", ("params", "trunc.n_max", "tol"),
+        (*_DELTA_PHI, "trunc.guard", *_ONLY_SPECTRAL),
+        requires=((lambda p: p.eta >= 0.3, "guard demonstration requires eta >= 0.3"),)),
+    ("verify", "dispersive"): _DISPERSIVE,
+    ("verify", "jc-rabi"): _Check(
+        "jc_rabi_experiment", ("params", "verify.fock", "trunc"), (*_DELTA_PHI, "tol"),
+        requires=((is_sideband_resonant, "jc-rabi requires nu = 2*Omega"),
+                  (lambda p: min(p.eta, p.Omega) > 0, "jc-rabi requires eta > 0 and Omega > 0"))),
+    ("verify", "speed"): _Check("speed_comparison", ("params",), (*_DELTA_PHI, "trunc", "tol")),
+    ("verify", "rotation"): _Check("rotation_diagnostic_check", ("params", "trunc", "tol"),
+                                   (*_DELTA_PHI, "tol.oracle", "tol.spectral", "tol.min_order")),
+    ("scan", "dispersive"): _DISPERSIVE,
+    ("scan", "truncation"): _Check(
+        "truncation_convergence", ("scan.builder", "params", "scan.n_list", "scan.k_lowest"),
+        ("trunc",), defaults=(("scan.k_lowest", 8),),
+        csv=("scan.n_list", "n_max,max_shift_from_prev", "shift_{1}_to_{0}")),
+    ("scan", "lamb-dicke"): _Check("lamb_dicke_remainder_scan", ("params", "scan.etas", "tol"),
+                                   (*_DELTA_PHI, "trunc", *_ONLY_MIN_ORDER),
+                                   csv=("scan.etas", "eta,remainder_norm", "norm_eta_{0}")),
+}
+VERIFY_CHECKS, SCAN_KINDS = (tuple(name for c, name in CHECKS if c == s) for s in SELECTORS)
+# the RUN_SKIPS row name of each CHECKS row -> the row
+_SELECTED = {f"{SELECTORS[command]} = {name}": check for (command, name), check in CHECKS.items()}
+#: What each run never reads: a row per Hamiltonian builder (the keys of
+#: ``models.HAMILTONIAN_BUILDERS``), per :data:`CHECKS` row (its ``skips``), per other
+#: command and per format. :func:`_runs` gives a run's rows, so the truncation CSV scan
+#: is its ``scan.builder``, ``scan.kind = truncation`` and ``format = csv``. An entry is
+#: a :class:`RunConfig` section or one key, and setting it is a ConfigError; for
+#: ``delta`` and ``phi_l``, which always hold a value, a nonzero value is. No builder
+#: reads a tolerance, ``regime`` never uses ``trunc``, ``evolve`` reads only
+#: ``trunc.n_max`` and a CSV holds no report's pass flag.
 RUN_SKIPS: dict[str, tuple[str, ...]] = {
     "resonant": ("delta", "tol"),
     "lamb-dicke": ("delta", "tol"),
@@ -83,15 +120,7 @@ RUN_SKIPS: dict[str, tuple[str, ...]] = {
     "qrm-detuned": ("phi_l", "tol"),
     "dispersive": (*_DELTA_PHI, "tol"),
     "zero": (*_DELTA_PHI, "tol"),
-    "verify.check = qrm-transform": (*_DELTA_PHI, *_ONLY_SPECTRAL),
-    "verify.check = guard": (*_DELTA_PHI, "trunc.guard", *_ONLY_SPECTRAL),
-    "verify.check = dispersive": (*_DELTA_PHI, *_ONLY_MIN_ORDER),
-    "verify.check = jc-rabi": (*_DELTA_PHI, "tol"),
-    "verify.check = speed": (*_DELTA_PHI, "trunc", "tol"),
-    "verify.check = rotation": (*_DELTA_PHI, "tol.oracle", "tol.spectral", "tol.min_order"),
-    "scan.kind = dispersive": (*_DELTA_PHI, *_ONLY_MIN_ORDER),
-    "scan.kind = truncation": ("trunc",),
-    "scan.kind = lamb-dicke": (*_DELTA_PHI, "trunc", *_ONLY_MIN_ORDER),
+    **{selector: check.skips for selector, check in _SELECTED.items()},
     "command = build": (),
     "command = evolve": ("trunc.guard",),
     "command = regime": ("delta", "trunc", "tol"),
@@ -99,9 +128,6 @@ RUN_SKIPS: dict[str, tuple[str, ...]] = {
     "format = csv": ("tol",),
 }
 BUILDER_NAMES = tuple(sorted(run for run in RUN_SKIPS if " = " not in run))
-# the selector of a run that runs a Hamiltonian builder -> the key that names it
-_BUILDER_KEYS = {"command = build": "build.hamiltonian", "command = evolve": "evolve.hamiltonian",
-                 "scan.kind = truncation": "scan.builder"}
 
 
 class ConfigError(ValueError):
@@ -224,9 +250,15 @@ class _Key(Record):
         return self.only_if is None or getattr(section, self.only_if[0]) in self.only_if[1]
 
 
+def _taken_by(key: str) -> tuple[str, tuple[str, ...]]:
+    """The only_if rule of a key that some :data:`CHECKS` rows of its command take."""
+    command = key.partition(".")[0]
+    return SELECTORS[command].partition(".")[2], tuple(
+        name for (c, name), check in CHECKS.items() if c == command and key in check.settings)
+
+
 _FLOATS = partial(_parse_list, item=_parse_float)
 _INTS = partial(_parse_list, item=_parse_int)
-_TRUNCATION_ONLY = ("kind", ("truncation",))
 _WITHOUT_TIMES = ("times", (None,))  # an explicit grid replaces t_max and samples
 
 #: Every configuration key, in the order emit_config writes them.
@@ -258,13 +290,13 @@ KEYS: dict[str, _Key] = {
     "evolve.samples": _Key("evolve", "samples", _parse_int, only_if=_WITHOUT_TIMES),
     "evolve.times": _Key("evolve", "times", _FLOATS),
     "scan.kind": _Key("scan", "kind", str, SCAN_KINDS),
-    "scan.etas": _Key("scan", "etas", _FLOATS, only_if=("kind", ("dispersive", "lamb-dicke"))),
-    "scan.n_list": _Key("scan", "n_list", _INTS, only_if=_TRUNCATION_ONLY),
-    "scan.k_lowest": _Key("scan", "k_lowest", _parse_int,
-                          only_if=("kind", ("dispersive", "truncation"))),
-    "scan.builder": _Key("scan", "builder", str, BUILDER_NAMES, only_if=_TRUNCATION_ONLY),
+    "scan.etas": _Key("scan", "etas", _FLOATS, only_if=_taken_by("scan.etas")),
+    "scan.n_list": _Key("scan", "n_list", _INTS, only_if=_taken_by("scan.n_list")),
+    "scan.k_lowest": _Key("scan", "k_lowest", _parse_int, only_if=_taken_by("scan.k_lowest")),
+    "scan.builder": _Key("scan", "builder", str, BUILDER_NAMES,
+                         only_if=_taken_by("scan.builder")),
     "verify.check": _Key("verify", "check", str, VERIFY_CHECKS),
-    "verify.fock": _Key("verify", "fock", _parse_int, only_if=("check", ("jc-rabi",))),
+    "verify.fock": _Key("verify", "fock", _parse_int, only_if=_taken_by("verify.fock")),
     "regime.ordering_factor": _Key("regime", "ordering_factor", _parse_float),
     "regime.ultrastrong_onset": _Key("regime", "ultrastrong_onset", _parse_float),
     "regime.dispersive_factor": _Key("regime", "dispersive_factor", _parse_float),
@@ -284,6 +316,22 @@ _SECTIONS: dict[str, Callable[..., object]] = {
 }
 
 _REQUIRED = ("command", "Omega", "eta")
+# the selector of a run that runs a Hamiltonian builder -> the key that names it
+_BUILDER_KEYS = {"command = build": "build.hamiltonian", "command = evolve": "evolve.hamiltonian",
+                 **{run: key for run, check in _SELECTED.items() for key in check.settings
+                    if key in KEYS and KEYS[key].choices == BUILDER_NAMES}}
+# (setting, test of its value in the config, rule), run in order for a CHECKS row taking it
+_SETTING_RULES: tuple[tuple[str, Callable[[object, RunConfig], bool], str], ...] = (
+    ("scan.etas", lambda v, c: len(v) >= 2, "scan.etas needs >= 2 entries"),
+    ("scan.etas", lambda v, c: all(e > 0 for e in v), "scan.etas > 0"),
+    ("scan.etas", lambda v, c: all(map(gt, v, v[1:])), "scan.etas strictly decreasing"),
+    ("scan.n_list", lambda v, c: len(v) >= 2, "scan.n_list needs >= 2 entries"),
+    ("scan.n_list", lambda v, c: all(n >= 1 for n in v), "scan.n_list >= 1"),
+    ("scan.n_list", lambda v, c: all(map(lt, v, v[1:])), "scan.n_list strictly increasing"),
+    ("scan.k_lowest", lambda v, c: v >= 1, "scan.k_lowest >= 1"),
+    ("verify.fock", lambda v, c: v >= 0, "verify.fock >= 0"),
+    ("verify.fock", lambda v, c: v < c.trunc.n_max - c.trunc.guard, "verify.fock < n_max - guard"),
+)
 
 
 def _scope(key: str) -> str | None:
@@ -361,12 +409,12 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
             )
     if command in FORMATS:
         values.setdefault("format", FORMATS[command][0])
-    if values.get("scan.kind") == "truncation":
-        values.setdefault("scan.k_lowest", 8)
     # a run that never reads trunc.guard holds guard 0 in its section, so trunc.n_max is
     # not checked against the default guard (a name not checked yet may have no row)
     runs = _runs(lambda key: values[key] if key in values else _value(RunConfig, key))
     unguarded = any("trunc.guard" in RUN_SKIPS.get(run, ()) for run in runs)
+    for key, value in next((_SELECTED[run].defaults for run in runs if run in _SELECTED), ()):
+        values.setdefault(key, value)  # the defaults of the CHECKS row the command runs
 
     # table order: each section's keys are checked, then the section is built, so an
     # input with several errors always reports the same first one
@@ -419,32 +467,29 @@ def _validate(config: RunConfig, runs: tuple[str, ...], lines: dict[str, int | N
         times = c.evolve.times or ()
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError("constraint violation: evolve.times strictly increasing")
-    elif c.command == "verify":
-        _verify_preconditions(c)
-    elif c.command == "scan":
-        if c.scan.kind in ("dispersive", "lamb-dicke"):
-            if len(c.scan.etas) < 2:
-                raise ConfigError("constraint violation: scan.etas needs >= 2 entries")
-            if any(e <= 0 for e in c.scan.etas):
-                raise ConfigError("constraint violation: scan.etas > 0")
-            if any(b >= a for a, b in zip(c.scan.etas, c.scan.etas[1:])):
-                raise ConfigError("constraint violation: scan.etas strictly decreasing")
-        else:
-            if len(c.scan.n_list) < 2:
-                raise ConfigError("constraint violation: scan.n_list needs >= 2 entries")
-            if any(n < 1 for n in c.scan.n_list):
-                raise ConfigError("constraint violation: scan.n_list >= 1")
-            if any(b <= a for a, b in zip(c.scan.n_list, c.scan.n_list[1:])):
-                raise ConfigError("constraint violation: scan.n_list strictly increasing")
-        if c.scan.k_lowest < 1:
-            raise ConfigError("constraint violation: scan.k_lowest >= 1")
+    elif c.command in SELECTORS:
+        check, settings = selected_check(c)
+        for test, message in check.requires:
+            if not test(c.params):
+                raise ConfigError(f"constraint violation: {message}")
+        for key, test, message in _SETTING_RULES:
+            if key in settings and not test(settings[key], c):
+                raise ConfigError(f"constraint violation: {message}")
     _run_preconditions(c, runs, lines)
 
 
 def _value(config: RunConfig, key: str):
-    """The value ``config`` holds for ``key``."""
+    """The value ``config`` holds for ``key``, or its section ``key`` if that is no key."""
+    if key not in KEYS:
+        return getattr(config, key)
     spec = KEYS[key]
     return getattr(config if spec.attr is None else getattr(config, spec.attr), spec.field)
+
+
+def selected_check(config: RunConfig) -> tuple[_Check, dict[str, object]]:
+    """The :data:`CHECKS` row a verify or scan config runs, and its settings' values."""
+    check = CHECKS[config.command, _value(config, SELECTORS[config.command])]
+    return check, {key: _value(config, key) for key in check.settings}
 
 
 def _runs(setting: Callable[[str], object]) -> tuple[str, ...]:
@@ -452,7 +497,7 @@ def _runs(setting: Callable[[str], object]) -> tuple[str, ...]:
     the setting that selects it, then its format when that has a row.
     ``setting(key)`` is the value of ``key``."""
     command = setting("command")
-    key = {"scan": "scan.kind", "verify": "verify.check"}.get(command, "command")
+    key = SELECTORS.get(command, "command")
     selector = f"{key} = {setting(key)}"
     runs = (selector,)
     if selector in _BUILDER_KEYS:
@@ -485,22 +530,6 @@ def _run_preconditions(c: RunConfig, runs: tuple[str, ...],
         raise ConfigError("constraint violation: rabi-rotated requires phi_l in {0, pi}")
 
 
-def _verify_preconditions(c: RunConfig) -> None:
-    p = c.params
-    check = c.verify.check
-    if check == "guard" and p.eta < 0.3:
-        raise ConfigError("constraint violation: guard demonstration requires eta >= 0.3")
-    if check == "jc-rabi":
-        if not is_sideband_resonant(p):
-            raise ConfigError("constraint violation: jc-rabi requires nu = 2*Omega")
-        if p.eta <= 0 or p.Omega <= 0:
-            raise ConfigError("constraint violation: jc-rabi requires eta > 0 and Omega > 0")
-        if c.verify.fock < 0:
-            raise ConfigError("constraint violation: verify.fock >= 0")
-        if c.verify.fock >= c.trunc.n_max - c.trunc.guard:
-            raise ConfigError("constraint violation: verify.fock < n_max - guard")
-
-
 def _emit_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -519,11 +548,9 @@ def emit_config(config: RunConfig) -> str:
     """Serialize a :class:`RunConfig` to the canonical document form.
 
     Only globally applicable keys plus the active command's section are
-    written, and no unset optional key (``out``, ``evolve.times``) or key
-    whose ``only_if`` rule fails (``format`` for ``regime``,
-    ``build.include_constant`` off ``qrm``, ``evolve.alpha`` for a Fock
-    start, ``scan.etas`` for ``scan.kind = truncation``, ``evolve.t_max``
-    with ``evolve.times`` set, ...) or that :data:`RUN_SKIPS` names for the run;
+    written, and no unset optional key (``out``, ``evolve.times``), key whose
+    ``only_if`` rule fails (``format`` for ``regime``, ``evolve.alpha`` for a
+    Fock start, ...) or key that :data:`RUN_SKIPS` names for the run;
     ``parse_config(emit_config(c)) == c`` for every valid config.
     """
     runs = _runs(partial(_value, config))

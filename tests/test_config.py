@@ -9,7 +9,7 @@ import pytest
 
 from ionqrm import (HAMILTONIAN_BUILDERS, ConfigError, IonParams, TruncationSpec, emit_config,
                     parse_config)
-from ionqrm.config import COMMANDS, KEYS, RUN_SKIPS, SCAN_KINDS, VERIFY_CHECKS, RunConfig
+from ionqrm.config import CHECKS, COMMANDS, KEYS, RUN_SKIPS, SCAN_KINDS, VERIFY_CHECKS, RunConfig
 from ionqrm.params import Record
 
 
@@ -344,6 +344,27 @@ def test_run_reads_names_every_verify_check_scan_kind_and_other_command():
     # RUN_SKIPS holds a row per builder and per selector, and no other
     assert sorted(RUN_SKIPS) == sorted([*HAMILTONIAN_BUILDERS, *selectors])
     _assert_known_entries(selectors)
+
+
+def test_every_check_row_names_a_public_analysis_function_and_settings_that_exist():
+    import inspect
+
+    import ionqrm
+    import ionqrm.analysis as analysis
+
+    sections = {spec.attr for spec in KEYS.values()} - {None}
+    for (command, name), check in CHECKS.items():
+        assert check.function in ionqrm._HOMES["analysis"], (command, name)
+        assert [s for s in check.settings if s not in KEYS and s not in sections] == []
+        # the settings bind to the function's parameters, in order
+        inspect.signature(getattr(analysis, check.function)).bind(*check.settings)
+        if command == "scan":  # a CSV line per value of a setting the row takes
+            assert check.csv[0] in check.settings, name
+    # the selectors' choices and the only_if rules of the keys the rows take are the table's
+    assert (VERIFY_CHECKS, SCAN_KINDS) == tuple(
+        tuple(name for c, name in CHECKS if c == command) for command in ("verify", "scan"))
+    assert KEYS["scan.k_lowest"].only_if == ("kind", ("dispersive", "truncation"))
+    assert KEYS["verify.fock"].only_if == ("check", ("jc-rabi",))
 
 
 def test_readme_run_table_names_every_run_and_what_it_skips():

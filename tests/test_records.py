@@ -12,7 +12,7 @@ import pickle
 import pytest
 
 import ionqrm.analysis  # noqa: F401 - defines VerificationReport
-import ionqrm.config  # noqa: F401 - defines the *Spec classes, RunConfig and _Key
+import ionqrm.config  # noqa: F401 - defines the *Spec classes, RunConfig, _Key and _Check
 import ionqrm.dynamics  # noqa: F401 - defines EvolutionResult and BlockEigensystem
 from ionqrm.analysis import VerificationReport
 from ionqrm.params import IonParams, Record, TruncationSpec
@@ -47,6 +47,10 @@ _SAMPLES = {
                            ("x", 1e-9, (("a", "<=", 2.0),), {"a": 1.0}, IonParams(0.3, 0.1),
                             TruncationSpec(8, 2), 7, "note")],
     "_Key": [(None, "command", str), ("params", "nu", float, ("a", "b"), ("kind", (None,)))],
+    "_Check": [("speed_comparison", ("params",), ()),
+               ("truncation_convergence", ("params", "scan.n_list"), ("trunc",),
+                ((bool, "a message"),), (("scan.k_lowest", 8),),
+                ("scan.n_list", "n_max,shift", "shift_{1}_to_{0}"))],
 }
 
 
@@ -74,7 +78,8 @@ def _outcome(fn):
 
 def test_every_record_class_has_samples():
     assert sorted(_record_classes()) == sorted(_SAMPLES)
-    assert len(_SAMPLES) == 14  # 13 parameter, config and result classes, plus config._Key
+    # 13 parameter, config and result classes, plus config's _Key and _Check
+    assert len(_SAMPLES) == 15
 
 
 @pytest.mark.parametrize("name", sorted(_SAMPLES))

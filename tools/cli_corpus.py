@@ -133,6 +133,21 @@ ENTRIES: list[tuple[list[str], int]] = [
     # a JSON scan exits 2 when its report fails: the QRM is far from converged at n_max = 8
     (["scan", *_REF, "--set", "scan.kind=truncation", "--set", "scan.n_list=4,8",
       "--format", "json"], 2),
+    # the rules of the check and scan rows, each broken once: one ConfigError record each
+    (["scan", *_REF, "--set", "scan.kind=truncation", "--set", "scan.etas=0.08,0.04"], 1),
+    (["scan", *_REF, "--set", "scan.kind=lamb-dicke", "--set", "scan.k_lowest=4"], 1),
+    (["scan", *_DISP, "--set", "scan.n_list=16,32"], 1),
+    (["verify", *_REF, "--set", "verify.check=guard", "--set", "verify.fock=1"], 1),
+    (["verify", "--set", "Omega=0.7", "--set", "eta=0.2", "--set", "verify.check=guard"], 1),
+    (["verify", *_REF, "--set", "verify.check=jc-rabi"], 1),
+    (["verify", *_RES, "--set", "verify.check=jc-rabi", "--set", "verify.fock=48"], 1),
+    *[(["scan", *_DISP, "--set", f"scan.etas={etas}"], 1) for etas in ("0.02,0.04", "0.08")],
+    *[(["scan", *_REF, "--set", "scan.kind=truncation", "--set", f"scan.n_list={n_list}"], 1)
+      for n_list in ("16", "32,16")],
+    (["scan", *_DISP, "--set", "scan.k_lowest=0"], 1),
+    (["verify", *_REF, "--set", "verify.check=speed", "--set", "trunc.n_max=40"], 1),
+    (["verify", *_REF, "--set", "verify.check=nope"], 1),
+    (["scan", *_REF, "--set", "scan.kind=nope"], 1),
 ]
 
 
