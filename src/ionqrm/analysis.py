@@ -62,6 +62,8 @@ _COMPARISONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
 # truncation checks, and the sideband resonance nu = 2*Omega of the dynamics checks
 _REFERENCE_POINT = IonParams(Omega=0.7, eta=0.3)
 _RESONANT_POINT = IonParams(Omega=0.5, eta=0.02)
+# the seeded draws of the transform identity, the chi identity and the regime classifier
+_TRANSFORM_DRAWS, _CHI_DRAWS, _REGIME_DRAWS = 50, 100, 100
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -337,12 +339,11 @@ def qrm_transform_check(
 
 
 def qrm_transform_property(
-    n_draws: int = 50,
     trunc: TruncationSpec = DEFAULT_TRUNC,
     seed: int = DEFAULT_SEED,
     tol: Tolerances = Tolerances(),
 ) -> VerificationReport:
-    """Transform identity over seeded random draws of (nu, Omega, eta).
+    """Transform identity over 50 seeded random draws of (nu, Omega, eta).
 
     Draw ranges: nu in [0.5, 2], Omega in [0, 2], eta in [0, 0.6]. Every
     draw must pass the interior Frobenius check and reproduce the diagonal
@@ -351,7 +352,7 @@ def qrm_transform_property(
     rng = _SeededStream(seed)
     norms, diags = [], []
     n_failed = 0
-    for _ in range(n_draws):
+    for _ in range(_TRANSFORM_DRAWS):
         p = IonParams(
             nu=rng.uniform(0.5, 2.0),
             Omega=rng.uniform(0.0, 2.0),
@@ -367,7 +368,7 @@ def qrm_transform_property(
         gates=(("failed", "<=", 0.0),),
         tolerance=tol.spectral,
         metrics={
-            "draws": float(n_draws),
+            "draws": float(_TRANSFORM_DRAWS),
             "failed": float(n_failed),
             "worst_frobenius_norm": float(np.max(norms, initial=0.0)),
             "worst_diag_offset_dev": float(np.max(diags, initial=0.0)),
@@ -500,16 +501,16 @@ def dispersive_error_scan(
     )
 
 
-def chi_identity_check(n_draws: int = 100, seed: int = DEFAULT_SEED) -> VerificationReport:
+def chi_identity_check(seed: int = DEFAULT_SEED) -> VerificationReport:
     """Algebraic cross-check chi = nu*eta*(eps_counter + eps_co).
 
     Equivalently chi = 2*g*(eps_counter + eps_co) with g = eta*nu/2; holds
-    exactly for every parameter set away from the sideband pole, so every
-    draw must agree to 1e-12 relative (rounding).
+    exactly for every parameter set away from the sideband pole, so each of
+    100 seeded draws must agree to 1e-12 relative (rounding).
     """
     rng = _SeededStream(seed)
     devs = []
-    while len(devs) < n_draws:
+    while len(devs) < _CHI_DRAWS:
         nu = rng.uniform(0.5, 2.0)
         omega = rng.uniform(0.05, 2.0)
         if abs(2 * omega - nu) < 0.05:
@@ -523,7 +524,8 @@ def chi_identity_check(n_draws: int = 100, seed: int = DEFAULT_SEED) -> Verifica
         name="chi-identity",
         gates=(("worst_relative_dev", "<=", 1e-12),),
         tolerance=1e-12,
-        metrics={"draws": float(n_draws), "worst_relative_dev": float(np.max(devs, initial=0.0))},
+        metrics={"draws": float(_CHI_DRAWS),
+                 "worst_relative_dev": float(np.max(devs, initial=0.0))},
         seed=seed,
         notes="chi = nu*eta*(eps_counter+eps_co) = 2*g*(eps_counter+eps_co)",
     )
@@ -598,16 +600,15 @@ def jc_rabi_experiment(
     )
 
 
-def ajc_dynamics_check(p: IonParams) -> VerificationReport:
+def ajc_dynamics_check() -> VerificationReport:
     """Anti-JC oscillation |g,0> <-> |e,1> against its two-level oracle.
 
-    Over 4 periods at 64 samples each, at n_max = 32 with guard 8, P_e(t)
-    must equal sin^2(eta*Omega*t) pointwise at 1e-8; the same state is dark
-    under the JC interaction, which is checked alongside.
+    At the sideband resonance Omega = 0.5, eta = 0.02, over 4 periods at 64
+    samples each, at n_max = 32 with guard 8, P_e(t) must equal
+    sin^2(eta*Omega*t) pointwise at 1e-8; the same state is dark under the JC
+    interaction, which is checked alongside.
     """
-    trunc = _DYNAMICS_TRUNC
-    if p.eta <= 0 or p.Omega <= 0:
-        raise ValueError("eta and Omega must be positive for an oscillation")
+    p, trunc = _RESONANT_POINT, _DYNAMICS_TRUNC
     rate = p.eta * p.Omega
     period = math.pi / rate
     times = np.linspace(0.0, 4 * period, 4 * 64, endpoint=False)
@@ -698,12 +699,12 @@ def speed_comparison(p: IonParams) -> VerificationReport:
     )
 
 
-def regime_check(n_draws: int = 100, seed: int = DEFAULT_SEED) -> VerificationReport:
+def regime_check(seed: int = DEFAULT_SEED) -> VerificationReport:
     """Fixture labels plus scale invariance of the regime classifier.
 
     At the default :class:`~ionqrm.params.RegimeThresholds`, the three
     fixture points must classify as JC-resonant, decoupling and deep-strong;
-    over seeded random draws, rescaling nu and Omega by a common positive
+    over 100 seeded random draws, rescaling nu and Omega by a common positive
     factor (eta fixed) must never change the label.
     """
     fixtures = [
@@ -714,7 +715,7 @@ def regime_check(n_draws: int = 100, seed: int = DEFAULT_SEED) -> VerificationRe
     fixture_failures = sum(1 for p, expected in fixtures if classify_regime(p) is not expected)
     rng = _SeededStream(seed)
     invariance_failures = 0
-    for _ in range(n_draws):
+    for _ in range(_REGIME_DRAWS):
         p = IonParams(
             nu=rng.uniform(0.1, 10.0),
             Omega=rng.uniform(0.0, 3.0),
@@ -734,7 +735,7 @@ def regime_check(n_draws: int = 100, seed: int = DEFAULT_SEED) -> VerificationRe
         metrics={
             "fixture_failures": float(fixture_failures),
             "invariance_failures": float(invariance_failures),
-            "draws": float(n_draws),
+            "draws": float(_REGIME_DRAWS),
         },
         seed=seed,
     )
@@ -765,19 +766,16 @@ def rotation_diagnostic_check(
     )
 
 
-def propagator_conservation_check(
-    p: IonParams = _RESONANT_POINT,
-    seed: int = DEFAULT_SEED,
-) -> VerificationReport:
+def propagator_conservation_check(seed: int = DEFAULT_SEED) -> VerificationReport:
     """Norm and energy conservation plus the composition property.
 
     Runs the JC and anti-JC trajectories used by the dynamics checks, at
-    their truncation n_max = 32 with guard 8, requiring |norm - 1| < 1e-10
-    and |<H>(t) - <H>(0)| < 1e-9 * ||H||_F at every record, and verifies
-    that splitting the evolution at a random intermediate time reproduces
-    the direct evolution within 1e-10.
+    their point and truncation (n_max = 32 with guard 8), requiring
+    |norm - 1| < 1e-10 and |<H>(t) - <H>(0)| < 1e-9 * ||H||_F at every
+    record, and verifies that splitting the evolution at a random
+    intermediate time reproduces the direct evolution within 1e-10.
     """
-    trunc = _DYNAMICS_TRUNC
+    p, trunc = _RESONANT_POINT, _DYNAMICS_TRUNC
     rng = _SeededStream(seed)
     rate = p.eta * p.Omega
     times = np.linspace(0.0, 4.0 * math.pi / rate, 512)
@@ -823,15 +821,15 @@ def run_all_checks(
     """Run the full verification suite in order and return every report."""
     return [
         operator_algebra_check(trunc, tol=tol),
-        qrm_transform_property(50, trunc, seed=seed, tol=tol),
+        qrm_transform_property(trunc, seed=seed, tol=tol),
         guard_necessity_check(_REFERENCE_POINT, n_max=trunc.n_max, tol=tol),
         lamb_dicke_remainder_scan(tol=tol),
         jc_rabi_experiment(_RESONANT_POINT, 0),
-        ajc_dynamics_check(_RESONANT_POINT),
+        ajc_dynamics_check(),
         dispersive_error_scan(IonParams(Omega=1.0, eta=0.08), trunc=trunc, tol=tol),
-        chi_identity_check(100, seed=seed),
-        regime_check(100, seed=seed),
-        propagator_conservation_check(_RESONANT_POINT, seed=seed),
+        chi_identity_check(seed=seed),
+        regime_check(seed=seed),
+        propagator_conservation_check(seed=seed),
         rotation_diagnostic_check(tol=tol),
         speed_comparison(_REFERENCE_POINT),
         truncation_convergence("qrm", _REFERENCE_POINT),

@@ -88,8 +88,9 @@ CHECKS: dict[tuple[str, str], _Check] = {
         requires=((is_sideband_resonant, "jc-rabi requires nu = 2*Omega"),
                   (lambda p: min(p.eta, p.Omega) > 0, "jc-rabi requires eta > 0 and Omega > 0"))),
     ("verify", "speed"): _Check("speed_comparison", ("params",), (*_DELTA_PHI, "trunc", "tol")),
-    ("verify", "rotation"): _Check("rotation_diagnostic_check", ("params", "trunc", "tol"),
-                                   (*_DELTA_PHI, "tol.oracle", "tol.spectral", "tol.min_order")),
+    ("verify", "rotation"): _Check(
+        "rotation_diagnostic_check", ("params", "trunc", "tol"),
+        (*_DELTA_PHI, "trunc.guard", "tol.oracle", "tol.spectral", "tol.min_order")),
     ("scan", "dispersive"): _DISPERSIVE,
     ("scan", "truncation"): _Check(
         "truncation_convergence", ("scan.builder", "params", "scan.n_list", "scan.k_lowest"),
@@ -108,23 +109,24 @@ _SELECTED = {f"{SELECTORS[command]} = {name}": check for (command, name), check 
 #: is its ``scan.builder``, ``scan.kind = truncation`` and ``format = csv``. An entry is
 #: a :class:`RunConfig` section or one key, and setting it is a ConfigError; for
 #: ``delta`` and ``phi_l``, which always hold a value, a nonzero value is. No builder
-#: reads a tolerance, ``regime`` never uses ``trunc``, ``evolve`` reads only
-#: ``trunc.n_max`` and a CSV holds no report's pass flag.
+#: reads a tolerance, ``jc``, ``ajc`` and ``zero`` have no trap term ``nu``, ``regime``
+#: never uses ``trunc``, ``evolve`` reads only ``trunc.n_max``, ``all-checks`` runs each
+#: check at its own points and a CSV holds no report's pass flag.
 RUN_SKIPS: dict[str, tuple[str, ...]] = {
     "resonant": ("delta", "tol"),
     "lamb-dicke": ("delta", "tol"),
     "rabi-rotated": ("delta", "tol"),
-    "jc": (*_DELTA_PHI, "tol"),
-    "ajc": (*_DELTA_PHI, "tol"),
+    "jc": (*_DELTA_PHI, "nu", "tol"),
+    "ajc": (*_DELTA_PHI, "nu", "tol"),
     "qrm": (*_DELTA_PHI, "tol"),
     "qrm-detuned": ("phi_l", "tol"),
     "dispersive": (*_DELTA_PHI, "tol"),
-    "zero": (*_DELTA_PHI, "tol"),
+    "zero": (*_DELTA_PHI, "nu", "tol"),
     **{selector: check.skips for selector, check in _SELECTED.items()},
     "command = build": (),
     "command = evolve": ("trunc.guard",),
     "command = regime": ("delta", "trunc", "tol"),
-    "command = all-checks": _DELTA_PHI,
+    "command = all-checks": (*_DELTA_PHI, "nu"),
     "format = csv": ("tol",),
 }
 BUILDER_NAMES = tuple(sorted(run for run in RUN_SKIPS if " = " not in run))

@@ -242,11 +242,11 @@ def derived_couplings(p: IonParams) -> DerivedCouplings:
     eps_co      = eta*nu / (2*(2*Omega - nu))
     chi         = 2*eta^2*nu^2*Omega / (4*Omega^2 - nu^2)
 
-    Raises :class:`ResonancePoleError` at the sideband pole 2*Omega = nu
-    (the 2*Omega = -nu pole is unreachable for valid parameters).
+    Raises :class:`ResonancePoleError` exactly where :func:`is_sideband_resonant`
+    holds, the one test of the pole 2*Omega = nu (the 2*Omega = -nu pole is
+    unreachable for valid parameters).
     """
-    scale = max(p.nu, 2.0 * p.Omega)
-    if abs(2.0 * p.Omega - p.nu) <= 1e-12 * scale:
+    if is_sideband_resonant(p):
         raise ResonancePoleError(
             f"2*Omega = nu pole (nu={p.nu}, Omega={p.Omega}); "
             "small-rotation angles are undefined at the sideband resonance"

@@ -145,8 +145,8 @@ def test_criterion_07_dispersive_reduction():
     scan = dispersive_error_scan(
         IonParams(Omega=1.0, eta=0.08), etas=(0.08, 0.04, 0.02), trunc=T64, k_lowest=10
     )
-    chi = chi_identity_check(n_draws=100, seed=2024)
-    ok = scan.metrics["order"] >= 1.8 and chi.passed
+    chi = chi_identity_check(seed=2024)
+    ok = scan.metrics["order"] >= 1.8 and chi.passed and chi.metrics["draws"] == 100
     _criterion(
         7,
         "dispersive scan order >= 1.8 and chi identity at 1e-12 over 100 draws",
@@ -156,7 +156,7 @@ def test_criterion_07_dispersive_reduction():
 
 
 def test_criterion_08_regime_classifier():
-    rep = regime_check(n_draws=100, seed=2024)
+    rep = regime_check(seed=2024)
     _criterion(
         8,
         "regime fixtures classify as listed; labels scale-invariant over 100 draws",

@@ -80,8 +80,8 @@ def test_qrm_transform_check_preconditions():
 
 
 def test_qrm_transform_property_deterministic_given_seed():
-    a = qrm_transform_property(10, T64, seed=99)
-    b = qrm_transform_property(10, T64, seed=99)
+    a = qrm_transform_property(T64, seed=99)
+    b = qrm_transform_property(T64, seed=99)
     assert a.passed and b.passed
     assert a.metrics == b.metrics
 
@@ -161,7 +161,7 @@ def test_jc_rabi_deviation_shrinks_with_eta():
 
 
 def test_jc_dark_state_and_ajc_oscillation():
-    rep = ajc_dynamics_check(IonParams(Omega=0.5, eta=0.02))
+    rep = ajc_dynamics_check()
     assert rep.passed
     assert rep.metrics["pointwise_dev"] <= 1e-8
     assert rep.metrics["jc_dark_state_dev"] <= 1e-12
@@ -347,9 +347,9 @@ def test_seeded_stream_rejects_a_negative_seed_as_default_rng_does():
 @pytest.mark.parametrize("seed", (7, 2024, 2**64 + 5))
 def test_seeded_reports_equal_their_default_rng_form(seed, monkeypatch):
     def seeded_reports():
-        return [qrm_transform_property(10, T64, seed=seed).to_dict(),
-                chi_identity_check(100, seed=seed).to_dict(),
-                regime_check(100, seed=seed).to_dict(),
+        return [qrm_transform_property(T64, seed=seed).to_dict(),
+                chi_identity_check(seed=seed).to_dict(),
+                regime_check(seed=seed).to_dict(),
                 propagator_conservation_check(seed=seed).to_dict()]
 
     ours = seeded_reports()
@@ -449,10 +449,9 @@ _NAN_CASES = {
     "qrm-transform-draws": ("qrm_transform_check",
                             lambda rep: rep.replace(
                                 metrics={**rep.metrics, "diag_offset_dev": float("nan")}),
-                            lambda: qrm_transform_property(3, TruncationSpec(16, 4)),
-                            "worst_diag_offset_dev"),
+                            qrm_transform_property, "worst_diag_offset_dev"),
     "chi-identity": ("derived_couplings", lambda cpl: cpl.replace(chi=float("nan")),
-                     lambda: chi_identity_check(5), "worst_relative_dev"),
+                     chi_identity_check, "worst_relative_dev"),
     "propagator-conservation": ("propagate",
                                 lambda run: run.replace(norm_residual=run.norm_residual * np.nan),
                                 propagator_conservation_check, "worst_norm_residual"),
@@ -521,7 +520,7 @@ def test_transform_check_fails_on_a_broken_conjugation(broken, monkeypatch):
     rep = qrm_transform_check(IonParams(Omega=0.7, eta=0.3), T64)
     assert not rep.passed
     assert rep.metrics["frobenius_norm"] > 1e3 * rep.metrics["threshold"]
-    draws = qrm_transform_property(5, T64, seed=99)
+    draws = qrm_transform_property(T64, seed=99)
     assert not draws.passed and draws.metrics["failed"] > 0
 
 
@@ -558,10 +557,10 @@ def test_transform_check_fails_on_a_broken_gauge_real_displacement(broken, monke
     rep = qrm_transform_check(IonParams(Omega=0.7, eta=0.3), T64)
     assert not rep.passed
     assert rep.metrics["frobenius_norm"] > 1e3 * rep.metrics["threshold"]
-    draws = qrm_transform_property(5, T64, seed=99)
+    draws = qrm_transform_property(T64, seed=99)
     assert not draws.passed and draws.metrics["failed"] > 0
     # the defect hit the displacement it names: full and half alternate
-    assert radii[1::2] == [r / 2.0 for r in radii[0::2]] and len(radii) == 12
+    assert radii[1::2] == [r / 2.0 for r in radii[0::2]] and len(radii) == 102
 
 
 def test_transform_draws_form_no_complex_displacement_and_gauge_nothing(monkeypatch):
@@ -583,9 +582,9 @@ def test_transform_draws_form_no_complex_displacement_and_gauge_nothing(monkeypa
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "ionqrm" and vars(module).get(target) is original:
                 monkeypatch.setattr(module, target, counting)
-    rep = qrm_transform_property(5, T64, seed=99)
+    rep = qrm_transform_property(T64, seed=99)
     assert rep.passed
-    assert calls == {"gauge_is_real": 0, "displacement": 0, "h_resonant": 5, "h_qrm": 5}
+    assert calls == {"gauge_is_real": 0, "displacement": 0, "h_resonant": 50, "h_qrm": 50}
     # the counters see a call through any binding, for example the dense oracle's
     models.qrm_transform(0.3, T64)
     assert calls["displacement"] == 1

@@ -1,4 +1,7 @@
 """End-to-end tests of the command-line surface."""
+import contextlib
+import functools
+import io
 import json
 import math
 import subprocess
@@ -12,7 +15,7 @@ from ionqrm import (HAMILTONIAN_BUILDERS, IonParams, TruncationSpec, coherent_st
 from ionqrm import cli
 from ionqrm.cli import _DISPATCH, EXIT_CHECKS_FAILED, EXIT_ERROR, EXIT_OK, main
 from ionqrm.config import (BUILDER_NAMES, CHECKS, COMMANDS, FORMATS, KEYS, RUN_SKIPS, SCAN_KINDS,
-                           SELECTORS, VERIFY_CHECKS, ConfigError, parse_config)
+                           SELECTORS, VERIFY_CHECKS, ConfigError, _scope, parse_config)
 
 
 def run_cli(args, capsys):
@@ -242,7 +245,12 @@ _RUN_SKIPPED = [
     ("scan", "scan.kind = truncation", "trunc.n_max", "40"),
     ("scan", "scan.kind = truncation", "trunc.guard", "4"),
     ("verify", "verify.check = guard", "trunc.guard", "4"),
+    ("verify", "verify.check = rotation", "trunc.guard", "4"),
     ("evolve", "command = evolve", "trunc.guard", "4"),
+    # the sideband couplings have no trap term, and the suite runs at its own points
+    *((command, builder, "nu", "1.3") for command in ("build", "evolve", "scan")
+      for builder in ("jc", "ajc", "zero")),
+    ("all-checks", "command = all-checks", "nu", "1.3"),
     # each other check and scan reads only the tolerance it compares against
     *((command, run, key, value) for command, run, read in _TOL_READ
       for key, value in _TOL_VALUES.items() if key != read),
@@ -324,8 +332,6 @@ _UNREAD = {
     ("verify", "dispersive", "json", "trunc.guard"): _DISPERSIVE_GUARD,
     ("scan", "dispersive", "csv", "trunc.guard"): _DISPERSIVE_GUARD,
     ("scan", "dispersive", "json", "trunc.guard"): _DISPERSIVE_GUARD,
-    ("verify", "rotation", "json", "trunc.guard"):
-        "rotation_diagnostic reads trunc.n_max only; trunc.guard is echoed only",
 }
 # accepted and read, but with no output byte moved at the corpus point
 _READ_SET_EXEMPT = {
@@ -337,7 +343,7 @@ _READ_SET_EXEMPT = {
 def _check_argv(command, name, fmt, **changed):
     omega, eta = _CHECK_POINTS.get(name, ("0.7", "0.3"))
     sets = {"Omega": omega, "eta": eta, SELECTORS[command]: name, "format": fmt, **changed}
-    return [command, *(word for key, value in sets.items() for word in ("--set", f"{key}={value}"))]
+    return (command, *(word for key, value in sets.items() for word in ("--set", f"{key}={value}")))
 
 
 def _accepted(argv):
@@ -362,23 +368,29 @@ def test_the_read_set_tables_name_accepted_cases_and_every_key_a_check_may_take(
     assert set(_READ_SET_CHANGES) == scoped - {"command", "format", "out", *SELECTORS.values()}
 
 
+@functools.lru_cache(maxsize=None)  # each base run is compared with every change of it
+def _masked_output(argv: tuple[str, ...]) -> str:
+    """stdout of a command line that exits 0 or 2, with its echoed params and trunc masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (EXIT_OK, EXIT_CHECKS_FAILED), err.getvalue()
+    if not out.getvalue().startswith("{"):
+        return out.getvalue()  # CSV or text: nothing is echoed
+    document = json.loads(out.getvalue())
+    for report in document.get("reports", [document]):
+        del report["params"], report["trunc"]  # the echo would hide a key never read
+    return json.dumps(document, sort_keys=True)
+
+
 @pytest.mark.parametrize("command, name, fmt, key", [
     pytest.param(*case, id="-".join(case),
                  marks=[pytest.mark.xfail(strict=True, reason=_UNREAD[case])] if case in _UNREAD
                  else [])
     for case in _READ_SET if case not in _READ_SET_EXEMPT])
-def test_every_key_a_check_accepts_moves_its_output(command, name, fmt, key, capsys):
-    def masked(argv):
-        code, out, err = run_cli(argv, capsys)
-        assert code in (EXIT_OK, EXIT_CHECKS_FAILED), err
-        if fmt == "csv":
-            return out
-        report = json.loads(out)
-        del report["params"], report["trunc"]  # the echo would hide a key never read
-        return json.dumps(report, sort_keys=True)
-
-    base = masked(_check_argv(command, name, fmt))
-    assert masked(_check_argv(command, name, fmt, **{key: _READ_SET_CHANGES[key]})) != base
+def test_every_key_a_check_accepts_moves_its_output(command, name, fmt, key):
+    base = _masked_output(_check_argv(command, name, fmt))
+    assert _masked_output(_check_argv(command, name, fmt, **{key: _READ_SET_CHANGES[key]})) != base
 
 
 def test_verify_and_scan_run_the_analysis_binding_their_row_names(capsys, monkeypatch):
@@ -404,6 +416,87 @@ def test_verify_and_scan_run_the_analysis_binding_their_row_names(capsys, monkey
     assert code == EXIT_OK and json.loads(out)["name"] == "stub-truncation"
     # each stub is passed its row's settings, in order: k_lowest is the truncation row's 8
     assert calls == [(IonParams(0.7, 0.3),), ("qrm", IonParams(0.7, 0.3), (16, 32, 64), 8)]
+
+
+# the base runs of the other commands, (command, run) -> the settings of each of its points:
+# each builder from a coherent start at a small cutoff, regime at one point per threshold
+# (decoupling, ultrastrong, dispersive, JC-resonant) and all-checks at the reference point
+_RUN_BASES = {
+    **{("build", name): [{"Omega": "0.7", "eta": "0.3", "trunc.n_max": "16", "trunc.guard": "2",
+                          "build.hamiltonian": name}] for name in BUILDER_NAMES},
+    **{("evolve", name): [{"Omega": "0.7", "eta": "0.3", "trunc.n_max": "8",
+                           "evolve.hamiltonian": name, "evolve.state": "coherent",
+                           "evolve.alpha": "0.5+0.3j", "evolve.spin": "g"}]
+       for name in BUILDER_NAMES},
+    ("regime", "regime"): [{"Omega": omega, "eta": eta} for omega, eta in (
+        ("0.0005", "0.2"), ("0.7", "0.3"), ("1.0", "0.08"), ("0.5", "0.02"))],
+    ("all-checks", "all-checks"): [{"Omega": "0.7", "eta": "0.3"}],
+}
+# the changed values of each key those commands may take but the ones that pick the run:
+# the checks' values of the global keys, with pi as a second phi_l (rabi-rotated and regime
+# read it as pi or not pi); evolve.state and evolve.fock are left out, as the coherent
+# start rejects them
+_RUN_CHANGES = {
+    **{key: (value,) for key, value in _READ_SET_CHANGES.items() if _scope(key) is None},
+    "phi_l": (_READ_SET_CHANGES["phi_l"], repr(math.pi)),
+    "build.include_constant": ("false",), "evolve.spin": ("e",), "evolve.alpha": ("0.2-0.4j",),
+    "evolve.t_max": ("3.5",), "evolve.samples": ("7",), "evolve.times": ("0.0,0.5,2.0",),
+    "regime.ordering_factor": ("20",), "regime.ultrastrong_onset": ("0.2",),
+    "regime.dispersive_factor": ("0.01",), "regime.resonant_max_g_ratio": ("0.005",),
+}
+_ZERO = "zero reads no parameter, and Omega and eta are required keys (ROADMAP item 7)"
+_SUITE = ("every check runs at its own points; the suite benchmark workload sets Omega and "
+          "eta, so they stay required until it changes (ROADMAP item 1)")
+# (command, run, key, value) accepted and never read: each fails until the key is rejected
+_RUN_UNREAD = {
+    **{(command, "zero", key, _RUN_CHANGES[key][0]): _ZERO
+       for command in ("build", "evolve") for key in ("Omega", "eta")},
+    **{("all-checks", "all-checks", key, _RUN_CHANGES[key][0]): _SUITE for key in ("Omega", "eta")},
+    **{("build", name, "trunc.guard", _RUN_CHANGES["trunc.guard"][0]):
+       "no builder reads trunc.guard and build only echoes it; rejecting it moves every build "
+       "entry of the corpus (ROADMAP item 7)" for name in BUILDER_NAMES},
+}
+# accepted and read, but with no output byte moved from these starting states
+_RUN_EXEMPT = {
+    **{("evolve", name, "phi_l", repr(math.pi)):
+       "sigma_z maps H(0) onto H(pi) and only flips the sign of the spin-eigenstate start, so "
+       "the populations are the same" for name in ("resonant", "lamb-dicke")},
+    ("regime", "regime", "phi_l", "0.4"):
+        "the label reads phi_l only as pi or not pi (laser_phase_sign), and 0.4 is not pi",
+}
+
+
+def _run_argvs(command, run, **changed):
+    return [(command, *(word for key, value in {**point, **changed}.items()
+                        for word in ("--set", f"{key}={value}")))
+            for point in _RUN_BASES[command, run]]
+
+
+# every (command, run, key, value) whose changed key parse_config accepts at every point
+_RUN_READ_SET = [(command, run, key, value) for command, run in _RUN_BASES
+                 for key, values in _RUN_CHANGES.items() for value in values
+                 if all(map(_accepted, _run_argvs(command, run, **{key: value})))]
+
+
+def test_the_run_read_set_tables_name_accepted_cases_and_every_key_a_run_may_take():
+    assert set(_RUN_UNREAD) | set(_RUN_EXEMPT) <= set(_RUN_READ_SET)
+    assert not set(_RUN_UNREAD) & set(_RUN_EXEMPT)
+    scoped = {key for key in KEYS if _scope(key) in (None, "build", "evolve", "regime")}
+    assert set(_RUN_CHANGES) == scoped - {"command", "format", "out", "build.hamiltonian",
+                                          "evolve.hamiltonian", "evolve.state", "evolve.fock"}
+    # every changed value is accepted by some run
+    assert {(key, value) for _, _, key, value in _RUN_READ_SET} == {
+        (key, value) for key, values in _RUN_CHANGES.items() for value in values}
+
+
+@pytest.mark.parametrize("command, run, key, value", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}-{case[2]}={case[3]}",
+                 marks=[pytest.mark.xfail(strict=True, reason=_RUN_UNREAD[case])]
+                 if case in _RUN_UNREAD else [])
+    for case in _RUN_READ_SET if case not in _RUN_EXEMPT])
+def test_every_key_a_run_accepts_moves_its_output(command, run, key, value):
+    base = list(map(_masked_output, _run_argvs(command, run)))
+    assert list(map(_masked_output, _run_argvs(command, run, **{key: value}))) != base
 
 
 def _run_skipped_case(command, run, key, value):
@@ -757,7 +850,7 @@ def test_verify_and_a_json_scan_exit_2_exactly_when_their_report_fails(capsys, m
         assert code == expected == (EXIT_OK if report.passed else EXIT_CHECKS_FAILED), argv
         if not report.passed:
             failed.append(report.name)
-    assert len(entries) == 15 and failed == ["speed-comparison", "truncation-convergence-qrm"]
+    assert len(entries) == 16 and failed == ["speed-comparison", "truncation-convergence-qrm"]
     # the same failing scan as CSV carries no pass flag and exits 0
     code, out, _ = run_cli(["scan", "--set", "Omega=0.7", "--set", "eta=0.3", "--set",
                             "scan.kind=truncation", "--set", "scan.n_list=4,8"], capsys)
@@ -1144,23 +1237,36 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code(tmp_path):
     pinned = (Path(__file__).parent / "cli_corpus.txt").read_text().splitlines()
     got = proc.stdout.splitlines()
     assert got[0] == pinned[0] and len(got) == len(pinned)
-    # the full digests hold in the environment that wrote them; elsewhere the exit codes
-    # and the digests with every number masked still check every other field
-    same_environment = got[1] == pinned[1]
     rows = [line.split(" ", 3) for line in got[2:]]
-    assert len(rows) == len(corpus.ENTRIES) == 115
-    moved = []
-    for row, want, (entry, expected) in zip(rows, pinned[2:], corpus.ENTRIES):
-        digest, masked, code, argv = row
+    assert len(rows) == len(corpus.ENTRIES) == 123
+    for (digest, masked, code, argv), (entry, expected) in zip(rows, corpus.ENTRIES):
         assert argv == " ".join(entry) and len(digest) == len(masked) == 64
         assert int(code) == expected, argv
-        want = want.split(" ", 3)
-        if row[1:] != want[1:] or same_environment and digest != want[0]:
-            moved.append(argv)
+    # the full digests hold in the environment that wrote them; elsewhere the exit codes
+    # and the digests with every number masked still check every other field
+    moved = corpus.moved(pinned, got)
     assert moved == [], ("outputs moved; if on purpose, list them from --compare in "
-                         "CHANGES.md and rewrite the file from tools/cli_corpus.py src")
+                         "CHANGES.md and rewrite the file from tools/cli_corpus.py src:\n"
+                         + "\n".join(moved))
     assert corpus._NUMBER.sub("#", '{"x": [-1.5e-17, 0.25], "n_max": 8, "k": "ajc"}') == (
         '{"x": [#, #], "n_max": #, "k": "ajc"}')
+
+
+def test_cli_corpus_says_what_moved_in_each_entry():
+    corpus, _ = _corpus_tool()
+    header = ["# format", '# environment {"cpus": 2}']
+    pinned = [*header, "a1 m1 0 regime x", "a2 m2 0 regime y", "a3 m3 1 regime z",
+              "a4 m4 0 regime w"]
+    got = [*header, "a1 m1 0 regime x", "b2 m2 0 regime y", "b3 n3 0 regime z",
+           "b4 n4 0 regime w"]
+    assert corpus.moved(pinned, got) == ["regime y: full digest only",
+                                         "regime z: exit code 1 -> 0",
+                                         "regime w: masked digest"]
+    # in another environment only the exit codes and masked digests are compared
+    elsewhere = [got[0], '# environment {"cpus": 4}', *got[2:]]
+    assert corpus.moved(pinned, elsewhere) == ["regime z: exit code 1 -> 0",
+                                               "regime w: masked digest"]
+    assert corpus.moved(pinned, [*header, "a1 m1 0 regime v"]) == ["regime v: pinned as regime x"]
 
 
 def test_cli_corpus_compare_shows_how_far_each_column_moved(tmp_path):

@@ -207,6 +207,10 @@ def _random_config_text(rng) -> str:
     if {"command = regime", "scan.kind = lamb-dicke", "scan.kind = truncation",
             "verify.check = speed"} & set(lines):
         lines = [line for line in lines if not line.startswith("trunc.")]
+    # nor do jc, ajc, zero and all-checks read nu
+    if command == "all-checks" or {f"{command}.hamiltonian = {name}"
+                                   for name in ("jc", "ajc", "zero")} & set(lines):
+        lines = [line for line in lines if not line.startswith("nu = ")]
     return "\n".join(lines) + "\n"
 
 
@@ -323,14 +327,15 @@ _NONZERO = {"delta": 0.4, "phi_l": 0.7}
 
 def _assert_known_entries(runs):
     # an entry is one of RunConfig's keyed sections, one key, delta or phi_l; of the ion's
-    # parameters a row names only delta or phi_l
+    # parameters a row names only nu (a key set is rejected), delta or phi_l (a nonzero
+    # value is): Omega and eta are required
     sections = {k.attr for k in KEYS.values()} - {None}
     entries = {s for run in runs for s in RUN_SKIPS[run]}
     assert entries <= sections | set(KEYS) | set(_NONZERO)
-    assert entries & set(IonParams._fields) <= set(_NONZERO)
+    assert entries & set(IonParams._fields) <= {"nu", *_NONZERO}
 
 
-def test_builder_reads_names_every_builder_and_only_delta_or_phi_l():
+def test_builder_reads_names_every_builder_and_only_nu_delta_or_phi_l():
     assert set(HAMILTONIAN_BUILDERS) <= set(RUN_SKIPS)
     _assert_known_entries(HAMILTONIAN_BUILDERS)
 
@@ -435,6 +440,12 @@ def test_a_csv_scan_rejects_and_never_emits_a_tolerance(kind):
      "verify.check = guard", {"trunc.guard": "4"}, ("trunc.n_max",)),
     ("command = evolve\nOmega = 0.35\neta = 0.11\nevolve.hamiltonian = jc\n",
      "command = evolve", {"trunc.guard": "4"}, ("trunc.n_max",)),
+    ("command = verify\nOmega = 0.7\neta = 0.2\nverify.check = rotation\n",
+     "verify.check = rotation", {"trunc.guard": "4"}, ("trunc.n_max",)),
+    ("command = build\nOmega = 0.7\neta = 0.3\nbuild.hamiltonian = zero\n",
+     "zero", {"nu": "1.3"}, ()),
+    ("command = all-checks\nOmega = 0.7\neta = 0.3\nseed = 7\n",
+     "command = all-checks", {"nu": "1.3"}, ()),
 ])
 def test_keys_the_run_skips_are_rejected_and_never_emitted(text, run, skipped, kept):
     cfg = parse_config(text)

@@ -36,7 +36,8 @@ from ionqrm import (
 )
 from ionqrm import models
 from ionqrm.algebra import displacement_gauged
-from ionqrm.params import laser_phase_sign, qrm_coupling, transform_offset
+from ionqrm.params import (is_sideband_resonant, laser_phase_sign, qrm_coupling,
+                           transform_offset)
 from oracles import Spin, fock_gauge, is_hermitian, is_unitary, number_op, pauli
 
 T64 = TruncationSpec(n_max=64, guard=16)
@@ -375,6 +376,29 @@ def test_derived_couplings_zero_eta():
 def test_derived_couplings_pole():
     with pytest.raises(ResonancePoleError):
         derived_couplings(IonParams(Omega=0.5, eta=0.1, nu=1.0))
+
+
+def test_derived_couplings_raise_exactly_where_the_sideband_is_resonant():
+    # |2*Omega - nu| = 1e-10 is inside the resonance band 1e-9 * (nu + 2*Omega)
+    p = IonParams(Omega=0.50000000005, eta=0.02)
+    assert is_sideband_resonant(p)
+    message = (r"^2\*Omega = nu pole \(nu=1.0, Omega=0.50000000005\); small-rotation angles "
+               r"are undefined at the sideband resonance$")
+    with pytest.raises(ResonancePoleError, match=message):
+        derived_couplings(p)
+    # 2*Omega - nu on both sides of the band's edge near 2e-9
+    points = [IonParams(Omega=0.5 + offset / 2, eta=0.02)
+              for offset in (0.0, 1e-10, -1e-10, 1.9e-9, -1.9e-9, 2.1e-9, -2.1e-9, 1e-3)]
+
+    def raises(p):
+        try:
+            derived_couplings(p)
+        except ResonancePoleError:
+            return True
+        return False
+
+    assert [raises(p) for p in points] == [is_sideband_resonant(p) for p in points] == [
+        True] * 5 + [False] * 3
 
 
 def test_chi_combines_both_rotation_angles():

@@ -17,7 +17,8 @@ numpy or BLAS round differently. ``tests/cli_corpus.txt`` keeps this output:
 ``--config`` document is written to a temporary file, and an ``--out`` file
 goes to the same temporary directory; an entry's argv shows the name in place
 of the file's path. An entry that raises SystemExit (as a command-line parser
-may) is recorded with its exit code.
+may) is recorded with its exit code. :func:`moved` says, for each entry, whether its
+exit code, its masked digest or only its full digest differs between two such outputs.
 
 The second form shows how far the outputs moved. It runs the corpus on each
 checkout in its own subprocess (``--dump SRC_DIR``, one JSON line per entry
@@ -148,6 +149,18 @@ ENTRIES: list[tuple[list[str], int]] = [
     (["verify", *_REF, "--set", "verify.check=speed", "--set", "trunc.n_max=40"], 1),
     (["verify", *_REF, "--set", "verify.check=nope"], 1),
     (["scan", *_REF, "--set", "scan.kind=nope"], 1),
+    # keys a run never reads: nu for jc and all-checks, trunc.guard for verify rotation
+    (["build", *_REF, *_T8, "--set", "nu=1.3", "--set", "build.hamiltonian=jc"], 1),
+    (["all-checks", *_REF, "--set", "nu=1.3"], 1),
+    *[(["verify", "--set", "Omega=0.7", "--set", "eta=0.2", "--set", "verify.check=rotation",
+        "--set", trunc], code) for trunc, code in (("trunc.guard=8", 1), ("trunc.n_max=8", 0))],
+    # 2*Omega - nu = 1e-10: the sideband resonance, so the dispersive pole
+    (["build", "--set", "Omega=0.50000000005", "--set", "eta=0.02", "--set", "trunc.n_max=2",
+      "--set", "trunc.guard=0", "--set", "build.hamiltonian=dispersive"], 1),
+    # command lines config passes and analysis rejects, each one ValueError record
+    (["scan", *_DISP, "--set", "scan.k_lowest=200"], 1),
+    (["scan", "--set", "Omega=0.55", "--set", "eta=0.08"], 1),
+    (["scan", *_REF, "--set", "scan.kind=truncation", "--set", "scan.k_lowest=40"], 1),
 ]
 
 
@@ -227,6 +240,24 @@ def environment() -> dict:
             "blas": f"{blas['name']} {blas['version']}", "machine": platform.machine(),
             "simd": config["SIMD Extensions"], "cpus": cpus, "threads": threads,
             "openblas": _openblas()}
+
+
+def moved(pinned: list[str], got: list[str]) -> list[str]:
+    """What moved in each entry between two outputs of :func:`main`: its exit code, its
+    masked digest or, when both ran in the same environment, only its full digest."""
+    same_environment = pinned[1] == got[1]
+    lines = []
+    for want, row in zip(pinned[2:], got[2:]):
+        (digest, masked, code, argv), want = row.split(" ", 3), want.split(" ", 3)
+        if argv != want[3]:
+            lines.append(f"{argv}: pinned as {want[3]}")
+        elif code != want[2]:
+            lines.append(f"{argv}: exit code {want[2]} -> {code}")
+        elif masked != want[1]:
+            lines.append(f"{argv}: masked digest")
+        elif same_environment and digest != want[0]:
+            lines.append(f"{argv}: full digest only")
+    return lines
 
 
 def main(src_dir: str) -> int:
