@@ -43,6 +43,7 @@ from .dynamics import block_eigh, fock_state, propagate
 from .params import (
     DEFAULT_SEED,
     DEFAULT_TRUNC,
+    MAX_SMALL_ROTATION,
     SCHEMA_VERSION,
     IonParams,
     Record,
@@ -443,9 +444,6 @@ def lamb_dicke_remainder_scan(
     )
 
 
-_MAX_SMALL_ROTATION = 0.2  # the dispersive premise is first order in these angles
-
-
 def dispersive_error_scan(
     p_base: IonParams,
     etas: tuple[float, ...] = (0.08, 0.04, 0.02),
@@ -471,9 +469,9 @@ def dispersive_error_scan(
         p = IonParams(Omega=p_base.Omega, eta=eta, nu=p_base.nu)
         cpl = derived_couplings(p)
         angle = max(abs(cpl.eps_counter), abs(cpl.eps_co))
-        if angle > _MAX_SMALL_ROTATION:
+        if angle > MAX_SMALL_ROTATION:
             raise ValueError(
-                f"small-rotation angle {angle:.3g} exceeds {_MAX_SMALL_ROTATION} at "
+                f"small-rotation angle {angle:.3g} exceeds {MAX_SMALL_ROTATION} at "
                 f"eta={eta}; too close to the 2*Omega = nu pole"
             )
         points.append((p, cpl))

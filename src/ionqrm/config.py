@@ -18,6 +18,10 @@ command other than ``regime``, ``seed`` the command ``all-checks``,
 A key set that what the command runs never reads is an error, and so is a
 nonzero ``delta`` or ``phi_l`` it never reads (:data:`RUN_SKIPS`). A command
 emits one of the formats :data:`FORMATS` lists for it, the first by default.
+Every other rule on the values of a run is one row of :data:`_RULES`, so the
+whole configuration is checked before any computation, except that a run which
+needs the dispersive couplings at the 2*Omega = nu pole raises
+``ResonancePoleError`` when it computes them.
 Values use the shortest round-trip decimal form for floats,
 ``true``/``false`` for booleans, ``re+imj`` for complex numbers and
 comma-separated items for lists.
@@ -40,12 +44,13 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import groupby
-from operator import gt, lt
+from operator import lt
 from types import SimpleNamespace
 from collections.abc import Callable
 
-from .params import (DEFAULT_SEED, DEFAULT_TRUNC, IonParams, Record, RegimeThresholds,
-                     Tolerances, TruncationSpec, is_sideband_resonant, laser_phase_sign)
+from .params import (DEFAULT_SEED, DEFAULT_TRUNC, MAX_SMALL_ROTATION, IonParams, Record,
+                     RegimeThresholds, Tolerances, TruncationSpec, derived_couplings,
+                     is_sideband_resonant, laser_phase_sign)
 
 COMMANDS = ("build", "verify", "evolve", "scan", "regime", "all-checks")
 #: The formats each command emits, its default first; ``regime`` prints text.
@@ -64,7 +69,6 @@ class _Check(Record):
     function: str  # the ionqrm.analysis function, looked up by name when the command runs
     settings: tuple[str, ...]  # what it is passed, in order: keys or RunConfig sections
     skips: tuple[str, ...]  # its RUN_SKIPS row
-    requires: tuple[tuple[Callable[[IonParams], bool], str], ...] = ()  # (params test, rule)
     defaults: tuple[tuple[str, object], ...] = ()  # (key, its value when unset)
     # a scan's CSV: the setting with a line per value, header, metric ({0} value, {1} previous)
     csv: tuple[str, str, str] | None = None
@@ -78,15 +82,11 @@ _DISPERSIVE = _Check(
 CHECKS: dict[tuple[str, str], _Check] = {
     ("verify", "qrm-transform"): _Check("qrm_transform_check", ("params", "trunc", "tol"),
                                         (*_DELTA_PHI, *_ONLY_SPECTRAL)),
-    ("verify", "guard"): _Check(
-        "guard_necessity_check", ("params", "trunc.n_max", "tol"),
-        (*_DELTA_PHI, "trunc.guard", *_ONLY_SPECTRAL),
-        requires=((lambda p: p.eta >= 0.3, "guard demonstration requires eta >= 0.3"),)),
+    ("verify", "guard"): _Check("guard_necessity_check", ("params", "trunc.n_max", "tol"),
+                                (*_DELTA_PHI, "trunc.guard", *_ONLY_SPECTRAL)),
     ("verify", "dispersive"): _DISPERSIVE,
-    ("verify", "jc-rabi"): _Check(
-        "jc_rabi_experiment", ("params", "verify.fock", "trunc"), (*_DELTA_PHI, "tol"),
-        requires=((is_sideband_resonant, "jc-rabi requires nu = 2*Omega"),
-                  (lambda p: min(p.eta, p.Omega) > 0, "jc-rabi requires eta > 0 and Omega > 0"))),
+    ("verify", "jc-rabi"): _Check("jc_rabi_experiment", ("params", "verify.fock", "trunc"),
+                                  (*_DELTA_PHI, "tol")),
     ("verify", "speed"): _Check("speed_comparison", ("params",), (*_DELTA_PHI, "trunc", "tol")),
     ("verify", "rotation"): _Check(
         "rotation_diagnostic_check", ("params", "trunc", "tol"),
@@ -235,11 +235,6 @@ def _parse_list(text: str, item: Callable[[str], object]) -> tuple:
     return tuple(item(part) for part in parts)
 
 
-def _format_complex(z: complex) -> str:
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real!r}{sign}{abs(z.imag)!r}j"
-
-
 class _Key(Record):
     attr: str | None  # RunConfig attribute holding the section; None: a RunConfig field
     field: str
@@ -322,17 +317,53 @@ _REQUIRED = ("command", "Omega", "eta")
 _BUILDER_KEYS = {"command = build": "build.hamiltonian", "command = evolve": "evolve.hamiltonian",
                  **{run: key for run, check in _SELECTED.items() for key in check.settings
                     if key in KEYS and KEYS[key].choices == BUILDER_NAMES}}
-# (setting, test of its value in the config, rule), run in order for a CHECKS row taking it
-_SETTING_RULES: tuple[tuple[str, Callable[[object, RunConfig], bool], str], ...] = (
-    ("scan.etas", lambda v, c: len(v) >= 2, "scan.etas needs >= 2 entries"),
-    ("scan.etas", lambda v, c: all(e > 0 for e in v), "scan.etas > 0"),
-    ("scan.etas", lambda v, c: all(map(gt, v, v[1:])), "scan.etas strictly decreasing"),
-    ("scan.n_list", lambda v, c: len(v) >= 2, "scan.n_list needs >= 2 entries"),
-    ("scan.n_list", lambda v, c: all(n >= 1 for n in v), "scan.n_list >= 1"),
-    ("scan.n_list", lambda v, c: all(map(lt, v, v[1:])), "scan.n_list strictly increasing"),
-    ("scan.k_lowest", lambda v, c: v >= 1, "scan.k_lowest >= 1"),
-    ("verify.fock", lambda v, c: v >= 0, "verify.fock >= 0"),
-    ("verify.fock", lambda v, c: v < c.trunc.n_max - c.trunc.guard, "verify.fock < n_max - guard"),
+
+
+def _increasing(values: tuple) -> bool:
+    return all(map(lt, values, values[1:]))
+
+
+def _small_rotations(c: RunConfig) -> bool:
+    """Both small-rotation angles within MAX_SMALL_ROTATION at every ``scan.etas`` value;
+    true at the 2*Omega = nu pole, which the scan reports as a ResonancePoleError."""
+    return is_sideband_resonant(c.params) or all(
+        max(abs(d.eps_counter), abs(d.eps_co)) <= MAX_SMALL_ROTATION
+        for d in map(derived_couplings, (c.params.replace(eta=eta) for eta in c.scan.etas)))
+
+
+#: Every rule on the values of a built config, in the order they are checked: (where,
+#: test, rule). A row applies where ``where`` is one of the run's :data:`RUN_SKIPS` rows
+#: or a setting that the :data:`CHECKS` row it runs takes, and a config it applies to that
+#: fails ``test`` is the ConfigError ``constraint violation: <rule>``.
+_RULES: tuple[tuple[str, Callable[[RunConfig], bool], str], ...] = (
+    ("verify.check = guard", lambda c: c.params.eta >= 0.3,
+     "guard demonstration requires eta >= 0.3"),
+    ("verify.check = jc-rabi", lambda c: is_sideband_resonant(c.params),
+     "jc-rabi requires nu = 2*Omega"),
+    ("verify.check = jc-rabi", lambda c: min(c.params.eta, c.params.Omega) > 0,
+     "jc-rabi requires eta > 0 and Omega > 0"),
+    ("scan.etas", lambda c: len(c.scan.etas) >= 2, "scan.etas needs >= 2 entries"),
+    ("scan.etas", lambda c: min(c.scan.etas) > 0, "scan.etas > 0"),
+    ("scan.etas", lambda c: _increasing(c.scan.etas[::-1]), "scan.etas strictly decreasing"),
+    ("scan.n_list", lambda c: len(c.scan.n_list) >= 2, "scan.n_list needs >= 2 entries"),
+    ("scan.n_list", lambda c: min(c.scan.n_list) >= 1, "scan.n_list >= 1"),
+    ("scan.n_list", lambda c: _increasing(c.scan.n_list), "scan.n_list strictly increasing"),
+    ("scan.k_lowest", lambda c: c.scan.k_lowest >= 1, "scan.k_lowest >= 1"),
+    ("verify.fock", lambda c: c.verify.fock >= 0, "verify.fock >= 0"),
+    ("verify.fock", lambda c: c.verify.fock < c.trunc.interior_dim, "verify.fock < n_max - guard"),
+    ("command = evolve", lambda c: c.evolve.fock >= 0, "evolve.fock >= 0"),
+    ("command = evolve", lambda c: c.evolve.fock < c.trunc.n_max, "evolve.fock < trunc.n_max"),
+    ("command = evolve", lambda c: _increasing(c.evolve.times or ()),
+     "evolve.times strictly increasing"),
+    # premises that ionqrm.analysis checks again for Python callers, as ValueError
+    *((run, test, rule) for run in ("verify.check = dispersive", "scan.kind = dispersive")
+      for test, rule in ((lambda c: c.scan.k_lowest <= 2 * c.trunc.interior_dim,
+                          "scan.k_lowest <= 2 * (trunc.n_max - trunc.guard)"),
+                         (_small_rotations, f"small-rotation angles <= {MAX_SMALL_ROTATION} "
+                                            "at every scan.etas value"))),
+    ("scan.kind = truncation", lambda c: c.scan.k_lowest <= 2 * c.scan.n_list[0],
+     "scan.k_lowest <= 2 * scan.n_list[0]"),
+    ("command = all-checks", lambda c: c.seed >= 0, "seed >= 0"),
 )
 
 
@@ -411,10 +442,11 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
             )
     if command in FORMATS:
         values.setdefault("format", FORMATS[command][0])
-    # a run that never reads trunc.guard holds guard 0 in its section, so trunc.n_max is
-    # not checked against the default guard (a name not checked yet may have no row)
+    # a run that never reads trunc.guard, or no trunc key, holds guard 0 in its section, so
+    # trunc.n_max is not checked against the default guard (a name not checked yet may
+    # have no row)
     runs = _runs(lambda key: values[key] if key in values else _value(RunConfig, key))
-    unguarded = any("trunc.guard" in RUN_SKIPS.get(run, ()) for run in runs)
+    unguarded = any({"trunc", "trunc.guard"} & {*RUN_SKIPS.get(run, ())} for run in runs)
     for key, value in next((_SELECTED[run].defaults for run in runs if run in _SELECTED), ()):
         values.setdefault(key, value)  # the defaults of the CHECKS row the command runs
 
@@ -451,33 +483,31 @@ def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunC
     return config
 
 
-def _validate(config: RunConfig, runs: tuple[str, ...], lines: dict[str, int | None]) -> None:
-    """Constraint checks against the target command, before any computation.
+def _validate(c: RunConfig, runs: tuple[str, ...], lines: dict[str, int | None]) -> None:
+    """Every rule on a built config, before any computation: the command's format, the
+    :data:`_RULES` rows that apply, then a nonzero delta or phi_l, or a key set, that
+    ``runs`` would drop, and the phase of ``rabi-rotated``.
 
     ``runs`` are the skip rows of what the command runs (:func:`_runs`) and
     ``lines`` maps each key the input set to its line number.
     """
-    c = config
     if c.command in FORMATS and c.format not in FORMATS[c.command]:
         f = FORMATS[c.command][0]
         raise ConfigError(f"constraint violation: {c.command} emits {f} (format = {f})")
-    if c.command == "evolve":
-        if c.evolve.fock < 0:
-            raise ConfigError("constraint violation: evolve.fock >= 0")
-        if c.evolve.fock >= c.trunc.n_max:
-            raise ConfigError("constraint violation: evolve.fock < trunc.n_max")
-        times = c.evolve.times or ()
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ConfigError("constraint violation: evolve.times strictly increasing")
-    elif c.command in SELECTORS:
-        check, settings = selected_check(c)
-        for test, message in check.requires:
-            if not test(c.params):
-                raise ConfigError(f"constraint violation: {message}")
-        for key, test, message in _SETTING_RULES:
-            if key in settings and not test(settings[key], c):
-                raise ConfigError(f"constraint violation: {message}")
-    _run_preconditions(c, runs, lines)
+    names = set(runs).union(*(_SELECTED[run].settings for run in runs if run in _SELECTED))
+    for where, test, rule in _RULES:
+        if where in names and not test(c):
+            raise ConfigError(f"constraint violation: {rule}")
+    for param in _DELTA_PHI:
+        run = next((run for run in runs if param in RUN_SKIPS[run]), None)
+        if run is not None and getattr(c.params, param) != 0.0:
+            raise ConfigError(f"constraint violation: {run} requires {param} = 0")
+    for key, line in lines.items():
+        run = _skipping_run(runs, key)
+        if run is not None:
+            raise ConfigError(f"{key} is not read by {run}", line)
+    if runs[0] == "rabi-rotated" and laser_phase_sign(c.params.phi_l) is None:
+        raise ConfigError("constraint violation: rabi-rotated requires phi_l in {0, pi}")
 
 
 def _value(config: RunConfig, key: str):
@@ -517,33 +547,14 @@ def _skipping_run(runs: tuple[str, ...], key: str) -> str | None:
                  if key in RUN_SKIPS[run] or KEYS[key].attr in RUN_SKIPS[run]), None)
 
 
-def _run_preconditions(c: RunConfig, runs: tuple[str, ...],
-                       lines: dict[str, int | None]) -> None:
-    """A nonzero delta or phi_l, or a key set, that ``runs`` would drop."""
-    for param in _DELTA_PHI:
-        run = next((run for run in runs if param in RUN_SKIPS[run]), None)
-        if run is not None and getattr(c.params, param) != 0.0:
-            raise ConfigError(f"constraint violation: {run} requires {param} = 0")
-    for key, line in lines.items():
-        run = _skipping_run(runs, key)
-        if run is not None:
-            raise ConfigError(f"{key} is not read by {run}", line)
-    if runs[0] == "rabi-rotated" and laser_phase_sign(c.params.phi_l) is None:
-        raise ConfigError("constraint violation: rabi-rotated requires phi_l in {0, pi}")
-
-
 def _emit_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, complex):
-        return _format_complex(value)
+        return f"{value.real!r}{'+' if value.imag >= 0 else '-'}{abs(value.imag)!r}j"
     if isinstance(value, tuple):
         return ",".join(_emit_value(v) for v in value)
-    return str(value)
+    return str(value)  # an int, a name or a float, whose str is its shortest round-trip form
 
 
 def emit_config(config: RunConfig) -> str:

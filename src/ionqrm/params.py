@@ -22,6 +22,10 @@ DEFAULT_SEED = 2024
 #: Version of every JSON document the package writes: reports, Hamiltonians, errors.
 SCHEMA_VERSION = 1
 
+#: The largest small-rotation angle of the dispersive reduction, which is first order in
+#: these angles: ``config`` rejects a dispersive run beyond it and the scan raises.
+MAX_SMALL_ROTATION = 0.2
+
 
 class ResonancePoleError(ValueError):
     """Raised when a formula hits the 2*Omega = nu (or 2*Omega = -nu) pole."""

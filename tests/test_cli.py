@@ -655,6 +655,87 @@ def test_a_bad_command_line_is_one_config_error_record(argv, message, tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+def _point(omega, eta):
+    return ["--set", f"Omega={omega}", "--set", f"eta={eta}"]
+
+
+_REF, _DISP = _point(0.7, 0.3), _point(1.0, 0.08)
+_SMALL_ROTATION = "small-rotation angles <= 0.2 at every scan.etas value"
+_TRUNCATION_K = "scan.k_lowest <= 2 * scan.n_list[0]"
+# (where, rule) of each config._RULES row -> a command line that breaks that rule alone
+_RULE_LINES = {
+    ("verify.check = guard", "guard demonstration requires eta >= 0.3"):
+        ["verify", *_point(0.7, 0.2), "--set", "verify.check=guard"],
+    ("verify.check = jc-rabi", "jc-rabi requires nu = 2*Omega"):
+        ["verify", *_REF, "--set", "verify.check=jc-rabi"],
+    ("verify.check = jc-rabi", "jc-rabi requires eta > 0 and Omega > 0"):
+        ["verify", *_point(0.5, 0.0), "--set", "verify.check=jc-rabi"],
+    ("scan.etas", "scan.etas needs >= 2 entries"): ["scan", *_DISP, "--set", "scan.etas=0.08"],
+    ("scan.etas", "scan.etas > 0"): ["scan", *_DISP, "--set", "scan.etas=0.08,0"],
+    ("scan.etas", "scan.etas strictly decreasing"):
+        ["scan", *_DISP, "--set", "scan.etas=0.02,0.04"],
+    ("scan.n_list", "scan.n_list needs >= 2 entries"):
+        ["scan", *_REF, "--set", "scan.kind=truncation", "--set", "scan.n_list=16"],
+    ("scan.n_list", "scan.n_list >= 1"):
+        ["scan", *_REF, "--set", "scan.kind=truncation", "--set", "scan.n_list=0,16"],
+    ("scan.n_list", "scan.n_list strictly increasing"):
+        ["scan", *_REF, "--set", "scan.kind=truncation", "--set", "scan.n_list=32,16"],
+    ("scan.k_lowest", "scan.k_lowest >= 1"): ["scan", *_DISP, "--set", "scan.k_lowest=0"],
+    ("verify.fock", "verify.fock >= 0"):
+        ["verify", *_RES, "--set", "verify.check=jc-rabi", "--set", "verify.fock=-1"],
+    ("verify.fock", "verify.fock < n_max - guard"):
+        ["verify", *_RES, "--set", "verify.check=jc-rabi", "--set", "verify.fock=48"],
+    ("command = evolve", "evolve.fock >= 0"): ["evolve", *_RES, "--set", "evolve.fock=-1"],
+    ("command = evolve", "evolve.fock < trunc.n_max"):
+        ["evolve", *_RES, "--set", "trunc.n_max=8", "--set", "evolve.fock=8"],
+    ("command = evolve", "evolve.times strictly increasing"):
+        ["evolve", *_RES, "--set", "evolve.times=0,2,1"],
+    ("verify.check = dispersive", "scan.k_lowest <= 2 * (trunc.n_max - trunc.guard)"):
+        ["verify", *_DISP, "--set", "verify.check=dispersive", "--set", "trunc.n_max=4",
+         "--set", "trunc.guard=0"],
+    ("verify.check = dispersive", _SMALL_ROTATION):
+        ["verify", *_point(0.55, 0.08), "--set", "verify.check=dispersive"],
+    ("scan.kind = dispersive", "scan.k_lowest <= 2 * (trunc.n_max - trunc.guard)"):
+        ["scan", *_DISP, "--set", "scan.k_lowest=200"],
+    ("scan.kind = dispersive", _SMALL_ROTATION): ["scan", *_point(0.55, 0.08)],
+    ("scan.kind = truncation", _TRUNCATION_K):
+        ["scan", *_REF, "--set", "scan.kind=truncation", "--set", "scan.k_lowest=40"],
+    ("command = all-checks", "seed >= 0"): ["all-checks", *_REF, "--set", "seed=-1"],
+}
+# rows whose rule no line can break alone: with n_list[0] < 1 no k_lowest >= 1 is within
+# 2 * n_list[0], so the line breaks the truncation scan's k_lowest row as well
+_ALSO_BREAKS = {("scan.n_list", "scan.n_list >= 1"): _TRUNCATION_K}
+
+
+def test_every_config_rule_has_a_command_line_that_breaks_it():
+    from ionqrm.config import _RULES
+
+    assert list(_RULE_LINES) == [(where, rule) for where, _, rule in _RULES]
+
+
+@pytest.mark.parametrize("where, rule", list(_RULE_LINES), ids=[
+    f"{where}: {rule}" for where, rule in _RULE_LINES])
+def test_a_config_rule_broken_alone_is_its_config_error_record(where, rule, monkeypatch,
+                                                               capsys):
+    import ionqrm.config as config
+
+    argv = _RULE_LINES[where, rule]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "ConfigError", "message": f"constraint violation: {rule}", "schema_version": 1}]
+    # with the row's test off the line is valid: it broke no other rule
+    monkeypatch.setattr(config, "_RULES", tuple(
+        (w, (lambda c: True) if (w, r) == (where, rule) else test, r)
+        for w, test, r in config._RULES))
+    try:
+        parse_config("", tuple(cli._read_argv(argv)[1]))
+    except ConfigError as exc:
+        assert str(exc) == f"constraint violation: {_ALSO_BREAKS.get((where, rule))}"
+    else:
+        assert (where, rule) not in _ALSO_BREAKS
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["regime", *_RES, "--help"], ["bogus", "-h"]])
 def test_help_prints_the_cli_docstring_and_exits_zero(argv, capsys):
     assert run_cli(argv, capsys) == (EXIT_OK, cli.__doc__, "")
@@ -1238,7 +1319,7 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code(tmp_path):
     got = proc.stdout.splitlines()
     assert got[0] == pinned[0] and len(got) == len(pinned)
     rows = [line.split(" ", 3) for line in got[2:]]
-    assert len(rows) == len(corpus.ENTRIES) == 123
+    assert len(rows) == len(corpus.ENTRIES) == 132
     for (digest, masked, code, argv), (entry, expected) in zip(rows, corpus.ENTRIES):
         assert argv == " ".join(entry) and len(digest) == len(masked) == 64
         assert int(code) == expected, argv
@@ -1250,6 +1331,16 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code(tmp_path):
                          + "\n".join(moved))
     assert corpus._NUMBER.sub("#", '{"x": [-1.5e-17, 0.25], "n_max": 8, "k": "ajc"}') == (
         '{"x": [#, #], "n_max": #, "k": "ajc"}')
+    # config rejects every invalid line before any computation, but for the 2*Omega = nu
+    # pole, which the builder and the scan find
+    dump = subprocess.run([sys.executable, tool, "--dump", SRC], capture_output=True,
+                          text=True, check=True).stdout.splitlines()
+    errors = {entry["argv"]: json.loads(entry["stderr"])["error"]
+              for entry in map(json.loads, dump) if entry["code"] == EXIT_ERROR}
+    assert {argv: error for argv, error in errors.items() if error != "ConfigError"} == {
+        "build --set Omega=0.50000000005 --set eta=0.02 --set trunc.n_max=2 --set trunc.guard=0 "
+        "--set build.hamiltonian=dispersive": "ResonancePoleError",
+        "scan --set Omega=0.5 --set eta=0.08": "ResonancePoleError"}
 
 
 def test_cli_corpus_says_what_moved_in_each_entry():

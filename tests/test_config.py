@@ -9,7 +9,8 @@ import pytest
 
 from ionqrm import (HAMILTONIAN_BUILDERS, ConfigError, IonParams, TruncationSpec, emit_config,
                     parse_config)
-from ionqrm.config import CHECKS, COMMANDS, KEYS, RUN_SKIPS, SCAN_KINDS, VERIFY_CHECKS, RunConfig
+from ionqrm.config import (_RULES, CHECKS, COMMANDS, KEYS, RUN_SKIPS, SCAN_KINDS, VERIFY_CHECKS,
+                           RunConfig)
 from ionqrm.params import Record
 
 
@@ -163,10 +164,11 @@ def test_scan_k_lowest_default_depends_on_kind():
 
 def _random_config_text(rng) -> str:
     command = str(rng.choice(["build", "verify", "evolve", "scan", "regime", "all-checks"]))
+    nu, omega = rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0)
     lines = [
         f"command = {command}",
-        f"nu = {rng.uniform(0.5, 2.0)!r}",
-        f"Omega = {rng.uniform(0.0, 2.0)!r}",
+        f"nu = {nu!r}",
+        f"Omega = {omega!r}",
         f"eta = {rng.uniform(0.0, 1.0)!r}",
         f"seed = {int(rng.integers(0, 10_000))}",
         f"trunc.n_max = {int(rng.integers(8, 100))}",
@@ -198,7 +200,14 @@ def _random_config_text(rng) -> str:
         if kind == "truncation":
             lines.append("scan.n_list = 8,16,32")
         else:
-            lines.append("scan.etas = 0.08,0.04,0.02")
+            # the small-rotation angles, at most eta*nu / (2*|2*Omega - nu|), stay <= 0.2 in
+            # a dispersive scan: the etas halve until they do, with no draw
+            etas = [0.08, 0.04, 0.02]
+            while kind == "dispersive" and etas[0] * nu > 0.4 * abs(2 * omega - nu):
+                etas = [eta / 2 for eta in etas]
+            lines.append(f"scan.etas = {','.join(map(repr, etas))}")
+            if kind == "dispersive" and "trunc.n_max = 8" in lines:  # the default 10 > 2 * 4
+                lines.append("scan.k_lowest = 8")
     elif command == "verify":
         lines.append("verify.check = speed")
     elif command == "regime":
@@ -319,6 +328,13 @@ def test_every_key_is_documented_in_readme():
     rows = [line.split("|")[1] for line in table.splitlines()[2:]]
     restricted = [key for key, spec in KEYS.items() if spec.only_if is not None]
     assert [key for key in restricted if not any(f"`{key}`" in row for row in rows)] == []
+
+
+def test_every_rule_is_a_row_of_the_readme_rule_table_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| where | rule |")[1].split("\n\n")[0]
+    rows = [re.findall(r"`([^`]*)`", line) for line in table.splitlines()[2:]]
+    assert rows == [[where, rule] for where, _, rule in _RULES]
 
 
 # a nonzero value of each parameter that a RUN_SKIPS row may require to be 0
@@ -461,6 +477,22 @@ def test_keys_the_run_skips_are_rejected_and_never_emitted(text, run, skipped, k
             again = parse_config(f"{text}{key} = {n_max}\n")
             assert again.trunc == TruncationSpec(n_max=n_max, guard=0)
             assert parse_config(emit_config(again)) == again
+
+
+@pytest.mark.parametrize("text, run", [
+    ("command = regime\nOmega = 0.7\neta = 0.3\n", "command = regime"),
+    ("command = verify\nOmega = 0.7\neta = 0.3\nverify.check = speed\n", "verify.check = speed"),
+    ("command = scan\nOmega = 0.7\neta = 0.3\nscan.kind = lamb-dicke\n",
+     "scan.kind = lamb-dicke"),
+    ("command = scan\nOmega = 0.7\neta = 0.3\nscan.kind = truncation\n",
+     "scan.kind = truncation"),
+])
+def test_a_run_that_reads_no_trunc_key_names_trunc_n_max_at_every_value(text, run):
+    # its section holds guard 0, so no n_max is checked against the default guard 16
+    assert parse_config(text).trunc == TruncationSpec(n_max=64, guard=0)
+    for n_max in (1, 8, 16, 40):
+        with pytest.raises(ConfigError, match=f": trunc.n_max is not read by {run}$"):
+            parse_config(f"{text}trunc.n_max = {n_max}\n")
 
 
 def _build_or_reject(name: str, **params):

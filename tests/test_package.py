@@ -139,3 +139,36 @@ def test_every_name_the_perfbench_tracer_wraps_exists():
     missing += [f"analysis.{name}" for name in tracing.ANALYSIS_JOBS
                 if not hasattr(ionqrm.analysis, name)]
     assert missing == []
+
+
+# a module of 7 code lines: no blank line, comment or docstring counts, and a string that
+# is not a docstring counts each line it spans
+_CODE_LINES_FIXTURE = '''"""Module docstring
+over two lines."""
+import os  # a trailing comment
+
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    x = """not a docstring,
+    two lines"""
+
+    def f(self):
+        """Function docstring."""
+        return (os.sep +
+                "b")
+'''
+
+
+def test_code_lines_counts_each_module_and_the_total(tmp_path):
+    tool = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.py").write_text(_CODE_LINES_FIXTURE)
+    (tmp_path / "sub" / "b.py").write_text("# comment\nx = 1\n")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    proc = subprocess.run([sys.executable, str(tool), str(tmp_path)], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines() == ["7 a.py", "1 sub/b.py", "8 total"]

@@ -49,7 +49,7 @@ _SAMPLES = {
     "_Key": [(None, "command", str), ("params", "nu", float, ("a", "b"), ("kind", (None,)))],
     "_Check": [("speed_comparison", ("params",), ()),
                ("truncation_convergence", ("params", "scan.n_list"), ("trunc",),
-                ((bool, "a message"),), (("scan.k_lowest", 8),),
+                (("scan.k_lowest", 8),),
                 ("scan.n_list", "n_max,shift", "shift_{1}_to_{0}"))],
 }
 

@@ -157,10 +157,26 @@ ENTRIES: list[tuple[list[str], int]] = [
     # 2*Omega - nu = 1e-10: the sideband resonance, so the dispersive pole
     (["build", "--set", "Omega=0.50000000005", "--set", "eta=0.02", "--set", "trunc.n_max=2",
       "--set", "trunc.guard=0", "--set", "build.hamiltonian=dispersive"], 1),
-    # command lines config passes and analysis rejects, each one ValueError record
+    # premises that analysis checks again for Python callers: config rejects each line first
     (["scan", *_DISP, "--set", "scan.k_lowest=200"], 1),
     (["scan", "--set", "Omega=0.55", "--set", "eta=0.08"], 1),
     (["scan", *_REF, "--set", "scan.kind=truncation", "--set", "scan.k_lowest=40"], 1),
+    # lines that break two rules: the record names the first
+    (["verify", *_REF, "--set", "verify.check=jc-rabi", "--set", "verify.fock=-1"], 1),
+    (["evolve", *_RES, "--set", "evolve.fock=-1", "--set", "evolve.times=1.0,0.5"], 1),
+    (["verify", "--set", "Omega=0.7", "--set", "eta=0.2", "--set", "delta=0.1",
+      "--set", "verify.check=guard"], 1),
+    (["scan", *_DISP, "--set", "scan.etas=0.02,0.04", "--set", "tol.min_order=2.5"], 1),
+    # the dispersive check's premises: k_lowest within the interior, small rotations
+    (["verify", *_DISP, "--set", "verify.check=dispersive", "--set", "trunc.n_max=4",
+      "--set", "trunc.guard=0"], 1),
+    (["verify", "--set", "Omega=0.55", "--set", "eta=0.08", "--set", "verify.check=dispersive"],
+     1),
+    # the dispersive scan at the pole 2*Omega = nu
+    (["scan", "--set", "Omega=0.5", "--set", "eta=0.08"], 1),
+    # trunc.n_max for runs that never read trunc, below the default guard
+    (["regime", *_REF, "--set", "trunc.n_max=8"], 1),
+    (["verify", *_REF, "--set", "verify.check=speed", "--set", "trunc.n_max=16"], 1),
 ]
 
 
