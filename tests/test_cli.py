@@ -931,7 +931,8 @@ def test_verify_and_a_json_scan_exit_2_exactly_when_their_report_fails(capsys, m
         assert code == expected == (EXIT_OK if report.passed else EXIT_CHECKS_FAILED), argv
         if not report.passed:
             failed.append(report.name)
-    assert len(entries) == 16 and failed == ["speed-comparison", "truncation-convergence-qrm"]
+    assert len(entries) == 18 and failed == ["speed-comparison", "truncation-convergence-qrm",
+                                            "dispersive-error-scan"]
     # the same failing scan as CSV carries no pass flag and exits 0
     code, out, _ = run_cli(["scan", "--set", "Omega=0.7", "--set", "eta=0.3", "--set",
                             "scan.kind=truncation", "--set", "scan.n_list=4,8"], capsys)
@@ -1319,7 +1320,7 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code(tmp_path):
     got = proc.stdout.splitlines()
     assert got[0] == pinned[0] and len(got) == len(pinned)
     rows = [line.split(" ", 3) for line in got[2:]]
-    assert len(rows) == len(corpus.ENTRIES) == 132
+    assert len(rows) == len(corpus.ENTRIES) == 136
     for (digest, masked, code, argv), (entry, expected) in zip(rows, corpus.ENTRIES):
         assert argv == " ".join(entry) and len(digest) == len(masked) == 64
         assert int(code) == expected, argv

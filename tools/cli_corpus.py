@@ -167,6 +167,8 @@ ENTRIES: list[tuple[list[str], int]] = [
     (["verify", "--set", "Omega=0.7", "--set", "eta=0.2", "--set", "delta=0.1",
       "--set", "verify.check=guard"], 1),
     (["scan", *_DISP, "--set", "scan.etas=0.02,0.04", "--set", "tol.min_order=2.5"], 1),
+    (["scan", *_REF, "--set", "scan.kind=lamb-dicke", "--set", "scan.etas=0.02,0.04",
+      "--set", "trunc.n_max=32"], 1),
     # the dispersive check's premises: k_lowest within the interior, small rotations
     (["verify", *_DISP, "--set", "verify.check=dispersive", "--set", "trunc.n_max=4",
       "--set", "trunc.guard=0"], 1),
@@ -177,6 +179,10 @@ ENTRIES: list[tuple[list[str], int]] = [
     # trunc.n_max for runs that never read trunc, below the default guard
     (["regime", *_REF, "--set", "trunc.n_max=8"], 1),
     (["verify", *_REF, "--set", "verify.check=speed", "--set", "trunc.n_max=16"], 1),
+    # a tol key loosens or tightens a gate: the verify passes, the others fail their gates
+    (["verify", *_REF, "--set", "tol.spectral=0.5"], 0),
+    (["all-checks", *_REF, "--set", "tol.identity=1e-30"], 2),
+    (["scan", *_DISP, "--format", "json", "--set", "tol.min_order=2.5"], 2),
 ]
 
 
