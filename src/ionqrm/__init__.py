@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "params": (
         "DEFAULT_TRUNC", "DerivedCouplings", "IonParams", "Regime", "RegimeThresholds",
-        "ResonancePoleError", "Tolerances", "TruncationSpec", "classify_regime",
-        "derived_couplings",
+        "ResonancePoleError", "TruncationSpec", "classify_regime", "derived_couplings",
     ),
     "algebra": (
         "annihilation", "commutator", "dagger", "displacement", "displacement_generator",

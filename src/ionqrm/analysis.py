@@ -4,8 +4,9 @@ Each experiment returns a :class:`VerificationReport` whose pass flag is
 derived from its declared gate rows, with every measured quantity in
 ``metrics``. Random draws always come from a seeded stream recorded in the
 report, so reports are deterministic given (params, trunc, seed); the stream is
-``np.random.default_rng(seed)``'s, drawn without loading ``numpy.random``. A
-new report is one function here, one ``config.CHECKS`` row if ``verify`` or
+``np.random.default_rng(seed)``'s, drawn without loading ``numpy.random``. Every
+gate bound is a constant of this module, so no caller or configuration key moves
+one. A new report is one function here, one ``config.CHECKS`` row if ``verify`` or
 ``scan`` runs it, and one ``run_all_checks`` line if the suite runs it.
 """
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .params import (
     IonParams,
     Record,
     Regime,
-    Tolerances,
     TruncationSpec,
     classify_regime,
     derived_couplings,
@@ -59,6 +59,10 @@ from .params import (
 )
 
 _COMPARISONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
+# gate bounds: the unitary and operator identities, the Laguerre oracle, the spectral
+# identities (a Frobenius norm per interior level) and the least fitted order of a
+# second-order remainder
+_IDENTITY_TOL, _ORACLE_TOL, _SPECTRAL_TOL, _MIN_SCALING_ORDER = 1e-10, 1e-9, 1e-8, 1.8
 # the parameter points run_all_checks reads: the reference point of the guard, speed and
 # truncation checks, and the sideband resonance nu = 2*Omega of the dynamics checks
 _REFERENCE_POINT = IonParams(Omega=0.7, eta=0.3)
@@ -245,10 +249,7 @@ def dominant_frequency(times: np.ndarray, signal: np.ndarray) -> float:
     return float(2.0 * math.pi * (k + shift) / (n_fft * dt))
 
 
-def operator_algebra_check(
-    trunc: TruncationSpec = DEFAULT_TRUNC,
-    tol: Tolerances = Tolerances(),
-) -> VerificationReport:
+def operator_algebra_check(trunc: TruncationSpec = DEFAULT_TRUNC) -> VerificationReport:
     """Ladder commutator on the interior plus both displacement oracles.
 
     Checks that the interior of [a, a^dag] is the identity (to rounding),
@@ -274,10 +275,10 @@ def operator_algebra_check(
     return VerificationReport(
         name="operator-algebra",
         gates=(("commutator_interior_dev", "<=", 1e-13),
-               ("displacement_unitarity_dev", "<=", tol.identity),
-               ("displacement_generator_dev", "<=", tol.identity),
-               ("displacement_oracle_dev", "<=", tol.oracle)),
-        tolerance=tol.oracle,
+               ("displacement_unitarity_dev", "<=", _IDENTITY_TOL),
+               ("displacement_generator_dev", "<=", _IDENTITY_TOL),
+               ("displacement_oracle_dev", "<=", _ORACLE_TOL)),
+        tolerance=_ORACLE_TOL,
         metrics={
             "commutator_interior_dev": comm_dev,
             "displacement_unitarity_dev": float(np.max(unit_devs)),
@@ -286,19 +287,15 @@ def operator_algebra_check(
         },
         trunc=trunc,
         notes="commutator compared at 1e-13 (rounding of sqrt products); "
-        f"unitarity at the identity tolerance {tol.identity!r}",
+        f"unitarity at the identity tolerance {_IDENTITY_TOL!r}",
     )
 
 
-def qrm_transform_check(
-    p: IonParams,
-    trunc: TruncationSpec = DEFAULT_TRUNC,
-    tol: Tolerances = Tolerances(),
-) -> VerificationReport:
+def qrm_transform_check(p: IonParams, trunc: TruncationSpec = DEFAULT_TRUNC) -> VerificationReport:
     """Interior agreement of the transformed resonant model with the Rabi form.
 
     Builds Delta = interior(T H T^dag) - interior(H_rabi + constant) and
-    passes iff its Frobenius norm is below spectral_tol * interior_dim.
+    passes iff its Frobenius norm is below 1e-8 * interior_dim.
     Requires phi_l = 0 and delta = 0.
 
     Both sides are taken in the Fock-parity gauge P = diag(i^n), where they
@@ -322,11 +319,11 @@ def qrm_transform_check(
     delta = shift - constant * np.eye(shift.shape[0])
     diag_dev = float(np.max(np.abs(np.diag(shift) - constant)))
     norm = _frobenius(delta)
-    threshold = tol.spectral * trunc.interior_dim
+    threshold = _SPECTRAL_TOL * trunc.interior_dim
     return VerificationReport(
         name="qrm-transform",
         gates=(("frobenius_norm", "<", threshold),),
-        tolerance=tol.spectral,
+        tolerance=_SPECTRAL_TOL,
         metrics={
             "frobenius_norm": norm,
             "max_entry": float(np.max(np.abs(delta))),
@@ -342,7 +339,6 @@ def qrm_transform_check(
 def qrm_transform_property(
     trunc: TruncationSpec = DEFAULT_TRUNC,
     seed: int = DEFAULT_SEED,
-    tol: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Transform identity over 50 seeded random draws of (nu, Omega, eta).
 
@@ -359,21 +355,21 @@ def qrm_transform_property(
             Omega=rng.uniform(0.0, 2.0),
             eta=rng.uniform(0.0, 0.6),
         )
-        rep = qrm_transform_check(p, trunc, tol)
+        rep = qrm_transform_check(p, trunc)
         norms.append(rep.metrics["frobenius_norm"])
         diags.append(rep.metrics["diag_offset_dev"])
-        if not gates_hold(rep.metrics, (*rep.gates, ("diag_offset_dev", "<=", tol.spectral))):
+        if not gates_hold(rep.metrics, (*rep.gates, ("diag_offset_dev", "<=", _SPECTRAL_TOL))):
             n_failed += 1
     return VerificationReport(
         name="qrm-transform-draws",
         gates=(("failed", "<=", 0.0),),
-        tolerance=tol.spectral,
+        tolerance=_SPECTRAL_TOL,
         metrics={
             "draws": float(_TRANSFORM_DRAWS),
             "failed": float(n_failed),
             "worst_frobenius_norm": float(np.max(norms, initial=0.0)),
             "worst_diag_offset_dev": float(np.max(diags, initial=0.0)),
-            "threshold": tol.spectral * trunc.interior_dim,
+            "threshold": _SPECTRAL_TOL * trunc.interior_dim,
         },
         trunc=trunc,
         seed=seed,
@@ -381,11 +377,7 @@ def qrm_transform_property(
     )
 
 
-def guard_necessity_check(
-    p: IonParams = _REFERENCE_POINT,
-    n_max: int = 64,
-    tol: Tolerances = Tolerances(),
-) -> VerificationReport:
+def guard_necessity_check(p: IonParams = _REFERENCE_POINT, n_max: int = 64) -> VerificationReport:
     """Demonstrate that the transform identity breaks without a guard band.
 
     Runs the same comparison at guard = 0 and passes iff the identity FAILS
@@ -394,12 +386,12 @@ def guard_necessity_check(
     if p.eta < 0.3:
         raise ValueError("guard demonstration needs eta >= 0.3")
     bare = TruncationSpec(n_max=n_max, guard=0)
-    edge_norm = qrm_transform_check(p, bare, tol).metrics["frobenius_norm"]
-    threshold = tol.spectral * n_max
+    edge_norm = qrm_transform_check(p, bare).metrics["frobenius_norm"]
+    threshold = _SPECTRAL_TOL * n_max
     return VerificationReport(
         name="guard-necessity",
         gates=(("edge_norm", ">=", threshold),),
-        tolerance=tol.spectral,
+        tolerance=_SPECTRAL_TOL,
         metrics={"edge_norm": edge_norm, "threshold": threshold},
         params=p,
         trunc=bare,
@@ -410,13 +402,12 @@ def guard_necessity_check(
 def lamb_dicke_remainder_scan(
     p_base: IonParams = IonParams(Omega=0.7, eta=0.0),
     etas: tuple[float, ...] = (0.04, 0.02, 0.01),
-    tol: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Scaling of the first-order expansion remainder with the Lamb-Dicke parameter.
 
     On the fixed 8-level interior of ``TruncationSpec(n_max=64, guard=56)``
     the Frobenius norm of (h_resonant - h_lamb_dicke) must shrink with
-    measured order >= min_scaling_order in eta (the remainder is second
+    measured order >= 1.8 in eta (the remainder is second
     order in the displacement expansion).
     """
     trunc = TruncationSpec(n_max=64, guard=56)
@@ -435,8 +426,8 @@ def lamb_dicke_remainder_scan(
     metrics["relative_order"] = _fit_order(list(etas), rel_norms)
     return VerificationReport(
         name="lamb-dicke-remainder",
-        gates=(("order", ">=", tol.min_scaling_order),),
-        tolerance=tol.min_scaling_order,
+        gates=(("order", ">=", _MIN_SCALING_ORDER),),
+        tolerance=_MIN_SCALING_ORDER,
         metrics=metrics,
         params=p_base,
         trunc=trunc,
@@ -449,14 +440,13 @@ def dispersive_error_scan(
     etas: tuple[float, ...] = (0.08, 0.04, 0.02),
     trunc: TruncationSpec = DEFAULT_TRUNC,
     k_lowest: int = 10,
-    tol: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """Spectral error of the dispersive reduction against the conjugated Rabi model.
 
     For each eta the Rabi Hamiltonian is conjugated by the two small
     rotations and its lowest eigenvalues are compared (sorted) with the
     diagonal dispersive Hamiltonian; the scan fits the scaling order of the
-    error in eta and passes iff it reaches ``tol.min_scaling_order``. Raises
+    error in eta and passes iff it reaches 1.8. Raises
     ValueError before computing when a small-rotation angle exceeds 0.2 (the
     first-order premise breaks near the 2*Omega = nu pole).
     """
@@ -490,8 +480,8 @@ def dispersive_error_scan(
     metrics["k_lowest"] = float(k_lowest)
     return VerificationReport(
         name="dispersive-error-scan",
-        gates=(("order", ">=", tol.min_scaling_order),),
-        tolerance=tol.min_scaling_order,
+        gates=(("order", ">=", _MIN_SCALING_ORDER),),
+        tolerance=_MIN_SCALING_ORDER,
         metrics=metrics,
         params=p_base,
         trunc=trunc,
@@ -742,20 +732,19 @@ def regime_check(seed: int = DEFAULT_SEED) -> VerificationReport:
 def rotation_diagnostic_check(
     p: IonParams = IonParams(Omega=0.7, eta=0.2),
     trunc: TruncationSpec = _DYNAMICS_TRUNC,
-    tol: Tolerances = Tolerances(),
 ) -> VerificationReport:
     """The spin Y rotation turns the Lamb-Dicke model into the Rabi form of its phase.
 
     Passes iff, at phi_l = 0 and at phi_l = pi, R h_lamb_dicke R^dag equals
-    ``h_rabi_rotated`` at that phase within the identity tolerance (the two
+    ``h_rabi_rotated`` at that phase within the identity tolerance 1e-10 (the two
     "_to_rabi_rotated" metrics of :func:`~ionqrm.models.rotation_diagnostic`).
     Its "_to_other_form" metrics show that each gate tells the two forms apart.
     """
     return VerificationReport(
         name="rotation-diagnostic",
-        gates=(("phi0_to_rabi_rotated", "<=", tol.identity),
-               ("phipi_to_rabi_rotated", "<=", tol.identity)),
-        tolerance=tol.identity,
+        gates=(("phi0_to_rabi_rotated", "<=", _IDENTITY_TOL),
+               ("phipi_to_rabi_rotated", "<=", _IDENTITY_TOL)),
+        tolerance=_IDENTITY_TOL,
         metrics=rotation_diagnostic(p, trunc),
         params=p,
         trunc=trunc,
@@ -814,21 +803,20 @@ def propagator_conservation_check(seed: int = DEFAULT_SEED) -> VerificationRepor
 def run_all_checks(
     trunc: TruncationSpec = DEFAULT_TRUNC,
     seed: int = DEFAULT_SEED,
-    tol: Tolerances = Tolerances(),
 ) -> list[VerificationReport]:
     """Run the full verification suite in order and return every report."""
     return [
-        operator_algebra_check(trunc, tol=tol),
-        qrm_transform_property(trunc, seed=seed, tol=tol),
-        guard_necessity_check(_REFERENCE_POINT, n_max=trunc.n_max, tol=tol),
-        lamb_dicke_remainder_scan(tol=tol),
+        operator_algebra_check(trunc),
+        qrm_transform_property(trunc, seed=seed),
+        guard_necessity_check(_REFERENCE_POINT, n_max=trunc.n_max),
+        lamb_dicke_remainder_scan(),
         jc_rabi_experiment(_RESONANT_POINT, 0),
         ajc_dynamics_check(),
-        dispersive_error_scan(IonParams(Omega=1.0, eta=0.08), trunc=trunc, tol=tol),
+        dispersive_error_scan(IonParams(Omega=1.0, eta=0.08), trunc=trunc),
         chi_identity_check(seed=seed),
         regime_check(seed=seed),
         propagator_conservation_check(seed=seed),
-        rotation_diagnostic_check(tol=tol),
+        rotation_diagnostic_check(),
         speed_comparison(_REFERENCE_POINT),
         truncation_convergence("qrm", _REFERENCE_POINT),
     ]

@@ -142,7 +142,7 @@ def _cmd_regime(config: RunConfig) -> int:
 def _cmd_all_checks(config: RunConfig) -> int:
     from . import analysis
 
-    reports = analysis.run_all_checks(trunc=config.trunc, seed=config.seed, tol=config.tol)
+    reports = analysis.run_all_checks(trunc=config.trunc, seed=config.seed)
     status = _exit_status(reports)
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -19,19 +19,17 @@ A key set that what the command runs never reads is an error, and so is a
 nonzero ``delta`` or ``phi_l`` it never reads (:data:`RUN_SKIPS`). A command
 emits one of the formats :data:`FORMATS` lists for it, the first by default.
 Every other rule on the values of a run is one row of :data:`_RULES`, so the
-whole configuration is checked before any computation, except that a run which
-needs the dispersive couplings at the 2*Omega = nu pole raises
-``ResonancePoleError`` when it computes them.
+whole configuration is checked before any computation.
 Values use the shortest round-trip decimal form for floats,
 ``true``/``false`` for booleans, ``re+imj`` for complex numbers and
 comma-separated items for lists.
 
 Each key is one row of :data:`KEYS` (its :class:`RunConfig` section, field,
 parser and rule), in the order :func:`emit_config` writes, and each field has
-exactly one key: a setting no key reaches, such as a check's fixed threshold,
-is a constant of :mod:`ionqrm.analysis`. Defaults come only from the record
-classes (``IonParams``, ``DEFAULT_TRUNC``, ``Tolerances``, ``RegimeThresholds``,
-the ``*Spec`` classes), except that ``format`` follows :data:`FORMATS` and a
+exactly one key: a setting no key reaches, such as a check's gate bound, is a
+constant of :mod:`ionqrm.analysis`. Defaults come only from the record classes
+(``IonParams``, ``DEFAULT_TRUNC``, ``RegimeThresholds``, the ``*Spec``
+classes), except that ``format`` follows :data:`FORMATS` and a
 :data:`CHECKS` row may set its own. Each ``verify.check`` and ``scan.kind`` is a
 :data:`CHECKS` row; the keys' choices, the ``only_if`` rules of the keys the rows
 take and the rows' :data:`RUN_SKIPS` entries are all read from :data:`CHECKS`.
@@ -49,8 +47,8 @@ from types import SimpleNamespace
 from collections.abc import Callable
 
 from .params import (DEFAULT_SEED, DEFAULT_TRUNC, MAX_SMALL_ROTATION, IonParams, Record,
-                     RegimeThresholds, Tolerances, TruncationSpec, derived_couplings,
-                     is_sideband_resonant, laser_phase_sign)
+                     RegimeThresholds, TruncationSpec, derived_couplings, is_sideband_resonant,
+                     laser_phase_sign)
 
 COMMANDS = ("build", "verify", "evolve", "scan", "regime", "all-checks")
 #: The formats each command emits, its default first; ``regime`` prints text.
@@ -61,8 +59,6 @@ FORMATS: dict[str, tuple[str, ...]] = {
 #: The key that selects what a command runs, for the commands that run a :data:`CHECKS` row.
 SELECTORS = {"verify": "verify.check", "scan": "scan.kind"}
 _DELTA_PHI = ("delta", "phi_l")
-_ONLY_SPECTRAL = ("tol.identity", "tol.oracle", "tol.min_order")
-_ONLY_MIN_ORDER = ("tol.identity", "tol.oracle", "tol.spectral")
 
 
 class _Check(Record):
@@ -75,59 +71,55 @@ class _Check(Record):
 
 
 _DISPERSIVE = _Check(
-    "dispersive_error_scan", ("params", "scan.etas", "trunc", "scan.k_lowest", "tol"),
-    (*_DELTA_PHI, *_ONLY_MIN_ORDER), csv=("scan.etas", "eta,spectral_distance", "distance_eta_{0}"))
+    "dispersive_error_scan", ("params", "scan.etas", "trunc", "scan.k_lowest"), _DELTA_PHI,
+    csv=("scan.etas", "eta,spectral_distance", "distance_eta_{0}"))
 #: One row per ``verify.check`` and ``scan.kind``, keyed by (command, name), in the order
 #: of each one's choices. ``verify dispersive`` is the JSON ``scan dispersive``.
 CHECKS: dict[tuple[str, str], _Check] = {
-    ("verify", "qrm-transform"): _Check("qrm_transform_check", ("params", "trunc", "tol"),
-                                        (*_DELTA_PHI, *_ONLY_SPECTRAL)),
-    ("verify", "guard"): _Check("guard_necessity_check", ("params", "trunc.n_max", "tol"),
-                                (*_DELTA_PHI, "trunc.guard", *_ONLY_SPECTRAL)),
+    ("verify", "qrm-transform"): _Check("qrm_transform_check", ("params", "trunc"), _DELTA_PHI),
+    ("verify", "guard"): _Check("guard_necessity_check", ("params", "trunc.n_max"),
+                                (*_DELTA_PHI, "trunc.guard")),
     ("verify", "dispersive"): _DISPERSIVE,
     ("verify", "jc-rabi"): _Check("jc_rabi_experiment", ("params", "verify.fock", "trunc"),
-                                  (*_DELTA_PHI, "tol")),
-    ("verify", "speed"): _Check("speed_comparison", ("params",), (*_DELTA_PHI, "trunc", "tol")),
-    ("verify", "rotation"): _Check(
-        "rotation_diagnostic_check", ("params", "trunc", "tol"),
-        (*_DELTA_PHI, "trunc.guard", "tol.oracle", "tol.spectral", "tol.min_order")),
+                                  _DELTA_PHI),
+    ("verify", "speed"): _Check("speed_comparison", ("params",), (*_DELTA_PHI, "trunc")),
+    ("verify", "rotation"): _Check("rotation_diagnostic_check", ("params", "trunc"),
+                                   (*_DELTA_PHI, "trunc.guard")),
     ("scan", "dispersive"): _DISPERSIVE,
     ("scan", "truncation"): _Check(
         "truncation_convergence", ("scan.builder", "params", "scan.n_list", "scan.k_lowest"),
         ("trunc",), defaults=(("scan.k_lowest", 8),),
         csv=("scan.n_list", "n_max,max_shift_from_prev", "shift_{1}_to_{0}")),
-    ("scan", "lamb-dicke"): _Check("lamb_dicke_remainder_scan", ("params", "scan.etas", "tol"),
-                                   (*_DELTA_PHI, "trunc", *_ONLY_MIN_ORDER),
+    ("scan", "lamb-dicke"): _Check("lamb_dicke_remainder_scan", ("params", "scan.etas"),
+                                   (*_DELTA_PHI, "trunc"),
                                    csv=("scan.etas", "eta,remainder_norm", "norm_eta_{0}")),
 }
 VERIFY_CHECKS, SCAN_KINDS = (tuple(name for c, name in CHECKS if c == s) for s in SELECTORS)
 # the RUN_SKIPS row name of each CHECKS row -> the row
 _SELECTED = {f"{SELECTORS[command]} = {name}": check for (command, name), check in CHECKS.items()}
 #: What each run never reads: a row per Hamiltonian builder (the keys of
-#: ``models.HAMILTONIAN_BUILDERS``), per :data:`CHECKS` row (its ``skips``), per other
-#: command and per format. :func:`_runs` gives a run's rows, so the truncation CSV scan
-#: is its ``scan.builder``, ``scan.kind = truncation`` and ``format = csv``. An entry is
-#: a :class:`RunConfig` section or one key, and setting it is a ConfigError; for
-#: ``delta`` and ``phi_l``, which always hold a value, a nonzero value is. No builder
-#: reads a tolerance, ``jc``, ``ajc`` and ``zero`` have no trap term ``nu``, ``regime``
-#: never uses ``trunc``, ``evolve`` reads only ``trunc.n_max``, ``all-checks`` runs each
-#: check at its own points and a CSV holds no report's pass flag.
+#: ``models.HAMILTONIAN_BUILDERS``), per :data:`CHECKS` row (its ``skips``) and per other
+#: command. :func:`_runs` gives a run's rows, so the truncation scan is its
+#: ``scan.builder`` and ``scan.kind = truncation``. An entry is a :class:`RunConfig`
+#: section or one key, and setting it is a ConfigError; for ``delta`` and ``phi_l``,
+#: which always hold a value, a nonzero value is. ``jc``, ``ajc`` and ``zero`` have no
+#: trap term ``nu``, ``regime`` never uses ``trunc``, ``evolve`` reads only
+#: ``trunc.n_max`` and ``all-checks`` runs each check at its own points.
 RUN_SKIPS: dict[str, tuple[str, ...]] = {
-    "resonant": ("delta", "tol"),
-    "lamb-dicke": ("delta", "tol"),
-    "rabi-rotated": ("delta", "tol"),
-    "jc": (*_DELTA_PHI, "nu", "tol"),
-    "ajc": (*_DELTA_PHI, "nu", "tol"),
-    "qrm": (*_DELTA_PHI, "tol"),
-    "qrm-detuned": ("phi_l", "tol"),
-    "dispersive": (*_DELTA_PHI, "tol"),
-    "zero": (*_DELTA_PHI, "nu", "tol"),
+    "resonant": ("delta",),
+    "lamb-dicke": ("delta",),
+    "rabi-rotated": ("delta",),
+    "jc": (*_DELTA_PHI, "nu"),
+    "ajc": (*_DELTA_PHI, "nu"),
+    "qrm": _DELTA_PHI,
+    "qrm-detuned": ("phi_l",),
+    "dispersive": _DELTA_PHI,
+    "zero": (*_DELTA_PHI, "nu"),
     **{selector: check.skips for selector, check in _SELECTED.items()},
     "command = build": (),
     "command = evolve": ("trunc.guard",),
-    "command = regime": ("delta", "trunc", "tol"),
+    "command = regime": ("delta", "trunc"),
     "command = all-checks": (*_DELTA_PHI, "nu"),
-    "format = csv": ("tol",),
 }
 BUILDER_NAMES = tuple(sorted(run for run in RUN_SKIPS if " = " not in run))
 
@@ -185,7 +177,6 @@ class RunConfig(Record):
     seed: int = DEFAULT_SEED
     out: str | None = None
     format: str = "json"
-    tol: Tolerances = Tolerances()
     build: BuildSpec = BuildSpec()
     evolve: EvolveSpec = EvolveSpec()
     scan: ScanSpec = ScanSpec()
@@ -270,10 +261,6 @@ KEYS: dict[str, _Key] = {
     "trunc.guard": _Key("trunc", "guard", _parse_int),
     "seed": _Key(None, "seed", _parse_int, only_if=("command", ("all-checks",))),
     "format": _Key(None, "format", str, ("csv", "json"), only_if=("command", tuple(FORMATS))),
-    "tol.identity": _Key("tol", "identity", _parse_float),
-    "tol.oracle": _Key("tol", "oracle", _parse_float),
-    "tol.spectral": _Key("tol", "spectral", _parse_float),
-    "tol.min_order": _Key("tol", "min_scaling_order", _parse_float),
     "out": _Key(None, "out", str),
     "build.hamiltonian": _Key("build", "hamiltonian", str, BUILDER_NAMES),
     "build.include_constant": _Key("build", "include_constant", _parse_bool,
@@ -304,7 +291,6 @@ KEYS: dict[str, _Key] = {
 _SECTIONS: dict[str, Callable[..., object]] = {
     "params": IonParams,
     "trunc": DEFAULT_TRUNC.replace,
-    "tol": Tolerances,
     "build": BuildSpec,
     "evolve": EvolveSpec,
     "scan": ScanSpec,
@@ -325,8 +311,8 @@ def _increasing(values: tuple) -> bool:
 
 def _small_rotations(c: RunConfig) -> bool:
     """Both small-rotation angles within MAX_SMALL_ROTATION at every ``scan.etas`` value;
-    true at the 2*Omega = nu pole, which the scan reports as a ResonancePoleError."""
-    return is_sideband_resonant(c.params) or all(
+    tested after the pole row, as the angles are undefined at 2*Omega = nu."""
+    return all(
         max(abs(d.eps_counter), abs(d.eps_co)) <= MAX_SMALL_ROTATION
         for d in map(derived_couplings, (c.params.replace(eta=eta) for eta in c.scan.etas)))
 
@@ -355,7 +341,11 @@ _RULES: tuple[tuple[str, Callable[[RunConfig], bool], str], ...] = (
     ("command = evolve", lambda c: c.evolve.fock < c.trunc.n_max, "evolve.fock < trunc.n_max"),
     ("command = evolve", lambda c: _increasing(c.evolve.times or ()),
      "evolve.times strictly increasing"),
-    # premises that ionqrm.analysis checks again for Python callers, as ValueError
+    # premises that ionqrm.analysis and params.derived_couplings check again for Python
+    # callers, as ValueError and ResonancePoleError
+    *((run, lambda c: not is_sideband_resonant(c.params),
+       "the dispersive couplings need nu != 2*Omega")
+      for run in ("dispersive", "verify.check = dispersive", "scan.kind = dispersive")),
     *((run, test, rule) for run in ("verify.check = dispersive", "scan.kind = dispersive")
       for test, rule in ((lambda c: c.scan.k_lowest <= 2 * c.trunc.interior_dim,
                           "scan.k_lowest <= 2 * (trunc.n_max - trunc.guard)"),
@@ -397,8 +387,6 @@ def _check_value(key: str, value, line: int | None) -> None:
     choices = KEYS[key].choices
     if choices and value not in choices:
         raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {value!r}", line)
-    if KEYS[key].attr == "tol" and value <= 0:
-        raise ConfigError(f"constraint violation: {key} > 0", line)
 
 
 def parse_config(text: str, overrides: tuple[tuple[str, str], ...] = ()) -> RunConfig:
@@ -526,16 +514,13 @@ def selected_check(config: RunConfig) -> tuple[_Check, dict[str, object]]:
 
 def _runs(setting: Callable[[str], object]) -> tuple[str, ...]:
     """The :data:`RUN_SKIPS` rows of what the command runs: its builder, if any, then
-    the setting that selects it, then its format when that has a row.
-    ``setting(key)`` is the value of ``key``."""
+    the setting that selects it. ``setting(key)`` is the value of ``key``."""
     command = setting("command")
     key = SELECTORS.get(command, "command")
     selector = f"{key} = {setting(key)}"
-    runs = (selector,)
     if selector in _BUILDER_KEYS:
-        runs = (setting(_BUILDER_KEYS[selector]), selector)
-    fmt = f"format = {setting('format')}"
-    return runs + (fmt,) if fmt in RUN_SKIPS else runs
+        return setting(_BUILDER_KEYS[selector]), selector
+    return (selector,)
 
 
 def _skipping_run(runs: tuple[str, ...], key: str) -> str | None:

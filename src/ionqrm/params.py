@@ -217,18 +217,6 @@ class TruncationSpec(Record):
 DEFAULT_TRUNC = TruncationSpec(n_max=64, guard=16)
 
 
-class Tolerances(Record):
-    """The pass/fail thresholds a configuration can set, one ``tol.*`` key each.
-
-    The fixed settings of the checks are constants of :mod:`ionqrm.analysis`.
-    """
-
-    identity: float = 1e-10
-    oracle: float = 1e-9
-    spectral: float = 1e-8
-    min_scaling_order: float = 1.8
-
-
 def qrm_coupling(p: IonParams) -> float:
     """The engineered Rabi coupling g = eta*nu/2; defined at every parameter, no pole."""
     return p.eta * p.nu / 2.0
@@ -248,7 +236,8 @@ def derived_couplings(p: IonParams) -> DerivedCouplings:
 
     Raises :class:`ResonancePoleError` exactly where :func:`is_sideband_resonant`
     holds, the one test of the pole 2*Omega = nu (the 2*Omega = -nu pole is
-    unreachable for valid parameters).
+    unreachable for valid parameters); ``config`` rejects a run that needs the
+    couplings there before any computation.
     """
     if is_sideband_resonant(p):
         raise ResonancePoleError(

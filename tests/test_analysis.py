@@ -8,7 +8,6 @@ import pytest
 
 from ionqrm import (
     IonParams,
-    Tolerances,
     TruncationSpec,
     ajc_dynamics_check,
     chi_identity_check,
@@ -412,13 +411,12 @@ def test_operator_algebra_check_fails_on_a_broken_laguerre_oracle(monkeypatch):
     exec(source.replace("(j + k)", "(j + k + 1)"), namespace)
     monkeypatch.setattr(analysis, "displacement_laguerre", namespace["displacement_laguerre"])
     rep = operator_algebra_check()
-    tol = Tolerances()
     assert not rep.passed
     # the production displacement is untouched: only the oracle comparison fails
-    assert rep.metrics["displacement_oracle_dev"] > tol.oracle
+    assert rep.metrics["displacement_oracle_dev"] > 1e-9
     assert rep.metrics["commutator_interior_dev"] <= 1e-13
-    assert rep.metrics["displacement_unitarity_dev"] <= tol.identity
-    assert rep.metrics["displacement_generator_dev"] <= tol.identity
+    assert rep.metrics["displacement_unitarity_dev"] <= 1e-10
+    assert rep.metrics["displacement_generator_dev"] <= 1e-10
 
 
 def _nan_on_second_call(monkeypatch, module, name, spoil):
@@ -477,8 +475,6 @@ def test_operator_algebra_note_names_the_identity_tolerance_used():
     default = operator_algebra_check(trunc)
     assert default.notes == ("commutator compared at 1e-13 (rounding of sqrt products); "
                              "unitarity at the identity tolerance 1e-10")
-    looser = operator_algebra_check(trunc, Tolerances(identity=1e-9))
-    assert looser.notes.endswith("unitarity at the identity tolerance 1e-09")
 
 
 def _flip_one_block(conjugate):
@@ -613,28 +609,27 @@ def test_jc_rabi_experiment_rejects_a_negative_fock_level_before_computing(monke
             jc_rabi_experiment(IonParams(Omega=0.5, eta=0.02), n0=n0)
 
 
-_TOL = Tolerances()
 # the (metric, comparison, bound) rows of each report of run_all_checks() and of
 # qrm-transform at T64, exactly as declared: a bound moved or a "<" turned "<=" shows here
 _GATES = {
     "operator-algebra": (("commutator_interior_dev", "<=", 1e-13),
-                         ("displacement_unitarity_dev", "<=", _TOL.identity),
-                         ("displacement_generator_dev", "<=", _TOL.identity),
-                         ("displacement_oracle_dev", "<=", _TOL.oracle)),
-    "qrm-transform": (("frobenius_norm", "<", _TOL.spectral * T64.interior_dim),),
+                         ("displacement_unitarity_dev", "<=", 1e-10),
+                         ("displacement_generator_dev", "<=", 1e-10),
+                         ("displacement_oracle_dev", "<=", 1e-9)),
+    "qrm-transform": (("frobenius_norm", "<", 1e-8 * T64.interior_dim),),
     "qrm-transform-draws": (("failed", "<=", 0.0),),
-    "guard-necessity": (("edge_norm", ">=", _TOL.spectral * T64.n_max),),
-    "lamb-dicke-remainder": (("order", ">=", _TOL.min_scaling_order),),
+    "guard-necessity": (("edge_norm", ">=", 1e-8 * T64.n_max),),
+    "lamb-dicke-remainder": (("order", ">=", 1.8),),
     "jc-rabi": (("rel_dev_full", "<=", 0.05), ("jc_pointwise_dev", "<=", 1e-8)),
     "ajc-dynamics": (("pointwise_dev", "<=", 1e-8), ("jc_dark_state_dev", "<=", 1e-12)),
-    "dispersive-error-scan": (("order", ">=", _TOL.min_scaling_order),),
+    "dispersive-error-scan": (("order", ">=", 1.8),),
     "chi-identity": (("worst_relative_dev", "<=", 1e-12),),
     "regime-classifier": (("fixture_failures", "<=", 0.0), ("invariance_failures", "<=", 0.0)),
     "propagator-conservation": (("worst_norm_residual", "<", 1e-10),
                                 ("worst_energy_drift_rel", "<", 1e-9),
                                 ("composition_dev", "<", 1e-10)),
-    "rotation-diagnostic": (("phi0_to_rabi_rotated", "<=", _TOL.identity),
-                            ("phipi_to_rabi_rotated", "<=", _TOL.identity)),
+    "rotation-diagnostic": (("phi0_to_rabi_rotated", "<=", 1e-10),
+                            ("phipi_to_rabi_rotated", "<=", 1e-10)),
     "speed-comparison": (("g_ratio", ">=", 0.01), ("omega_ratio", ">=", 0.1)),
     "truncation-convergence-qrm": (("final_shift", "<", 1e-9),),
 }
@@ -766,8 +761,8 @@ def _unguarded_transform_drops_the_edge_rows(monkeypatch):
     import ionqrm.analysis as analysis
 
     good = analysis.qrm_transform_check
-    monkeypatch.setattr(analysis, "qrm_transform_check", lambda p, trunc, tol: good(
-        p, TruncationSpec(trunc.n_max, trunc.guard or 16), tol))
+    monkeypatch.setattr(analysis, "qrm_transform_check", lambda p, trunc: good(
+        p, TruncationSpec(trunc.n_max, trunc.guard or 16)))
 
 
 def _dispersive_without_chi(monkeypatch):

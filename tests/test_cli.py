@@ -10,10 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from ionqrm import (HAMILTONIAN_BUILDERS, IonParams, TruncationSpec, coherent_state,
-                    fock_state)
+from ionqrm import (HAMILTONIAN_BUILDERS, IonParams, ResonancePoleError, TruncationSpec,
+                    coherent_state, fock_state)
 from ionqrm import cli
-from ionqrm.cli import _DISPATCH, EXIT_CHECKS_FAILED, EXIT_ERROR, EXIT_OK, main
+from ionqrm.cli import EXIT_CHECKS_FAILED, EXIT_ERROR, EXIT_OK, main
 from ionqrm.config import (BUILDER_NAMES, CHECKS, COMMANDS, FORMATS, KEYS, RUN_SKIPS, SCAN_KINDS,
                            SELECTORS, VERIFY_CHECKS, ConfigError, _scope, parse_config)
 
@@ -211,35 +211,12 @@ _RUN_DROPPED = [
 ]
 
 
-# a valid value of each tolerance key, other than its default
-_TOL_VALUES = {"tol.identity": "1e-11", "tol.oracle": "1e-08", "tol.spectral": "0.5",
-               "tol.min_order": "2.5"}
-# (command, what it runs, the one tolerance it reads)
-_TOL_READ = [
-    ("verify", "verify.check = qrm-transform", "tol.spectral"),
-    ("verify", "verify.check = guard", "tol.spectral"),
-    ("verify", "verify.check = dispersive", "tol.min_order"),
-    ("verify", "verify.check = rotation", "tol.identity"),
-    ("scan", "scan.kind = dispersive", "tol.min_order"),
-    ("scan", "scan.kind = lamb-dicke", "tol.min_order"),
-]
-
-
 # (command, what it runs, key, value): a key of a section the run never reads
 _RUN_SKIPPED = [
-    *(("regime", "command = regime", key, value)
-      for key, value in (("trunc.n_max", "40"), ("trunc.guard", "4"), ("tol.identity", "1e-11"),
-                         ("tol.oracle", "1e-08"), ("tol.spectral", "0.5"),
-                         ("tol.min_order", "2.5"))),
+    ("regime", "command = regime", "trunc.n_max", "40"),
+    ("regime", "command = regime", "trunc.guard", "4"),
     ("scan", "scan.kind = lamb-dicke", "trunc.n_max", "40"),
     ("scan", "scan.kind = lamb-dicke", "trunc.guard", "4"),
-    # no builder reads a tolerance, in build, evolve or the truncation scan
-    *(("build", builder, "tol.identity", "1e-11") for builder in BUILDER_NAMES),
-    ("evolve", "resonant", "tol.spectral", "0.5"), ("evolve", "jc", "tol.spectral", "0.5"),
-    ("scan", "qrm", "tol.oracle", "1e-08"), ("scan", "dispersive", "tol.oracle", "1e-08"),
-    ("verify", "verify.check = jc-rabi", "tol.min_order", "2.5"),
-    ("verify", "verify.check = jc-rabi", "tol.spectral", "0.5"),
-    ("verify", "verify.check = speed", "tol.identity", "1e-11"),
     ("verify", "verify.check = speed", "trunc.n_max", "40"),
     ("verify", "verify.check = speed", "trunc.guard", "4"),
     ("scan", "scan.kind = truncation", "trunc.n_max", "40"),
@@ -251,68 +228,15 @@ _RUN_SKIPPED = [
     *((command, builder, "nu", "1.3") for command in ("build", "evolve", "scan")
       for builder in ("jc", "ajc", "zero")),
     ("all-checks", "command = all-checks", "nu", "1.3"),
-    # each other check and scan reads only the tolerance it compares against
-    *((command, run, key, value) for command, run, read in _TOL_READ
-      for key, value in _TOL_VALUES.items() if key != read),
 ]
-
-
-@pytest.mark.parametrize("command, selector", [
-    *(("verify", f"verify.check = {check}") for check in VERIFY_CHECKS),
-    *(("scan", f"scan.kind = {kind}") for kind in SCAN_KINDS),
-])
-def test_tolerances_the_run_skips_leave_its_output_unchanged(command, selector, capsys):
-    key, _, value = selector.partition(" = ")
-    sets = [("command", command), ("Omega", "0.7"), ("eta", "0.3"), (key, value)]
-    if command == "scan":
-        sets.append(("format", "json"))  # the CSV carries no pass flag or tolerance
-    if value == "jc-rabi":
-        sets.append(("nu", "1.4"))  # its sideband resonance nu = 2*Omega
-    config = parse_config("", tuple(sets))
-    rows = [RUN_SKIPS[selector]]
-    if value == "truncation":
-        rows.append(RUN_SKIPS[config.scan.builder])
-
-    def output(**tol):
-        _DISPATCH[command](config.replace(tol=config.tol.replace(**tol)))
-        return capsys.readouterr().out
-
-    base = output()
-    for key, value in _TOL_VALUES.items():
-        skipped = any("tol" in row or key in row for row in rows)
-        # the run reads the value iff it changes the output
-        assert (output(**{KEYS[key].field: float(value)}) == base) == skipped, key
-
-
-@pytest.mark.parametrize("kind", ["dispersive", "lamb-dicke"])
-def test_a_csv_scan_rejects_the_tolerance_its_json_report_reads(kind, capsys):
-    args = ["scan", "--set", "Omega=1.0", "--set", "eta=0.08", "--set", f"scan.kind={kind}"]
-    strict = ["--set", "tol.min_order=2.5"]
-    # CSV, the scan's default format, writes no pass flag: the key is one ConfigError
-    for csv in ([], ["--format", "csv"]):
-        code, out, err = run_cli([*args, *csv, *strict], capsys)
-        assert (code, out) == (EXIT_ERROR, "")
-        assert [json.loads(line) for line in err.splitlines()] == [
-            {"error": "ConfigError", "message": "tol.min_order is not read by format = csv",
-             "schema_version": 1}]
-    # the JSON report still takes it: the order ~2 fails 2.5 (exit 2) and passes the default 1.8
-    code, out, _ = run_cli([*args, "--format", "json", *strict], capsys)
-    assert code == EXIT_CHECKS_FAILED
-    report = json.loads(out)
-    assert (report["tolerance"], report["passed"]) == (2.5, False)
-    code, out, _ = run_cli([*args, "--format", "json"], capsys)
-    assert code == EXIT_OK
-    assert json.loads(out)["passed"]
 
 
 # a changed value of each key that a verify or scan may accept; command, format and the
 # selectors pick the run, and out only where its output goes
 _READ_SET_CHANGES = {
     "nu": "1.3", "Omega": "0.77", "eta": "0.35", "phi_l": "0.4", "delta": "0.2",
-    "trunc.n_max": "32", "trunc.guard": "8", "seed": "7", "tol.identity": "1e-11",
-    "tol.oracle": "1e-08", "tol.spectral": "0.5", "tol.min_order": "2.5",
-    "scan.etas": "0.1,0.05", "scan.n_list": "8,16", "scan.k_lowest": "4",
-    "scan.builder": "jc", "verify.fock": "1",
+    "trunc.n_max": "32", "trunc.guard": "8", "seed": "7", "scan.etas": "0.1,0.05",
+    "scan.n_list": "8,16", "scan.k_lowest": "4", "scan.builder": "jc", "verify.fock": "1",
 }
 # the corpus point (Omega, eta) of each CHECKS row name; the others run at (0.7, 0.3)
 _CHECK_POINTS = {"dispersive": ("1.0", "0.08"), "jc-rabi": ("0.5", "0.02"),
@@ -419,8 +343,9 @@ def test_verify_and_scan_run_the_analysis_binding_their_row_names(capsys, monkey
 
 
 # the base runs of the other commands, (command, run) -> the settings of each of its points:
-# each builder from a coherent start at a small cutoff, regime at one point per threshold
-# (decoupling, ultrastrong, dispersive, JC-resonant) and all-checks at the reference point
+# each builder from a coherent start and from |g,1> (run "<builder>-fock") at a small
+# cutoff, regime at one point per threshold (decoupling, ultrastrong, dispersive,
+# JC-resonant) and all-checks at the reference point
 _RUN_BASES = {
     **{("build", name): [{"Omega": "0.7", "eta": "0.3", "trunc.n_max": "16", "trunc.guard": "2",
                           "build.hamiltonian": name}] for name in BUILDER_NAMES},
@@ -428,18 +353,23 @@ _RUN_BASES = {
                            "evolve.hamiltonian": name, "evolve.state": "coherent",
                            "evolve.alpha": "0.5+0.3j", "evolve.spin": "g"}]
        for name in BUILDER_NAMES},
+    **{("evolve", f"{name}-fock"): [{"Omega": "0.7", "eta": "0.3", "trunc.n_max": "8",
+                                     "evolve.hamiltonian": name, "evolve.spin": "g",
+                                     "evolve.fock": "1"}]
+       for name in BUILDER_NAMES},
     ("regime", "regime"): [{"Omega": omega, "eta": eta} for omega, eta in (
         ("0.0005", "0.2"), ("0.7", "0.3"), ("1.0", "0.08"), ("0.5", "0.02"))],
     ("all-checks", "all-checks"): [{"Omega": "0.7", "eta": "0.3"}],
 }
 # the changed values of each key those commands may take but the ones that pick the run:
 # the checks' values of the global keys, with pi as a second phi_l (rabi-rotated and regime
-# read it as pi or not pi); evolve.state and evolve.fock are left out, as the coherent
-# start rejects them
+# read it as pi or not pi); evolve.state is left out, as each start sets a key that only
+# its own state takes (evolve.alpha or evolve.fock)
 _RUN_CHANGES = {
     **{key: (value,) for key, value in _READ_SET_CHANGES.items() if _scope(key) is None},
     "phi_l": (_READ_SET_CHANGES["phi_l"], repr(math.pi)),
-    "build.include_constant": ("false",), "evolve.spin": ("e",), "evolve.alpha": ("0.2-0.4j",),
+    "build.include_constant": ("false",), "evolve.spin": ("e",), "evolve.fock": ("2",),
+    "evolve.alpha": ("0.2-0.4j",),
     "evolve.t_max": ("3.5",), "evolve.samples": ("7",), "evolve.times": ("0.0,0.5,2.0",),
     "regime.ordering_factor": ("20",), "regime.ultrastrong_onset": ("0.2",),
     "regime.dispersive_factor": ("0.01",), "regime.resonant_max_g_ratio": ("0.005",),
@@ -449,8 +379,9 @@ _SUITE = ("every check runs at its own points; the suite benchmark workload sets
           "eta, so they stay required until it changes (ROADMAP item 1)")
 # (command, run, key, value) accepted and never read: each fails until the key is rejected
 _RUN_UNREAD = {
-    **{(command, "zero", key, _RUN_CHANGES[key][0]): _ZERO
-       for command in ("build", "evolve") for key in ("Omega", "eta")},
+    **{(command, run, key, _RUN_CHANGES[key][0]): _ZERO
+       for command, run in (("build", "zero"), ("evolve", "zero"), ("evolve", "zero-fock"))
+       for key in ("Omega", "eta")},
     **{("all-checks", "all-checks", key, _RUN_CHANGES[key][0]): _SUITE for key in ("Omega", "eta")},
     **{("build", name, "trunc.guard", _RUN_CHANGES["trunc.guard"][0]):
        "no builder reads trunc.guard and build only echoes it; rejecting it moves every build "
@@ -458,9 +389,13 @@ _RUN_UNREAD = {
 }
 # accepted and read, but with no output byte moved from these starting states
 _RUN_EXEMPT = {
-    **{("evolve", name, "phi_l", repr(math.pi)):
+    **{("evolve", run, "phi_l", repr(math.pi)):
        "sigma_z maps H(0) onto H(pi) and only flips the sign of the spin-eigenstate start, so "
-       "the populations are the same" for name in ("resonant", "lamb-dicke")},
+       "the populations are the same"
+       for run in ("resonant", "lamb-dicke", "resonant-fock", "lamb-dicke-fock")},
+    **{("evolve", f"{name}-fock", "trunc.n_max", _RUN_CHANGES["trunc.n_max"][0]):
+       "|g,1> lies in one exact block of H (a JC or AJC pair, or a 1x1 block), the same at "
+       "every cutoff that holds it" for name in ("jc", "ajc", "dispersive", "zero")},
     ("regime", "regime", "phi_l", "0.4"):
         "the label reads phi_l only as pi or not pi (laser_phase_sign), and 0.4 is not pi",
 }
@@ -483,7 +418,7 @@ def test_the_run_read_set_tables_name_accepted_cases_and_every_key_a_run_may_tak
     assert not set(_RUN_UNREAD) & set(_RUN_EXEMPT)
     scoped = {key for key in KEYS if _scope(key) in (None, "build", "evolve", "regime")}
     assert set(_RUN_CHANGES) == scoped - {"command", "format", "out", "build.hamiltonian",
-                                          "evolve.hamiltonian", "evolve.state", "evolve.fock"}
+                                          "evolve.hamiltonian", "evolve.state"}
     # every changed value is accepted by some run
     assert {(key, value) for _, _, key, value in _RUN_READ_SET} == {
         (key, value) for key, values in _RUN_CHANGES.items() for value in values}
@@ -662,6 +597,7 @@ def _point(omega, eta):
 _REF, _DISP = _point(0.7, 0.3), _point(1.0, 0.08)
 _SMALL_ROTATION = "small-rotation angles <= 0.2 at every scan.etas value"
 _TRUNCATION_K = "scan.k_lowest <= 2 * scan.n_list[0]"
+_POLE = "the dispersive couplings need nu != 2*Omega"
 # (where, rule) of each config._RULES row -> a command line that breaks that rule alone
 _RULE_LINES = {
     ("verify.check = guard", "guard demonstration requires eta >= 0.3"):
@@ -690,6 +626,11 @@ _RULE_LINES = {
         ["evolve", *_RES, "--set", "trunc.n_max=8", "--set", "evolve.fock=8"],
     ("command = evolve", "evolve.times strictly increasing"):
         ["evolve", *_RES, "--set", "evolve.times=0,2,1"],
+    # the sideband resonance nu = 2*Omega of _RES and of Omega = 0.5 at every eta
+    ("dispersive", _POLE): ["build", *_RES, "--set", "build.hamiltonian=dispersive"],
+    ("verify.check = dispersive", _POLE):
+        ["verify", *_point(0.5, 0.08), "--set", "verify.check=dispersive"],
+    ("scan.kind = dispersive", _POLE): ["scan", *_point(0.5, 0.08)],
     ("verify.check = dispersive", "scan.k_lowest <= 2 * (trunc.n_max - trunc.guard)"):
         ["verify", *_DISP, "--set", "verify.check=dispersive", "--set", "trunc.n_max=4",
          "--set", "trunc.guard=0"],
@@ -705,6 +646,9 @@ _RULE_LINES = {
 # rows whose rule no line can break alone: with n_list[0] < 1 no k_lowest >= 1 is within
 # 2 * n_list[0], so the line breaks the truncation scan's k_lowest row as well
 _ALSO_BREAKS = {("scan.n_list", "scan.n_list >= 1"): _TRUNCATION_K}
+# rows that hold the premise of a later row: with the row off, that row's test raises
+# ResonancePoleError, as the small-rotation angles are undefined at the pole
+_PREMISES = {("verify.check = dispersive", _POLE), ("scan.kind = dispersive", _POLE)}
 
 
 def test_every_config_rule_has_a_command_line_that_breaks_it():
@@ -732,8 +676,10 @@ def test_a_config_rule_broken_alone_is_its_config_error_record(where, rule, monk
         parse_config("", tuple(cli._read_argv(argv)[1]))
     except ConfigError as exc:
         assert str(exc) == f"constraint violation: {_ALSO_BREAKS.get((where, rule))}"
+    except ResonancePoleError:
+        assert (where, rule) in _PREMISES
     else:
-        assert (where, rule) not in _ALSO_BREAKS
+        assert (where, rule) not in {*_ALSO_BREAKS, *_PREMISES}
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["regime", *_RES, "--help"], ["bogus", "-h"]])
@@ -864,17 +810,14 @@ def test_an_evolve_op_peaks_below_seven_mib(builder, tmp_path):
 
 
 def test_runtime_error_yields_record(capsys):
-    # dispersive check at the sideband pole fails after config validation
-    args = [
-        "verify",
-        "--set", "Omega=0.5",
-        "--set", "eta=0.08",
-        "--set", "verify.check=dispersive",
-    ]
-    code, _, err = run_cli(args, capsys)
-    assert code == EXIT_ERROR
+    # at Omega = 0 the Lamb-Dicke remainder vanishes: its order is undefined, which only
+    # the computation finds
+    args = ["scan", "--set", "Omega=0", "--set", "eta=0.1", "--set", "scan.kind=lamb-dicke",
+            "--format", "json"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (EXIT_ERROR, "")
     record = json.loads(err)
-    assert record["error"] == "ResonancePoleError"
+    assert record["error"] == "ValueError"
 
 
 def test_all_checks_exits_zero_and_lists_reports(tmp_path, capsys):
@@ -895,7 +838,7 @@ def test_all_checks_nonzero_when_a_check_fails(tmp_path, capsys, monkeypatch):
     import ionqrm.analysis as analysis
     from ionqrm.analysis import VerificationReport
 
-    def fake_checks(trunc, seed, tol):
+    def fake_checks(trunc, seed):
         return [VerificationReport(name="stub", gates=(("x", "<=", 0.0),), tolerance=0.0,
                                    metrics={"x": 1.0})]
 
@@ -931,8 +874,7 @@ def test_verify_and_a_json_scan_exit_2_exactly_when_their_report_fails(capsys, m
         assert code == expected == (EXIT_OK if report.passed else EXIT_CHECKS_FAILED), argv
         if not report.passed:
             failed.append(report.name)
-    assert len(entries) == 18 and failed == ["speed-comparison", "truncation-convergence-qrm",
-                                            "dispersive-error-scan"]
+    assert len(entries) == 16 and failed == ["speed-comparison", "truncation-convergence-qrm"]
     # the same failing scan as CSV carries no pass flag and exits 0
     code, out, _ = run_cli(["scan", "--set", "Omega=0.7", "--set", "eta=0.3", "--set",
                             "scan.kind=truncation", "--set", "scan.n_list=4,8"], capsys)
@@ -992,15 +934,6 @@ def test_regime_and_rabi_rotated_follow_the_one_phase_rule(phase, capsys):
     if sign is not None:
         # entry (|e,0>, |e,0>) is nu*0 + sign*Omega
         assert entries[0] == [sign * 0.7, 0.0]
-
-
-def test_all_checks_applies_tol_identity_to_the_rotation_diagnostic(capsys):
-    args = ["all-checks", "--set", "Omega=0.7", "--set", "eta=0.3", "--set", "tol.identity=1e-30"]
-    code, out, _ = run_cli(args, capsys)
-    assert code == EXIT_CHECKS_FAILED
-    reports = {r["name"]: r for r in json.loads(out)["reports"]}
-    assert reports["rotation-diagnostic"]["tolerance"] == 1e-30
-    assert reports["rotation-diagnostic"]["passed"] is False
 
 
 def test_scan_with_vanishing_remainder_is_an_error_not_nan(src_env):
@@ -1332,16 +1265,12 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code(tmp_path):
                          + "\n".join(moved))
     assert corpus._NUMBER.sub("#", '{"x": [-1.5e-17, 0.25], "n_max": 8, "k": "ajc"}') == (
         '{"x": [#, #], "n_max": #, "k": "ajc"}')
-    # config rejects every invalid line before any computation, but for the 2*Omega = nu
-    # pole, which the builder and the scan find
+    # config rejects every invalid line before any computation, the 2*Omega = nu pole too
     dump = subprocess.run([sys.executable, tool, "--dump", SRC], capture_output=True,
                           text=True, check=True).stdout.splitlines()
     errors = {entry["argv"]: json.loads(entry["stderr"])["error"]
               for entry in map(json.loads, dump) if entry["code"] == EXIT_ERROR}
-    assert {argv: error for argv, error in errors.items() if error != "ConfigError"} == {
-        "build --set Omega=0.50000000005 --set eta=0.02 --set trunc.n_max=2 --set trunc.guard=0 "
-        "--set build.hamiltonian=dispersive": "ResonancePoleError",
-        "scan --set Omega=0.5 --set eta=0.08": "ResonancePoleError"}
+    assert {argv: error for argv, error in errors.items() if error != "ConfigError"} == {}
 
 
 def test_cli_corpus_says_what_moved_in_each_entry():

@@ -39,9 +39,12 @@ def test_duplicate_key_is_syntax_error_with_line():
         parse_config("command = verify\nOmega = 0.7\nOmega = 0.9\neta = 0.1\n")
 
 
-def test_unknown_key_is_hard_error():
-    with pytest.raises(ConfigError, match="unknown key 'Omeag'"):
-        parse_config("command = verify\nOmeag = 0.7\neta = 0.1\nOmega = 0.7\n")
+# a typo, and each former tol key: the gate bounds are constants of ionqrm.analysis
+@pytest.mark.parametrize("key", ["Omeag", "tol.identity", "tol.oracle", "tol.spectral",
+                                 "tol.min_order"])
+def test_unknown_key_is_hard_error(key):
+    with pytest.raises(ConfigError, match=f"^line 2: unknown key '{key}'$"):
+        parse_config(f"command = verify\n{key} = 0.7\neta = 0.1\nOmega = 0.7\n")
 
 
 def test_malformed_line_reports_line_number():
@@ -273,10 +276,6 @@ _NON_DEFAULT = {
     "trunc.guard": {"command": "build", "trunc.guard": "4"},
     "seed": {"command": "all-checks", "seed": "7"},
     "format": {"command": "scan", "format": "json"},
-    "tol.identity": {"command": "all-checks", "tol.identity": "1e-11"},
-    "tol.oracle": {"command": "all-checks", "tol.oracle": "1e-08"},
-    "tol.spectral": {"command": "verify", "tol.spectral": "1e-07"},
-    "tol.min_order": {"command": "all-checks", "tol.min_order": "2.5"},
     "out": {"out": "result.json"},
     "build.hamiltonian": {"command": "build", "build.hamiltonian": "jc"},
     "build.include_constant": {"command": "build", "build.include_constant": "false"},
@@ -361,7 +360,6 @@ def test_run_reads_names_every_verify_check_scan_kind_and_other_command():
     selectors += [f"scan.kind = {kind}" for kind in SCAN_KINDS]
     selectors += [f"command = {command}" for command in COMMANDS
                   if command not in ("verify", "scan")]
-    selectors += ["format = csv"]  # a JSON document reads every key its run does
     # RUN_SKIPS holds a row per builder and per selector, and no other
     assert sorted(RUN_SKIPS) == sorted([*HAMILTONIAN_BUILDERS, *selectors])
     _assert_known_entries(selectors)
@@ -430,23 +428,6 @@ def test_emit_writes_no_key_of_a_section_the_run_skips(run, text):
     emitted = emit_config(cfg)
     assert [line for line in emitted.splitlines() if line.split(".")[0] in RUN_SKIPS[run]] == []
     assert parse_config(emitted) == cfg
-
-
-@pytest.mark.parametrize("kind", ["dispersive", "lamb-dicke"])
-def test_a_csv_scan_rejects_and_never_emits_a_tolerance(kind):
-    text = f"command = scan\nOmega = 1.0\neta = 0.08\nscan.kind = {kind}\n"
-    cfg = parse_config(text)
-    assert cfg.format == "csv"
-    emitted = emit_config(cfg)
-    assert [line for line in emitted.splitlines() if line.startswith("tol.")] == []
-    assert parse_config(emitted) == cfg
-    with pytest.raises(ConfigError, match="^line 5: tol.min_order is not read by format = csv$"):
-        parse_config(f"{text}tol.min_order = 2.5\n")
-    # a JSON scan writes the pass flag that tol.min_order sets
-    again = parse_config(f"{text}format = json\ntol.min_order = 2.5\n")
-    assert again.tol.min_scaling_order == 2.5
-    assert "tol.min_order = 2.5" in emit_config(again).splitlines()
-    assert parse_config(emit_config(again)) == again
 
 
 @pytest.mark.parametrize("text, run, skipped, kept", [

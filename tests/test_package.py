@@ -16,7 +16,7 @@ import oracles
 PUBLIC_NAMES = [
     "ConfigError", "DEFAULT_TRUNC", "DerivedCouplings",
     "EvolutionResult", "HAMILTONIAN_BUILDERS", "IonParams", "Regime", "RegimeThresholds",
-    "ResonancePoleError", "RunConfig", "Tolerances", "TruncationSpec",
+    "ResonancePoleError", "RunConfig", "TruncationSpec",
     "VerificationReport", "ajc_dynamics_check", "annihilation", "chi_identity_check",
     "classify_regime", "coherent_state", "commutator", "dagger",
     "derived_couplings", "dispersive_error_scan", "displacement", "displacement_generator",
@@ -39,7 +39,7 @@ ORACLE_NAMES = [
 
 
 def test_public_names_are_unchanged():
-    assert len(PUBLIC_NAMES) == 60
+    assert len(PUBLIC_NAMES) == 59
     assert sorted(ionqrm.__all__) == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(ionqrm))
 
@@ -74,7 +74,6 @@ def test_scalar_definitions_live_only_in_params():
     assert ionqrm.IonParams is ionqrm.params.IonParams is ionqrm.models.IonParams
     assert ionqrm.TruncationSpec is ionqrm.params.TruncationSpec \
         is ionqrm.algebra.TruncationSpec
-    assert ionqrm.Tolerances is ionqrm.params.Tolerances is ionqrm.analysis.Tolerances
     assert ionqrm.params.DEFAULT_SEED == ionqrm.analysis.DEFAULT_SEED == 2024
 
 
@@ -113,6 +112,12 @@ def test_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'h_missing'"):
         ionqrm.h_missing  # noqa: B018 - the lookup is the test
     assert not hasattr(ionqrm, "IonParam")
+    # the gate bounds are constants of ionqrm.analysis, not a record a caller passes
+    with pytest.raises(AttributeError, match="no attribute 'Tolerances'"):
+        ionqrm.Tolerances  # noqa: B018 - the lookup is the test
+    assert not hasattr(ionqrm.params, "Tolerances")
+    assert [name for name in ionqrm._HOMES["analysis"]
+            if "tol" in inspect.signature(getattr(ionqrm, name)).parameters] == []
 
 
 def test_submodule_is_an_attribute_after_a_bare_import(src_env):

@@ -33,7 +33,6 @@ _SAMPLES = {
     "DerivedCouplings": [(0.01, 0.02, -0.003), (0.2, 0.3, 0.4)],
     "RegimeThresholds": [(), (5.0, 0.2, 0.05, 0.2)],
     "TruncationSpec": [(8,), (8, 2)],
-    "Tolerances": [(), (1e-11, 1e-8, 1e-7, 2.5)],
     "BuildSpec": [(), ("jc", False)],
     "EvolveSpec": [(), ("qrm", "coherent", "g", 0, 0.5 - 0.25j, 4.5, 11, (0.0, 0.5, 2.0))],
     "ScanSpec": [(), ("truncation", (0.1, 0.05), (8, 16), 4, "jc")],
@@ -78,8 +77,8 @@ def _outcome(fn):
 
 def test_every_record_class_has_samples():
     assert sorted(_record_classes()) == sorted(_SAMPLES)
-    # 13 parameter, config and result classes, plus config's _Key and _Check
-    assert len(_SAMPLES) == 15
+    # 12 parameter, config and result classes, plus config's _Key and _Check
+    assert len(_SAMPLES) == 14
 
 
 @pytest.mark.parametrize("name", sorted(_SAMPLES))
