@@ -1253,7 +1253,7 @@ def test_cli_corpus_runs_every_entry_to_its_exit_code(tmp_path):
     got = proc.stdout.splitlines()
     assert got[0] == pinned[0] and len(got) == len(pinned)
     rows = [line.split(" ", 3) for line in got[2:]]
-    assert len(rows) == len(corpus.ENTRIES) == 136
+    assert len(rows) == len(corpus.ENTRIES) == 141
     for (digest, masked, code, argv), (entry, expected) in zip(rows, corpus.ENTRIES):
         assert argv == " ".join(entry) and len(digest) == len(masked) == 64
         assert int(code) == expected, argv

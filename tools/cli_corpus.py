@@ -183,6 +183,14 @@ ENTRIES: list[tuple[list[str], int]] = [
     (["verify", *_REF, "--set", "tol.spectral=0.5"], 1),
     (["all-checks", *_REF, "--set", "tol.identity=1e-30"], 1),
     (["scan", *_DISP, "--format", "json", "--set", "tol.min_order=2.5"], 1),
+    # the transform draws at sizes where the operand layout of a product moves its bits
+    *[(["all-checks", *_REF, "--set", f"trunc.n_max={n}", "--set", f"trunc.guard={n // 4}"], 2)
+      for n in (16, 32)],
+    *[(["verify", *point, "--set", "verify.check=qrm-transform"], 0)
+      for point in (["--set", "Omega=0.7", "--set", "eta=0"],
+                    [*_REF, "--set", "trunc.n_max=24", "--set", "trunc.guard=6"])],
+    # at Omega = 0 the Lamb-Dicke remainder vanishes identically: no order to fit
+    (["scan", "--set", "Omega=0", "--set", "eta=0.1", "--set", "scan.kind=lamb-dicke"], 1),
 ]
 
 
