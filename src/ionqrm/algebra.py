@@ -135,16 +135,27 @@ def _upper_triangle(n_max: int) -> np.ndarray:
     return mask
 
 
+def _displacement_products(r, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """V diag(cos(sqrt(2)*r*x_k)) V^T and V diag(sin(sqrt(2)*r*x_k)) V^T, as the products give them.
+
+    A 1-D array of radii gives a stack of products, one per radius: one stacked
+    product per part, each slice the same product as for that radius alone.
+    """
+    x, v = displacement_basis(n_max)
+    theta = np.multiply.outer(np.sqrt(2.0) * r, x)
+    # V is real: two real products instead of one complex one
+    scaled = v * np.cos(theta)[..., None, :]
+    cos_part = scaled @ v.T
+    sin_part = np.multiply(v, np.sin(theta)[..., None, :], out=scaled) @ v.T
+    return cos_part, sin_part
+
+
 def _displacement_parts(r: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """cos(sqrt(2)*r*X) and sin(sqrt(2)*r*X): the real and imaginary parts of D(i*r).
 
     Both are exactly symmetric, and both vanish exactly where X's parity says so.
     """
-    x, v = displacement_basis(n_max)
-    theta = np.sqrt(2.0) * r * x
-    # V is real: two real products instead of one complex one
-    cos_part = (v * np.cos(theta)) @ v.T
-    sin_part = (v * np.sin(theta)) @ v.T
+    cos_part, sin_part = _displacement_products(r, n_max)
     # X links n only to n +- 1, so cos(sqrt2 r X) vanishes where m - n is odd and
     # sin(sqrt2 r X) where it is even: write those zeros exactly, not as rounding
     cos_part[::2, 1::2] = 0.0
@@ -221,14 +232,31 @@ def displacement_column(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
     return col
 
 
-def displacement_gauged(r: float, trunc: TruncationSpec) -> np.ndarray:
+def displacement_gauged(r, trunc: TruncationSpec) -> np.ndarray:
     """P D(i*r) P^dagger as a real array, P = diag(i^n) the Fock-parity gauge.
 
     Equals :func:`gauge_parts` of the real and imaginary parts of
     ``displacement(1j * r, trunc)`` entry for entry, written from the same
-    cos and sin parts without a complex array.
+    cos and sin products without a complex array: each entry is taken from
+    the part its parity leaves nonzero, the lower triangle is mirrored, and
+    the gauge's signs are applied once. For a 1-D array of radii it returns
+    their stack, shape (len(r), n_max, n_max), each slice bit for bit the
+    array of that radius alone.
     """
-    return gauge_parts(*_displacement_parts(r, trunc.n_max), trunc.n_max)
+    n = trunc.n_max
+    real, odd = _displacement_products(r, n)
+    real[..., ::2, 1::2] = odd[..., ::2, 1::2]
+    real[..., 1::2, ::2] = odd[..., 1::2, ::2]
+    np.copyto(real, np.swapaxes(real, -1, -2), where=_upper_triangle(n))
+    # gauge_parts' map with one part exactly zero at each entry: t_m t_n re where
+    # m - n is even and t_m s_m t_n im where it is odd
+    p = fock_phases(n, n)
+    t, ts = p.real + p.imag, p.real - p.imag
+    sign = np.multiply.outer(t, t)
+    sign[::2, 1::2] = np.multiply.outer(ts[::2], t[1::2])
+    sign[1::2, ::2] = np.multiply.outer(ts[1::2], t[::2])
+    real *= sign
+    return real
 
 
 def displacement_generator(alpha: complex, trunc: TruncationSpec) -> np.ndarray:
@@ -331,15 +359,16 @@ def fock_phases(dim: int, n_osc: int) -> np.ndarray:
 def gauge_parts(re: np.ndarray, im: np.ndarray, n_osc: int, index=None) -> np.ndarray:
     """P (re + i*im) P^dagger as a real array, for parts that make it exactly real.
 
-    re and im are a square matrix's parts, or with ``index`` those of a composite
-    matrix M (dimension 2*n_osc) at ``M[index]``, for an index pair of integer
-    arrays (rows, columns) that broadcast against them: each entry takes the
-    phases of its own row and column. It does not test exactness;
-    :func:`gauge_is_real` does, before this is called.
+    re and im are a square matrix's parts (or a stack of them, on the last two
+    axes), or with ``index`` those of a composite matrix M (dimension 2*n_osc)
+    at ``M[index]``, for an index pair of integer arrays (rows, columns) that
+    broadcast against them: each entry takes the phases of its own row and
+    column. It does not test exactness; :func:`gauge_is_real` does, before this
+    is called.
     """
     # i^(m-n) h_kl = t_k t_l (re h_kl + s_k im h_kl) with s_k = (-1)^m and, from
     # p_k = i^m, t_k = Re p_k + Im p_k = (-1)^(m//2) and t_k s_k = Re p_k - Im p_k
-    p = fock_phases(re.shape[0] if index is None else 2 * n_osc, n_osc)
+    p = fock_phases(re.shape[-1] if index is None else 2 * n_osc, n_osc)
     rows, cols = (p[:, None], p) if index is None else (p[index[0]], p[index[1]])
     real = im * (rows.real - rows.imag)
     real += re * (rows.real + rows.imag)

@@ -353,6 +353,8 @@ _RULES: tuple[tuple[str, Callable[[RunConfig], bool], str], ...] = (
                                             "at every scan.etas value"))),
     ("scan.kind = truncation", lambda c: c.scan.k_lowest <= 2 * c.scan.n_list[0],
      "scan.k_lowest <= 2 * scan.n_list[0]"),
+    # at Omega = 0 the Lamb-Dicke remainder vanishes identically: no order to fit
+    ("scan.kind = lamb-dicke", lambda c: c.params.Omega > 0, "lamb-dicke scan requires Omega > 0"),
     ("command = all-checks", lambda c: c.seed >= 0, "seed >= 0"),
 )
 

@@ -65,11 +65,13 @@ def _spin_blocks(d_e: np.ndarray, d_g: np.ndarray, b: np.ndarray | None = None) 
 def _band(n: int, diagonal, upper, lower) -> np.ndarray:
     """The n x n complex matrix with the given diagonal and first off-diagonals, each a
     scalar or a vector: every banded coupling, entry for entry as the dense sum of ladder
-    operators gives it, without that sum's n x n temporaries."""
-    b = np.zeros((n, n), dtype=complex)
-    b.flat[::n + 1] = diagonal
-    b.flat[1::n + 1] = upper
-    b.flat[n::n + 1] = lower
+    operators gives it, without that sum's n x n temporaries. An upper band with a
+    leading stack axis gives a stack of matrices."""
+    b = np.zeros(np.shape(upper)[:-1] + (n, n), dtype=complex)
+    flat = b.reshape(b.shape[:-2] + (n * n,))
+    flat[..., ::n + 1] = diagonal
+    flat[..., 1::n + 1] = upper
+    flat[..., n::n + 1] = lower
     return b
 
 
@@ -79,14 +81,41 @@ def _ladder_roots(trunc: TruncationSpec) -> np.ndarray:
 
 
 def _levels(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
-    """The Fock diagonal of nu*n as a real vector."""
-    return p.nu * np.arange(trunc.n_max, dtype=float)
+    """The Fock diagonal of nu*n as a real vector, one row per point of a stack."""
+    return np.multiply.outer(p.nu, np.arange(trunc.n_max, dtype=float))
 
 
 def _phase_factor(phi_l: float) -> complex:
     """e^(i*phi_l), exactly +1 or -1 at the phases :func:`laser_phase_sign` names."""
     sign = laser_phase_sign(phi_l)
     return np.exp(1j * phi_l) if sign is None else complex(sign)
+
+
+def _stacked(x, axes: int):
+    """x (a float or a 1-D array over a stack) with ``axes`` trailing axes of length 1."""
+    return np.reshape(x, np.shape(x) + (1,) * axes)
+
+
+def resonant_blocks(p: IonParams, trunc: TruncationSpec, *, gauged: bool = False):
+    """The spin blocks (d_e, d_g, B) of :func:`h_resonant`, which ``_spin_blocks`` assembles.
+
+    d_e = d_g = nu*n and B = Omega*e^(i*phi_l) D(i*eta), or with ``gauged`` the
+    real P B P^dag. For the gauged blocks, p may also hold a stack of points:
+    nu, Omega and eta equal-length 1-D arrays, with scalar phi_l and delta.
+    Each block then has a leading stack axis, each slice bit for bit that of
+    the point alone.
+    """
+    if p.delta != 0.0:
+        raise ValueError("h_resonant requires delta = 0 (resonant condition)")
+    level = _levels(p, trunc)
+    drive = p.Omega * _phase_factor(p.phi_l)
+    if gauged:
+        if np.any(drive.imag != 0.0):
+            raise ValueError("H is not exactly real in the Fock-parity gauge diag(i^n)")
+        coupling = displacement_gauged(p.eta, trunc)
+        coupling *= _stacked(drive.real, 2)
+        return level, level, coupling
+    return level, level, drive * displacement(1j * p.eta, trunc)
 
 
 def h_resonant(p: IonParams, trunc: TruncationSpec, *, gauged: bool = False) -> np.ndarray:
@@ -99,17 +128,7 @@ def h_resonant(p: IonParams, trunc: TruncationSpec, *, gauged: bool = False) -> 
     ValueError: it exists at phi_l in {0, pi}, where the factor is exactly
     +-Omega, and at Omega = 0.
     """
-    if p.delta != 0.0:
-        raise ValueError("h_resonant requires delta = 0 (resonant condition)")
-    level = _levels(p, trunc)
-    drive = p.Omega * _phase_factor(p.phi_l)
-    if gauged:
-        if drive.imag != 0.0:
-            raise ValueError("H is not exactly real in the Fock-parity gauge diag(i^n)")
-        disp = displacement_gauged(p.eta, trunc)
-        return _spin_blocks(level, level, drive.real * disp)
-    disp = displacement(1j * p.eta, trunc)
-    return _spin_blocks(level, level, drive * disp)
+    return _spin_blocks(*resonant_blocks(p, trunc, gauged=gauged))
 
 
 def h_lamb_dicke(p: IonParams, trunc: TruncationSpec) -> np.ndarray:
@@ -200,13 +219,17 @@ def qrm_transform(eta: float, trunc: TruncationSpec) -> np.ndarray:
     return np.block([[half_dag, half], [-half_dag, half]]) / np.sqrt(2.0)
 
 
-def qrm_conjugate(g: np.ndarray, eta: float, trunc: TruncationSpec) -> np.ndarray:
+def qrm_conjugate(
+    d_e: np.ndarray, d_g: np.ndarray, b: np.ndarray, eta, trunc: TruncationSpec
+) -> np.ndarray:
     """Interior of P T H T^dag P^dag, T = :func:`qrm_transform` (eta, trunc), in real arithmetic.
 
     P = diag(i^n) on both spin blocks is the Fock-parity gauge of
-    :func:`~ionqrm.algebra.fock_phases`, and g = P H P^dag must be given as a
-    real 2n x 2n array, such as the ``gauged`` form of :func:`h_resonant`
-    at phi_l = 0, else ValueError. With b = P D(i*eta/2) P^dag from
+    :func:`~ionqrm.algebra.fock_phases`, and G = P H P^dag is given by its
+    spin blocks, the form every builder has: G = [[diag(d_e), B], [B^T,
+    diag(d_g)]] with real Fock diagonals d_e, d_g and a real n_max x n_max B,
+    such as :func:`resonant_blocks` ``(gauged=True)`` at phi_l = 0 (a complex B
+    is a ValueError). With b = P D(i*eta/2) P^dag from
     :func:`~ionqrm.algebra.displacement_gauged` (real, so P D^dag P^dag = b^T)
     and s = (+1, -1), block (i, j) of the result is
 
@@ -214,27 +237,68 @@ def qrm_conjugate(g: np.ndarray, eta: float, trunc: TruncationSpec) -> np.ndarra
 
     restricted to the interior rows and columns (Fock index below
     n_max - guard) of each spin block, the layout of
-    :func:`~ionqrm.algebra.interior_block`: eight real products, none larger
-    than n_max. Returns a real 2k x 2k array, k = ``trunc.interior_dim``.
-    The dense :func:`qrm_transform` is its test oracle.
+    :func:`~ionqrm.algebra.interior_block`. A product with a diagonal block
+    diag(d) scales the columns of its left factor, exactly as the dense
+    product does; the other six are real products, none larger than n_max.
+    Returns a real 2k x 2k array, k = ``trunc.interior_dim``. Given a stack of
+    points (d_e, d_g with a leading stack axis, B a stack of blocks and eta a
+    1-D array), it returns the stack of results, each slice bit for bit that
+    of the point alone. The dense :func:`qrm_transform` is its test oracle.
     """
     n, k = trunc.n_max, trunc.interior_dim
-    if g.shape != (2 * n, 2 * n) or np.iscomplexobj(g):
-        raise ValueError(f"G must be a real {2 * n}x{2 * n} array, got {g.dtype} {g.shape}")
-    b = displacement_gauged(eta / 2.0, trunc)
-    bt = b.T
-    # only interior rows of a left factor and interior columns of a right one are kept
-    p00 = bt[:k] @ g[:n, :n] @ b[:, :k]
-    p01 = bt[:k] @ g[:n, n:] @ bt[:, :k]
-    p10 = b[:k] @ g[n:, :n] @ b[:, :k]
-    p11 = b[:k] @ g[n:, n:] @ bt[:, :k]
-    out = np.empty((2 * k, 2 * k))
-    out[:k, :k] = p00 + p01 + p10 + p11
-    out[:k, k:] = -p00 + p01 - p10 + p11
-    out[k:, :k] = -p00 - p01 + p10 + p11
-    out[k:, k:] = p00 - p01 - p10 + p11
+    if b.shape[-2:] != (n, n) or np.iscomplexobj(b):
+        raise ValueError(f"B must be a real {n}x{n} array, got {b.dtype} {b.shape}")
+    half = displacement_gauged(np.divide(eta, 2.0), trunc)
+    half_t = np.swapaxes(half, -1, -2)
+    # only interior rows of a left factor and interior columns of a right one are kept;
+    # each factor is C-contiguous where the dense G's product had one, as the
+    # product's rounding depends on its operands' memory order. Block (i, j) is
+    # ((s_i s_j p00 + s_i p01) + s_j p10) + p11, summed in that order in place:
+    # negation is exact, so p00 + p01 and p00 - p01 serve all four blocks
+    out = np.empty(half.shape[:-2] + (2 * k, 2 * k))
+    b00, b01, b10, b11 = out[..., :k, :k], out[..., :k, k:], out[..., k:, :k], out[..., k:, k:]
+    left = np.multiply(half_t[..., :k, :], d_e[..., None, :], order="C")
+    np.matmul(left, half[..., :k], out=b00)
+    product = np.matmul(np.matmul(half_t[..., :k, :], b, out=left), half_t[..., :k])  # p01
+    np.subtract(b00, product, out=b11)
+    b00 += product
+    b_t = np.ascontiguousarray(np.swapaxes(b, -1, -2))
+    np.matmul(np.matmul(half[..., :k, :], b_t, out=left), half[..., :k], out=product)  # p10
+    np.subtract(product, b00, out=b10)
+    b00 += product
+    np.add(b11, product, out=b01)
+    b11 -= product
+    np.multiply(half[..., :k, :], d_g[..., None, :], out=left)
+    np.matmul(left, half_t[..., :k], out=product)  # p11
+    np.subtract(product, b01, out=b01)
+    b00 += product
+    b10 += product
+    b11 += product
     out *= 0.5
     return out
+
+
+def qrm_blocks(
+    p: IonParams, trunc: TruncationSpec, include_constant: bool = False, *, gauged: bool = False
+):
+    """The spin blocks (d_e, d_g, B) of :func:`h_qrm`, which ``_spin_blocks`` assembles.
+
+    p may also hold a stack of points (nu, Omega and eta equal-length 1-D
+    arrays): each block then has a leading stack axis, each slice bit for bit
+    that of the point alone, except with ``include_constant``, as numpy's
+    square of an array rounds eta^2 unlike Python's float power in about one
+    value in a thousand.
+    """
+    constant = transform_offset(p) if include_constant else 0.0
+    level = _levels(p, trunc)
+    # the band of (i g)(a - a^dag)
+    root, scale = _ladder_roots(trunc), _stacked(1j * qrm_coupling(p), 1)
+    coupling = _band(trunc.n_max, 0.0, scale * root, scale * -root)
+    omega, constant = _stacked(p.Omega, 1), _stacked(constant, 1)
+    d_e, d_g = level + omega + constant, level - omega + constant
+    if gauged:
+        coupling = gauge_parts(coupling.real, coupling.imag, trunc.n_max)
+    return d_e, d_g, coupling
 
 
 def h_qrm(
@@ -250,16 +314,7 @@ def h_qrm(
     callers usually leave it off. The real form (``gauged``) exists at every
     parameter: the coupling is imaginary where m - n is odd.
     """
-    constant = transform_offset(p) if include_constant else 0.0
-    level = _levels(p, trunc)
-    # the band of (i g)(a - a^dag)
-    root, scale = _ladder_roots(trunc), 1j * qrm_coupling(p)
-    coupling = _band(trunc.n_max, 0.0, scale * root, scale * -root)
-    d_e, d_g = level + p.Omega + constant, level - p.Omega + constant
-    if not gauged:
-        return _spin_blocks(d_e, d_g, coupling)
-    real = gauge_parts(coupling.real, coupling.imag, trunc.n_max)
-    return _spin_blocks(d_e, d_g, real)
+    return _spin_blocks(*qrm_blocks(p, trunc, include_constant, gauged=gauged))
 
 
 def h_qrm_detuned(p: IonParams, trunc: TruncationSpec) -> np.ndarray:

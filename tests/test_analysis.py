@@ -438,15 +438,21 @@ def _nan_entry(m):
     return m
 
 
+def _nan_first_diag_offset(residual):
+    """The residuals of a stack of transform draws with the first draw's diagonal NaN."""
+    diag = residual["diag_offset_dev"].copy()
+    diag[0] = np.nan
+    return {**residual, "diag_offset_dev": diag}
+
+
 # each worst case over a set of draws or displacements, with a NaN at its second
 # member, which a worst case must keep so that the report fails
 _NAN_CASES = {
     "operator-algebra": ("displacement_laguerre", _nan_entry,
                          lambda: operator_algebra_check(TruncationSpec(16, 4)),
                          "displacement_oracle_dev"),
-    "qrm-transform-draws": ("qrm_transform_check",
-                            lambda rep: rep.replace(
-                                metrics={**rep.metrics, "diag_offset_dev": float("nan")}),
+    # the draws run in stacks through _transform_residuals: a NaN in the second stack
+    "qrm-transform-draws": ("_transform_residuals", _nan_first_diag_offset,
                             qrm_transform_property, "worst_diag_offset_dev"),
     "chi-identity": ("derived_couplings", lambda cpl: cpl.replace(chi=float("nan")),
                      chi_identity_check, "worst_relative_dev"),
@@ -478,10 +484,10 @@ def test_operator_algebra_note_names_the_identity_tolerance_used():
 
 
 def _flip_one_block(conjugate):
-    def flipped(h, eta, trunc):
-        out = conjugate(h, eta, trunc)
-        k = trunc.interior_dim
-        out[:k, k:] *= -1.0
+    def flipped(*args):
+        out = conjugate(*args)
+        k = args[-1].interior_dim
+        out[..., :k, k:] *= -1.0
         return out
 
     return flipped
@@ -521,17 +527,20 @@ def test_transform_check_fails_on_a_broken_conjugation(broken, monkeypatch):
 
 
 def _odd_parity_flipped(m):
-    """m with the sign of every entry at odd m - n flipped: S m S for S = diag((-1)^n)."""
+    """m with the sign of every entry at odd m - n flipped: S m S for S = diag((-1)^n).
+
+    A stack of matrices has each one flipped.
+    """
     out = m.copy()
-    out[::2, 1::2] *= -1.0
-    out[1::2, ::2] *= -1.0
+    out[..., ::2, 1::2] *= -1.0
+    out[..., 1::2, ::2] *= -1.0
     return out
 
 
-# (call index mod 2, defect): each draw builds D(i*eta) in h_resonant first (index 0),
-# then D(i*eta/2) in qrm_conjugate (index 1)
+# (call index mod 2, defect): each stack of draws builds D(i*eta) in resonant_blocks first
+# (index 0), then D(i*eta/2) in qrm_conjugate (index 1); a defect acts on each matrix of a stack
 _GAUGE_REAL_DEFECTS = {
-    "transposed-half": (1, lambda m: m.T),
+    "transposed-half": (1, lambda m: np.swapaxes(m, -1, -2)),
     "flipped-odd-parity-full": (0, _odd_parity_flipped),
 }
 
@@ -555,20 +564,26 @@ def test_transform_check_fails_on_a_broken_gauge_real_displacement(broken, monke
     assert rep.metrics["frobenius_norm"] > 1e3 * rep.metrics["threshold"]
     draws = qrm_transform_property(T64, seed=99)
     assert not draws.passed and draws.metrics["failed"] > 0
-    # the defect hit the displacement it names: full and half alternate
-    assert radii[1::2] == [r / 2.0 for r in radii[0::2]] and len(radii) == 102
+    # the defect hit the displacement it names: full and half alternate, one radius each
+    # for the check's point and the 50 draws
+    full, half = (np.concatenate([np.atleast_1d(r) for r in rs]) for rs in (radii[0::2], radii[1::2]))
+    assert np.array_equal(half, full / 2.0) and len(full) + len(half) == 102
 
 
 def test_transform_draws_form_no_complex_displacement_and_gauge_nothing(monkeypatch):
-    """The transform identity reads the builders' real form: no complex D, no gauge test."""
+    """The transform identity reads the builders' real blocks: no complex D, no gauge test and
+    no dense H, one resonant and one Rabi block set per stack of draws."""
     import sys
 
     import ionqrm.algebra as algebra
     import ionqrm.models as models
 
-    calls = dict.fromkeys(("gauge_is_real", "displacement", "h_resonant", "h_qrm"), 0)
+    import ionqrm.analysis as analysis
+
+    calls = dict.fromkeys(("gauge_is_real", "displacement", "h_resonant", "h_qrm",
+                           "resonant_blocks", "qrm_blocks"), 0)
     for target in calls:
-        home = models if target.startswith("h_") else algebra
+        home = models if target.startswith(("h_", "resonant", "qrm")) else algebra
         original = getattr(home, target)
 
         def counting(*args, _target=target, _original=original, **kwargs):
@@ -580,10 +595,46 @@ def test_transform_draws_form_no_complex_displacement_and_gauge_nothing(monkeypa
                 monkeypatch.setattr(module, target, counting)
     rep = qrm_transform_property(T64, seed=99)
     assert rep.passed
-    assert calls == {"gauge_is_real": 0, "displacement": 0, "h_resonant": 50, "h_qrm": 50}
+    stacks = -(-50 // analysis._TRANSFORM_STACK)
+    assert calls == {"gauge_is_real": 0, "displacement": 0, "h_resonant": 0, "h_qrm": 0,
+                     "resonant_blocks": stacks, "qrm_blocks": stacks}
     # the counters see a call through any binding, for example the dense oracle's
     models.qrm_transform(0.3, T64)
     assert calls["displacement"] == 1
+
+
+_STACK_TRUNCS = [TruncationSpec(64, 16), TruncationSpec(48, 12), TruncationSpec(24, 6),
+                 TruncationSpec(16, 4)]
+
+
+@pytest.mark.parametrize("trunc", _STACK_TRUNCS, ids=lambda t: f"n{t.n_max}g{t.guard}")
+def test_transform_draws_are_the_per_point_checks_bit_for_bit(trunc, monkeypatch):
+    # the stacked draws against the report assembled from one check per draw, with ==:
+    # at these sizes a product's operand layout moves its bits
+    for seed in (0, 1, 7):
+        draws = analysis._transform_draws(seed)
+        checks = [qrm_transform_check(IonParams(nu=nu, Omega=omega, eta=eta), trunc)
+                  for nu, omega, eta in draws]
+        norms = [rep.metrics["frobenius_norm"] for rep in checks]
+        diags = [rep.metrics["diag_offset_dev"] for rep in checks]
+        threshold = 1e-8 * trunc.interior_dim
+        expected = {
+            "draws": 50.0,
+            "failed": float(sum(not (norm < threshold and diag <= 1e-8)
+                                for norm, diag in zip(norms, diags))),
+            "worst_frobenius_norm": max(norms),
+            "worst_diag_offset_dev": max(diags),
+            "threshold": threshold,
+        }
+        assert qrm_transform_property(trunc, seed).metrics == expected
+        # stacks of 1, 7 and 13 points (last stacks of 1, 1 and 11), and the kernel alone
+        for stack in (1, 7, 13):
+            monkeypatch.setattr(analysis, "_TRANSFORM_STACK", stack)
+            assert qrm_transform_property(trunc, seed).metrics == expected
+            got = analysis._transform_residuals(*zip(*draws[:stack]), trunc)
+            for name, values in got.items():
+                assert values.tolist() == [rep.metrics[name] for rep in checks[:stack]], name
+        monkeypatch.undo()
 
 
 def test_report_serialization_round_trip_types():

@@ -641,6 +641,8 @@ _RULE_LINES = {
     ("scan.kind = dispersive", _SMALL_ROTATION): ["scan", *_point(0.55, 0.08)],
     ("scan.kind = truncation", _TRUNCATION_K):
         ["scan", *_REF, "--set", "scan.kind=truncation", "--set", "scan.k_lowest=40"],
+    ("scan.kind = lamb-dicke", "lamb-dicke scan requires Omega > 0"):
+        ["scan", *_point(0.0, 0.1), "--set", "scan.kind=lamb-dicke"],
     ("command = all-checks", "seed >= 0"): ["all-checks", *_REF, "--set", "seed=-1"],
 }
 # rows whose rule no line can break alone: with n_list[0] < 1 no k_lowest >= 1 is within
@@ -809,15 +811,26 @@ def test_an_evolve_op_peaks_below_seven_mib(builder, tmp_path):
     assert peak < 7 * 2**20, peak / 2**20
 
 
-def test_runtime_error_yields_record(capsys):
-    # at Omega = 0 the Lamb-Dicke remainder vanishes: its order is undefined, which only
-    # the computation finds
-    args = ["scan", "--set", "Omega=0", "--set", "eta=0.1", "--set", "scan.kind=lamb-dicke",
+def test_runtime_error_yields_record(capsys, monkeypatch):
+    # an error only the computation finds, such as an order fitted to no remainder, is one
+    # record on stderr; config rejects the Omega = 0 scan that gave one before computing
+    import ionqrm.analysis as analysis
+
+    def no_order(xs, ys):
+        raise ValueError("scaling order undefined")
+
+    monkeypatch.setattr(analysis, "_fit_order", no_order)
+    args = ["scan", "--set", "Omega=0.7", "--set", "eta=0.1", "--set", "scan.kind=lamb-dicke",
             "--format", "json"]
     code, out, err = run_cli(args, capsys)
     assert (code, out) == (EXIT_ERROR, "")
     record = json.loads(err)
     assert record["error"] == "ValueError"
+    args[2] = "Omega=0"
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert json.loads(err) == {"error": "ConfigError", "schema_version": 1,
+                               "message": "constraint violation: lamb-dicke scan requires Omega > 0"}
 
 
 def test_all_checks_exits_zero_and_lists_reports(tmp_path, capsys):
@@ -874,7 +887,7 @@ def test_verify_and_a_json_scan_exit_2_exactly_when_their_report_fails(capsys, m
         assert code == expected == (EXIT_OK if report.passed else EXIT_CHECKS_FAILED), argv
         if not report.passed:
             failed.append(report.name)
-    assert len(entries) == 16 and failed == ["speed-comparison", "truncation-convergence-qrm"]
+    assert len(entries) == 18 and failed == ["speed-comparison", "truncation-convergence-qrm"]
     # the same failing scan as CSV carries no pass flag and exits 0
     code, out, _ = run_cli(["scan", "--set", "Omega=0.7", "--set", "eta=0.3", "--set",
                             "scan.kind=truncation", "--set", "scan.n_list=4,8"], capsys)
@@ -937,7 +950,8 @@ def test_regime_and_rabi_rotated_follow_the_one_phase_rule(phase, capsys):
 
 
 def test_scan_with_vanishing_remainder_is_an_error_not_nan(src_env):
-    # Omega = 0 makes the Lamb-Dicke remainder vanish, so its order is undefined
+    # Omega = 0 makes the Lamb-Dicke remainder vanish, so its order is undefined: config
+    # rejects the line before any norm is computed
     proc = subprocess.run(
         [sys.executable, "-m", "ionqrm", "scan", "--set", "Omega=0", "--set", "eta=0.1",
          "--set", "scan.kind=lamb-dicke", "--format", "json"],
@@ -950,8 +964,8 @@ def test_scan_with_vanishing_remainder_is_an_error_not_nan(src_env):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
-    assert record["error"] == "ValueError"
-    assert "order undefined" in record["message"]
+    assert record["error"] == "ConfigError"
+    assert record["message"] == "constraint violation: lamb-dicke scan requires Omega > 0"
 
 
 def test_json_output_rejects_non_finite_values():

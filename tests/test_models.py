@@ -1,5 +1,6 @@
 """Tests for the Hamiltonian and transformation builders."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from ionqrm import (
 )
 from ionqrm import models
 from ionqrm.algebra import displacement_gauged
+from ionqrm.models import qrm_blocks, resonant_blocks
 from ionqrm.params import (is_sideband_resonant, laser_phase_sign, qrm_coupling,
                            transform_offset)
 from oracles import Spin, fock_gauge, is_hermitian, is_unitary, number_op, pauli
@@ -253,25 +255,45 @@ def test_gauged_conjugation_matches_dense_transform(eta):
     dense = _gauged_interior(t_mat @ h @ dagger(t_mat), T64)
     # the gauged dense product is real up to rounding, and so is the blockwise one exactly
     assert np.max(np.abs(dense.imag)) < 1e-12
-    got = qrm_conjugate(h_resonant(p, T64, gauged=True), eta, T64)
+    got = qrm_conjugate(*resonant_blocks(p, T64, gauged=True), eta, T64)
     assert np.isrealobj(got) and got.shape == (2 * T64.interior_dim,) * 2
     assert np.max(np.abs(got - dense)) < 1e-12
-    # any H that is real in the gauge: H = P^dag G P for a real symmetric G
+    # any H of the block form that is real in the gauge: H = P^dag G P for a real
+    # G = [[diag(d_e), B], [B^T, diag(d_g)]]
     rng = np.random.default_rng(11)
-    g = rng.normal(size=(128, 128))
+    d_e, d_g, b = rng.normal(size=64), rng.normal(size=64), rng.normal(size=(64, 64))
+    g = np.block([[np.diag(d_e), b], [b.T, np.diag(d_g)]])
     phases = np.tile(_I_POWERS[np.arange(64) % 4], 2)
-    m = phases.conj()[:, None] * (g + g.T) * phases[None, :]
+    m = phases.conj()[:, None] * g * phases[None, :]
     dense = _gauged_interior(t_mat @ m @ dagger(t_mat), T64)
-    assert np.max(np.abs(qrm_conjugate(g + g.T, eta, T64) - dense)) < 1e-12
+    assert np.max(np.abs(qrm_conjugate(d_e, d_g, b, eta, T64) - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("trunc", [T64, T32, TruncationSpec(24, 6), TruncationSpec(5, 1)])
+def test_stacked_conjugation_is_each_point_alone_bit_for_bit(trunc):
+    # a stack of points gives each point's own bits, through the blocks of both builders
+    rng = np.random.default_rng(5)
+    nu, omega, eta = rng.uniform(0.5, 2.0, 7), rng.uniform(0.0, 2.0, 7), rng.uniform(0.0, 0.6, 7)
+    stack = SimpleNamespace(nu=nu, Omega=omega, eta=eta, phi_l=0.0, delta=0.0)
+    got = qrm_conjugate(*resonant_blocks(stack, trunc, gauged=True), eta, trunc)
+    rabi = qrm_blocks(stack, trunc, gauged=True)
+    for i in range(7):
+        p = IonParams(nu=nu[i], Omega=omega[i], eta=eta[i])
+        alone = qrm_conjugate(*resonant_blocks(p, trunc, gauged=True), eta[i], trunc)
+        assert got[i].tobytes() == alone.tobytes()
+        for block, single in zip(rabi, qrm_blocks(p, trunc, gauged=True)):
+            assert block[i].tobytes() == single.tobytes()
 
 
 def test_conjugation_rejects_h_not_real_in_the_gauge():
     rng = np.random.default_rng(11)
-    m = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
-    # one input form: the real G = P H P^dag, never a complex H, even one real in the gauge
-    for h in (m + dagger(m), h_resonant(IonParams(Omega=0.7, eta=0.3), T64)):
-        with pytest.raises(ValueError, match="must be a real 128x128 array"):
-            qrm_conjugate(h, 0.3, T64)
+    m = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    # one input form: the real blocks of G = P H P^dag, never a complex coupling, even the
+    # resonant one, which is real in the gauge
+    for d_e, d_g, b in ((np.ones(64), np.ones(64), m),
+                        resonant_blocks(IonParams(Omega=0.7, eta=0.3), T64)):
+        with pytest.raises(ValueError, match="must be a real 64x64 array"):
+            qrm_conjugate(d_e, d_g, b, 0.3, T64)
     # off the phases 0 and pi the resonant model has no real gauge, so it has no real form
     with pytest.raises(ValueError, match="not exactly real in the Fock-parity gauge"):
         h_resonant(IonParams(Omega=0.7, eta=0.3, phi_l=0.4), T64, gauged=True)
@@ -283,7 +305,7 @@ def test_conjugation_rejects_h_not_real_in_the_gauge():
 
 def test_blockwise_conjugation_rejects_wrong_dimension():
     with pytest.raises(ValueError):
-        qrm_conjugate(np.eye(64, dtype=complex), 0.3, T64)
+        qrm_conjugate(np.ones(32), np.ones(32), np.eye(32), 0.3, T64)
 
 
 def test_h_qrm_eta_zero():
