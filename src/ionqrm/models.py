@@ -14,6 +14,9 @@ The two builders the transform identity reads, :func:`h_resonant` and
 :func:`h_qrm`, have a real form (``gauged=True``): P H P^dag, P = diag(i^n) on
 both spin blocks, written from the real gauged coupling P B P^dag, entry for
 entry the map :func:`~ionqrm.algebra.gauge_parts` makes of the complex form.
+Their blocks (:func:`resonant_blocks`, :func:`qrm_blocks`) are what the identity
+reads: they also take a stack of points, and :func:`qrm_conjugate` conjugates
+a stack of gauged resonant blocks without forming the dense H.
 """
 from __future__ import annotations
 
@@ -250,11 +253,11 @@ def qrm_conjugate(
         raise ValueError(f"B must be a real {n}x{n} array, got {b.dtype} {b.shape}")
     half = displacement_gauged(np.divide(eta, 2.0), trunc)
     half_t = np.swapaxes(half, -1, -2)
-    # only interior rows of a left factor and interior columns of a right one are kept;
-    # each factor is C-contiguous where the dense G's product had one, as the
-    # product's rounding depends on its operands' memory order. Block (i, j) is
-    # ((s_i s_j p00 + s_i p01) + s_j p10) + p11, summed in that order in place:
-    # negation is exact, so p00 + p01 and p00 - p01 serve all four blocks
+    # only interior rows of a left factor and interior columns of a right one are kept.
+    # A product's rounding depends on its operands' memory order: each factor has the
+    # order it has in the product with the dense G, whose block B^T is C-contiguous.
+    # Block (i, j) is ((s_i s_j p00 + s_i p01) + s_j p10) + p11, summed in that order
+    # in place: negation is exact, so p00 + p01 and p00 - p01 serve all four blocks
     out = np.empty(half.shape[:-2] + (2 * k, 2 * k))
     b00, b01, b10, b11 = out[..., :k, :k], out[..., :k, k:], out[..., k:, :k], out[..., k:, k:]
     left = np.multiply(half_t[..., :k, :], d_e[..., None, :], order="C")
@@ -283,11 +286,11 @@ def qrm_blocks(
 ):
     """The spin blocks (d_e, d_g, B) of :func:`h_qrm`, which ``_spin_blocks`` assembles.
 
-    p may also hold a stack of points (nu, Omega and eta equal-length 1-D
-    arrays): each block then has a leading stack axis, each slice bit for bit
-    that of the point alone, except with ``include_constant``, as numpy's
-    square of an array rounds eta^2 unlike Python's float power in about one
-    value in a thousand.
+    Without ``include_constant``, p may also hold a stack of points (nu, Omega
+    and eta equal-length 1-D arrays): each block then has a leading stack axis,
+    each slice bit for bit that of the point alone. (The constant nu*eta^2/4
+    of a stack would not be: numpy's square of an array rounds eta^2 unlike
+    Python's float power in about one value in a thousand.)
     """
     constant = transform_offset(p) if include_constant else 0.0
     level = _levels(p, trunc)
