@@ -248,8 +248,9 @@ def displacement_gauged(r, trunc: TruncationSpec) -> np.ndarray:
     real[..., ::2, 1::2] = odd[..., ::2, 1::2]
     real[..., 1::2, ::2] = odd[..., 1::2, ::2]
     np.copyto(real, np.swapaxes(real, -1, -2), where=_upper_triangle(n))
-    # gauge_parts' map with one part exactly zero at each entry: t_m t_n re where
-    # m - n is even and t_m s_m t_n im where it is odd
+    # one part is exactly zero at each entry, so gauge_parts' map is a sign per entry,
+    # read from fock_phases with its t and t*s: t_m t_n where m - n is even, t_m s_m t_n
+    # where it is odd
     p = fock_phases(n, n)
     t, ts = p.real + p.imag, p.real - p.imag
     sign = np.multiply.outer(t, t)
