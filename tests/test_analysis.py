@@ -566,7 +566,8 @@ def test_transform_check_fails_on_a_broken_gauge_real_displacement(broken, monke
     assert not draws.passed and draws.metrics["failed"] > 0
     # the defect hit the displacement it names: full and half alternate, one radius each
     # for the check's point and the 50 draws
-    full, half = (np.concatenate([np.atleast_1d(r) for r in rs]) for rs in (radii[0::2], radii[1::2]))
+    full, half = (np.concatenate([np.atleast_1d(r) for r in rs])
+                  for rs in (radii[0::2], radii[1::2]))
     assert np.array_equal(half, full / 2.0) and len(full) + len(half) == 102
 
 

@@ -829,8 +829,9 @@ def test_runtime_error_yields_record(capsys, monkeypatch):
     args[2] = "Omega=0"
     code, out, err = run_cli(args, capsys)
     assert (code, out) == (EXIT_ERROR, "")
+    rule = "lamb-dicke scan requires Omega > 0"
     assert json.loads(err) == {"error": "ConfigError", "schema_version": 1,
-                               "message": "constraint violation: lamb-dicke scan requires Omega > 0"}
+                               "message": f"constraint violation: {rule}"}
 
 
 def test_all_checks_exits_zero_and_lists_reports(tmp_path, capsys):
